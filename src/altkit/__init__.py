@@ -54,7 +54,6 @@ from .norm_universal import (
     PullbackInstance,
     discriminant,
     free_case_check,
-    make_norm_map,
     trace_formula_check,
     traceexp_check,
     verify_pullback,
@@ -66,7 +65,6 @@ from .gen_etale import (
     b_plus,
     diagonal_support_probe,
     is_generically_etale,
-    make_norm_map_plus,
     verify_pullback_plus,
 )
 
@@ -107,7 +105,6 @@ __all__ = [
     "PullbackInstance",
     "discriminant",
     "free_case_check",
-    "make_norm_map",
     "trace_formula_check",
     "traceexp_check",
     "verify_pullback",
@@ -117,6 +114,5 @@ __all__ = [
     "b_plus",
     "diagonal_support_probe",
     "is_generically_etale",
-    "make_norm_map_plus",
     "verify_pullback_plus",
 ]

@@ -356,20 +356,16 @@ def random_invariant(rng, space, max_degree, orbits=2, full=True):
     ``full`` symmetrizes over all slots; otherwise over the first n-1
     slots only, which is every tensor when n = 2.
     """
-    n = space.n
-    group = all_signed_permutations(n if full else n - 1)
+    reindex = _signed_reindex(space.n, space.width, not full)
     acc = {}
     for _ in range(rng.randint(1, orbits)):
         key = tuple(
             v
-            for _ in range(n)
+            for _ in range(space.n)
             for v in _random_label(rng, space, max_degree)
         )
         c = _random_coeff(rng, space.scalars)
-        w = space.width
-        for perm, _ in group:
-            images = perm.images if full else perm.images + (n - 1,)
-            idx = [images[i] * w + d for i in range(n) for d in range(w)]
+        for idx, _ in reindex:
             k = tuple(key[j] for j in idx)
             s = acc.get(k)
             acc[k] = c if s is None else s + c

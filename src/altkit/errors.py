@@ -10,6 +10,10 @@ class AltkitError(Exception):
     pass
 
 
+class VerificationFailed(AltkitError):
+    """An exact re-check of a computed result did not hold."""
+
+
 # ring layer
 
 class NonAssociative(AltkitError):
@@ -76,10 +80,6 @@ class NotEtale(AltkitError):
 
 class NotGenericallyEtale(AltkitError):
     """Discriminant is a zerodivisor."""
-
-
-class NotSymmetric(AltkitError):
-    """Tensor expected to be fully invariant is not."""
 
 
 class UnsupportedAmbient(AltkitError):

@@ -28,13 +28,15 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
     UnsupportedBase,
+    VerificationFailed,
 )
 from .norm_universal import (
     alternator_pair_presentation,
+    constants_witness,
+    pullback_constants,
     trace_pairing_det,
-    vector_text,
 )
-from .alternator import Witness, alpha
+from .alternator import alpha
 from .ring_core import (
     CoeffRing,
     FiniteFreeAlgebra,
@@ -45,7 +47,7 @@ from .ring_core import (
     field_mat_mul,
     field_nullspace,
 )
-from .span_solver import LEVEL_FULL, LocalizedElem, coordinates
+from .span_solver import LEVEL_FULL, LocalizedElem
 from .tensor_algebra import unit_tensor
 
 __all__ = [
@@ -59,7 +61,7 @@ __all__ = [
     "BPlus",
     "b_plus",
     "NormMapPlus",
-    "make_norm_map_plus",
+    "check_pullback_plus",
     "verify_pullback_plus",
     "diagonal_support_probe",
 ]
@@ -209,7 +211,8 @@ def rees_from_localized(ctx, le):
         for c, w in alternator_pair_presentation(ctx, le.num)
     ]
     out = ReesFraction(ctx, 1, terms)
-    assert out.expand() == le, "pair rewriting changed the fraction"
+    if out.expand() != le:
+        raise VerificationFailed("pair rewriting changed the fraction")
     return out
 
 
@@ -267,10 +270,10 @@ class BPlus:
             self._build_quotient(base, d)
         else:
             raise UnsupportedBase(f"no saturation for {base!r}")
-        if not self.is_zero_ring:
-            assert is_nonzerodivisor(self.desc, self.reduce(d)), (
-                "reduced discriminant still kills something"
-            )
+        if not self.is_zero_ring and not is_nonzerodivisor(
+            self.desc, self.reduce(d)
+        ):
+            raise VerificationFailed("reduced discriminant still kills something")
 
     def _build_quotient(self, base, d):
         field = base.base
@@ -423,66 +426,36 @@ class NormMapPlus:
         return self._divide(total, le.exp + 1)
 
 
-def make_norm_map_plus(inst):
-    return NormMapPlus(inst)
-
-
-def verify_pullback_plus(inst):
-    """Mapped constants against the algebra's own, along two routes.
+def check_pullback_plus(inst, nm):
+    """Witnesses of the solving norm map nm and the constant rows they compare.
 
     Route one pushes the coordinate fractions through the pair rewriting.
     Route two expresses each coordinate directly as a single pair: the
     anchor with one entry replaced by the product, against the anchor.
     Both must land on the image-basis coordinates computed in the algebra.
     """
-    nm = make_norm_map_plus(inst)
-    E, base = inst.E, inst.E.base
-    ctx = inst.ctx
-    witnesses = []
-    mapped_unit = [
-        nm.localized_image(c) for c in coordinates(ctx, inst.space.ring.one())
-    ]
-    direct_unit = inst.basis_coords(E.one())
-    witnesses.append(
-        Witness(
-            "pullback_plus[unit]",
-            all(base.normalize(m) == u for m, u in zip(mapped_unit, direct_unit)),
-            vector_text(base, mapped_unit),
-            vector_text(base, direct_unit),
+    ctx, base = inst.ctx, inst.E.base
+    unit, rows = pullback_constants(inst, nm)
+    witnesses = [constants_witness("pullback_plus[unit]", base, *unit)]
+    for i, j, prod, mapped, direct in rows:
+        single = [
+            nm.fraction_image(rees_pair(ctx, ctx.x_replaced(k, prod), ctx.x))
+            for k in range(1, inst.E.rank + 1)
+        ]
+        witnesses.append(
+            constants_witness(
+                f"pullback_plus[{i + 1},{j + 1}]", base, mapped, direct
+            )
         )
-    )
-    for i in range(E.rank):
-        for j in range(i, E.rank):
-            prod = ctx.x[i] * ctx.x[j]
-            direct = inst.basis_coords(inst.fx[i] * inst.fx[j])
-            mapped = [
-                nm.localized_image(c) for c in coordinates(ctx, prod)
-            ]
-            witnesses.append(
-                Witness(
-                    f"pullback_plus[{i + 1},{j + 1}]",
-                    all(
-                        base.normalize(m) == u for m, u in zip(mapped, direct)
-                    ),
-                    vector_text(base, mapped),
-                    vector_text(base, direct),
-                )
-            )
-            single = [
-                nm.fraction_image(rees_pair(ctx, ctx.x_replaced(k, prod), ctx.x))
-                for k in range(1, E.rank + 1)
-            ]
-            witnesses.append(
-                Witness(
-                    f"pair_route[{i + 1},{j + 1}]",
-                    all(
-                        base.normalize(s) == u for s, u in zip(single, direct)
-                    ),
-                    vector_text(base, single),
-                    vector_text(base, direct),
-                )
-            )
-    return witnesses
+        witnesses.append(
+            constants_witness(f"pair_route[{i + 1},{j + 1}]", base, single, direct)
+        )
+    return witnesses, rows
+
+
+def verify_pullback_plus(inst):
+    """Mapped constants against the algebra's own, along two routes."""
+    return check_pullback_plus(inst, NormMapPlus(inst))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import (
     NotABasis,
     NotEtale,
     NotInvariant,
+    VerificationFailed,
 )
 from .ring_core import (
     AlgebraElem,
@@ -32,7 +33,6 @@ from .span_solver import (
     LEVEL_FULL,
     LocalizedElem,
     coordinates,
-    structure_constants_R,
 )
 from .tensor_algebra import (
     TensorSpace,
@@ -49,7 +49,9 @@ __all__ = [
     "alternator_pair_presentation",
     "PullbackInstance",
     "NormMap",
-    "make_norm_map",
+    "pullback_constants",
+    "constants_witness",
+    "check_pullback",
     "verify_pullback",
     "free_case_check",
 ]
@@ -144,7 +146,8 @@ def alternator_pair_presentation(ctx, num):
         )
         terms.append((c, w))
         acc = acc + alpha(space, w).scale(c)
-    assert acc == num * ctx.alpha_x, "presentation failed to rebuild the input"
+    if acc != num * ctx.alpha_x:
+        raise VerificationFailed("presentation failed to rebuild the input")
     return tuple(terms)
 
 
@@ -229,8 +232,50 @@ class NormMap:
         return self.invariant_image(le.num, le.exp)
 
 
-def make_norm_map(inst):
-    return NormMap(inst)
+def pullback_constants(inst, nm):
+    """The unit and every basis pair i <= j, mapped and computed directly.
+
+    Mapped coordinates are the anchor tuple's coordinate fractions pushed
+    through the norm map nm; direct ones are image-basis coordinates
+    computed in the algebra.  Returns the unit's (mapped, direct) pair and
+    one (i, j, product, mapped, direct) row per pair, where product is
+    x_i * x_j in the source ring.
+    """
+    ctx = inst.ctx
+
+    def mapped(z):
+        return [nm.localized_image(c) for c in coordinates(ctx, z)]
+
+    unit = (mapped(inst.space.ring.one()), inst.basis_coords(inst.E.one()))
+    rows = []
+    for i in range(inst.E.rank):
+        for j in range(i, inst.E.rank):
+            prod = ctx.x[i] * ctx.x[j]
+            direct = inst.basis_coords(inst.fx[i] * inst.fx[j])
+            rows.append((i, j, prod, mapped(prod), direct))
+    return unit, rows
+
+
+def constants_witness(name, base, mapped, direct):
+    """Mapped constants against direct ones, compared after normalizing."""
+    return Witness(
+        name,
+        all(base.normalize(m) == u for m, u in zip(mapped, direct)),
+        vector_text(base, mapped),
+        vector_text(base, direct),
+    )
+
+
+def check_pullback(inst, nm):
+    """Witnesses of the norm map nm and the constant rows they compare."""
+    base = inst.E.base
+    unit, rows = pullback_constants(inst, nm)
+    witnesses = [constants_witness("pullback[unit]", base, *unit)]
+    for i, j, _, mapped, direct in rows:
+        witnesses.append(
+            constants_witness(f"pullback[{i + 1},{j + 1}]", base, mapped, direct)
+        )
+    return witnesses, rows
 
 
 def verify_pullback(inst):
@@ -240,38 +285,7 @@ def verify_pullback(inst):
     map and compared with the image basis coordinates computed directly
     in the algebra; the unit row rides along.
     """
-    nm = make_norm_map(inst)
-    E, base = inst.E, inst.E.base
-    constants = structure_constants_R(inst.ctx)
-    witnesses = []
-    mapped_unit = [
-        nm.localized_image(c) for c in coordinates(inst.ctx, inst.space.ring.one())
-    ]
-    direct_unit = inst.basis_coords(E.one())
-    witnesses.append(
-        Witness(
-            "pullback[unit]",
-            all(base.normalize(m) == u for m, u in zip(mapped_unit, direct_unit)),
-            vector_text(base, mapped_unit),
-            vector_text(base, direct_unit),
-        )
-    )
-    for i in range(E.rank):
-        for j in range(i, E.rank):
-            mapped = [nm.localized_image(c) for c in constants[i][j]]
-            direct = inst.basis_coords(inst.fx[i] * inst.fx[j])
-            witnesses.append(
-                Witness(
-                    f"pullback[{i + 1},{j + 1}]",
-                    all(
-                        base.normalize(m) == u
-                        for m, u in zip(mapped, direct)
-                    ),
-                    vector_text(base, mapped),
-                    vector_text(base, direct),
-                )
-            )
-    return witnesses
+    return check_pullback(inst, NormMap(inst))[0]
 
 
 def free_case_check(alg, basis, extra=()):

@@ -17,6 +17,7 @@ validated exhaustively at construction time.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -47,7 +48,11 @@ __all__ = [
     "FiniteFreeAlgebra",
     "AlgebraElem",
     "AlgebraMap",
-    "make_finite_algebra",
+    "monomial_text",
+    "MAX_POWER_EXPONENT",
+    "MAX_POWER_DEGREE",
+    "MAX_POWER_TERMS",
+    "MAX_POWER_COEFF_BITS",
 ]
 
 
@@ -263,6 +268,17 @@ def _deglex(key):
     return (sum(key), key)
 
 
+def monomial_text(names, exps):
+    """``s*t^2`` style text of one monomial; ``1`` when every exponent is 0."""
+    parts = []
+    for name, e in zip(names, exps):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
 class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -458,15 +474,6 @@ class MultiPoly:
             acc = acc + v
         return acc
 
-    def monomial_text(self, key):
-        parts = []
-        for name, e in zip(self.vars, key):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
-
     def to_text(self):
         """Canonical text, degree-lex descending, e.g. ``2*s^2-s+1``."""
         if not self.terms:
@@ -474,7 +481,7 @@ class MultiPoly:
         out = []
         for key in sorted(self.terms, key=_deglex, reverse=True):
             c = self.terms[key]
-            mono = self.monomial_text(key)
+            mono = monomial_text(self.vars, key)
             neg = self.ring.kind != "Fp" and c < 0
             mag = -c if neg else c
             if mono == "1":
@@ -609,6 +616,14 @@ class PolyRing:
 
 _TOKEN_CHARS = set("+-*/^() \t")
 
+# bounds on one power ``base^k`` in an expression, checked before it is
+# computed: the exponent literal, the degree and the term count of the
+# result, and for a constant the bit length of the resulting value
+MAX_POWER_EXPONENT = 1000
+MAX_POWER_DEGREE = 100
+MAX_POWER_TERMS = 1000
+MAX_POWER_COEFF_BITS = 10_000
+
 
 def _tokenize(text):
     tokens = []
@@ -621,7 +636,10 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            tokens.append(("num", int(text[i:j])))
+            try:
+                tokens.append(("num", int(text[i:j])))
+            except ValueError as e:  # literal past the int-conversion limit
+                raise ParseError(f"number literal too long: {e}") from None
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -723,6 +741,7 @@ class _ExprParser:
             kind, k = self.take()
             if kind != "num":
                 raise ParseError("exponent must be a literal integer")
+            _check_power(base, k)
             return base**k
         return base
 
@@ -739,6 +758,29 @@ class _ExprParser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {val!r}")
+
+
+def _check_power(base, k):
+    if k > MAX_POWER_EXPONENT:
+        raise ParseError(f"exponent {k} above {MAX_POWER_EXPONENT}")
+    degree = base.total_degree() * k
+    if degree > MAX_POWER_DEGREE:
+        raise ParseError(f"power of degree {degree} above {MAX_POWER_DEGREE}")
+    # the result has at most one term per k-multiset of base terms, and
+    # at most one per monomial of its degree in the variables it uses
+    m = len(base.terms)
+    used = sum(any(key[i] for key in base.terms) for i in range(len(base.vars)))
+    if m > 1 and min(
+        math.comb(m + k - 1, k), math.comb(degree + used, used)
+    ) > MAX_POWER_TERMS:
+        raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms")
+    if base.is_constant() and base.ring.kind != "Fp":
+        c = Fraction(base.constant())
+        bits = k * max(c.numerator.bit_length(), c.denominator.bit_length())
+        if bits > MAX_POWER_COEFF_BITS:
+            raise ParseError(
+                f"constant power of {bits} bits above {MAX_POWER_COEFF_BITS}"
+            )
 
 
 def parse_expression(text, ring, vars):
@@ -1160,11 +1202,6 @@ class FiniteFreeAlgebra:
 
     def __repr__(self):
         return f"FiniteFreeAlgebra(base={self.base!r}, rank={self.rank})"
-
-
-def make_finite_algebra(base, rank, structure, unit):
-    """Build and validate a finite free algebra from structure constants."""
-    return FiniteFreeAlgebra(base, rank, structure, unit)
 
 
 class AlgebraMap:

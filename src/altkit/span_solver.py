@@ -26,6 +26,7 @@ from .errors import (
     NotInvariant,
     RelationDoesNotHold,
     UnsupportedAmbient,
+    VerificationFailed,
 )
 from .ring_core import FiniteFreeAlgebra, dict_divide_exact
 from .tensor_algebra import (
@@ -251,7 +252,10 @@ def coordinates(ctx, z):
         entries.append(LocalizedElem(ctx, LEVEL_FULL, num, 1, _checked=True))
         lhs = lhs + num * ctx.phi_n_x[i - 1]
     target = coprojection(space, space.n, z) * ctx.alpha_sq
-    assert lhs == target, "coordinate expansion failed to reconstruct the input"
+    if lhs != target:
+        raise VerificationFailed(
+            "coordinate expansion failed to reconstruct the input"
+        )
     return CoordinateVector(ctx=ctx, entries=tuple(e.normalize() for e in entries))
 
 
@@ -274,7 +278,8 @@ def coordinates_of_invariant(ctx, y):
             num = -num
         entries.append(LocalizedElem(ctx, LEVEL_FULL, num, 1, _checked=True))
         lhs = lhs + num * ctx.phi_n_x[i - 1]
-    assert lhs == y * ctx.alpha_sq, "invariant expansion failed to reconstruct"
+    if lhs != y * ctx.alpha_sq:
+        raise VerificationFailed("invariant expansion failed to reconstruct")
     return CoordinateVector(ctx=ctx, entries=tuple(e.normalize() for e in entries))
 
 

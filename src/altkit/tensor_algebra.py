@@ -30,6 +30,7 @@ from .ring_core import (
     Fraction,
     MultiPoly,
     PolyRing,
+    monomial_text,
 )
 
 __all__ = [
@@ -37,10 +38,7 @@ __all__ = [
     "TensorSpace",
     "Tensor",
     "pure_tensor",
-    "tensor_add",
     "tensor_mul",
-    "scalar_mul",
-    "permute",
     "coprojection",
     "is_symmetric",
     "is_sym_n11",
@@ -195,13 +193,7 @@ class TensorSpace:
 
     def label_text(self, label):
         if self.is_poly:
-            parts = []
-            for name, e in zip(self.ring.vars, label):
-                if e == 1:
-                    parts.append(name)
-                elif e > 1:
-                    parts.append(f"{name}^{e}")
-            return "*".join(parts) if parts else "1"
+            return monomial_text(self.ring.vars, label)
         return f"e{label[0] + 1}"
 
     def label_sort_key(self, label):
@@ -414,21 +406,9 @@ def pure_tensor(space, elems):
     return Tensor(space, dict(items))
 
 
-def tensor_add(a, b):
-    return a + b
-
-
 def tensor_mul(a, b):
     """Componentwise product, extended bilinearly."""
     return a * b
-
-
-def scalar_mul(c, t):
-    return t.scale(c)
-
-
-def permute(t, perm):
-    return t.permute(perm)
 
 
 def coprojection(space, p, r):

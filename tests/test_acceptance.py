@@ -14,9 +14,9 @@ import pytest
 from altkit.alternator import IDENTITY_NAMES, AlternatorInstance
 from altkit.cli import build_instance, main, make_suite_config, run_suite
 from altkit.gen_etale import (
+    NormMapPlus,
     diagonal_support_probe,
     is_generically_etale,
-    make_norm_map_plus,
     verify_pullback_plus,
 )
 from altkit.norm_universal import free_case_check, verify_pullback
@@ -130,7 +130,7 @@ def test_acceptance_4_etale_fixture():
 def test_acceptance_5_gen_etale_fixture():
     inst, meta = build_instance(fixture_data("t2_minus_s.json"))
     base = inst.E.base
-    nm = make_norm_map_plus(inst)
+    nm = NormMapPlus(inst)
     t = inst.space.ring.variable("t")
     pair = nm.pair_image((t, t * t), inst.ctx.x)
     witnesses = verify_pullback_plus(inst)

@@ -20,7 +20,7 @@ from altkit.alternator import (
     random_tensor,
 )
 from altkit.errors import PreconditionViolated
-from altkit.ring_core import GF, QQ, PolyRing, make_finite_algebra
+from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, PolyRing
 from altkit.tensor_algebra import (
     Permutation,
     TensorSpace,
@@ -141,7 +141,7 @@ def test_instance_caches_square():
 
 
 def test_instance_over_algebra():
-    alg = make_finite_algebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))
+    alg = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))
     sp = TensorSpace(2, alg)
     inst = AlternatorInstance(sp, [alg.one(), alg.element((0, 1))])
     assert inst.alpha_x.terms == {(0, 1): 1, (1, 0): -1}

@@ -1,10 +1,16 @@
 """Driver behavior: config validation, reports, fixtures, exit codes."""
 
+import contextlib
+import io
 import json
+import time
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from altkit import cli, gen_etale, norm_universal, span_solver
 from altkit.cli import (
     SUITE_NAMES,
     build_instance,
@@ -17,6 +23,8 @@ from altkit.cli import (
     run_suite,
 )
 from altkit.errors import ConfigInvalid, ParseError, SchemaError
+from altkit.gen_etale import NormMapPlus
+from altkit.norm_universal import NormMap
 from altkit.ring_core import GF, QQ
 
 
@@ -68,15 +76,6 @@ def test_identity_list_canonical_order():
     assert cfg.identities == ("ts_linearity", "r_span")
 
 
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("ALTKIT_THREADS", "zero")
-    with pytest.raises(ConfigInvalid):
-        run_suite(make_suite_config(cases=1, identities="ts_linearity", n="2"))
-    monkeypatch.setenv("ALTKIT_THREADS", "0")
-    with pytest.raises(ConfigInvalid):
-        run_suite(make_suite_config(cases=1, identities="ts_linearity", n="2"))
-
-
 # -- suites
 
 
@@ -98,14 +97,11 @@ def test_suite_over_small_prime_field():
     assert report["failures_total"] == 0
 
 
-def test_report_bytes_deterministic(monkeypatch):
+def test_report_bytes_deterministic():
     cfg = make_suite_config(cases=4, seed=123)
     first = render_report(run_suite(cfg))
     second = render_report(run_suite(cfg))
     assert first == second
-    monkeypatch.setenv("ALTKIT_THREADS", "3")
-    third = render_report(run_suite(cfg))
-    assert first == third
 
 
 def test_failures_flow_into_report_and_exit_code(monkeypatch, capsys):
@@ -151,6 +147,36 @@ def test_t2_minus_s_instance_report():
     assert len(report["witnesses"]) == 7
 
 
+@pytest.mark.parametrize(
+    "fixture, built", [("sqrt2.json", "NormMap"), ("t2_minus_s.json", "NormMapPlus")]
+)
+def test_instance_computes_each_constant_once(monkeypatch, fixture, built):
+    # rank 2: the unit plus three pairs i <= j, one coordinate call each
+    original = span_solver.coordinates
+    calls = []
+
+    def counted(ctx, z):
+        calls.append(z)
+        return original(ctx, z)
+
+    for module in (span_solver, norm_universal, gen_etale, cli):
+        if getattr(module, "coordinates", None) is original:
+            monkeypatch.setattr(module, "coordinates", counted)
+    maps = []
+    for cls in (NormMap, NormMapPlus):
+        init = cls.__init__
+
+        def counted_init(self, inst, init=init):
+            maps.append(type(self).__name__)
+            init(self, inst)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    report = run_instance(fixture_path(fixture))
+    assert report["failures_total"] == 0
+    assert len(calls) == 4
+    assert maps == [built]
+
+
 def test_mode_flag_overrides_file():
     # the etale fixture still verifies through the solving route
     report = run_instance(fixture_path("sqrt2.json"), mode="gen_etale")
@@ -193,6 +219,19 @@ def test_schema_errors_carry_paths():
         build_instance(data)
 
 
+def test_unbounded_power_in_instance_fails_fast(tmp_path, capsys):
+    data = json.loads(open(fixture_path("sqrt2.json"), encoding="utf-8").read())
+    data["tuple_x"] = ["1", "(t+1)^100000"]
+    path = tmp_path / "huge_power.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    started = time.monotonic()
+    code = main(["instance", "--file", str(path)])
+    assert time.monotonic() - started < 1.0
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("altkit: ParseError: $.tuple_x[1]: exponent 100000")
+
+
 def test_poly_base_variable_collision_rejected():
     data = json.loads(
         open(fixture_path("t2_minus_s.json"), encoding="utf-8").read()
@@ -224,6 +263,88 @@ def test_probe_payloads():
         run_probe('{"points": [[true]]}')
     with pytest.raises(ParseError):
         run_probe("[1, 2")
+    # an int literal past Python's str-to-int limit is still bad JSON
+    with pytest.raises(ParseError, match="invalid JSON"):
+        run_probe('{"points": [[' + "1" * 5000 + "]]}")
+
+
+@pytest.mark.parametrize(
+    "points, tuples",
+    [
+        ([[0], [1]], [[["x"], [1]]]),
+        ([[0], [1]], [3]),
+        ([[0, 1], [1, 2]], [[[0], [1]]]),
+        ([[0], [1]], [[[0, 1], [1, 0]]]),
+        ([[0], [1]], [[[-1], [1]]]),
+        ([[0], [1]], [[[True], [0]]]),
+        ([[0], [1]], [[[10**6], [0]]]),
+    ],
+    ids=["text", "bare-int", "short", "long", "negative", "bool", "huge"],
+)
+def test_probe_bad_tuples_exit_2(capsys, points, tuples):
+    payload = json.dumps({"points": points, "tuples": tuples})
+    assert main(["probe-diagonal", "--points", payload]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("altkit: SchemaError: $.tuples[0]")
+
+
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _probe_payloads(draw):
+    # a valid payload, or one with near-valid tuples, then at most one
+    # field replaced by arbitrary JSON
+    dim = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3", "t", "1/0"])
+    data = {
+        "ring": draw(st.sampled_from(["q", "fp:2", "fp:5"])),
+        "points": draw(
+            st.lists(
+                st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+                | st.lists(coord, min_size=dim, max_size=dim),
+                min_size=n,
+                max_size=n,
+            )
+        ),
+    }
+    exps = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+    tuples = draw(
+        st.none()
+        | st.lists(st.lists(exps, min_size=n, max_size=n), max_size=3)
+        | st.lists(st.lists(exps | _json_values, max_size=n + 1), max_size=3)
+    )
+    if tuples is not None:
+        data["tuples"] = tuples
+    field = draw(st.sampled_from([None, "ring", "points", "tuples"]))
+    if field is not None:
+        data[field] = draw(_json_values)
+    return json.dumps(data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_probe_payloads())
+def test_probe_main_never_raises(payload):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["probe-diagonal", "--points", payload])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("altkit: ")
+        assert len(err.getvalue().splitlines()) == 1
 
 
 def test_probe_at_file_payload(tmp_path, capsys):

@@ -16,13 +16,13 @@ from altkit.errors import (
 )
 from altkit.gen_etale import (
     BPlus,
+    NormMapPlus,
     ReesFraction,
     b_plus,
     canonical_generators,
     diagonal_support_probe,
     is_generically_etale,
     is_nonzerodivisor,
-    make_norm_map_plus,
     rees_from_localized,
     rees_one,
     rees_pair,
@@ -221,7 +221,7 @@ def test_instance_flags_and_bplus():
     assert not is_generically_etale(dead)
     assert b_plus(dead).is_zero_ring
     with pytest.raises(NotGenericallyEtale):
-        make_norm_map_plus(dead)
+        NormMapPlus(dead)
 
 
 # -- the solving norm map
@@ -229,7 +229,7 @@ def test_instance_flags_and_bplus():
 
 def test_plus_map_pair_goldens():
     inst, B, s = theta_instance()
-    nm = make_norm_map_plus(inst)
+    nm = NormMapPlus(inst)
     source = inst.space.ring
     t = source.variable("t")
     assert nm.pair_image((t, t * t), inst.ctx.x) == -s
@@ -239,7 +239,7 @@ def test_plus_map_pair_goldens():
 
 def test_plus_map_structure_constant_goldens():
     inst, B, s = theta_instance()
-    nm = make_norm_map_plus(inst)
+    nm = NormMapPlus(inst)
     t = inst.space.ring.variable("t")
     c = coordinates(inst.ctx, t * t)
     assert nm.localized_image(c[0]) == s
@@ -248,7 +248,7 @@ def test_plus_map_structure_constant_goldens():
 
 def test_plus_map_division_guard():
     inst, B, s = theta_instance()
-    nm = make_norm_map_plus(inst)
+    nm = NormMapPlus(inst)
     with pytest.raises(DivisionFails):
         nm._divide(B.one(), 1)
 
@@ -267,7 +267,7 @@ def test_verify_pullback_plus_integer_base():
     assert is_generically_etale(inst)
     witnesses = verify_pullback_plus(inst)
     assert all(w.ok for w in witnesses)
-    nm = make_norm_map_plus(inst)
+    nm = NormMapPlus(inst)
     t = inst.space.ring.variable("t")
     c = coordinates(inst.ctx, t * t)
     assert nm.localized_image(c[0]) == 2
@@ -276,11 +276,11 @@ def test_verify_pullback_plus_integer_base():
 
 def test_plus_map_agrees_with_unit_inverse_route():
     # etale case: solving and inverting must give the same images
-    from altkit.norm_universal import make_norm_map
+    from altkit.norm_universal import NormMap
 
     inst = simple_instance(sqrt2_algebra())
-    nm = make_norm_map(inst)
-    nmp = make_norm_map_plus(inst)
+    nm = NormMap(inst)
+    nmp = NormMapPlus(inst)
     t = inst.space.ring.variable("t")
     for entry in coordinates(inst.ctx, t * t * t):
         assert nm.localized_image(entry) == nmp.localized_image(entry)

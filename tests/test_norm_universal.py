@@ -13,11 +13,11 @@ from altkit.errors import (
     NotInvariant,
 )
 from altkit.norm_universal import (
+    NormMap,
     PullbackInstance,
     alternator_pair_presentation,
     discriminant,
     free_case_check,
-    make_norm_map,
     trace_formula_check,
     traceexp_check,
     verify_pullback,
@@ -210,7 +210,7 @@ def test_instance_rejects_non_basis_image():
 
 def test_norm_map_square_goes_to_discriminant():
     inst = sqrt2_instance()
-    nm = make_norm_map(inst)
+    nm = NormMap(inst)
     asq = LocalizedElem(inst.ctx, "A", inst.ctx.alpha_sq, 0, _checked=True)
     assert nm.localized_image(asq) == 8
     one = LocalizedElem.from_scalar(inst.ctx, 1)
@@ -219,7 +219,7 @@ def test_norm_map_square_goes_to_discriminant():
 
 def test_norm_map_structure_constant_goldens():
     inst = sqrt2_instance()
-    nm = make_norm_map(inst)
+    nm = NormMap(inst)
     t = inst.space.ring.variable("t")
     c = coordinates(inst.ctx, t * t)
     assert nm.localized_image(c[0]) == 2
@@ -228,7 +228,7 @@ def test_norm_map_structure_constant_goldens():
 
 def test_norm_map_pair_routes_agree():
     inst = sqrt2_instance()
-    nm = make_norm_map(inst)
+    nm = NormMap(inst)
     space = inst.space
     t = space.ring.variable("t")
     ys = (t, t * t)
@@ -242,7 +242,7 @@ def test_norm_map_pair_routes_agree():
 
 def test_norm_map_guards():
     inst = sqrt2_instance()
-    nm = make_norm_map(inst)
+    nm = NormMap(inst)
     t = inst.space.ring.variable("t")
     other_ctx = AlternatorInstance(inst.space, [t, t * t])
     with pytest.raises(ContextMismatch):
@@ -288,7 +288,7 @@ def test_theta_instance_is_not_etale():
     assert inst.d == s * 4
     assert not inst.is_etale
     with pytest.raises(NotEtale):
-        make_norm_map(inst)
+        NormMap(inst)
 
 
 # -- the free case

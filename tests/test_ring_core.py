@@ -20,14 +20,16 @@ from altkit.ring_core import (
     QQ,
     ZZ,
     AlgebraMap,
+    FiniteFreeAlgebra,
     FpElem,
+    MAX_POWER_DEGREE,
+    MAX_POWER_EXPONENT,
     MultiPoly,
     PolyRing,
     adjugate,
     det_generic,
     field_nullspace,
     field_solve,
-    make_finite_algebra,
     parse_expression,
 )
 
@@ -38,7 +40,7 @@ def sqrt2_algebra():
         [(1, 0), (0, 1)],
         [(0, 1), (2, 0)],
     ]
-    return make_finite_algebra(QQ, 2, structure, (1, 0))
+    return FiniteFreeAlgebra(QQ, 2, structure, (1, 0))
 
 
 def t2_minus_s_algebra():
@@ -50,7 +52,7 @@ def t2_minus_s_algebra():
         [(one, zero), (zero, one)],
         [(zero, one), (s, zero)],
     ]
-    return make_finite_algebra(base, 2, structure, (one, zero))
+    return FiniteFreeAlgebra(base, 2, structure, (one, zero))
 
 
 # -- prime field elements
@@ -161,6 +163,23 @@ def test_parse_errors():
     for bad in ("s+", "2$", "x", "1/s", "(s", "s^s", ""):
         with pytest.raises(ParseError):
             ring.parse(bad)
+
+
+def test_parse_power_bounds():
+    ring = PolyRing(QQ, ("s", "t"))
+    assert ring.parse(f"(s+1)^{MAX_POWER_DEGREE}").total_degree() == MAX_POWER_DEGREE
+    assert ring.parse(f"2^{MAX_POWER_EXPONENT}") == 2**MAX_POWER_EXPONENT
+    for bad, why in (
+        (f"2^{MAX_POWER_EXPONENT + 1}", "exponent"),
+        (f"(s+1)^{MAX_POWER_DEGREE + 1}", "degree"),
+        ("(s+t+1)^44", "terms"),
+        ("(2^1000)^11", "bits"),
+        ("1" * 5000, "too long"),
+    ):
+        with pytest.raises(ParseError, match=why):
+            ring.parse(bad)
+    # prime-field constants stay small whatever the exponent
+    assert PolyRing(GF(5), ("s",)).parse(f"3^{MAX_POWER_EXPONENT}") == 1
 
 
 small_qq = st.integers(min_value=-5, max_value=5)
@@ -280,7 +299,7 @@ def test_validator_rejects_nonassociative():
         [(z, z, o), (o, z, z), (z, z, z)],
     ]
     with pytest.raises(NonAssociative) as err:
-        make_finite_algebra(QQ, 3, structure, (1, 0, 0))
+        FiniteFreeAlgebra(QQ, 3, structure, (1, 0, 0))
     assert "e" in str(err.value)
 
 
@@ -290,7 +309,7 @@ def test_validator_rejects_noncommutative():
         [(0, 0), (2, 0)],
     ]
     with pytest.raises(NonCommutative):
-        make_finite_algebra(QQ, 2, structure, (1, 0))
+        FiniteFreeAlgebra(QQ, 2, structure, (1, 0))
 
 
 def test_validator_rejects_bad_unit():
@@ -299,7 +318,7 @@ def test_validator_rejects_bad_unit():
         [(0, 1), (2, 0)],
     ]
     with pytest.raises(BadUnit):
-        make_finite_algebra(QQ, 2, structure, (0, 1))
+        FiniteFreeAlgebra(QQ, 2, structure, (0, 1))
 
 
 def test_algebra_unit_inverse_and_division():
@@ -309,7 +328,7 @@ def test_algebra_unit_inverse_and_division():
     assert t * inv == alg.one()
     assert inv.coords == (0, Fraction(1, 2))
     assert alg.divide_exact(alg.element((0, 2)), t).coords == (2, 0)
-    zero_div = make_finite_algebra(
+    zero_div = FiniteFreeAlgebra(
         QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0)
     )  # Q[t]/(t^2)
     assert zero_div.divide_exact(zero_div.element((1, 0)), zero_div.element((0, 1))) is None

@@ -1,9 +1,13 @@
 """Localized fractions, coordinates and the basis validator."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import altkit
 from altkit.alternator import AlternatorInstance
 from altkit.errors import (
     ContextMismatch,
@@ -338,3 +342,53 @@ def test_torsion_relation_over_nilpotent_algebra():
     assert a2 * ctx.phi_n_x[1] == space.zero()
     assert a2 * ctx.alpha_x == space.zero()
     assert verify_independence(ctx, [space.zero(), a2])
+
+
+
+_BROKEN_ALPHA_SCRIPT = """
+import sys
+from altkit import span_solver
+from altkit.alternator import AlternatorInstance
+from altkit.cli import make_suite_config, run_suite
+from altkit.errors import VerificationFailed
+from altkit.ring_core import QQ, PolyRing
+from altkit.tensor_algebra import TensorSpace
+
+stripped = True
+try:
+    assert False
+except AssertionError:
+    stripped = False
+print("optimize", sys.flags.optimize, stripped)
+real_alpha = span_solver.alpha
+span_solver.alpha = lambda space, xs: real_alpha(space, xs).scale(2)
+ring = PolyRing(QQ, ("t",))
+t = ring.variable("t")
+ctx = AlternatorInstance(TensorSpace(2, ring), [ring.one(), t])
+try:
+    span_solver.coordinates(ctx, t * t)
+except VerificationFailed as e:
+    print("raised", type(e).__name__)
+report = run_suite(make_suite_config(cases=2, n="2", identities="basis"))
+print("row", report["failures_total"], report["suites"][0]["failures"][0]["lhs"])
+"""
+
+
+def test_broken_reconstruction_raises_under_optimize():
+    # python -O strips assert statements; the reconstruction check must
+    # still fire, both directly and inside a basis suite row
+    src = os.path.dirname(os.path.dirname(altkit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_ALPHA_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "optimize 1 True",
+        "raised VerificationFailed",
+        "row 2 VerificationFailed: coordinate expansion failed to "
+        "reconstruct the input",
+    ]
