@@ -18,7 +18,7 @@ bare bool, so failing cases can be reported verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import ArityMismatch, PreconditionViolated
 from .ring_core import MultiPoly
@@ -113,7 +113,7 @@ def alpha_via_det(space, xs):
 
 
 class AlternatorInstance:
-    """A fixed anchor tuple x with its alternator and square cached.
+    """A fixed anchor tuple x with its alternator cached.
 
     The instance is the shared context for coordinate computations: the
     alternator square of x is the invariant that gets inverted, and the
@@ -126,11 +126,15 @@ class AlternatorInstance:
         self.space = space
         self.x = tuple(space.as_element(x) for x in xs)
         self.alpha_x = alpha(space, self.x)
-        self.alpha_sq = self.alpha_x * self.alpha_x
-        self.x_tensor = pure_tensor(space, self.x)
         self.phi_n_x = tuple(
             coprojection(space, space.n, xi) for xi in self.x
         )
+
+    @cached_property
+    def alpha_sq(self):
+        """The alternator square, built on first read: most checks
+        divide by alpha(x) itself and never need it."""
+        return self.alpha_x * self.alpha_x
 
     def x_dropped(self, i):
         """Pure tensor of x with slot i (1-based) removed and a 1 appended."""

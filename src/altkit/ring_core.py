@@ -53,17 +53,38 @@ __all__ = [
     "MAX_POWER_DEGREE",
     "MAX_POWER_TERMS",
     "MAX_POWER_COEFF_BITS",
+    "MAX_MODULUS",
 ]
+
+
+# prime field moduli must stay below this bound, so that deciding
+# primality costs a fixed number of modular powers
+MAX_MODULUS = 2**64
+
+# Miller-Rabin with the first 12 primes as bases is exact for every
+# p below 318665857834031151167461 (about 3.2e23), far above MAX_MODULUS
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _is_prime(p):
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -163,6 +184,8 @@ class CoeffRing:
         if kind not in ("Q", "Z", "Fp"):
             raise UnsupportedBase(f"unknown scalar kind {kind!r}")
         if kind == "Fp":
+            if p is not None and p >= MAX_MODULUS:
+                raise UnsupportedBase(f"GF({p}): modulus must be below {MAX_MODULUS}")
             if p is None or not _is_prime(p):
                 raise UnsupportedBase(f"GF({p}): modulus must be prime")
         elif p is not None:

@@ -13,6 +13,11 @@ Equality is by cross-multiplication, which is only sound when the
 ambient tensor power is a domain; construction therefore requires a
 polynomial ambient over Q, Z or a prime field.  Multiplication divides
 out common alternator-square factors eagerly so exponents stay small.
+
+A coordinate entry is a numerator over the alternator alpha(x) itself.
+It is divided by alpha(x) exactly where it can be, and otherwise kept as
+numerator times alpha(x) over the square, so the square is only built
+when a fraction needs it.
 """
 
 from __future__ import annotations
@@ -73,16 +78,13 @@ def tensor_divide_exact(num, den):
 
 
 def _asq_power(ctx, k):
-    # small cache of alternator-square powers on the context; a published
-    # list is never mutated, so concurrent readers cannot see a torn state
+    # small cache of alternator-square powers on the context; it starts at
+    # the unit, so exponent 0 never builds the square
     powers = getattr(ctx, "_asq_powers", None)
     if powers is None:
-        powers = [unit_tensor(ctx.space), ctx.alpha_sq]
-    if len(powers) <= k:
-        powers = list(powers)
-        while len(powers) <= k:
-            powers.append(powers[-1] * ctx.alpha_sq)
-    ctx._asq_powers = powers
+        powers = ctx._asq_powers = [unit_tensor(ctx.space)]
+    while len(powers) <= k:
+        powers.append(powers[-1] * ctx.alpha_sq)
     return powers[k]
 
 
@@ -186,9 +188,8 @@ class LocalizedElem:
         num, exp = self.num, self.exp
         if not num:
             return LocalizedElem(self.ctx, self.level, num, 0, _checked=True)
-        asq = self.ctx.alpha_sq
         while exp > 0:
-            quot = tensor_divide_exact(num, asq)
+            quot = tensor_divide_exact(num, self.ctx.alpha_sq)
             if quot is None:
                 break
             num, exp = quot, exp - 1
@@ -202,8 +203,8 @@ class LocalizedElem:
         if not isinstance(other, LocalizedElem):
             return NotImplemented
         self._compat(other)
-        a = self.num * _asq_power(self.ctx, other.exp)
-        b = other.num * _asq_power(self.ctx, self.exp)
+        a = self.num * _asq_power(self.ctx, other.exp) if other.exp else self.num
+        b = other.num * _asq_power(self.ctx, self.exp) if self.exp else other.num
         return a == b
 
     def __bool__(self):
@@ -235,52 +236,70 @@ class CoordinateVector:
         return len(self.entries)
 
 
+def _over_alpha(ctx, nums, target, failure):
+    """Coordinate entries nums_i / alpha(x), after a reconstruction check.
+
+    The check is sum nums_i * phi_n(x_i) == target * alpha(x).  Each entry
+    is the exact quotient by alpha(x) at exponent 0 when one exists, and
+    nums_i * alpha(x) over the square otherwise: the ambient is a domain,
+    so the square divides nums_i * alpha(x) exactly when alpha(x) divides
+    nums_i, and both forms are already normalized.
+    """
+    lhs = ctx.space.zero()
+    for num, phi in zip(nums, ctx.phi_n_x):
+        lhs = lhs + num * phi
+    if lhs != target * ctx.alpha_x:
+        raise VerificationFailed(failure)
+    entries = []
+    for num in nums:
+        quot = tensor_divide_exact(num, ctx.alpha_x)
+        if quot is None:
+            entries.append(
+                LocalizedElem(ctx, LEVEL_FULL, num * ctx.alpha_x, 1, _checked=True)
+            )
+        else:
+            entries.append(LocalizedElem(ctx, LEVEL_FULL, quot, 0, _checked=True))
+    return CoordinateVector(ctx=ctx, entries=tuple(entries))
+
+
 def coordinates(ctx, z):
     """Coordinates of the last-slot co-projection of a ring element.
 
-    Entry i is the alternator of x with slot i replaced by z, times the
-    alternator of x, over the alternator square.  The defining expansion
-    is re-checked exactly before returning.
+    Entry i is the alternator of x with slot i replaced by z, over the
+    alternator of x.  The defining expansion is re-checked exactly before
+    returning.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space
     z = space.as_element(z)
-    entries = []
-    lhs = space.zero()
-    for i in range(1, space.n + 1):
-        num = alpha(space, ctx.x_replaced(i, z)) * ctx.alpha_x
-        entries.append(LocalizedElem(ctx, LEVEL_FULL, num, 1, _checked=True))
-        lhs = lhs + num * ctx.phi_n_x[i - 1]
-    target = coprojection(space, space.n, z) * ctx.alpha_sq
-    if lhs != target:
-        raise VerificationFailed(
-            "coordinate expansion failed to reconstruct the input"
-        )
-    return CoordinateVector(ctx=ctx, entries=tuple(e.normalize() for e in entries))
+    nums = [alpha(space, ctx.x_replaced(i, z)) for i in range(1, space.n + 1)]
+    return _over_alpha(
+        ctx,
+        nums,
+        coprojection(space, space.n, z),
+        "coordinate expansion failed to reconstruct the input",
+    )
 
 
 def coordinates_of_invariant(ctx, y):
     """Coordinates of a partially invariant tensor in the same basis.
 
     Entry i carries sign (-1)^(n-i) on the alternator of x with slot i
-    dropped, multiplied by y, under the full alternating sum.
+    dropped, multiplied by y, under the full alternating sum, over the
+    alternator of x.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space
     if not is_sym_n11(y):
         raise NotInvariant("input must be invariant in the first n-1 slots")
     n = space.n
-    entries = []
-    lhs = space.zero()
+    nums = []
     for i in range(1, n + 1):
-        num = alpha_map(ctx.x_dropped(i) * y) * ctx.alpha_x
-        if (n - i) % 2:
-            num = -num
-        entries.append(LocalizedElem(ctx, LEVEL_FULL, num, 1, _checked=True))
-        lhs = lhs + num * ctx.phi_n_x[i - 1]
-    if lhs != y * ctx.alpha_sq:
-        raise VerificationFailed("invariant expansion failed to reconstruct")
-    return CoordinateVector(ctx=ctx, entries=tuple(e.normalize() for e in entries))
+        num = alpha_map(ctx.x_dropped(i) * y)
+        nums.append(-num if (n - i) % 2 else num)
+    return _over_alpha(
+        ctx, nums, y, "invariant expansion failed to reconstruct"
+    )
 
 
 def structure_constants_R(ctx):

@@ -38,7 +38,6 @@ __all__ = [
     "TensorSpace",
     "Tensor",
     "pure_tensor",
-    "tensor_mul",
     "coprojection",
     "is_symmetric",
     "is_sym_n11",
@@ -404,11 +403,6 @@ def pure_tensor(space, elems):
         if not items:
             return space.zero()
     return Tensor(space, dict(items))
-
-
-def tensor_mul(a, b):
-    """Componentwise product, extended bilinearly."""
-    return a * b
 
 
 def coprojection(space, p, r):

@@ -47,6 +47,29 @@ def test_ring_spec_parsing():
         parse_ring("fp:x")
 
 
+def test_large_prime_ring_parses_fast():
+    started = time.monotonic()
+    assert parse_ring("fp:1000000000000000003")[1] == "fp:1000000000000000003"
+    assert time.monotonic() - started < 1.0
+
+
+def test_modulus_above_bound_exits_2(tmp_path, capsys):
+    p = 2**64 + 13
+    assert main(["verify", "--ring", f"fp:{p}", "--cases", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("altkit: ConfigInvalid: ")
+    data = json.loads(open(fixture_path("sqrt2.json"), encoding="utf-8").read())
+    data["algebra"]["base"] = {"kind": "Fp", "p": p}
+    path = tmp_path / "huge_modulus.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["instance", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("altkit: SchemaError: $.algebra.base.p: ")
+
+
 def test_config_validation():
     cfg = make_suite_config()
     assert cfg.ring_text == "q"

@@ -22,6 +22,7 @@ from altkit.ring_core import (
     AlgebraMap,
     FiniteFreeAlgebra,
     FpElem,
+    MAX_MODULUS,
     MAX_POWER_DEGREE,
     MAX_POWER_EXPONENT,
     MultiPoly,
@@ -32,6 +33,7 @@ from altkit.ring_core import (
     field_solve,
     parse_expression,
 )
+from altkit.ring_core import _is_prime
 
 
 def sqrt2_algebra():
@@ -77,6 +79,44 @@ def test_fp_modulus_must_be_prime():
         GF(6)
     with pytest.raises(UnsupportedBase):
         GF(1)
+
+
+def _trial_division_prime(p):
+    # the primality test that Miller-Rabin replaced, kept as the oracle
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_matches_trial_division():
+    assert [p for p in range(10**5) if _is_prime(p)] == [
+        p for p in range(10**5) if _trial_division_prime(p)
+    ]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to every prime base up to 7 and up to 23
+    assert 151 * 751 * 28351 == 3215031751
+    assert 149491 * 747451 * 34233211 == 3825123056546413051
+    assert not _is_prime(3215031751)
+    assert not _is_prime(3825123056546413051)
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(2**61 + 1)
+
+
+def test_fp_modulus_is_bounded():
+    largest = 2**64 - 59  # the largest prime below 2**64
+    assert GF(largest).p == largest
+    assert GF(10**18 + 3).p == 10**18 + 3
+    with pytest.raises(UnsupportedBase, match=f"below {MAX_MODULUS}"):
+        GF(MAX_MODULUS + 13)
+    with pytest.raises(UnsupportedBase):
+        GF(MAX_MODULUS)
 
 
 def test_fp_mixed_modulus_rejected():

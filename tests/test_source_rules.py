@@ -1,6 +1,7 @@
 """Rules the package sources keep, checked on their syntax trees."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import altkit
@@ -22,3 +23,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_all_exports_resolve():
+    # a name left in __all__ after its definition is deleted breaks
+    # "from altkit.<module> import *" only when someone runs it
+    stale = []
+    for path in SOURCES:
+        name = "altkit" if path.stem == "__init__" else f"altkit.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [
+            f"{name}.{export}"
+            for export in getattr(module, "__all__", ())
+            if not hasattr(module, export)
+        ]
+    assert stale == []

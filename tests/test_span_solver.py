@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import altkit
-from altkit.alternator import AlternatorInstance
+from altkit.alternator import AlternatorInstance, alpha, alpha_map, random_invariant
 from altkit.errors import (
     ContextMismatch,
     LevelMismatch,
@@ -17,7 +19,8 @@ from altkit.errors import (
     RelationDoesNotHold,
     UnsupportedAmbient,
 )
-from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, PolyRing
+from altkit.norm_universal import trace_formula_check
+from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, MultiPoly, PolyRing
 from altkit.span_solver import (
     CoordinateVector,
     LocalizedElem,
@@ -258,6 +261,97 @@ def test_invariant_coordinates_reconstruction_random():
             for entry, phi in zip(coords, ctx.phi_n_x):
                 lhs = lhs + entry.num * phi * ctx.alpha_sq ** (1 - entry.exp)
             assert lhs == y * ctx.alpha_sq
+
+
+# -- the direct division by alpha(x) against the route through the square
+
+
+def _route_through_square(ctx, num):
+    # the former coordinate route, kept as the oracle: numerator times
+    # alpha(x) over the alternator square, then normalized
+    return LocalizedElem(ctx, "A", num * ctx.alpha_x, 1, _checked=True).normalize()
+
+
+def _assert_matches_square_route(ctx, z, y):
+    """Compare both coordinate routines entry by entry; return the
+    exponents the entries of z came out at."""
+    space, n = ctx.space, ctx.space.n
+    exps = set()
+    for i, entry in enumerate(coordinates(ctx, z), start=1):
+        old = _route_through_square(ctx, alpha(space, ctx.x_replaced(i, z)))
+        assert entry.num.terms == old.num.terms and entry.exp == old.exp
+        exps.add(entry.exp)
+    for i, entry in enumerate(coordinates_of_invariant(ctx, y), start=1):
+        num = alpha_map(ctx.x_dropped(i) * y)
+        old = _route_through_square(ctx, -num if (n - i) % 2 else num)
+        assert entry.num.terms == old.num.terms and entry.exp == old.exp
+    return exps
+
+
+_UV_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 1)),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+    min_size=1,
+    max_size=2,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(5)]),
+    st.integers(2, 3),
+    st.lists(_UV_TERMS, min_size=4, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_direct_division_matches_square_route(scalars, n, polys, seed):
+    ring = PolyRing(scalars, ("u", "v"))
+    space = TensorSpace(n, ring)
+    elems = [
+        MultiPoly(scalars, ring.vars, {k: scalars.from_int(c) for k, c in p.items()})
+        for p in polys
+    ]
+    ctx = AlternatorInstance(space, elems[:n])
+    y = random_invariant(random.Random(seed), space, 1, full=False)
+    for exp in _assert_matches_square_route(ctx, elems[n], y):
+        event(f"an entry at exponent {exp}")
+
+
+@pytest.mark.parametrize("scalars", [QQ, GF(5)])
+def test_direct_division_matches_square_route_on_fixed_anchors(scalars):
+    ring = PolyRing(scalars, ("t",))
+    t = ring.variable("t")
+    rng = random.Random(3)
+    anchors = {
+        "vandermonde": [t**i for i in range(5)],
+        "degenerate": [t, t],  # alpha(x) = 0
+        "not_dividing": [t * t, t],
+    }
+    exps = {}
+    for name, xs in anchors.items():
+        space = TensorSpace(len(xs), ring)
+        ctx = AlternatorInstance(space, xs)
+        assert bool(ctx.alpha_x) == (name != "degenerate")
+        z = t**3 + ring.embed_scalar(scalars.from_int(2))
+        y = random_invariant(rng, space, 1, full=False)
+        exps[name] = _assert_matches_square_route(ctx, z, y)
+    assert exps == {"vandermonde": {0}, "degenerate": {0}, "not_dividing": {1}}
+
+
+def test_vandermonde_checks_never_build_the_square():
+    for scalars in (QQ, GF(5)):
+        ring = PolyRing(scalars, ("t",))
+        t = ring.variable("t")
+        space = TensorSpace(4, ring)
+        ctx = AlternatorInstance(space, [t**i for i in range(4)])
+        assert "alpha_sq" not in ctx.__dict__
+        z = t**5 - t
+        coordinates(ctx, z)
+        coordinates_of_invariant(ctx, pure_tensor(space, [t, t, t, t * t]))
+        assert trace_formula_check(ctx, z).ok
+        assert "alpha_sq" not in ctx.__dict__
+        # read on demand, and then kept
+        assert ctx.alpha_sq == ctx.alpha_x * ctx.alpha_x
+        assert ctx.alpha_sq is ctx.__dict__["alpha_sq"]
 
 
 # -- structure constants and the validated basis algebra

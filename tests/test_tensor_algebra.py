@@ -16,7 +16,6 @@ from altkit.tensor_algebra import (
     is_symmetric,
     polarized_power_sum,
     pure_tensor,
-    tensor_mul,
     unit_tensor,
 )
 
@@ -95,7 +94,7 @@ def test_coprojection_and_product():
     left = coprojection(sp, 1, t)
     right = coprojection(sp, 2, t)
     assert left.terms == {(1, 0): 1}
-    assert tensor_mul(left, right).terms == {(1, 1): 1}
+    assert (left * right).terms == {(1, 1): 1}
     with pytest.raises(IndexOutOfRange):
         coprojection(sp, 3, t)
 
@@ -105,9 +104,9 @@ def test_coprojection_is_multiplicative():
     t = RT.variable("t")
     r, s = t + 2, t * t - 1
     for p in (1, 2, 3):
-        assert coprojection(sp, p, r * s) == tensor_mul(
-            coprojection(sp, p, r), coprojection(sp, p, s)
-        )
+        assert coprojection(sp, p, r * s) == coprojection(
+            sp, p, r
+        ) * coprojection(sp, p, s)
     assert coprojection(sp, 2, RT.one()) == unit_tensor(sp)
 
 
