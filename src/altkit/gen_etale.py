@@ -11,13 +11,15 @@ The quotient that makes the discriminant a nonzerodivisor is computed
 explicitly: for a finite-dimensional base the annihilator of all powers
 of the discriminant is stabilized kernel linear algebra, and the quotient
 ring is rebuilt with its own validated structure constants.  A separate
-probe decides repeated-point support through vanishing of evaluation
-determinants, the blow-up's degenerate locus in coordinates.
+probe decides repeated-point support by the rank of the table of monomial
+evaluations at the points: its maximal minors all vanish exactly on the
+blow-up's degenerate locus in coordinates.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import (
     ArityMismatch,
@@ -41,6 +43,7 @@ from .ring_core import (
     CoeffRing,
     FiniteFreeAlgebra,
     PolyRing,
+    QQ,
     _field_rref,
     _scalar_embedding,
     det_generic,
@@ -64,6 +67,7 @@ __all__ = [
     "check_pullback_plus",
     "verify_pullback_plus",
     "diagonal_support_probe",
+    "MAX_PROBE_WORK",
 ]
 
 
@@ -462,18 +466,91 @@ def verify_pullback_plus(inst):
 # repeated-point support probe
 
 
-def _grid_monomials(k, n):
-    return list(itertools.product(range(n), repeat=k))
+# Elimination steps one probe may take: n^2 per evaluated monomial plus
+# n^3 per explicit group, for n points.  The dearest accepted grid probes,
+# a repeated point among coordinates in -9..9 over Q (8 points of
+# dimension 4, 2 of dimension 16, 22 of dimension 2), take 0.7-1.5 s on
+# Python 3.11.7 with 2 vCPUs.
+MAX_PROBE_WORK = 2**18
+
+
+def _grid_work(n, k):
+    # n^k grows step by step and stops once past the bound, so a huge k
+    # never forms it
+    size = 1
+    for _ in range(k):
+        if n * n * size > MAX_PROBE_WORK:
+            break
+        size *= n
+    return n * n * size
+
+
+def _explicit_columns(n, groups):
+    """The distinct monomials the groups name, after checking each group."""
+    if any(len(monos) != n for monos in groups):
+        raise ArityMismatch(f"need {n} monomials per determinant")
+    columns = list(dict.fromkeys(itertools.chain.from_iterable(groups)))
+    # a negative power would leave the ring: over Z, 2**-1 is a float
+    if any(type(e) is not int or e < 0 for m in columns for e in m):
+        raise PreconditionViolated("monomial exponents are non-negative integers")
+    return columns
+
+
+def _grid_row(point, n):
+    """The point at each monomial with exponents below n, in product order.
+
+    Entries come lazily, so the table is never held whole: with large
+    coordinates it can take gigabytes.  The trailing half of the
+    coordinates is multiplied out once, so an entry costs about one
+    product.
+    """
+    powers = [[c**e for e in range(n)] for c in point]
+    half = len(powers) // 2
+    tail = [math.prod(t) for t in itertools.product(*powers[half:])]
+    for t in itertools.product(*powers[:half]):
+        a = math.prod(t)
+        yield from [a * b for b in tail]
+
+
+def _rank(columns, field, n):
+    """Rank of vectors of length n over a field, by exact elimination.
+
+    Each vector is reduced against the echelon basis found so far, and the
+    scan stops once the basis spans: full rank often costs a few vectors,
+    while rank below n reads them all.
+    """
+    unit = field.field_value(field.one())
+    basis = []
+    for v in columns:
+        for p, b in basis:
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, b)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            inv = unit / v[p]
+            basis.append((p, [x * inv for x in v]))
+            if len(basis) == n:
+                break
+    return len(basis)
 
 
 def diagonal_support_probe(scalars, points, tuples=None):
     """Do the points sit on the repeated-point locus?
 
-    Evaluates monomial tuples at the points and checks the determinants:
-    a repeated point forces every such determinant to vanish, while
-    pairwise distinct points always leave one nonzero, as long as the
-    monomials run over a full degree-below-n grid per variable.  Returns
-    True exactly when every determinant vanishes.
+    Evaluates monomials at the points, one row per point, and asks
+    whether every n x n minor of that table vanishes, which holds exactly
+    when its rank is below n.  A repeated point repeats a row, so every
+    minor vanishes; pairwise distinct points leave a nonzero one among
+    the monomials of a full degree-below-n grid per variable, the default.
+    Explicit ``tuples`` name the minors instead, as groups of n vectors
+    of non-negative exponents; a group with a repeated monomial is
+    singular.  Returns True exactly when every named minor vanishes.
+
+    Rank is found by exact elimination over the scalar field; points over
+    Z are reduced over Q, where the same minors vanish.  Every group
+    length and the work bound MAX_PROBE_WORK are checked before any
+    evaluation.
     """
     n = len(points)
     if n == 0:
@@ -481,22 +558,35 @@ def diagonal_support_probe(scalars, points, tuples=None):
     k = len(points[0])
     if any(len(p) != k for p in points):
         raise ArityMismatch("points of mixed dimension")
-    pts = [tuple(scalars.normalize(scalars.from_int(c) if isinstance(c, int) else c)
-                 for c in p) for p in points]
+    if not isinstance(scalars, CoeffRing):
+        raise UnsupportedBase(f"no probe over {scalars!r}; expected Q, Z or GF(p)")
     if tuples is None:
-        tuples = itertools.combinations(_grid_monomials(k, n), n)
+        work = _grid_work(n, k)
+    else:
+        groups = [tuple(map(tuple, monos)) for monos in tuples]
+        columns = _explicit_columns(n, groups)
+        work = n * n * len(columns) + n**3 * len(groups)
+    if work > MAX_PROBE_WORK:
+        raise PreconditionViolated(
+            f"probing {n} points of dimension {k} takes more than "
+            f"MAX_PROBE_WORK = {MAX_PROBE_WORK} elimination steps"
+        )
+    field = scalars if scalars.is_field else QQ
+    fv = field.field_value
+    pts = [
+        [scalars.from_int(c) if isinstance(c, int) else c for c in p] for p in points
+    ]
+    if tuples is None:
+        grid = zip(*[_grid_row(p, n) for p in pts])
+        return _rank(([fv(v) for v in col] for col in grid), field, n) < n
 
-    def mono(point, exps):
-        acc = scalars.one()
-        for c, e in zip(point, exps):
-            for _ in range(e):
-                acc = acc * c
-        return acc
+    def column(m):
+        # evaluated on use and not kept, like the grid's entries
+        return [fv(math.prod(c**e for c, e in zip(p, m) if e)) for p in pts]
 
-    for monos in tuples:
-        if len(monos) != n:
-            raise ArityMismatch(f"need {n} monomials per determinant")
-        rows = [[mono(p, m) for m in monos] for p in pts]
-        if not scalars.is_zero(scalars.normalize(det_generic(rows))):
+    if _rank(map(column, columns), field, n) < n:
+        return True
+    for monos in groups:
+        if _rank(map(column, monos), field, n) == n:
             return False
     return True

@@ -120,6 +120,16 @@ def test_suite_over_small_prime_field():
     assert report["failures_total"] == 0
 
 
+def test_probe_suite_over_fp2_at_arity_5(capsys):
+    # five points over GF(2) need dimension 3: a grid of 125 monomials,
+    # C(125, 5) minors, decided by one elimination per probe
+    argv = ["verify", "--ring", "fp:2", "--n", "5", "--identity", "probe_diagonal"]
+    assert main(argv + ["--cases", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures_total"] == 0
+    assert report["suites"][0]["cases_run"] == 2
+
+
 def test_report_bytes_deterministic():
     cfg = make_suite_config(cases=4, seed=123)
     first = render_report(run_suite(cfg))
@@ -312,6 +322,28 @@ def test_probe_bad_tuples_exit_2(capsys, points, tuples):
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("altkit: SchemaError: $.tuples[0]")
+
+
+@pytest.mark.parametrize(
+    "payload, error",
+    [
+        # a short group after a full one: checked before any minor, so
+        # distinct and repeated points fail alike
+        ({"points": [[2], [5]], "tuples": [[[0], [1]], [[0]]]}, "ArityMismatch"),
+        ({"points": [[2], [2]], "tuples": [[[0], [1]], [[0]]]}, "ArityMismatch"),
+        # 65 points of dimension 1: 65^3 elimination steps, just past the bound
+        ({"points": [[i] for i in range(65)]}, "PreconditionViolated"),
+        ({"points": [[0] * 17, [1] * 17]}, "PreconditionViolated"),
+    ],
+    ids=["short-group-distinct", "short-group-repeated", "grid-n65", "grid-k17"],
+)
+def test_probe_rejected_before_evaluation_exit_2(capsys, payload, error):
+    assert main(["probe-diagonal", "--points", json.dumps(payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"altkit: {error}: ")
 
 
 _json_values = st.recursive(

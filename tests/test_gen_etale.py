@@ -1,8 +1,12 @@
 """Pair fractions, saturation quotients and the solving norm map."""
 
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altkit.alternator import AlternatorInstance
 from altkit.errors import (
@@ -15,6 +19,7 @@ from altkit.errors import (
     UnsupportedBase,
 )
 from altkit.gen_etale import (
+    MAX_PROBE_WORK,
     BPlus,
     NormMapPlus,
     ReesFraction,
@@ -29,7 +34,15 @@ from altkit.gen_etale import (
     verify_pullback_plus,
 )
 from altkit.norm_universal import PullbackInstance
-from altkit.ring_core import GF, QQ, ZZ, AlgebraMap, FiniteFreeAlgebra, PolyRing
+from altkit.ring_core import (
+    GF,
+    QQ,
+    ZZ,
+    AlgebraMap,
+    FiniteFreeAlgebra,
+    PolyRing,
+    det_generic,
+)
 from altkit.span_solver import LocalizedElem, coordinates
 from altkit.tensor_algebra import TensorSpace, pure_tensor
 
@@ -320,3 +333,140 @@ def test_probe_custom_tuples_and_guards():
         diagonal_support_probe(QQ, [(1,), (1, 2)])
     with pytest.raises(ArityMismatch):
         diagonal_support_probe(QQ, [(1,), (2,)], tuples=[((0,),)])
+
+
+# the determinant enumeration the rank test replaced, kept as its oracle
+
+
+def _probe_by_determinants(scalars, points, tuples=None):
+    n = len(points)
+    k = len(points[0])
+    pts = [
+        tuple(
+            scalars.normalize(scalars.from_int(c) if isinstance(c, int) else c)
+            for c in p
+        )
+        for p in points
+    ]
+    if tuples is None:
+        grid = list(itertools.product(range(n), repeat=k))
+        tuples = itertools.combinations(grid, n)
+
+    def mono(point, exps):
+        acc = scalars.one()
+        for c, e in zip(point, exps):
+            for _ in range(e):
+                acc = acc * c
+        return acc
+
+    for monos in tuples:
+        if len(monos) != n:
+            raise ArityMismatch(f"need {n} monomials per determinant")
+        rows = [[mono(p, m) for m in monos] for p in pts]
+        if not scalars.is_zero(scalars.normalize(det_generic(rows))):
+            return False
+    return True
+
+
+_PROBE_RINGS = [QQ, ZZ, GF(2), GF(5)]
+
+
+@st.composite
+def _probe_points(draw):
+    scalars = draw(st.sampled_from(_PROBE_RINGS))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 2))
+    if scalars.kind == "Fp":
+        coord = st.integers(0, scalars.p - 1)
+    elif scalars.kind == "Q":
+        coord = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+    else:
+        coord = st.integers(-3, 3)
+    points = draw(st.lists(st.tuples(*[coord] * k), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        points[i] = points[j]
+    return scalars, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(_probe_points())
+def test_probe_rank_matches_determinants_on_the_grid(case):
+    scalars, points = case
+    assert diagonal_support_probe(scalars, points) == _probe_by_determinants(
+        scalars, points
+    )
+
+
+@st.composite
+def _explicit_tuples(draw, n, k):
+    mono = st.tuples(*[st.integers(0, 3)] * k)
+    groups = []
+    for _ in range(draw(st.integers(0, 4))):
+        group = draw(st.lists(mono, min_size=n, max_size=n))
+        shape = draw(st.sampled_from(["random", "duplicate", "constant"]))
+        if shape == "duplicate" and n > 1:
+            group[-1] = group[0]
+        elif shape == "constant":
+            # the constant monomial beside nonconstant ones: the minor
+            # separates points that the others alone may not
+            group[0] = (0,) * k
+        groups.append(group)
+    return groups
+
+
+@settings(max_examples=300, deadline=None)
+@given(_probe_points(), st.data())
+def test_probe_rank_matches_determinants_on_explicit_tuples(case, data):
+    scalars, points = case
+    tuples = data.draw(_explicit_tuples(len(points), len(points[0])))
+    fast = diagonal_support_probe(scalars, points, tuples)
+    assert fast == _probe_by_determinants(scalars, points, tuples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_probe_points(), st.data())
+def test_probe_wrong_group_length_always_raises(case, data):
+    # every group's length is checked before any minor, so the error
+    # does not depend on where the bad group sits
+    scalars, points = case
+    n, k = len(points), len(points[0])
+    tuples = data.draw(_explicit_tuples(n, k))
+    length = data.draw(st.sampled_from([0, n - 1, n + 1]).filter(lambda m: m != n))
+    bad = [(0,) * k] * length
+    tuples.insert(data.draw(st.integers(0, len(tuples))), bad)
+    with pytest.raises(ArityMismatch):
+        diagonal_support_probe(scalars, points, tuples)
+
+
+def test_probe_high_dimension_is_fast():
+    points = [(1, 2, 3, 4), (0, 5, -1, 2), (7, 7, 0, 1), (1, 2, 3, 4)]
+    started = time.monotonic()
+    assert diagonal_support_probe(QQ, points)
+    assert not diagonal_support_probe(QQ, points[:3] + [(2, 2, 3, 4)])
+    assert time.monotonic() - started < 1
+
+
+def test_probe_work_is_bounded():
+    # the grid bound counts n^2 per monomial: 64 points of dimension 1
+    # are exactly at it, 65 are past it, and a huge dimension fails
+    # before n^k is formed
+    assert 64**3 == MAX_PROBE_WORK
+    assert not diagonal_support_probe(GF(67), [(i,) for i in range(64)])
+    with pytest.raises(PreconditionViolated, match="MAX_PROBE_WORK"):
+        diagonal_support_probe(GF(67), [(i,) for i in range(65)])
+    with pytest.raises(PreconditionViolated):
+        diagonal_support_probe(QQ, [(0,) * 10**6, (1,) * 10**6])
+    # explicit groups count n^2 per distinct monomial plus n^3 per group
+    one_point = [(3,)]
+    groups = [[(e,)] for e in range(MAX_PROBE_WORK // 2)]
+    assert not diagonal_support_probe(QQ, one_point, groups)
+    with pytest.raises(PreconditionViolated):
+        diagonal_support_probe(QQ, one_point, groups + [[(0,)]] * 2)
+
+
+@pytest.mark.parametrize("exponent", [-1, True, 1.0])
+def test_probe_exponents_are_non_negative_ints(exponent):
+    # 2**-1 is the float 0.5: the probe would leave exact arithmetic
+    with pytest.raises(PreconditionViolated, match="non-negative"):
+        diagonal_support_probe(ZZ, [(2,), (3,)], [[(exponent,), (0,)]])

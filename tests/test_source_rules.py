@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import altkit
@@ -38,3 +39,22 @@ def test_all_exports_resolve():
             if not hasattr(module, export)
         ]
     assert stale == []
+
+
+def test_input_bounds_are_documented():
+    # every module-level MAX_* constant bounds some input, and README.md
+    # names each one, so no bound exists that a user cannot look up
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    bounds = [
+        f"{path.name}:{target.id}"
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    assert "gen_etale.py:MAX_PROBE_WORK" in bounds
+    missing = [
+        b for b in bounds if not re.search(rf"\b{b.split(':')[1]}\b", readme)
+    ]
+    assert missing == []
