@@ -35,6 +35,7 @@ from .errors import (
 from .norm_universal import (
     alternator_pair_presentation,
     constants_witness,
+    presentation_pairing,
     pullback_constants,
     trace_pairing_det,
 )
@@ -423,10 +424,7 @@ class NormMapPlus:
         le = le.normalize()
         if not le.exp:
             return self.fraction_image(rees_from_localized(ctx, le))
-        base = self.inst.E.base
-        total = base.zero()
-        for c, w in alternator_pair_presentation(ctx, le.num):
-            total = total + self._emb(c) * trace_pairing_det(self.inst, ctx.x, w)
+        total = presentation_pairing(self.inst, self._emb, le.num)
         return self._divide(total, le.exp + 1)
 
 

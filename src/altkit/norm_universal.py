@@ -47,6 +47,7 @@ __all__ = [
     "trace_formula_check",
     "traceexp_check",
     "alternator_pair_presentation",
+    "presentation_pairing",
     "PullbackInstance",
     "NormMap",
     "pullback_constants",
@@ -151,6 +152,19 @@ def alternator_pair_presentation(ctx, num):
     return tuple(terms)
 
 
+def presentation_pairing(inst, emb, num):
+    """Image of num * alpha(x) * alpha(x) before dividing by the discriminant.
+
+    The sum of emb(c) times the trace pairing of (x, w) over the pair
+    presentation of the fully invariant tensor num.
+    """
+    x = inst.ctx.x
+    total = inst.E.base.zero()
+    for c, w in alternator_pair_presentation(inst.ctx, num):
+        total = total + emb(c) * trace_pairing_det(inst, x, w)
+    return total
+
+
 class PullbackInstance:
     """A finite free algebra presented as the image of a polynomial tuple.
 
@@ -215,14 +229,10 @@ class NormMap:
 
     def invariant_image(self, num, exp=0):
         """Image of num / alpha_sq^exp for a fully invariant numerator."""
-        base = self.inst.E.base
-        x = self.inst.ctx.x
-        total = base.zero()
-        for c, w in alternator_pair_presentation(self.inst.ctx, num):
-            total = total + self._emb(c) * self.pair_image(x, w)
+        total = presentation_pairing(self.inst, self._emb, num)
         for _ in range(exp + 1):
             total = total * self._d_inv
-        return base.normalize(total)
+        return self.inst.E.base.normalize(total)
 
     def localized_image(self, le):
         if le.ctx != self.inst.ctx:

@@ -9,6 +9,11 @@ Everything downstream is built on three kinds of scalars:
 * ``PolyRing``    -- sparse multivariate polynomials (:class:`MultiPoly`)
   over one of the above.
 
+Polynomials and tensors share one sparse term kernel: module-level
+functions on dicts from key tuples to nonzero coefficients, for add,
+negate, scale, multiply, power, evaluation and exact division.  Its one
+rule is that keys multiply by adding.
+
 On top of the scalars sit dense matrix helpers (division-free determinant,
 adjugate, field Gaussian elimination) and :class:`FiniteFreeAlgebra`, a
 commutative algebra of finite rank given by structure constants that are
@@ -162,7 +167,8 @@ class FpElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.v, self.p))
+        # equal to its representative v, so it must hash like v
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0
@@ -284,11 +290,122 @@ def GF(p):
 
 
 # ---------------------------------------------------------------------------
-# sparse multivariate polynomials
+# the sparse term kernel: a term dict maps a key tuple (exponents, or tensor
+# slot labels laid end to end) to a nonzero coefficient, ``norm`` is the
+# scalar ring's ``normalize``, and keys multiply by adding.  No function
+# here changes its arguments.
 
 
 def _deglex(key):
     return (sum(key), key)
+
+
+def terms_clean(terms, norm):
+    """Normalized coefficients with every zero dropped."""
+    return {k: norm(c) for k, c in terms.items() if c}
+
+
+def terms_add(a, b, norm):
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            # normalize keeps zero and nonzero apart, and skipping it on a
+            # cancelled term saves a type check per cancellation
+            s = s + c
+            if s:
+                out[k] = norm(s)
+            else:
+                del out[k]
+    return out
+
+
+def terms_neg(a):
+    return {k: -c for k, c in a.items()}
+
+
+def terms_scale(a, c, norm):
+    if not c:
+        return {}
+    return {k: norm(v * c) for k, v in a.items()}
+
+
+def terms_mul(a, b, norm):
+    """Product of two term dicts whose keys multiply by adding."""
+    acc = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = tuple(x + y for x, y in zip(k1, k2))
+            c = c1 * c2
+            s = acc.get(k)
+            acc[k] = c if s is None else s + c
+    return terms_clean(acc, norm)
+
+
+def power(x, k, one):
+    """x**k by square-and-multiply through x's own ``*``; one is its unit."""
+    if k < 0:
+        raise ValueError(f"negative power {k}")
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        x = x * x
+        k >>= 1
+    return result
+
+
+def evaluate_terms(terms, images, acc, lift):
+    """acc plus, per term, lift(c) times each image to its exponent."""
+    for k, c in terms.items():
+        v = lift(c)
+        for x, e in zip(images, k):
+            if e:
+                v = v * x**e
+        acc = acc + v
+    return acc
+
+
+def dict_divide_exact(num, den, coeff_div):
+    """Exact division of sparse term dicts under degree-lex order.
+
+    Both dicts map equal-length exponent tuples to coefficients.  Returns
+    the quotient dict, or None when the division leaves a remainder or a
+    coefficient quotient does not exist.  ``coeff_div(a, b)`` must return
+    None on failure.
+    """
+    if not den:
+        return None
+    if not num:
+        return {}
+    dkey = max(den, key=_deglex)
+    dc = den[dkey]
+    rem = dict(num)
+    quot = {}
+    while rem:
+        rkey = max(rem, key=_deglex)
+        qkey = tuple(a - b for a, b in zip(rkey, dkey))
+        if any(e < 0 for e in qkey):
+            return None
+        qc = coeff_div(rem[rkey], dc)
+        if qc is None or not qc:
+            return None
+        quot[qkey] = qc
+        for k, c in den.items():
+            kk = tuple(a + b for a, b in zip(qkey, k))
+            s = rem.get(kk)
+            s = -qc * c if s is None else s - qc * c
+            if s:
+                rem[kk] = s
+            else:
+                rem.pop(kk, None)
+    return quot
+
+
+# ---------------------------------------------------------------------------
+# sparse multivariate polynomials
 
 
 def monomial_text(names, exps):
@@ -316,10 +433,7 @@ class MultiPoly:
     def __init__(self, ring, vars, terms, _clean=False):
         self.ring = ring
         self.vars = tuple(vars)
-        if _clean:
-            self.terms = terms
-        else:
-            self.terms = {k: ring.normalize(c) for k, c in terms.items() if c}
+        self.terms = terms if _clean else terms_clean(terms, ring.normalize)
 
     @classmethod
     def zero(cls, ring, vars):
@@ -356,26 +470,13 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        norm = self.ring.normalize
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            else:
-                s = norm(s + c)
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
+        terms = terms_add(self.terms, other.terms, self.ring.normalize)
         return MultiPoly(self.ring, self.vars, terms, _clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(
-            self.ring, self.vars, {k: -c for k, c in self.terms.items()}, _clean=True
-        )
+        return MultiPoly(self.ring, self.vars, terms_neg(self.terms), _clean=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -390,45 +491,20 @@ class MultiPoly:
         return other + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            if isinstance(other, (int, Fraction, FpElem)):
-                if not other:
-                    return MultiPoly.zero(self.ring, self.vars)
-                norm = self.ring.normalize
-                return MultiPoly(
-                    self.ring,
-                    self.vars,
-                    {k: norm(c * other) for k, c in self.terms.items()},
-                    _clean=True,
-                )
-            return NotImplemented
-        self._compat(other)
-        terms = {}
         norm = self.ring.normalize
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                c = c1 * c2
-                s = terms.get(k)
-                terms[k] = c if s is None else s + c
-        return MultiPoly(
-            self.ring, self.vars, {k: norm(c) for k, c in terms.items() if c},
-            _clean=True,
-        )
+        if isinstance(other, MultiPoly):
+            self._compat(other)
+            terms = terms_mul(self.terms, other.terms, norm)
+        elif isinstance(other, (int, Fraction, FpElem)):
+            terms = terms_scale(self.terms, other, norm)
+        else:
+            return NotImplemented
+        return MultiPoly(self.ring, self.vars, terms, _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.ring, self.vars, self.ring.one())
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return power(self, k, MultiPoly.const(self.ring, self.vars, self.ring.one()))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, FpElem)):
@@ -472,13 +548,7 @@ class MultiPoly:
             raise VariableMismatch(
                 f"point of length {len(point)} for vars {self.vars}"
             )
-        acc = self.ring.zero()
-        for k, c in self.terms.items():
-            v = c
-            for x, e in zip(point, k):
-                if e:
-                    v = v * x**e
-            acc = acc + v
+        acc = evaluate_terms(self.terms, point, self.ring.zero(), lambda c: c)
         return self.ring.normalize(acc)
 
     def substitute(self, images):
@@ -487,15 +557,13 @@ class MultiPoly:
             raise VariableMismatch("one image per variable required")
         if not images:
             return self
-        model = images[0]
-        acc = MultiPoly.zero(model.ring, model.vars)
-        for k, c in self.terms.items():
-            v = MultiPoly.const(model.ring, model.vars, c)
-            for img, e in zip(images, k):
-                if e:
-                    v = v * img**e
-            acc = acc + v
-        return acc
+        ring, vars = images[0].ring, images[0].vars
+        return evaluate_terms(
+            self.terms,
+            images,
+            MultiPoly.zero(ring, vars),
+            lambda c: MultiPoly.const(ring, vars, c),
+        )
 
     def to_text(self):
         """Canonical text, degree-lex descending, e.g. ``2*s^2-s+1``."""
@@ -521,42 +589,6 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r})"
-
-
-def dict_divide_exact(num, den, coeff_div):
-    """Exact division of sparse term dicts under degree-lex order.
-
-    Both dicts map equal-length exponent tuples to coefficients.  Returns
-    the quotient dict, or None when the division leaves a remainder or a
-    coefficient quotient does not exist.  ``coeff_div(a, b)`` must return
-    None on failure.
-    """
-    if not den:
-        return None
-    if not num:
-        return {}
-    dkey = max(den, key=_deglex)
-    dc = den[dkey]
-    rem = dict(num)
-    quot = {}
-    while rem:
-        rkey = max(rem, key=_deglex)
-        qkey = tuple(a - b for a, b in zip(rkey, dkey))
-        if any(e < 0 for e in qkey):
-            return None
-        qc = coeff_div(rem[rkey], dc)
-        if qc is None or not qc:
-            return None
-        quot[qkey] = qc
-        for k, c in den.items():
-            kk = tuple(a + b for a, b in zip(qkey, k))
-            s = rem.get(kk)
-            s = -qc * c if s is None else s - qc * c
-            if s:
-                rem[kk] = s
-            else:
-                rem.pop(kk, None)
-    return quot
 
 
 class PolyRing:
@@ -1024,14 +1056,7 @@ class AlgebraElem:
         return self.__mul__(other)
 
     def __pow__(self, k):
-        acc = self.alg.one()
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return power(self, k, self.alg.one())
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -1258,14 +1283,12 @@ class AlgebraMap:
     def __call__(self, poly):
         if poly.vars != self.source.vars or poly.ring != self.source.coeff:
             raise VariableMismatch("polynomial from a different source ring")
-        acc = self.target.zero()
-        for k, c in poly.terms.items():
-            v = self.target.one() * self._embed(c)
-            for img, e in zip(self.images, k):
-                if e:
-                    v = v * img**e
-            acc = acc + v
-        return acc
+        return evaluate_terms(
+            poly.terms,
+            self.images,
+            self.target.zero(),
+            lambda c: self.target.one() * self._embed(c),
+        )
 
 
 def _scalar_embedding(coeff, base):

@@ -31,6 +31,12 @@ from .ring_core import (
     MultiPoly,
     PolyRing,
     monomial_text,
+    power,
+    terms_add,
+    terms_clean,
+    terms_mul,
+    terms_neg,
+    terms_scale,
 )
 
 __all__ = [
@@ -218,11 +224,7 @@ class Tensor:
 
     def __init__(self, space, terms, _clean=False):
         self.space = space
-        if _clean:
-            self.terms = terms
-        else:
-            norm = space.scalars.normalize
-            self.terms = {k: norm(c) for k, c in terms.items() if c}
+        self.terms = terms if _clean else terms_clean(terms, space.scalars.normalize)
 
     def _compat(self, other):
         if not isinstance(other, Tensor):
@@ -234,70 +236,36 @@ class Tensor:
 
     def __add__(self, other):
         self._compat(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = c
-            else:
-                s = s + c
-                if s:
-                    terms[k] = self.space.scalars.normalize(s)
-                else:
-                    del terms[k]
+        terms = terms_add(self.terms, other.terms, self.space.scalars.normalize)
         return Tensor(self.space, terms, _clean=True)
 
     def __neg__(self):
-        return Tensor(self.space, {k: -c for k, c in self.terms.items()}, _clean=True)
+        return Tensor(self.space, terms_neg(self.terms), _clean=True)
 
     def __sub__(self, other):
         self._compat(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k)
-            if s is None:
-                terms[k] = -c
-            else:
-                s = s - c
-                if s:
-                    terms[k] = self.space.scalars.normalize(s)
-                else:
-                    del terms[k]
+        terms = terms_add(
+            self.terms, terms_neg(other.terms), self.space.scalars.normalize
+        )
         return Tensor(self.space, terms, _clean=True)
 
     def scale(self, c):
-        if not c:
-            return self.space.zero()
-        norm = self.space.scalars.normalize
-        return Tensor(
-            self.space, {k: norm(v * c) for k, v in self.terms.items()}, _clean=True
-        )
+        terms = terms_scale(self.terms, c, self.space.scalars.normalize)
+        return Tensor(self.space, terms, _clean=True)
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            self._compat(other)
-            if self.space.is_poly:
-                return self._mul_poly(other)
+        if not isinstance(other, Tensor):
+            return self.scale(other)
+        self._compat(other)
+        if not self.space.is_poly:
             return self._mul_algebra(other)
-        return self.scale(other)
+        terms = terms_mul(self.terms, other.terms, self.space.scalars.normalize)
+        return Tensor(self.space, terms, _clean=True)
 
     def __rmul__(self, other):
         if isinstance(other, Tensor):
             return NotImplemented
         return self.scale(other)
-
-    def _mul_poly(self, other):
-        acc = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                c = c1 * c2
-                s = acc.get(k)
-                acc[k] = c if s is None else s + c
-        norm = self.space.scalars.normalize
-        return Tensor(
-            self.space, {k: norm(c) for k, c in acc.items() if c}, _clean=True
-        )
 
     def _mul_algebra(self, other):
         alg = self.space.ring
@@ -314,20 +282,10 @@ class Tensor:
                         c = c * sc
                     s = acc.get(key)
                     acc[key] = c if s is None else s + c
-        norm = self.space.scalars.normalize
-        return Tensor(
-            self.space, {k: norm(c) for k, c in acc.items() if c}, _clean=True
-        )
+        return Tensor(self.space, acc)
 
     def __pow__(self, k):
-        acc = unit_tensor(self.space)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return power(self, k, unit_tensor(self.space))
 
     def permute(self, perm):
         """Move the factor in slot i to slot perm(i)."""
@@ -419,24 +377,24 @@ def unit_tensor(space):
     return pure_tensor(space, [space.ring.one()] * space.n)
 
 
+def _fixed_by_adjacent(t, slots):
+    # invariance under the group the transpositions (i, i+1), i < slots - 1,
+    # generate: the symmetric group on the first ``slots`` slots
+    n = t.space.n
+    return all(
+        t.permute(Permutation.transposition(n, i, i + 1)).terms == t.terms
+        for i in range(slots - 1)
+    )
+
+
 def is_symmetric(t):
     """Invariance under all of S_n, checked on adjacent transpositions."""
-    n = t.space.n
-    for i in range(n - 1):
-        tau = Permutation.transposition(n, i, i + 1)
-        if t.permute(tau).terms != t.terms:
-            return False
-    return True
+    return _fixed_by_adjacent(t, t.space.n)
 
 
 def is_sym_n11(t):
     """Invariance under S_{n-1} permuting the first n-1 slots only."""
-    n = t.space.n
-    for i in range(n - 2):
-        tau = Permutation.transposition(n, i, i + 1)
-        if t.permute(tau).terms != t.terms:
-            return False
-    return True
+    return _fixed_by_adjacent(t, t.space.n - 1)
 
 
 def polarized_power_sum(space, z):

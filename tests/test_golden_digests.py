@@ -1,0 +1,87 @@
+"""Report content pinned across refactors.
+
+The determinism tests compare two runs of one tree, and a passing
+``verify`` report holds no tensor text.  These digests were recorded once
+and compare every witness text of the identity, ``traceexp`` and
+``trace_formula`` suites, and the full ``instance`` reports, against that
+recording.  A change that alters any of them is a change in behaviour.
+"""
+
+import hashlib
+from importlib import resources
+from random import Random
+
+import pytest
+
+from altkit import cli
+from altkit.cli import make_suite_config, parse_ring, render_report, run_instance
+from altkit.errors import AltkitError
+
+SUITES = cli.IDENTITY_NAMES + ("traceexp", "trace_formula")
+
+# sha256 of one line "<suite> <ring> <n> <case> <ok> <lhs> <rhs>" per case
+# over SUITES, n = 2..4, cases 0..2, seed 1
+CASE_DIGESTS = {
+    "q": "ed67a6a7f119caaae8b1119ec56f74fc83233d0f1edc4359723a19ac9c91df4c",
+    "fp:5": "7f46f1af2683ab9bd8e7d2899f7808822ea656a18f7963e4a981af5299f0f1ae",
+}
+
+# sha256 of render_report(run_instance(fixture, mode))
+INSTANCE_DIGESTS = {
+    ("sqrt2.json", "etale"): (
+        "a2a63ff820f387335d77aeaadd81a7d5ddec3434bea5088699e5385e647936f8"
+    ),
+    ("sqrt2.json", "gen_etale"): (
+        "8405b00e24da26335f0a60ce87c791f3499f3797efa508c2c4615af79ddaea15"
+    ),
+    ("t2_minus_s.json", "etale"): (
+        "a6442053b6515ce703fdd243044b30b959aa530c5b22cf715d1494c68c2dd28f"
+    ),
+    ("t2_minus_s.json", "gen_etale"): (
+        "ee90c4ef878bde68e2ac032f245267faba507d7c19c31f40771cd2cbd0257bc1"
+    ),
+}
+
+
+def case_texts(ring):
+    scalars, ring_text = parse_ring(ring)
+    config = make_suite_config(ring=ring, n="2,3,4", cases=3, seed=1)
+    lines = []
+    for name in SUITES:
+        for n in config.ns:
+            degree, terms = cli._bounds(config, n)
+            env = cli._RowEnv(scalars, n, degree, terms)
+            for index in range(config.cases):
+                seed = cli._case_seed(config.seed, name, ring_text, n, index)
+                ok, lhs, rhs = cli._CASES[name](env, Random(seed))
+                lines.append(f"{name} {ring_text} {n} {index} {ok} {lhs} {rhs}\n")
+    return "".join(lines)
+
+
+def instance_text(filename, mode):
+    path = str(resources.files("altkit").joinpath("fixtures", filename))
+    try:
+        return render_report(run_instance(path, mode))
+    except AltkitError as e:  # t2_minus_s is not etale
+        return f"{type(e).__name__}: {e}\n"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("ring", sorted(CASE_DIGESTS))
+def test_case_texts_match_recording(ring):
+    assert sha256(case_texts(ring)) == CASE_DIGESTS[ring]
+
+
+@pytest.mark.parametrize("filename, mode", sorted(INSTANCE_DIGESTS))
+def test_instance_reports_match_recording(filename, mode):
+    assert sha256(instance_text(filename, mode)) == INSTANCE_DIGESTS[filename, mode]
+
+
+def test_passing_cases_carry_tensor_text():
+    # the digests pin something only if the texts are real tensors
+    text = case_texts("q")
+    assert text.count("\n") == len(SUITES) * 3 * 3
+    assert "[" in text and " True " in text and " False " not in text

@@ -74,6 +74,15 @@ def test_fp_arithmetic():
     assert 1 + a == 4 and 2 * a == 1
 
 
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_fp_hash_matches_representative(p):
+    # FpElem(k, p) == k, so the two must hash alike or sets and dicts
+    # keyed by both split equal keys
+    for k in range(p):
+        assert hash(FpElem(k, p)) == hash(k)
+    assert len({FpElem(1, 5), 1}) == 1
+
+
 def test_fp_modulus_must_be_prime():
     with pytest.raises(UnsupportedBase):
         GF(6)

@@ -2,10 +2,12 @@
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import altkit
+import altkit.cli
 
 SOURCES = sorted(Path(altkit.__file__).parent.glob("*.py"))
 
@@ -58,3 +60,23 @@ def test_input_bounds_are_documented():
         b for b in bounds if not re.search(rf"\b{b.split(':')[1]}\b", readme)
     ]
     assert missing == []
+
+
+def test_perfbench_trace_targets_resolve():
+    # the benchmark's tracer skips a target it cannot find and the layer
+    # just goes absent, so a rename in altkit would pass unnoticed there;
+    # every target must be a callable in vars() of its owner
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    unresolved = []
+    for _, modname, attr_path, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"altkit.{modname}")
+        owner_name, _, attr = attr_path.rpartition(".")
+        if owner_name:
+            owner = getattr(owner, owner_name, None)
+        if owner is None or not callable(vars(owner).get(attr)):
+            unresolved.append(f"{modname}.{attr_path}")
+    assert len(tracer.TARGETS) >= 27
+    assert unresolved == []
