@@ -36,7 +36,6 @@ __all__ = [
     "alpha",
     "alpha_map",
     "alpha_n11",
-    "alpha_via_det",
     "AlternatorInstance",
     "IdentityData",
     "Witness",
@@ -97,19 +96,6 @@ def alpha_n11(t):
 def alpha(space, xs):
     """Alternator of an n-tuple of ring elements."""
     return alpha_map(pure_tensor(space, xs))
-
-
-def alpha_via_det(space, xs):
-    """Same value as :func:`alpha`, computed as a determinant of
-    co-projections; kept as an independent route for cross-checks."""
-    if len(xs) != space.n:
-        raise ArityMismatch(f"{len(xs)} entries for arity {space.n}")
-    from .ring_core import det_generic
-
-    rows = [
-        [coprojection(space, p, x) for x in xs] for p in range(1, space.n + 1)
-    ]
-    return det_generic(rows)
 
 
 class AlternatorInstance:

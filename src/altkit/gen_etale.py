@@ -8,12 +8,13 @@ determinants over one power of the discriminant, and every division that
 the theory promises is performed by exact solving, never by inverting.
 
 The quotient that makes the discriminant a nonzerodivisor is computed
-explicitly: for a finite-dimensional base the annihilator of all powers
-of the discriminant is stabilized kernel linear algebra, and the quotient
-ring is rebuilt with its own validated structure constants.  A separate
-probe decides repeated-point support by the rank of the table of monomial
-evaluations at the points: its maximal minors all vanish exactly on the
-blow-up's degenerate locus in coordinates.
+explicitly: for a finite-dimensional base of rank r the annihilator of
+all powers of the discriminant is the kernel of its r-th power (Fitting's
+lemma), and the quotient ring is rebuilt with its own validated
+structure constants.  A separate probe decides repeated-point support by
+the rank of the table of monomial evaluations at the points: its maximal
+minors all vanish exactly on the blow-up's degenerate locus in
+coordinates.
 """
 
 from __future__ import annotations
@@ -44,12 +45,10 @@ from .ring_core import (
     CoeffRing,
     FiniteFreeAlgebra,
     PolyRing,
-    QQ,
-    _field_rref,
     _scalar_embedding,
     det_generic,
-    field_mat_mul,
-    field_nullspace,
+    echelon,
+    nullspace,
 )
 from .span_solver import LEVEL_FULL, LocalizedElem
 from .tensor_algebra import unit_tensor
@@ -252,11 +251,12 @@ class BPlus:
     """The base ring modulo everything some discriminant power kills.
 
     For domains that is the base itself, or the zero ring when the
-    discriminant is zero.  For a finite-dimensional base over a field the
-    annihilator of high discriminant powers is a stabilized kernel, and
-    the quotient comes back as a validated algebra on the surviving
-    coordinates.  Afterwards the reduced discriminant is always a
-    nonzerodivisor, which is checked before returning.
+    discriminant is zero.  For a finite-dimensional base of rank r over a
+    field the annihilator of all discriminant powers is the kernel of
+    multiplication by d^r, and the quotient comes back as a validated
+    algebra on the coordinates that are not pivots of that kernel.
+    Afterwards the reduced discriminant is always a nonzerodivisor, which
+    is checked before returning.
     """
 
     def __init__(self, base, d):
@@ -283,20 +283,16 @@ class BPlus:
     def _build_quotient(self, base, d):
         field = base.base
         rank = base.rank
-        M = [[field.field_value(v) for v in row] for row in base.mult_matrix(d)]
-        power = M
-        kernel = field_nullspace(power, field)
-        while len(kernel) < rank:
-            power = field_mat_mul(power, M, field)
-            bigger = field_nullspace(power, field)
-            if len(bigger) == len(kernel):
-                break
-            kernel = bigger
-        # row-reduce the kernel so each row leads at its own column
-        rows = [[field.field_value(v) for v in vec] for vec in kernel]
-        lead_cols = _field_rref(rows, field, rank)
-        self._kernel = list(zip(lead_cols, rows))
-        self._pivots = [c for c in range(rank) if c not in set(lead_cols)]
+        # the kernels of the powers of d stop growing by power rank, so
+        # that power's kernel is everything some power of d kills
+        kernel = nullspace(base.mult_matrix(d**rank), field)
+        # reduced so each row is 1 at its own pivot and 0 at the others
+        lead, rows = echelon(kernel, field)
+        self._kernel = [
+            (p, [field.divide_exact(x, lead) for x in row]) for p, row in rows
+        ]
+        lead_cols = {p for p, _ in rows}
+        self._pivots = [c for c in range(rank) if c not in lead_cols]
         self.is_zero_ring = not self._pivots
         if self.is_zero_ring:
             self.desc = None
@@ -465,10 +461,14 @@ def verify_pullback_plus(inst):
 
 
 # Elimination steps one probe may take: n^2 per evaluated monomial plus
-# n^3 per explicit group, for n points.  The dearest accepted grid probes,
-# a repeated point among coordinates in -9..9 over Q (8 points of
-# dimension 4, 2 of dimension 16, 22 of dimension 2), take 0.7-1.5 s on
-# Python 3.11.7 with 2 vCPUs.
+# n^3 per explicit group, for n points.  The dearest accepted grid probes
+# have a repeated point (64 points of dimension 1, 8 of dimension 4, 4 of
+# 7, 3 of 9, 2 of 16, 22 of 2): with coordinates in -9..9 over Q each
+# takes 0.07-0.16 s, and over GF(10007) 0.15-0.66 s, on Python 3.11.7
+# with 2 vCPUs.  The bound counts steps, not bits: every entry of the
+# elimination is a minor of the table, so large coordinates cost more,
+# most with many points of dimension 1.  64 such points with a repeat
+# and coordinates up to 10^6 take about 55 s.
 MAX_PROBE_WORK = 2**18
 
 
@@ -510,29 +510,6 @@ def _grid_row(point, n):
         yield from [a * b for b in tail]
 
 
-def _rank(columns, field, n):
-    """Rank of vectors of length n over a field, by exact elimination.
-
-    Each vector is reduced against the echelon basis found so far, and the
-    scan stops once the basis spans: full rank often costs a few vectors,
-    while rank below n reads them all.
-    """
-    unit = field.field_value(field.one())
-    basis = []
-    for v in columns:
-        for p, b in basis:
-            if v[p]:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, b)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is not None:
-            inv = unit / v[p]
-            basis.append((p, [x * inv for x in v]))
-            if len(basis) == n:
-                break
-    return len(basis)
-
-
 def diagonal_support_probe(scalars, points, tuples=None):
     """Do the points sit on the repeated-point locus?
 
@@ -545,10 +522,10 @@ def diagonal_support_probe(scalars, points, tuples=None):
     of non-negative exponents; a group with a repeated monomial is
     singular.  Returns True exactly when every named minor vanishes.
 
-    Rank is found by exact elimination over the scalar field; points over
-    Z are reduced over Q, where the same minors vanish.  Every group
-    length and the work bound MAX_PROBE_WORK are checked before any
-    evaluation.
+    Rank is found by fraction-free elimination over the given scalars,
+    which streams the table's columns, keeps none and stops at rank n.
+    Every group length and the work bound MAX_PROBE_WORK are checked
+    before any evaluation.
     """
     n = len(points)
     if n == 0:
@@ -569,22 +546,20 @@ def diagonal_support_probe(scalars, points, tuples=None):
             f"probing {n} points of dimension {k} takes more than "
             f"MAX_PROBE_WORK = {MAX_PROBE_WORK} elimination steps"
         )
-    field = scalars if scalars.is_field else QQ
-    fv = field.field_value
     pts = [
         [scalars.from_int(c) if isinstance(c, int) else c for c in p] for p in points
     ]
+
+    def full_rank(cols):
+        return len(echelon(cols, scalars, limit=n)[1]) == n
+
     if tuples is None:
-        grid = zip(*[_grid_row(p, n) for p in pts])
-        return _rank(([fv(v) for v in col] for col in grid), field, n) < n
+        return not full_rank(zip(*[_grid_row(p, n) for p in pts]))
 
     def column(m):
         # evaluated on use and not kept, like the grid's entries
-        return [fv(math.prod(c**e for c, e in zip(p, m) if e)) for p in pts]
+        return [math.prod(c**e for c, e in zip(p, m) if e) for p in pts]
 
-    if _rank(map(column, columns), field, n) < n:
+    if not full_rank(map(column, columns)):
         return True
-    for monos in groups:
-        if _rank(map(column, monos), field, n) == n:
-            return False
-    return True
+    return not any(full_rank(map(column, monos)) for monos in groups)

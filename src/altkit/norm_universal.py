@@ -27,7 +27,7 @@ from .ring_core import (
     AlgebraElem,
     _scalar_embedding,
     det_generic,
-    solve_adjugate,
+    solve,
 )
 from .span_solver import (
     LEVEL_FULL,
@@ -199,10 +199,10 @@ class PullbackInstance:
     def basis_coords(self, e):
         """Coordinates of an algebra element in the image basis."""
         change = [[b.coords[r] for b in self.fx] for r in range(self.E.rank)]
-        sol = solve_adjugate(change, list(e.coords), self.E.base)
+        sol = solve(change, e.coords, self.E.base)
         if sol is None:
             raise NotABasis("image basis failed to solve; should be impossible")
-        return tuple(self.E.base.normalize(c) for c in sol)
+        return tuple(sol)
 
     def __repr__(self):
         return f"PullbackInstance(rank={self.E.rank}, d={self.E.base.to_text(self.d)})"

@@ -14,10 +14,12 @@ functions on dicts from key tuples to nonzero coefficients, for add,
 negate, scale, multiply, power, evaluation and exact division.  Its one
 rule is that keys multiply by adding.
 
-On top of the scalars sit dense matrix helpers (division-free determinant,
-adjugate, field Gaussian elimination) and :class:`FiniteFreeAlgebra`, a
-commutative algebra of finite rank given by structure constants that are
-validated exhaustively at construction time.
+On top of the scalars sit dense matrix helpers and :class:`FiniteFreeAlgebra`,
+a commutative algebra of finite rank given by structure constants that are
+validated exhaustively at construction time.  There are two matrix
+routines: a division-free determinant, valid over any commutative ring,
+and one fraction-free elimination (Bareiss) whose every division is exact
+and checked, from which rank, unique solutions and nullspaces all come.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .errors import (
     RingMismatch,
     UnsupportedBase,
     VariableMismatch,
+    VerificationFailed,
 )
 
 __all__ = [
@@ -45,11 +48,9 @@ __all__ = [
     "PolyRing",
     "parse_expression",
     "det_generic",
-    "adjugate",
-    "solve_adjugate",
-    "field_solve",
-    "field_nullspace",
-    "field_mat_mul",
+    "echelon",
+    "solve",
+    "nullspace",
     "FiniteFreeAlgebra",
     "AlgebraElem",
     "AlgebraMap",
@@ -257,14 +258,6 @@ class CoeffRing:
         if self.kind == "Z":
             return a // b if a % b == 0 else None
         return a / b
-
-    def field_value(self, v):
-        """Coerce v into a form supporting true division (fields only)."""
-        if self.kind == "Q":
-            return Fraction(v)
-        if self.kind == "Fp":
-            return v if isinstance(v, FpElem) else FpElem(v, self.p)
-        raise UnsupportedBase("Z is not a field")
 
     def parse(self, text):
         poly = parse_expression(text, self, ())
@@ -881,123 +874,87 @@ def det_generic(rows):
     return cur[(1 << n) - 1]
 
 
-def _minor(rows, i, j):
-    return [
-        [rows[r][c] for c in range(len(rows)) if c != j]
-        for r in range(len(rows))
-        if r != i
-    ]
+def _exact(ring, a, b):
+    q = ring.divide_exact(a, b)
+    if q is None:
+        raise VerificationFailed(
+            f"elimination over {ring!r}: an update is not divisible by the "
+            "previous leading minor, so the entries do not lie in a domain"
+        )
+    return q
 
 
-def adjugate(rows):
-    """Adjugate matrix: adj(M) M = det(M) I, division-free."""
-    n = len(rows)
-    if n == 1:
-        raise ValueError("adjugate of a 1x1 matrix needs a ring one; use det")
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            d = det_generic(_minor(rows, i, j))
-            adj[j][i] = -d if (i + j) % 2 else d
-    return adj
+def echelon(vectors, ring, limit=None):
+    """Fraction-free Gauss-Jordan form of the span of vectors (Bareiss).
 
-
-def solve_adjugate(rows, vec, scalars):
-    """Solve M x = vec where det(M) is a unit of the scalar ring.
-
-    Returns the solution list, or None when det(M) is not a unit.
+    Vectors are reduced one at a time against the rows found so far, and
+    the scan stops once ``limit`` rows are found, so an iterator is read
+    only as far as it must be.  Every row holds the current leading minor
+    d at its own pivot and zero at the other pivots; a new pivot rescales
+    each row by new d / old d.  By Sylvester's identity that division is
+    exact whenever the entries lie in a domain; a division with no
+    quotient raises VerificationFailed.  Returns d (the ring's one when
+    there is no row) and the (pivot, row) pairs in pivot order.
     """
-    n = len(rows)
-    det = det_generic(rows)
-    if not scalars.is_unit(det):
-        return None
-    inv = scalars.unit_inverse(det)
-    if n == 1:
-        return [scalars.normalize(inv * vec[0])]
-    adj = adjugate(rows)
-    out = []
-    for i in range(n):
-        acc = adj[i][0] * vec[0]
-        for j in range(1, n):
-            acc = acc + adj[i][j] * vec[j]
-        out.append(scalars.normalize(inv * acc))
-    return out
-
-
-def _field_rref(aug, ring, width):
-    """Row-reduce in place over a field; returns pivot column list."""
-    rows = len(aug)
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pr is None:
+    d = ring.one()
+    rows = []
+    for v in vectors:
+        # entry c of w is the minor bordering the pivot block with v and c
+        w = [d * x for x in v]
+        for p, row in rows:
+            f = v[p]
+            if f:
+                w = [a - f * b for a, b in zip(w, row)]
+        q = next((i for i, x in enumerate(w) if x), None)
+        if q is None:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = ring.field_value(ring.one()) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
+        e = w[q]
+        rows = [
+            (p, [_exact(ring, e * a - row[q] * b, d) for a, b in zip(row, w)])
+            for p, row in rows
+        ]
+        rows.append((q, [ring.normalize(x) for x in w]))
+        d = e
+        if len(rows) == limit:
             break
-    return pivots
+    return d, sorted(rows, key=lambda pr: pr[0])
 
 
-def field_solve(A, b, ring):
-    """One solution of A x = b over a field, or None if inconsistent."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    fv = ring.field_value
-    aug = [[fv(x) for x in row] + [fv(y)] for row, y in zip(A, b)]
-    pivots = _field_rref(aug, ring, n)
-    rank = len(pivots)
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None
-    x = [fv(ring.zero())] * n
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][n]
+def solve(A, b, ring):
+    """The unique solution of the square system A x = b in the ring.
+
+    None when A is singular or the solution leaves the ring.
+    """
+    n = len(A)
+    d, rows = echelon([list(row) + [y] for row, y in zip(A, b)], ring)
+    if [p for p, _ in rows] != list(range(n)):
+        return None
+    x = [ring.divide_exact(row[n], d) for _, row in rows]
+    if any(v is None for v in x):
+        return None
     return [ring.normalize(v) for v in x]
 
 
-def field_nullspace(A, ring):
-    """Basis of the nullspace of A over a field."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    fv = ring.field_value
-    mat = [[fv(x) for x in row] for row in A]
-    pivots = _field_rref(mat, ring, n)
-    pivot_set = set(pivots)
+def nullspace(A, ring):
+    """Basis of the solutions of A x = 0 over the ring's fractions.
+
+    One vector per non-pivot column f: d at f, minus entry f of each
+    pivot's row at that pivot, and zero elsewhere.  Over a field,
+    dividing by d gives the reduced basis.
+    """
+    width = len(A[0]) if A else 0
+    d, rows = echelon(A, ring)
+    pivots = {p for p, _ in rows}
     basis = []
-    one = fv(ring.one())
-    for free in range(n):
-        if free in pivot_set:
+    for f in range(width):
+        if f in pivots:
             continue
-        vec = [fv(ring.zero())] * n
-        vec[free] = one
-        for r, c in enumerate(pivots):
-            vec[c] = -mat[r][free]
-        basis.append([ring.normalize(v) for v in vec])
+        vec = [ring.zero()] * width
+        vec[f] = d
+        for p, row in rows:
+            vec[p] = ring.normalize(-row[f])
+        basis.append(vec)
     return basis
-
-
-def field_mat_mul(A, B, ring):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    fv = ring.field_value
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = fv(ring.zero())
-            for t in range(k):
-                acc = acc + fv(A[i][t]) * fv(B[t][j])
-            row.append(ring.normalize(acc))
-        out.append(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1150,19 +1107,16 @@ class FiniteFreeAlgebra:
         return self.base.is_unit(det_generic(self.mult_matrix(v)))
 
     def unit_inverse(self, v):
-        sol = solve_adjugate(self.mult_matrix(v), list(self.unit), self.base)
-        if sol is None:
+        inv = self.divide_exact(self.one(), v)
+        if inv is None:
             raise ZeroDivisionError(f"{self.to_text(v)} is not a unit")
-        return AlgebraElem(self, sol)
+        return inv
 
     def divide_exact(self, a, b):
-        """a / b when unique, via the multiplication matrix of b."""
+        """a / b when unique: None unless multiplication by b is injective
+        and the quotient has coordinates in the base."""
         av = a.coords if isinstance(a, AlgebraElem) else tuple(a)
-        M = self.mult_matrix(b)
-        if isinstance(self.base, CoeffRing) and self.base.is_field:
-            sol = field_solve(M, list(av), self.base)
-        else:
-            sol = solve_adjugate(M, list(av), self.base)
+        sol = solve(self.mult_matrix(b), av, self.base)
         return None if sol is None else AlgebraElem(self, sol)
 
     # -- algebra proper
@@ -1208,9 +1162,6 @@ class FiniteFreeAlgebra:
         for i in range(1, self.rank):
             acc = acc + M[i][i]
         return self.base.normalize(acc)
-
-    def det_norm(self, e):
-        return self.base.normalize(det_generic(self.mult_matrix(e)))
 
     def _validate(self):
         n = self.rank

@@ -13,17 +13,17 @@ from altkit.alternator import (
     alpha,
     alpha_map,
     alpha_n11,
-    alpha_via_det,
     check_identity,
     random_case,
     random_invariant,
     random_tensor,
 )
 from altkit.errors import PreconditionViolated
-from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, PolyRing
+from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, PolyRing, det_generic
 from altkit.tensor_algebra import (
     Permutation,
     TensorSpace,
+    coprojection,
     is_symmetric,
     pure_tensor,
 )
@@ -43,6 +43,13 @@ def brute_force_alpha(sp, xs):
         term = pure_tensor(sp, [xs[images[i]] for i in range(sp.n)])
         acc = acc + term.scale(sp.scalars.from_int(perm.sign()))
     return acc
+
+
+def alpha_via_det(sp, xs):
+    """The determinant of the co-projections of xs, an independent route
+    to alpha: entry (p, q) is x_q in slot p."""
+    rows = [[coprojection(sp, p, x) for x in xs] for p in range(1, sp.n + 1)]
+    return det_generic(rows)
 
 
 def test_alpha_golden_n2():

@@ -27,11 +27,11 @@ from altkit.ring_core import (
     MAX_POWER_EXPONENT,
     MultiPoly,
     PolyRing,
-    adjugate,
     det_generic,
-    field_nullspace,
-    field_solve,
+    echelon,
+    nullspace,
     parse_expression,
+    solve,
 )
 from altkit.ring_core import _is_prime
 
@@ -275,25 +275,37 @@ def test_det_generic_known_values():
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.lists(small_qq, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_adjugate_identity(rows):
-    adj = adjugate(rows)
+    # Cramer: det(M) times the solution of M x = e_j is column j of the
+    # adjugate, whose entry i is the signed minor without row j, column i
     d = det_generic(rows)
-    n = 3
-    for i in range(n):
-        for j in range(n):
-            acc = sum(adj[i][k] * rows[k][j] for k in range(n))
-            assert acc == (d if i == j else 0)
+    lead, ech = echelon(rows, QQ)
+    assert len(ech) == 3 if d else len(ech) < 3
+    if d:
+        assert lead in (d, -d)
+    for j in range(3):
+        x = solve(rows, [int(i == j) for i in range(3)], QQ)
+        if not d:
+            assert x is None
+            continue
+        for i in range(3):
+            minor = [
+                [rows[r][c] for c in range(3) if c != i] for r in range(3) if r != j
+            ]
+            assert d * x[i] == (-1) ** (i + j) * det_generic(minor)
 
 
 def test_field_solve_and_nullspace():
     A = [[2, 1], [1, 3]]
-    x = field_solve(A, [5, 5], QQ)
+    x = solve(A, [5, 5], QQ)
     assert x == [2, 1]
-    assert field_solve([[1, 1], [1, 1]], [0, 1], QQ) is None
-    ker = field_nullspace([[1, 1]], GF(5))
+    assert solve([[1, 1], [1, 1]], [0, 1], QQ) is None
+    # consistent but singular: a solution exists, a unique one does not
+    assert solve([[1, 1], [1, 1]], [1, 1], QQ) is None
+    ker = nullspace([[1, 1]], GF(5))
     assert len(ker) == 1
     v = ker[0]
     assert v[0] + v[1] == 0 and any(v)
-    assert field_nullspace([[1, 0], [0, 1]], QQ) == []
+    assert nullspace([[1, 0], [0, 1]], QQ) == []
 
 
 # -- finite free algebras
@@ -313,7 +325,7 @@ def test_sqrt2_mult_matrix_golden():
     alg = sqrt2_algebra()
     assert alg.mult_matrix((0, 1)) == [[0, 2], [1, 0]]
     assert alg.trace((0, 1)) == 0
-    assert alg.det_norm((0, 1)) == -2
+    assert det_generic(alg.mult_matrix((0, 1))) == -2
     assert alg.trace(alg.unit) == 2
 
 
@@ -327,7 +339,11 @@ def test_trace_is_linear():
 def test_det_norm_is_multiplicative():
     alg = sqrt2_algebra()
     a, b = alg.element((1, 2)), alg.element((-3, 1))
-    assert alg.det_norm(a * b) == alg.det_norm(a) * alg.det_norm(b)
+
+    def norm(e):
+        return det_generic(alg.mult_matrix(e))
+
+    assert norm(a * b) == norm(a) * norm(b)
 
 
 def test_poly_base_algebra():
@@ -335,7 +351,7 @@ def test_poly_base_algebra():
     base = alg.base
     t = alg.element((base.zero(), base.one()))
     assert alg.trace(t) == base.zero()
-    assert alg.det_norm(t) == -base.variable("s")
+    assert det_generic(alg.mult_matrix(t)) == -base.variable("s")
     assert (t * t).coords == (base.variable("s"), base.zero())
 
 
@@ -381,6 +397,26 @@ def test_algebra_unit_inverse_and_division():
         QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0)
     )  # Q[t]/(t^2)
     assert zero_div.divide_exact(zero_div.element((1, 0)), zero_div.element((0, 1))) is None
+
+
+def test_algebra_divide_exact_returns_the_unique_quotient():
+    # Z[u]/(u^2 - 2): u is no unit, yet 2u / u = 2 exists and is unique
+    zalg = FiniteFreeAlgebra(ZZ, 2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))
+    u = zalg.element((0, 1))
+    assert zalg.divide_exact(u * 2, u).coords == (2, 0)
+    assert zalg.divide_exact(zalg.one(), u) is None
+    with pytest.raises(ZeroDivisionError):
+        zalg.unit_inverse(u)
+    # Q[s][u]/(u^2 - s): s*u / u = s
+    alg = t2_minus_s_algebra()
+    s = alg.base.variable("s")
+    u = alg.basis_elem(1)
+    assert alg.divide_exact(u * s, u) == alg.one() * s
+    # Q[e]/(e^2): e = e * 1 = e * (1 + e), so e / e has no unique answer
+    dual = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))
+    e = dual.basis_elem(1)
+    assert e * dual.one() == e * (dual.one() + e)
+    assert dual.divide_exact(e, e) is None
 
 
 def test_algebra_map_evaluation():

@@ -80,3 +80,28 @@ def test_perfbench_trace_targets_resolve():
             unresolved.append(f"{modname}.{attr_path}")
     assert len(tracer.TARGETS) >= 27
     assert unresolved == []
+
+
+def test_no_unused_imports():
+    # no linter runs on the sources, so an import left behind when its
+    # last caller is deleted would stay; each module-level import must be
+    # used in its module or re-exported through __all__
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and name not in exported:
+                        unused.append(f"{path.name}:{node.lineno}:{name}")
+    assert unused == []
