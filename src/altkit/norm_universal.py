@@ -69,9 +69,9 @@ def vector_text(base, vec):
 def trace_pairing_det(inst, vs, ws):
     """Determinant of the trace pairing of two mapped tuples."""
     E, f, space = inst.E, inst.f, inst.space
-    vs = tuple(space.as_element(v) for v in vs)
-    ws = tuple(space.as_element(w) for w in ws)
-    rows = [[E.trace(f(v) * f(w)) for w in ws] for v in vs]
+    fvs = [f(space.as_element(v)) for v in vs]
+    fws = [f(space.as_element(w)) for w in ws]
+    rows = [[E.trace(fv * fw) for fw in fws] for fv in fvs]
     return E.base.normalize(det_generic(rows))
 
 

@@ -228,7 +228,7 @@ class CoeffRing:
 
     def normalize(self, v):
         # keep rationals as ints when integral so dict merges stay cheap
-        if self.kind == "Q" and isinstance(v, Fraction) and v.denominator == 1:
+        if self.kind == "Q" and type(v) is Fraction and v.denominator == 1:
             return int(v)
         return v
 
@@ -338,14 +338,24 @@ def terms_mul(a, b, norm):
 
 
 def power(x, k, one):
-    """x**k by square-and-multiply through x's own ``*``; one is its unit."""
+    """x**k by square-and-multiply through x's own ``*``; one is its unit.
+
+    No multiply involves one, and x is squared only while higher bits of
+    k remain, so (t+1)**8 takes three multiplies.
+    """
     if k < 0:
         raise ValueError(f"negative power {k}")
-    result = one
+    if not k:
+        return one
+    while not k & 1:
+        x = x * x
+        k >>= 1
+    result = x
+    k >>= 1
     while k:
+        x = x * x
         if k & 1:
             result = result * x
-        x = x * x
         k >>= 1
     return result
 
@@ -1073,6 +1083,12 @@ class FiniteFreeAlgebra:
             for i in range(rank)
         )
         self._validate()
+        # Tr(e_k): the diagonal of multiplication by e_k
+        zero = base.zero()
+        self._traces = tuple(
+            base.normalize(sum((self.structure[k][i][i] for i in range(rank)), zero))
+            for k in range(rank)
+        )
 
     # -- scalar-descriptor surface, so an algebra can be a base itself
 
@@ -1157,10 +1173,12 @@ class FiniteFreeAlgebra:
         return [[cols[k][i] for k in range(self.rank)] for i in range(self.rank)]
 
     def trace(self, e):
-        M = self.mult_matrix(e)
-        acc = M[0][0]
-        for i in range(1, self.rank):
-            acc = acc + M[i][i]
+        """Trace of multiplication by e, as the linear form sum e_k Tr(e_k)."""
+        coords = e.coords if isinstance(e, AlgebraElem) else e
+        acc = self.base.zero()
+        for c, tr in zip(coords, self._traces):
+            if c and tr:
+                acc = acc + c * tr
         return self.base.normalize(acc)
 
     def _validate(self):

@@ -1,9 +1,12 @@
 """Alternating sums: values, linearity, and the six exchange identities."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altkit.alternator import (
     IDENTITY_NAMES,
@@ -19,10 +22,12 @@ from altkit.alternator import (
     random_tensor,
 )
 from altkit.errors import PreconditionViolated
-from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, PolyRing, det_generic
+from altkit.ring_core import GF, QQ, ZZ, FiniteFreeAlgebra, PolyRing, det_generic
 from altkit.tensor_algebra import (
     Permutation,
+    Tensor,
     TensorSpace,
+    all_signed_permutations,
     coprojection,
     is_symmetric,
     pure_tensor,
@@ -50,6 +55,102 @@ def alpha_via_det(sp, xs):
     to alpha: entry (p, q) is x_q in slot p."""
     rows = [[coprojection(sp, p, x) for x in xs] for p in range(1, sp.n + 1)]
     return det_generic(rows)
+
+
+def oracle_signed_sum(t, fix_last):
+    """The loop the one-key-per-orbit sum replaced: every term reindexed
+    by every permutation of the alternated slots, and the results merged."""
+    space = t.space
+    n, width = space.n, space.width
+    acc = {}
+    for perm, sign in all_signed_permutations(n - 1 if fix_last else n):
+        images = perm.images + (n - 1,) if fix_last else perm.images
+        idx = tuple(images[i] * width + c for i in range(n) for c in range(width))
+        if sign > 0:
+            for key, c in t.terms.items():
+                k = tuple(key[j] for j in idx)
+                s = acc.get(k)
+                acc[k] = c if s is None else s + c
+        else:
+            for key, c in t.terms.items():
+                k = tuple(key[j] for j in idx)
+                s = acc.get(k)
+                acc[k] = -c if s is None else s - c
+    return Tensor(space, acc)
+
+
+SIGNED_SUM_RINGS = {"q": QQ, "z": ZZ, "fp:2": GF(2), "fp:5": GF(5)}
+
+
+def exact(t):
+    # equal values can differ in type (2 against Fraction(2)); that must match too
+    return {k: (type(c), c) for k, c in t.terms.items()}
+
+
+@st.composite
+def signed_sum_cases(draw):
+    ring = draw(st.sampled_from(sorted(SIGNED_SUM_RINGS)))
+    scalars = SIGNED_SUM_RINGS[ring]
+    n = draw(st.integers(1, 5))
+    w = draw(st.integers(1, 2))
+    fix_last = draw(st.booleans())
+    label = st.tuples(*[st.integers(0, 5 if w == 1 else 2)] * w)
+    # distinct slots give whole orbits; free draws repeat slots often
+    slot_lists = st.one_of(
+        st.lists(label, min_size=n, max_size=n, unique=True),
+        st.lists(label, min_size=n, max_size=n),
+    )
+    key = slot_lists.map(lambda slots: tuple(v for s in slots for v in s))
+    raw = st.tuples(st.integers(-4, 4), st.integers(1, 3))
+    terms = {}
+    for k, (a, b) in draw(st.lists(st.tuples(key, raw), max_size=6)):
+        terms[k] = scalars.from_int(a) if ring != "q" else Fraction(a, b)
+    # a permuted copy with coefficient sign * (d - c) brings its orbit's
+    # sum to d: 0 cancels it, and an integer d turns fractions into one
+    m = n - 1 if fix_last else n
+    picks = st.lists(st.sampled_from(sorted(terms)), max_size=2) if terms else st.just([])
+    for k in draw(picks):
+        perm, sign = draw(st.sampled_from(all_signed_permutations(m)))
+        d = scalars.from_int(draw(st.sampled_from((0, 0, 1, -2))))
+        images = perm.images + tuple(range(m, n))
+        moved = tuple(k[images[i] * w + c] for i in range(n) for c in range(w))
+        terms[moved] = d - terms[k] if sign > 0 else terms[k] - d
+    sp = TensorSpace(n, PolyRing(scalars, ("s", "t")[:w]))
+    return Tensor(sp, terms), fix_last
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_sum_cases())
+def test_signed_sum_matches_the_reindexing_loop(case):
+    t, fix_last = case
+    got = alpha_n11(t) if fix_last else alpha_map(t)
+    assert exact(got) == exact(oracle_signed_sum(t, fix_last))
+
+
+@pytest.mark.parametrize("ring", sorted(SIGNED_SUM_RINGS))
+def test_signed_sum_of_zero_and_of_repeated_slots(ring):
+    scalars = SIGNED_SUM_RINGS[ring]
+    sp = TensorSpace(3, PolyRing(scalars, ("t",)))
+    one = scalars.one()
+    assert not alpha_map(sp.zero()) and not alpha_n11(sp.zero())
+    # two equal alternated slots cancel, also where -1 = 1
+    repeated = Tensor(sp, {(1, 1, 2): one, (0, 2, 0): one})
+    assert not alpha_map(repeated)
+    assert alpha_n11(repeated) == oracle_signed_sum(repeated, True)
+    assert len(alpha_n11(repeated).terms) == 2
+    # distinct slots fill their whole orbit, one key per permutation
+    assert len(alpha_map(Tensor(sp, {(2, 0, 1): one})).terms) == 6
+    # a term and its transposed copy with equal coefficients cancel
+    pair = Tensor(sp, {(0, 1, 2): one, (1, 0, 2): one})
+    assert not alpha_map(pair) and not alpha_n11(pair)
+
+
+def test_signed_sum_normalizes_merged_orbits():
+    # 1/2 at a key and -1/2 at its transposition merge to the integer 1
+    sp = TensorSpace(2, PolyRing(QQ, ("t",)))
+    half = Tensor(sp, {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)})
+    assert exact(alpha_map(half)) == {(0, 1): (int, 1), (1, 0): (int, -1)}
+    assert exact(alpha_map(half)) == exact(oracle_signed_sum(half, False))
 
 
 def test_alpha_golden_n2():

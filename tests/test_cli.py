@@ -431,6 +431,34 @@ def test_main_rejects_bad_config(capsys):
     assert "ConfigInvalid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, bound", [("--max-degree", cli.MAX_DEGREE), ("--max-terms", cli.MAX_TERMS)]
+)
+def test_suite_draw_past_its_bound_exits_2(flag, bound, capsys):
+    # refused before any case is drawn: at n = 5 these sizes once took
+    # seconds to minutes per case
+    for value in (bound + 1, 10, 10**6):
+        argv = ["verify", "--n", "5", "--cases", "1", "--identity", "r_span"]
+        assert main(argv + [flag, str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("altkit: ConfigInvalid: ")
+
+
+def test_suite_draw_bounds_accept_defaults_and_benchmark_sizes():
+    assert make_suite_config().max_degree is None
+    small = make_suite_config(max_degree=1, max_terms=1)
+    assert (small.max_degree, small.max_terms) == (1, 1)
+    top = make_suite_config(max_degree=cli.MAX_DEGREE, max_terms=cli.MAX_TERMS)
+    assert (top.max_degree, top.max_terms) == (cli.MAX_DEGREE, cli.MAX_TERMS)
+    # the defaults stay inside the bounds at every arity
+    for n in range(2, 6):
+        degree, terms = cli._bounds(make_suite_config(n=str(n)), n)
+        assert 1 <= degree <= cli.MAX_DEGREE and 1 <= terms <= cli.MAX_TERMS
+
+
 def test_emit_timing_goes_to_stderr_only(capsys):
     code = main(
         [

@@ -26,6 +26,12 @@ CASE_DIGESTS = {
     "fp:5": "7f46f1af2683ab9bd8e7d2899f7808822ea656a18f7963e4a981af5299f0f1ae",
 }
 
+# the same lines at n = 5 alone, the arity where the signed sums are dearest
+CASE_DIGESTS_N5 = {
+    "q": "05439c821d5b865b0a28dd7f9814790543d834132575ad8261b7adade8a813c2",
+    "fp:5": "99476047ed464e9668ecc2c9e066243660e5285c988dce0837c45613b9bedc60",
+}
+
 # sha256 of render_report(run_instance(fixture, mode))
 INSTANCE_DIGESTS = {
     ("sqrt2.json", "etale"): (
@@ -43,9 +49,9 @@ INSTANCE_DIGESTS = {
 }
 
 
-def case_texts(ring):
+def case_texts(ring, ns="2,3,4"):
     scalars, ring_text = parse_ring(ring)
-    config = make_suite_config(ring=ring, n="2,3,4", cases=3, seed=1)
+    config = make_suite_config(ring=ring, n=ns, cases=3, seed=1)
     lines = []
     for name in SUITES:
         for n in config.ns:
@@ -73,6 +79,11 @@ def sha256(text):
 @pytest.mark.parametrize("ring", sorted(CASE_DIGESTS))
 def test_case_texts_match_recording(ring):
     assert sha256(case_texts(ring)) == CASE_DIGESTS[ring]
+
+
+@pytest.mark.parametrize("ring", sorted(CASE_DIGESTS_N5))
+def test_case_texts_match_recording_at_arity_5(ring):
+    assert sha256(case_texts(ring, "5")) == CASE_DIGESTS_N5[ring]
 
 
 @pytest.mark.parametrize("filename, mode", sorted(INSTANCE_DIGESTS))

@@ -336,6 +336,64 @@ def test_trace_is_linear():
     assert alg.trace(a * 5) == 5 * alg.trace(a)
 
 
+def trace_by_matrix(alg, e):
+    """The diagonal sum of the multiplication matrix: the trace as it was
+    read before it became a linear form, kept as the oracle."""
+    M = alg.mult_matrix(e)
+    acc = M[0][0]
+    for i in range(1, alg.rank):
+        acc = acc + M[i][i]
+    return alg.base.normalize(acc)
+
+
+def monogenic(base, coeffs):
+    """base[x]/(f) on the basis 1, x, ..., x^(r-1), f = x^r + sum c_i x^i."""
+    r = len(coeffs)
+    zero, one = base.zero(), base.one()
+    powers = [[one if i == j else zero for i in range(r)] for j in range(r)]
+    for _ in range(r - 1):
+        top = powers[-1]
+        shifted = [zero] + top[:-1]
+        powers.append(
+            [base.normalize(a - top[-1] * c) for a, c in zip(shifted, coeffs)]
+        )
+    structure = [[powers[i + j] for j in range(r)] for i in range(r)]
+    return FiniteFreeAlgebra(base, r, structure, powers[0])
+
+
+TRACE_BASES = {"q": QQ, "fp:5": GF(5), "q[s]": PolyRing(QQ, ("s",))}
+
+
+@st.composite
+def trace_cases(draw):
+    name = draw(st.sampled_from(sorted(TRACE_BASES)))
+    base = TRACE_BASES[name]
+    pair = st.tuples(st.integers(-3, 3), st.integers(1, 3))
+
+    def scalar():
+        a, b = draw(pair)
+        if name == "q":
+            return Fraction(a, b)
+        if name == "fp:5":
+            return base.from_int(a)
+        return base.from_int(a) + base.variable("s") * base.from_int(b - 2)
+
+    r = draw(st.integers(1, 4))
+    alg = monogenic(base, [scalar() for _ in range(r)])
+    return alg, alg.element([scalar() for _ in range(r)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace_cases())
+def test_trace_matches_the_multiplication_matrix(case):
+    alg, e = case
+    got, want = alg.trace(e), trace_by_matrix(alg, e)
+    assert got == want and type(got) is type(want)
+    assert alg.trace(e.coords) == got
+    # on a product, where most of the matrix is off the diagonal
+    assert alg.trace(e * e) == trace_by_matrix(alg, e * e)
+
+
 def test_det_norm_is_multiplicative():
     alg = sqrt2_algebra()
     a, b = alg.element((1, 2)), alg.element((-3, 1))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altkit.ring_core import GF, QQ, ZZ, FiniteFreeAlgebra, MultiPoly, PolyRing
+from altkit.ring_core import GF, QQ, ZZ, FiniteFreeAlgebra, MultiPoly, PolyRing, power
 from altkit.span_solver import tensor_divide_exact
 from altkit.tensor_algebra import Tensor, TensorSpace, unit_tensor
 
@@ -225,3 +225,27 @@ def test_negative_power_raises(kind):
     with pytest.raises(ValueError):
         x**-1
     assert x**1 == x
+
+
+class Counted:
+    """An int that records each multiply it takes part in."""
+
+    def __init__(self, v, log):
+        self.v, self.log = v, log
+
+    def __mul__(self, other):
+        self.log.append((self.v, other.v))
+        return Counted(self.v * other.v, self.log)
+
+
+@pytest.mark.parametrize(
+    "k, multiplies", [(0, 0), (1, 0), (2, 1), (3, 2), (5, 3), (8, 3), (13, 5)]
+)
+def test_power_makes_no_wasted_multiplies(k, multiplies):
+    # one squaring per bit below the top one and one product per further
+    # set bit; the unit never enters a product
+    log = []
+    got = power(Counted(3, log), k, Counted(1, log))
+    assert got.v == 3**k
+    assert len(log) == multiplies
+    assert all(1 not in pair for pair in log)
