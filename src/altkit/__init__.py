@@ -47,7 +47,6 @@ from .span_solver import (
     coordinates_of_invariant,
     r_algebra,
     structure_constants_R,
-    verify_independence,
 )
 from .norm_universal import (
     NormMap,
@@ -100,7 +99,6 @@ __all__ = [
     "coordinates_of_invariant",
     "r_algebra",
     "structure_constants_R",
-    "verify_independence",
     "NormMap",
     "PullbackInstance",
     "discriminant",

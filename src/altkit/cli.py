@@ -81,6 +81,10 @@ SCHEMA_VERSION = 1
 MAX_DEGREE = 4
 MAX_TERMS = 4
 
+# --cases of one verify run: with the arity and draw bounds it caps the
+# work of every suite row
+MAX_CASES = 1000
+
 # every suite the verify command knows; the first six take random data,
 # the pullback pair replays bundled fixtures, the probe draws point sets
 SUITE_NAMES = IDENTITY_NAMES + (
@@ -171,8 +175,10 @@ def make_suite_config(
 ):
     _, ring_text = parse_ring(ring)
     ns = _parse_ns(n)
-    if not isinstance(cases, int) or cases < 1:
-        raise ConfigInvalid(f"cases must be a positive integer, got {cases!r}")
+    if not isinstance(cases, int) or not 1 <= cases <= MAX_CASES:
+        raise ConfigInvalid(
+            f"cases must be an integer in 1..{MAX_CASES}, got {cases!r}"
+        )
     if not isinstance(seed, int) or not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must fit in 64 bits, got {seed!r}")
     for label, bound, top in (

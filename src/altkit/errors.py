@@ -64,10 +64,6 @@ class NotInvariant(AltkitError):
     """Tensor fails the invariance required by the operation."""
 
 
-class RelationDoesNotHold(AltkitError):
-    """Claimed linear relation is not actually satisfied."""
-
-
 # norm layer
 
 class NotABasis(AltkitError):

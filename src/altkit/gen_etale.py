@@ -1,11 +1,12 @@
-"""Blow-up fractions and the norm map past non-invertible discriminants.
+"""Blow-up fractions, the saturated base, and the repeated-point probe.
 
 When the discriminant is a nonzerodivisor but not a unit, dividing by it
 outright is no longer available.  The fix is to shrink the source to the
 subring generated by pair fractions: products of two alternators over one
 power of the alternator square.  Those generators map to trace-pairing
-determinants over one power of the discriminant, and every division that
-the theory promises is performed by exact solving, never by inverting.
+determinants over one power of the discriminant; the norm map that
+performs every such division by exact solving, never by inverting, lives
+in norm_universal and is re-exported here.
 
 The quotient that makes the discriminant a nonzerodivisor is computed
 explicitly: for a finite-dimensional base of rank r the annihilator of
@@ -25,28 +26,23 @@ import math
 from .errors import (
     ArityMismatch,
     ContextMismatch,
-    DivisionFails,
-    LevelMismatch,
-    NotGenericallyEtale,
     PreconditionViolated,
     UnsupportedAmbient,
     UnsupportedBase,
     VerificationFailed,
 )
 from .norm_universal import (
+    NormMapPlus,
     alternator_pair_presentation,
     constants_witness,
-    presentation_pairing,
+    is_nonzerodivisor,
     pullback_constants,
-    trace_pairing_det,
 )
 from .alternator import alpha
 from .ring_core import (
     CoeffRing,
     FiniteFreeAlgebra,
     PolyRing,
-    _scalar_embedding,
-    det_generic,
     echelon,
     nullspace,
 )
@@ -58,7 +54,6 @@ __all__ = [
     "rees_one",
     "rees_pair",
     "rees_from_localized",
-    "canonical_generators",
     "is_nonzerodivisor",
     "is_generically_etale",
     "BPlus",
@@ -150,11 +145,6 @@ class ReesFraction:
             num = num + prod.scale(c)
         return LocalizedElem(self.ctx, LEVEL_FULL, num, self.m, _checked=True)
 
-    def equal_in_A(self, other):
-        """Equality after expansion, by cross-multiplication."""
-        self._compat(other)
-        return self.expand() == other.expand()
-
     def to_text(self):
         if not self.terms:
             return "0"
@@ -198,7 +188,9 @@ def rees_from_localized(ctx, le):
     the anchor pair scales the numerator along with the power, so a
     leftover square in the denominator cannot be traded for extra pairs.
     Term by term the numerator times the anchor alternator is a sum of
-    plain alternators; each becomes one pair with the anchor.
+    plain alternators; each becomes one pair with the anchor.  The
+    presentation is checked exactly, and that identity times alpha(x) is
+    the expansion of the result, so no second check is needed.
     """
     if le.level != LEVEL_FULL:
         raise UnsupportedAmbient("only fully invariant fractions rewrite")
@@ -214,32 +206,11 @@ def rees_from_localized(ctx, le):
         (c, ((ctx.x, w),))
         for c, w in alternator_pair_presentation(ctx, le.num)
     ]
-    out = ReesFraction(ctx, 1, terms)
-    if out.expand() != le:
-        raise VerificationFailed("pair rewriting changed the fraction")
-    return out
-
-
-def canonical_generators(ctx, tuples=()):
-    """Pair generators anchored at x: the unit pair first, then (x, w)."""
-    gens = [rees_one(ctx)]
-    for w in tuples:
-        gens.append(rees_pair(ctx, ctx.x, w))
-    return gens
+    return ReesFraction(ctx, 1, terms)
 
 
 # ---------------------------------------------------------------------------
-# nonzerodivisor test and the saturated quotient
-
-
-def is_nonzerodivisor(desc, v):
-    """Multiplication by v is injective on the ring described by desc."""
-    if isinstance(desc, (CoeffRing, PolyRing)):
-        # scalar and polynomial rings here are all domains
-        return not desc.is_zero(v)
-    if isinstance(desc, FiniteFreeAlgebra):
-        return is_nonzerodivisor(desc.base, det_generic(desc.mult_matrix(v)))
-    raise UnsupportedBase(f"no zerodivisor test for {desc!r}")
+# the saturated quotient
 
 
 def is_generically_etale(inst):
@@ -343,101 +314,23 @@ def b_plus(inst):
 
 
 # ---------------------------------------------------------------------------
-# the norm map by exact solving
-
-
-class NormMapPlus:
-    """Norm map defined on pair fractions, dividing by exact solving.
-
-    Requires the discriminant to be a nonzerodivisor, so every division
-    it performs has at most one answer; a missing answer raises instead
-    of approximating.
-    """
-
-    def __init__(self, inst):
-        if not is_generically_etale(inst):
-            raise NotGenericallyEtale(
-                f"discriminant {inst.E.base.to_text(inst.d)} is a zerodivisor"
-            )
-        self.inst = inst
-        self._emb = _scalar_embedding(inst.space.scalars, inst.E.base)
-        self._d_pows = [inst.E.base.one(), inst.d]
-
-    def _d_power(self, m):
-        # published power lists are never mutated, same as the square cache
-        pows = self._d_pows
-        if len(pows) <= m:
-            pows = list(pows)
-            while len(pows) <= m:
-                pows.append(
-                    self.inst.E.base.normalize(pows[-1] * self.inst.d)
-                )
-            self._d_pows = pows
-        return pows[m]
-
-    def _divide(self, value, m):
-        base = self.inst.E.base
-        if m == 0:
-            return base.normalize(value)
-        out = base.divide_exact(value, self._d_power(m))
-        if out is None:
-            raise DivisionFails(
-                f"{base.to_text(value)} is not divisible by the {m}-th "
-                "discriminant power"
-            )
-        return base.normalize(out)
-
-    def pair_image(self, ys, zs):
-        """Image of one pair fraction: its pairing value over one power."""
-        return self._divide(trace_pairing_det(self.inst, ys, zs), 1)
-
-    def fraction_image(self, rf):
-        """Image of a pair fraction sum, one exact division at the end."""
-        if rf.ctx is not self.inst.ctx and rf.ctx != self.inst.ctx:
-            raise ContextMismatch("fraction over a different anchor tuple")
-        base = self.inst.E.base
-        total = base.zero()
-        for c, pairs in rf.terms:
-            prod = base.one()
-            for ys, zs in pairs:
-                prod = prod * trace_pairing_det(self.inst, ys, zs)
-            total = total + self._emb(c) * prod
-        return self._divide(total, rf.m)
-
-    def localized_image(self, le):
-        """Image of an invariant fraction.
-
-        Exponent-free fractions go through the verified pair rewriting.
-        A power surviving normalization costs one exact division per
-        square; when the quotient does not exist the fraction has no
-        image here and the division error says so.
-        """
-        ctx = self.inst.ctx
-        if le.level != LEVEL_FULL:
-            raise LevelMismatch("only fully invariant fractions map down")
-        if le.ctx is not ctx and le.ctx != ctx:
-            raise ContextMismatch("fraction over a different anchor tuple")
-        le = le.normalize()
-        if not le.exp:
-            return self.fraction_image(rees_from_localized(ctx, le))
-        total = presentation_pairing(self.inst, self._emb, le.num)
-        return self._divide(total, le.exp + 1)
+# the pullback along the solving norm map
 
 
 def check_pullback_plus(inst, nm):
     """Witnesses of the solving norm map nm and the constant rows they compare.
 
-    Route one pushes the coordinate fractions through the pair rewriting.
-    Route two expresses each coordinate directly as a single pair: the
-    anchor with one entry replaced by the product, against the anchor.
-    Both must land on the image-basis coordinates computed in the algebra.
+    Route one pushes the coordinate fractions through nm.  Route two
+    expresses each coordinate directly as a single pair: the anchor with
+    one entry replaced by the product, against the anchor.  Both must
+    land on the image-basis coordinates computed in the algebra.
     """
     ctx, base = inst.ctx, inst.E.base
     unit, rows = pullback_constants(inst, nm)
     witnesses = [constants_witness("pullback_plus[unit]", base, *unit)]
     for i, j, prod, mapped, direct in rows:
         single = [
-            nm.fraction_image(rees_pair(ctx, ctx.x_replaced(k, prod), ctx.x))
+            nm.pair_image(ctx.x_replaced(k, prod), ctx.x)
             for k in range(1, inst.E.rank + 1)
         ]
         witnesses.append(

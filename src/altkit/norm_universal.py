@@ -1,4 +1,4 @@
-"""Trace pairing, discriminant, and the map onto a presented algebra.
+"""Trace pairing, discriminant, and the norm map onto a presented algebra.
 
 A finite free algebra pairs its elements through traces of multiplication
 operators; the determinant of that pairing on a basis is the discriminant.
@@ -6,9 +6,13 @@ When the algebra is presented as the image of a polynomial tuple, the
 coordinate fractions of the tuple push forward: a fully invariant tensor
 times the tuple's alternator rewrites as a signed sum of plain
 alternators, an alternator pair goes to a trace-pairing determinant, and
-the alternator square goes to the discriminant.  Everything here divides
-by the discriminant outright, so it insists on the discriminant being a
-unit; the nonzerodivisor relaxation lives in the blow-up module.
+the alternator square goes to the discriminant.
+
+One norm map does this for every generically etale instance, whose
+discriminant is a nonzerodivisor: each image is a pairing value divided
+exactly by a discriminant power, and a missing quotient raises.  The
+etale map is the same map restricted to a unit discriminant, where every
+such division succeeds.
 """
 
 from __future__ import annotations
@@ -17,14 +21,20 @@ from .alternator import AlternatorInstance, Witness, alpha
 from .errors import (
     ArityMismatch,
     ContextMismatch,
+    DivisionFails,
     LevelMismatch,
     NotABasis,
     NotEtale,
+    NotGenericallyEtale,
     NotInvariant,
+    UnsupportedBase,
     VerificationFailed,
 )
 from .ring_core import (
     AlgebraElem,
+    CoeffRing,
+    FiniteFreeAlgebra,
+    PolyRing,
     _scalar_embedding,
     det_generic,
     solve,
@@ -49,6 +59,8 @@ __all__ = [
     "alternator_pair_presentation",
     "presentation_pairing",
     "PullbackInstance",
+    "is_nonzerodivisor",
+    "NormMapPlus",
     "NormMap",
     "pullback_constants",
     "constants_witness",
@@ -208,38 +220,101 @@ class PullbackInstance:
         return f"PullbackInstance(rank={self.E.rank}, d={self.E.base.to_text(self.d)})"
 
 
-class NormMap:
-    """Push localized coordinate fractions into the algebra's base ring.
+def is_nonzerodivisor(desc, v):
+    """Multiplication by v is injective on the ring described by desc."""
+    if isinstance(desc, (CoeffRing, PolyRing)):
+        # scalar and polynomial rings here are all domains
+        return not desc.is_zero(v)
+    if isinstance(desc, FiniteFreeAlgebra):
+        return is_nonzerodivisor(desc.base, det_generic(desc.mult_matrix(v)))
+    raise UnsupportedBase(f"no zerodivisor test for {desc!r}")
 
-    Defined when the discriminant is a unit.  An invariant numerator at
-    square exponent m lands on its pairing value divided by the m+1 power
-    of the discriminant.
+
+class NormMapPlus:
+    """Push invariant fractions into the base ring, dividing by exact solving.
+
+    Requires the discriminant to be a nonzerodivisor, so every division
+    it performs has at most one answer; a missing answer raises instead
+    of approximating.
+    """
+
+    def __init__(self, inst):
+        if not is_nonzerodivisor(inst.E.base, inst.d):
+            raise NotGenericallyEtale(
+                f"discriminant {inst.E.base.to_text(inst.d)} is a zerodivisor"
+            )
+        self.inst = inst
+        self._emb = _scalar_embedding(inst.space.scalars, inst.E.base)
+        self._d_pows = [inst.E.base.one(), inst.d]
+
+    def _d_power(self, m):
+        # published power lists are never mutated, same as the square cache
+        pows = self._d_pows
+        if len(pows) <= m:
+            pows = list(pows)
+            while len(pows) <= m:
+                pows.append(
+                    self.inst.E.base.normalize(pows[-1] * self.inst.d)
+                )
+            self._d_pows = pows
+        return pows[m]
+
+    def _divide(self, value, m):
+        base = self.inst.E.base
+        if m == 0:
+            return base.normalize(value)
+        out = base.divide_exact(value, self._d_power(m))
+        if out is None:
+            raise DivisionFails(
+                f"{base.to_text(value)} is not divisible by the {m}-th "
+                "discriminant power"
+            )
+        return base.normalize(out)
+
+    def pair_image(self, ys, zs):
+        """Image of alpha(y)*alpha(z) over one square: pairing over d."""
+        return self._divide(trace_pairing_det(self.inst, ys, zs), 1)
+
+    def fraction_image(self, rf):
+        """Image of a pair fraction sum, one exact division at the end."""
+        if rf.ctx is not self.inst.ctx and rf.ctx != self.inst.ctx:
+            raise ContextMismatch("fraction over a different anchor tuple")
+        base = self.inst.E.base
+        total = base.zero()
+        for c, pairs in rf.terms:
+            prod = base.one()
+            for ys, zs in pairs:
+                prod = prod * trace_pairing_det(self.inst, ys, zs)
+            total = total + self._emb(c) * prod
+        return self._divide(total, rf.m)
+
+    def localized_image(self, le):
+        """Image of num / alpha_sq^exp for a fully invariant numerator.
+
+        num * alpha_sq maps to the pairing value of num's presentation,
+        so the image is that value over the exp+1 power of d.  As d is a
+        nonzerodivisor, a * d^k is divisible by d^(e+k) exactly when a is
+        divisible by d^e: a fraction that is not normalized has the same
+        image, and the same quotient is missing when none exists.
+        """
+        if le.level != LEVEL_FULL:
+            raise LevelMismatch("only fully invariant fractions map down")
+        if le.ctx is not self.inst.ctx and le.ctx != self.inst.ctx:
+            raise ContextMismatch("fraction over a different anchor tuple")
+        total = presentation_pairing(self.inst, self._emb, le.num)
+        return self._divide(total, le.exp + 1)
+
+
+class NormMap(NormMapPlus):
+    """The norm map of an etale instance, whose discriminant is a unit.
+
+    Every exact division then succeeds and equals multiplying by the
+    inverse, so no image is ever missing.
     """
 
     def __init__(self, inst):
         inst.require_etale()
-        self.inst = inst
-        base = inst.E.base
-        self._emb = _scalar_embedding(inst.space.scalars, base)
-        self._d_inv = base.unit_inverse(inst.d)
-
-    def pair_image(self, vs, ws):
-        """Image of alpha(v)*alpha(w): determinant of the trace pairing."""
-        return trace_pairing_det(self.inst, vs, ws)
-
-    def invariant_image(self, num, exp=0):
-        """Image of num / alpha_sq^exp for a fully invariant numerator."""
-        total = presentation_pairing(self.inst, self._emb, num)
-        for _ in range(exp + 1):
-            total = total * self._d_inv
-        return self.inst.E.base.normalize(total)
-
-    def localized_image(self, le):
-        if le.ctx != self.inst.ctx:
-            raise ContextMismatch("fraction from a different anchor tuple")
-        if le.level != LEVEL_FULL:
-            raise LevelMismatch("only fully invariant fractions have an image")
-        return self.invariant_image(le.num, le.exp)
+        super().__init__(inst)
 
 
 def pullback_constants(inst, nm):

@@ -240,15 +240,6 @@ class CoeffRing:
             return v in (1, -1)
         return bool(v)
 
-    def unit_inverse(self, v):
-        if not self.is_unit(v):
-            raise ZeroDivisionError(f"{v!r} is not a unit in {self!r}")
-        if self.kind == "Z":
-            return v
-        if self.kind == "Q":
-            return self.normalize(Fraction(1, 1) / v)
-        return FpElem(1, self.p) / v
-
     def divide_exact(self, a, b):
         """a / b if it exists in the ring, else None."""
         if not b:
@@ -541,11 +532,6 @@ class MultiPoly:
     def total_degree(self):
         return max((sum(k) for k in self.terms), default=0)
 
-    def leading(self):
-        """(exponent, coefficient) of the degree-lex leading term."""
-        key = max(self.terms, key=_deglex)
-        return key, self.terms[key]
-
     def evaluate(self, point):
         if len(point) != len(self.vars):
             raise VariableMismatch(
@@ -553,20 +539,6 @@ class MultiPoly:
             )
         acc = evaluate_terms(self.terms, point, self.ring.zero(), lambda c: c)
         return self.ring.normalize(acc)
-
-    def substitute(self, images):
-        """Substitute each variable by a polynomial from a common ring."""
-        if len(images) != len(self.vars):
-            raise VariableMismatch("one image per variable required")
-        if not images:
-            return self
-        ring, vars = images[0].ring, images[0].vars
-        return evaluate_terms(
-            self.terms,
-            images,
-            MultiPoly.zero(ring, vars),
-            lambda c: MultiPoly.const(ring, vars, c),
-        )
 
     def to_text(self):
         """Canonical text, degree-lex descending, e.g. ``2*s^2-s+1``."""
@@ -649,11 +621,6 @@ class PolyRing:
 
     def is_unit(self, v):
         return v.is_constant() and self.coeff.is_unit(v.constant())
-
-    def unit_inverse(self, v):
-        if not self.is_unit(v):
-            raise ZeroDivisionError(f"{v.to_text()} is not a unit in {self!r}")
-        return self.embed_scalar(self.coeff.unit_inverse(v.constant()))
 
     def divide_exact(self, a, b):
         quot = dict_divide_exact(a.terms, b.terms, self.coeff.divide_exact)
@@ -1121,12 +1088,6 @@ class FiniteFreeAlgebra:
 
     def is_unit(self, v):
         return self.base.is_unit(det_generic(self.mult_matrix(v)))
-
-    def unit_inverse(self, v):
-        inv = self.divide_exact(self.one(), v)
-        if inv is None:
-            raise ZeroDivisionError(f"{self.to_text(v)} is not a unit")
-        return inv
 
     def divide_exact(self, a, b):
         """a / b when unique: None unless multiplication by b is injective

@@ -5,8 +5,7 @@ co-projections of the x_i into the last slot form a free basis of the
 partially-invariant subring over the fully-invariant one.  This module
 carries the fraction arithmetic for that localization and the coordinate
 formulas: slot substitution for ring elements, signed drop-a-slot
-expansion for invariant tensors, structure constants of the basis, and
-the adjugate argument that bounds torsion in a claimed linear relation.
+expansion for invariant tensors, and structure constants of the basis.
 
 Fractions are pairs (numerator tensor, power of the alternator square).
 Equality is by cross-multiplication, which is only sound when the
@@ -29,7 +28,6 @@ from .errors import (
     ContextMismatch,
     LevelMismatch,
     NotInvariant,
-    RelationDoesNotHold,
     UnsupportedAmbient,
     VerificationFailed,
 )
@@ -50,7 +48,6 @@ __all__ = [
     "coordinates_of_invariant",
     "structure_constants_R",
     "r_algebra",
-    "verify_independence",
     "LocalizedScalars",
 ]
 
@@ -374,33 +371,3 @@ def r_algebra(ctx):
     return FiniteFreeAlgebra(
         LocalizedScalars(ctx), ctx.space.n, constants, tuple(unit_coords.entries)
     )
-
-
-def verify_independence(ctx, relation):
-    """Check a claimed relation sum(a_i phi_n(x_i)) = 0 and bound torsion.
-
-    Each coefficient must be fully invariant.  The adjugate of the
-    co-projection matrix turns the relation into alpha(x) * a_i = 0, so
-    every coefficient must die after multiplying by at most two powers of
-    the alternator; returns True exactly when all of them do.
-    """
-    space = ctx.space
-    if len(relation) != space.n:
-        raise RelationDoesNotHold(f"expected {space.n} coefficients")
-    for a in relation:
-        if not is_symmetric(a):
-            raise NotInvariant("relation coefficients must be fully invariant")
-    total = space.zero()
-    for a, phi in zip(relation, ctx.phi_n_x):
-        total = total + a * phi
-    if total:
-        raise RelationDoesNotHold(
-            f"claimed relation has nonzero value {total.to_text()}"
-        )
-    for a in relation:
-        if not a:
-            continue
-        if not (a * ctx.alpha_x) or not (a * ctx.alpha_sq):
-            continue
-        return False
-    return True

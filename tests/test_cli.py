@@ -199,8 +199,10 @@ def test_instance_computes_each_constant_once(monkeypatch, fixture, built):
     for cls in (NormMap, NormMapPlus):
         init = cls.__init__
 
-        def counted_init(self, inst, init=init):
-            maps.append(type(self).__name__)
+        # NormMap's __init__ runs NormMapPlus's too; count the built class once
+        def counted_init(self, inst, init=init, cls=cls):
+            if type(self) is cls:
+                maps.append(cls.__name__)
             init(self, inst)
 
         monkeypatch.setattr(cls, "__init__", counted_init)
@@ -445,6 +447,24 @@ def test_suite_draw_past_its_bound_exits_2(flag, bound, capsys):
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("altkit: ConfigInvalid: ")
+
+
+def test_cases_past_their_bound_exit_2(capsys):
+    # refused before any case runs: a billion traceexp cases at n = 5
+    # once ran until killed
+    for value in (cli.MAX_CASES + 1, 10**9):
+        argv = ["verify", "--n", "5", "--identity", "traceexp"]
+        assert main(argv + ["--cases", str(value)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("altkit: ConfigInvalid: cases must be ")
+
+
+def test_case_bound_accepts_default_gate_and_readme_counts():
+    for cases in (1, 100, 200, 500, cli.MAX_CASES):
+        assert make_suite_config(cases=cases).cases == cases
 
 
 def test_suite_draw_bounds_accept_defaults_and_benchmark_sizes():

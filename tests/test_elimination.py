@@ -68,7 +68,7 @@ def solve_adjugate(rows, vec, scalars):
     det = det_generic(rows)
     if not scalars.is_unit(det):
         return None
-    inv = scalars.unit_inverse(det)
+    inv = scalars.divide_exact(scalars.one(), det)
     if n == 1:
         return [scalars.normalize(inv * vec[0])]
     adj = adjugate(rows)

@@ -1,6 +1,9 @@
 """Pair fractions, saturation quotients and the solving norm map."""
 
 import itertools
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -8,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import altkit
+from altkit import norm_universal
 from altkit.alternator import AlternatorInstance
 from altkit.errors import (
     ArityMismatch,
@@ -17,6 +22,7 @@ from altkit.errors import (
     PreconditionViolated,
     UnsupportedAmbient,
     UnsupportedBase,
+    VerificationFailed,
 )
 from altkit.gen_etale import (
     MAX_PROBE_WORK,
@@ -24,7 +30,6 @@ from altkit.gen_etale import (
     NormMapPlus,
     ReesFraction,
     b_plus,
-    canonical_generators,
     diagonal_support_probe,
     is_generically_etale,
     is_nonzerodivisor,
@@ -33,7 +38,7 @@ from altkit.gen_etale import (
     rees_pair,
     verify_pullback_plus,
 )
-from altkit.norm_universal import PullbackInstance
+from altkit.norm_universal import PullbackInstance, presentation_pairing
 from altkit.ring_core import (
     GF,
     QQ,
@@ -112,7 +117,7 @@ def test_unit_pair_absorbs_in_products():
     w = (t, t * t)
     prod = rees_one(ctx) * rees_pair(ctx, ctx.x, w)
     assert prod.m == 2
-    assert prod.equal_in_A(rees_pair(ctx, ctx.x, w))
+    assert prod.expand() == rees_pair(ctx, ctx.x, w).expand()
 
 
 def test_addition_pads_to_common_power():
@@ -121,7 +126,7 @@ def test_addition_pads_to_common_power():
     b = rees_one(ctx) * rees_one(ctx)
     s = a + b
     assert s.m == 2
-    assert (s - b).equal_in_A(a)
+    assert (s - b).expand() == a.expand()
     assert (a.scale(2) - a - a).expand() == 0
 
 
@@ -158,14 +163,6 @@ def test_rewriting_localized_through_pairs():
     stuck = LocalizedElem(ctx, "A", pure_tensor(space, (t, t)), 1, _checked=True)
     with pytest.raises(PreconditionViolated):
         rees_from_localized(ctx, stuck)
-
-
-def test_canonical_generators_start_with_unit():
-    space, ctx, t = qt_context(2)
-    gens = canonical_generators(ctx, [(t, t * t)])
-    assert len(gens) == 2
-    assert gens[0].equal_in_A(rees_one(ctx))
-    assert gens[1].equal_in_A(rees_pair(ctx, ctx.x, (t, t * t)))
 
 
 # -- nonzerodivisor tests and saturation
@@ -287,16 +284,142 @@ def test_verify_pullback_plus_integer_base():
     assert nm.localized_image(c[1]) == 0
 
 
-def test_plus_map_agrees_with_unit_inverse_route():
-    # etale case: solving and inverting must give the same images
-    from altkit.norm_universal import NormMap
+def unit_inverse_image(inst, le):
+    # the etale route before one map: times d^-1, once per square and once
+    # for the presentation
+    base = inst.E.base
+    d_inv = base.divide_exact(base.one(), inst.d)
+    total = presentation_pairing(inst, NormMapPlus(inst)._emb, le.num)
+    for _ in range(le.exp + 1):
+        total = total * d_inv
+    return base.normalize(total)
 
-    inst = simple_instance(sqrt2_algebra())
-    nm = NormMap(inst)
-    nmp = NormMapPlus(inst)
+
+def rewriting_image(inst, le):
+    # the solving route before one formula: normalize, then exponent-free
+    # fractions go through the verified pair rewriting
+    nm = NormMapPlus(inst)
+    le = le.normalize()
+    if not le.exp:
+        return nm.fraction_image(rees_from_localized(inst.ctx, le))
+    total = presentation_pairing(inst, nm._emb, le.num)
+    return nm._divide(total, le.exp + 1)
+
+
+def _image_or_missing(route, *args):
+    try:
+        return route(*args)
+    except DivisionFails:
+        return DivisionFails
+
+
+def _oracle_instance(name):
+    if name == "sqrt2/Q":
+        return simple_instance(sqrt2_algebra())
+    if name == "sqrt2/Z":
+        return simple_instance(sqrt2_algebra(ZZ), scalars=ZZ)
+    return theta_instance()[0]
+
+
+@pytest.mark.parametrize("name", ["sqrt2/Q", "sqrt2/Z", "theta"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_localized_image_matches_both_old_routes(name, data):
+    inst = _oracle_instance(name)
+    ctx, ring = inst.ctx, inst.space.ring
+    t = ring.variable("t")
+    z = ring.zero()
+    for e in range(data.draw(st.integers(0, 3), label="degree") + 1):
+        c = data.draw(st.integers(-3, 3), label="coefficient")
+        if "s" in ring.vars and data.draw(st.booleans(), label="times s"):
+            z = z + ring.variable("s") * t**e * c
+        else:
+            z = z + t**e * c
+    i = data.draw(st.integers(0, inst.E.rank - 1), label="entry")
+    entry = coordinates(ctx, z)[i]
+    # the same fraction, not normalized: num * asq^k over asq^(exp + k);
+    # one more square below may leave it without an image over Z or Q[s]
+    k = data.draw(st.integers(0, 2), label="extra squares")
+    over = data.draw(st.integers(0, 1), label="extra denominator")
+    num = entry.num
+    for _ in range(k):
+        num = num * ctx.alpha_sq
+    padded = LocalizedElem(ctx, "A", num, entry.exp + k + over, _checked=True)
+    image = _image_or_missing(NormMapPlus(inst).localized_image, padded)
+    assert image == _image_or_missing(rewriting_image, inst, padded)
+    if inst.is_etale:
+        assert image == unit_inverse_image(inst, padded)
+    if not over:
+        # both land on the coordinate computed in the algebra itself
+        assert image == inst.E.base.normalize(inst.basis_coords(inst.f(z))[i])
+
+
+def test_broken_presentation_raises_through_both_routes(monkeypatch):
+    inst = theta_instance()[0]
+    nm = NormMapPlus(inst)
     t = inst.space.ring.variable("t")
-    for entry in coordinates(inst.ctx, t * t * t):
-        assert nm.localized_image(entry) == nmp.localized_image(entry)
+    entry = coordinates(inst.ctx, t * t)[0]
+    real_alpha = norm_universal.alpha
+    monkeypatch.setattr(
+        norm_universal, "alpha", lambda space, xs: real_alpha(space, xs).scale(2)
+    )
+    with pytest.raises(VerificationFailed):
+        nm.localized_image(entry)
+    with pytest.raises(VerificationFailed):
+        rees_from_localized(inst.ctx, entry)
+
+
+_BROKEN_PRESENTATION_SCRIPT = """
+import sys
+from altkit import norm_universal
+from altkit.errors import VerificationFailed
+from altkit.gen_etale import NormMapPlus, rees_from_localized
+from altkit.ring_core import QQ, AlgebraMap, FiniteFreeAlgebra, PolyRing
+from altkit.span_solver import coordinates
+
+stripped = True
+try:
+    assert False
+except AssertionError:
+    stripped = False
+print("optimize", sys.flags.optimize, stripped)
+alg = FiniteFreeAlgebra(QQ, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
+source = PolyRing(QQ, ("t",))
+t = source.variable("t")
+f = AlgebraMap(source, alg, [alg.basis_elem(1)])
+inst = norm_universal.PullbackInstance(f, [source.one(), t])
+entry = coordinates(inst.ctx, t * t)[0]
+real_alpha = norm_universal.alpha
+norm_universal.alpha = lambda space, xs: real_alpha(space, xs).scale(2)
+for route in (
+    lambda: NormMapPlus(inst).localized_image(entry),
+    lambda: rees_from_localized(inst.ctx, entry),
+):
+    try:
+        route()
+        print("no error")
+    except VerificationFailed as e:
+        print("raised", type(e).__name__)
+"""
+
+
+def test_broken_presentation_raises_under_optimize():
+    # python -O strips assert statements; the one presentation check
+    # must still fire on both routes
+    src = os.path.dirname(os.path.dirname(altkit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_PRESENTATION_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "optimize 1 True",
+        "raised VerificationFailed",
+        "raised VerificationFailed",
+    ]
 
 
 # -- repeated-point probe

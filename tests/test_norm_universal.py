@@ -19,6 +19,7 @@ from altkit.norm_universal import (
     discriminant,
     free_case_check,
     trace_formula_check,
+    trace_pairing_det,
     traceexp_check,
     verify_pullback,
 )
@@ -232,7 +233,7 @@ def test_norm_map_pair_routes_agree():
     space = inst.space
     t = space.ring.variable("t")
     ys = (t, t * t)
-    via_det = nm.pair_image(inst.ctx.x, ys)
+    via_det = trace_pairing_det(inst, inst.ctx.x, ys)
     pair = inst.ctx.alpha_x * alpha(space, ys)
     via_presentation = nm.localized_image(
         LocalizedElem(inst.ctx, "A", pair, 0, _checked=True)

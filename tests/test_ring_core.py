@@ -177,9 +177,6 @@ def test_poly_evaluate_and_substitute():
     p = ring.parse("t^2+1")
     assert p.evaluate([3]) == 10
     assert p.evaluate([Fraction(1, 2)]) == Fraction(5, 4)
-    target = PolyRing(QQ, ("s",))
-    q = p.substitute([target.parse("s+1")])
-    assert q == target.parse("s^2+2*s+2")
 
 
 def test_poly_division_exact():
@@ -447,7 +444,7 @@ def test_validator_rejects_bad_unit():
 def test_algebra_unit_inverse_and_division():
     alg = sqrt2_algebra()
     t = alg.element((0, 1))
-    inv = alg.unit_inverse(t)
+    inv = alg.divide_exact(alg.one(), t)
     assert t * inv == alg.one()
     assert inv.coords == (0, Fraction(1, 2))
     assert alg.divide_exact(alg.element((0, 2)), t).coords == (2, 0)
@@ -463,8 +460,6 @@ def test_algebra_divide_exact_returns_the_unique_quotient():
     u = zalg.element((0, 1))
     assert zalg.divide_exact(u * 2, u).coords == (2, 0)
     assert zalg.divide_exact(zalg.one(), u) is None
-    with pytest.raises(ZeroDivisionError):
-        zalg.unit_inverse(u)
     # Q[s][u]/(u^2 - s): s*u / u = s
     alg = t2_minus_s_algebra()
     s = alg.base.variable("s")

@@ -82,6 +82,32 @@ def test_perfbench_trace_targets_resolve():
     assert unresolved == []
 
 
+def test_every_export_is_documented_or_called():
+    # a name that only the tests call is a test helper shipped in the
+    # package; each module's __all__ name is named in README.md or used
+    # in the sources (the package's own re-exports do not count)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    used = set()
+    exports = []
+    for path in SOURCES:
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        module = importlib.import_module(f"altkit.{path.stem}")
+        exports += [(path.name, name) for name in getattr(module, "__all__", ())]
+    unused = [
+        f"{file}:{name}"
+        for file, name in exports
+        if name not in used and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert unused == []
+
+
 def test_no_unused_imports():
     # no linter runs on the sources, so an import left behind when its
     # last caller is deleted would stay; each module-level import must be
