@@ -147,6 +147,9 @@ class AlternatorInstance:
         self.space = space
         self.x = tuple(space.as_element(x) for x in xs)
         self.alpha_x = alpha(space, self.x)
+        # alpha(x) packed for exact division, one form per field width
+        # (see ring_core.dict_divide_exact): every coordinate divides by it
+        self.alpha_packs = {}
         self.phi_n_x = tuple(
             coprojection(space, space.n, xi) for xi in self.x
         )

@@ -12,7 +12,12 @@ Everything downstream is built on three kinds of scalars:
 Polynomials and tensors share one sparse term kernel: module-level
 functions on dicts from key tuples to nonzero coefficients, for add,
 negate, scale, multiply, power, evaluation and exact division.  Its one
-rule is that keys multiply by adding.
+rule is that keys multiply by adding.  Keys stay tuples and GF(p)
+coefficients stay FpElem objects everywhere outside the kernel's inner
+loops: there, multiply and exact division run on the plain ints inside
+the FpElem values, and exact division packs each key into one int, with
+the total degree in the top field, so that monomials multiply by ``+``
+and compare in degree-lex order by ``<``.
 
 On top of the scalars sit dense matrix helpers and :class:`FiniteFreeAlgebra`,
 a commutative algebra of finite rank given by structure constants that are
@@ -26,6 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from operator import add
+from struct import Struct, calcsize
 
 from .errors import (
     BadUnit,
@@ -227,8 +235,12 @@ class CoeffRing:
         return FpElem(k, self.p) if self.kind == "Fp" else k
 
     def normalize(self, v):
-        # keep rationals as ints when integral so dict merges stay cheap
-        if self.kind == "Q" and type(v) is Fraction and v.denominator == 1:
+        # keep rationals as ints when integral so dict merges stay cheap,
+        # and reduce a plain int into GF(p), where term dicts hold only
+        # FpElem values
+        if type(v) is int:
+            return v if self.p is None else FpElem(v, self.p)
+        if type(v) is Fraction and v.denominator == 1 and self.kind == "Q":
             return int(v)
         return v
 
@@ -278,6 +290,14 @@ def GF(p):
 # slot labels laid end to end) to a nonzero coefficient, ``norm`` is the
 # scalar ring's ``normalize``, and keys multiply by adding.  No function
 # here changes its arguments.
+#
+# Over GF(p) every coefficient in a term dict is an FpElem.  The inner
+# loops of multiply and exact division work on the plain ints inside them,
+# reduce with ``% p``, and build FpElem objects again only for the result;
+# the choice is made once per call from the ring the caller passes, never
+# by looking at a coefficient.  Exact division also packs each key into
+# one int for the length of the call (see ``_packing``), so that
+# multiplying monomials is ``+`` and the degree-lex compare is ``<``.
 
 
 def _deglex(key):
@@ -285,8 +305,13 @@ def _deglex(key):
 
 
 def terms_clean(terms, norm):
-    """Normalized coefficients with every zero dropped."""
-    return {k: norm(c) for k, c in terms.items() if c}
+    """Normalized coefficients, with every one that normalizes to zero dropped."""
+    out = {}
+    for k, c in terms.items():
+        c = norm(c)
+        if c:
+            out[k] = c
+    return out
 
 
 def terms_add(a, b, norm):
@@ -311,21 +336,35 @@ def terms_neg(a):
 
 
 def terms_scale(a, c, norm):
+    # c is normalized first: over GF(p) the int p is zero
+    c = norm(c)
     if not c:
         return {}
     return {k: norm(v * c) for k, v in a.items()}
 
 
-def terms_mul(a, b, norm):
-    """Product of two term dicts whose keys multiply by adding."""
+def terms_mul(a, b, ring):
+    """Product of two term dicts whose keys multiply by adding.
+
+    ``ring`` is the CoeffRing of both dicts' coefficients.
+    """
     acc = {}
+    p = ring.p
+    if p is not None:
+        bv = [(k, c.v) for k, c in b.items()]
+        for k1, c1 in a.items():
+            v1 = c1.v
+            for k2, v2 in bv:
+                k = tuple(map(add, k1, k2))
+                acc[k] = acc.get(k, 0) + v1 * v2
+        return {k: FpElem(c, p) for k, c in acc.items() if c % p}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
-            k = tuple(x + y for x, y in zip(k1, k2))
+            k = tuple(map(add, k1, k2))
             c = c1 * c2
             s = acc.get(k)
             acc[k] = c if s is None else s + c
-    return terms_clean(acc, norm)
+    return terms_clean(acc, ring.normalize)
 
 
 def power(x, k, one):
@@ -362,40 +401,146 @@ def evaluate_terms(terms, images, acc, lift):
     return acc
 
 
-def dict_divide_exact(num, den, coeff_div):
+@lru_cache(maxsize=128)
+def _packing(length, bits):
+    """How keys of ``length`` exponents pack into ints, at ``bits`` a field.
+
+    A packed key is the big-endian bytes of its fields: the key's total
+    degree, then its exponents, first exponent first, so int ``<`` is the
+    order of ``_deglex``.  Every field takes whole bytes, at least
+    ``bits`` in all, and its top bit (the guard bit) stays clear while
+    the field holds less than 2**(bits - 1).  One field minus another
+    then borrows from its own guard bit alone, so
+    ``((r | G) - d) & G == G`` says that d divides r exponent by exponent.
+
+    Returns the field width in bits, ``fields`` (field values to bytes),
+    ``unfields`` (bytes to the tuple of field values), the byte length of
+    a packed key and the guard mask G.
+    """
+    for code in "BHIQ":
+        if bits <= 8 * calcsize(code):
+            layout = Struct(f">{length + 1}{code}")
+            fields, unfields = layout.pack, layout.unpack
+            nbytes = calcsize(code)
+            break
+    else:
+        nbytes = -(-bits // 8)
+        from_bytes = int.from_bytes
+
+        def fields(*values):
+            return b"".join([v.to_bytes(nbytes, "big") for v in values])
+
+        def unfields(data):
+            starts = range(0, len(data), nbytes)
+            return tuple([from_bytes(data[i : i + nbytes], "big") for i in starts])
+
+    width = 8 * nbytes
+    guard = sum(1 << (width - 1 + width * i) for i in range(length + 1))
+    return width, fields, unfields, nbytes * (length + 1), guard
+
+
+def _pack_divisor(den, ring, fields):
+    """den's leading packed key, the factor that turns a leading
+    coefficient into a quotient coefficient (None when the ring must
+    divide), den's leading coefficient, and its other terms, packed and
+    negated."""
+    lead = max(den, key=_deglex)
+    lc = den[lead]
+    rest = [
+        (int.from_bytes(fields(sum(k), *k), "big"), -c)
+        for k, c in den.items()
+        if k != lead
+    ]
+    lead = int.from_bytes(fields(sum(lead), *lead), "big")
+    p = ring.p
+    if p is not None:
+        rest = [(k, c.v) for k, c in rest]
+        return lead, pow(lc.v, -1, p), lc, rest
+    # a normalized a divided by +-1 is a times +-1, and over Q every
+    # quotient is a times the inverse
+    if lc == 1 or lc == -1:
+        return lead, lc, lc, rest
+    if ring.kind == "Q":
+        return lead, ring.normalize(1 / Fraction(lc)), lc, rest
+    return lead, None, lc, rest
+
+
+def dict_divide_exact(num, den, ring, packs=None):
     """Exact division of sparse term dicts under degree-lex order.
 
-    Both dicts map equal-length exponent tuples to coefficients.  Returns
-    the quotient dict, or None when the division leaves a remainder or a
-    coefficient quotient does not exist.  ``coeff_div(a, b)`` must return
-    None on failure.
+    Both dicts map equal-length exponent tuples to coefficients in the
+    CoeffRing ``ring``.  Returns the quotient dict, its keys in descending
+    degree-lex order, or None when the division leaves a remainder or a
+    coefficient quotient does not exist.  ``packs``, when given, is a dict
+    the caller keeps beside den: it holds den's packed form per field
+    width, so that dividing many numerators by one divisor packs it once.
     """
     if not den:
         return None
     if not num:
         return {}
-    dkey = max(den, key=_deglex)
-    dc = den[dkey]
-    rem = dict(num)
-    quot = {}
+    # no remainder key passes the total degree of num's leading key, so
+    # fields that hold the largest total degree never overflow
+    top = max(max(map(sum, num)), max(map(sum, den)))
+    width, fields, unfields, size, guard = _packing(
+        len(next(iter(den))), top.bit_length() + 1
+    )
+    packed = None if packs is None else packs.get(width)
+    if packed is None:
+        packed = _pack_divisor(den, ring, fields)
+        if packs is not None:
+            packs[width] = packed
+    lead, inv, lc, rest = packed
+    from_bytes = int.from_bytes
+    p = ring.p
+    quot = []
+    if p is not None:
+        # keys are packed inline: a call per key costs as much as packing
+        rem = {from_bytes(fields(sum(k), *k), "big"): c.v for k, c in num.items()}
+        get = rem.get
+        # qc and c are nonzero and the ring has no zero divisors, so a
+        # sum that reaches zero had a term at k to cancel
+        while rem:
+            r = max(rem)
+            if ((r | guard) - lead) & guard != guard:
+                return None
+            qc = rem.pop(r) * inv % p
+            q = r - lead
+            quot.append((q, qc))
+            for k, c in rest:
+                k += q
+                s = (get(k, 0) + qc * c) % p
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
+        return {
+            unfields(q.to_bytes(size, "big"))[1:]: FpElem(c, p) for q, c in quot
+        }
+    norm = ring.normalize
+    rem = {from_bytes(fields(sum(k), *k), "big"): c for k, c in num.items()}
+    get = rem.get
     while rem:
-        rkey = max(rem, key=_deglex)
-        qkey = tuple(a - b for a, b in zip(rkey, dkey))
-        if any(e < 0 for e in qkey):
+        r = max(rem)
+        if ((r | guard) - lead) & guard != guard:
             return None
-        qc = coeff_div(rem[rkey], dc)
-        if qc is None or not qc:
-            return None
-        quot[qkey] = qc
-        for k, c in den.items():
-            kk = tuple(a + b for a, b in zip(qkey, k))
-            s = rem.get(kk)
-            s = -qc * c if s is None else s - qc * c
+        c = rem.pop(r)
+        if inv is not None:
+            qc = norm(c * inv)
+        else:
+            qc, m = divmod(c, lc)
+            if m:
+                return None
+        q = r - lead
+        quot.append((q, qc))
+        for k, c in rest:
+            k += q
+            s = get(k, 0) + qc * c
             if s:
-                rem[kk] = s
+                rem[k] = s
             else:
-                rem.pop(kk, None)
-    return quot
+                del rem[k]
+    return {unfields(q.to_bytes(size, "big"))[1:]: c for q, c in quot}
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +633,7 @@ class MultiPoly:
         norm = self.ring.normalize
         if isinstance(other, MultiPoly):
             self._compat(other)
-            terms = terms_mul(self.terms, other.terms, norm)
+            terms = terms_mul(self.terms, other.terms, self.ring)
         elif isinstance(other, (int, Fraction, FpElem)):
             terms = terms_scale(self.terms, other, norm)
         else:
@@ -623,10 +768,10 @@ class PolyRing:
         return v.is_constant() and self.coeff.is_unit(v.constant())
 
     def divide_exact(self, a, b):
-        quot = dict_divide_exact(a.terms, b.terms, self.coeff.divide_exact)
+        quot = dict_divide_exact(a.terms, b.terms, self.coeff)
         if quot is None:
             return None
-        return MultiPoly(self.coeff, self.vars, quot)
+        return MultiPoly(self.coeff, self.vars, quot, _clean=True)
 
     def parse(self, text):
         return parse_expression(text, self.coeff, self.vars)

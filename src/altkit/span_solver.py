@@ -64,14 +64,17 @@ def _require_poly_domain(space):
         raise UnsupportedAmbient(f"unsupported scalars {space.scalars!r}")
 
 
-def tensor_divide_exact(num, den):
-    """num / den in the ambient tensor power, or None; exact only."""
+def tensor_divide_exact(num, den, packs=None):
+    """num / den in the ambient tensor power, or None; exact only.
+
+    ``packs`` caches den's packed form, as in ``dict_divide_exact``.
+    """
     _require_poly_domain(num.space)
     num._compat(den)
-    quot = dict_divide_exact(num.terms, den.terms, num.space.scalars.divide_exact)
+    quot = dict_divide_exact(num.terms, den.terms, num.space.scalars, packs)
     if quot is None:
         return None
-    return Tensor(num.space, quot)
+    return Tensor(num.space, quot, _clean=True)
 
 
 def _asq_power(ctx, k):
@@ -249,7 +252,7 @@ def _over_alpha(ctx, nums, target, failure):
         raise VerificationFailed(failure)
     entries = []
     for num in nums:
-        quot = tensor_divide_exact(num, ctx.alpha_x)
+        quot = tensor_divide_exact(num, ctx.alpha_x, ctx.alpha_packs)
         if quot is None:
             entries.append(
                 LocalizedElem(ctx, LEVEL_FULL, num * ctx.alpha_x, 1, _checked=True)

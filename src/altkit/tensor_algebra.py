@@ -259,7 +259,7 @@ class Tensor:
         self._compat(other)
         if not self.space.is_poly:
             return self._mul_algebra(other)
-        terms = terms_mul(self.terms, other.terms, self.space.scalars.normalize)
+        terms = terms_mul(self.terms, other.terms, self.space.scalars)
         return Tensor(self.space, terms, _clean=True)
 
     def __rmul__(self, other):

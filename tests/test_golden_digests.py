@@ -15,7 +15,9 @@ import pytest
 
 from altkit import cli
 from altkit.cli import make_suite_config, parse_ring, render_report, run_instance
+from altkit.alternator import random_element, random_invariant
 from altkit.errors import AltkitError
+from altkit.span_solver import coordinates, coordinates_of_invariant
 
 SUITES = cli.IDENTITY_NAMES + ("traceexp", "trace_formula")
 
@@ -30,6 +32,14 @@ CASE_DIGESTS = {
 CASE_DIGESTS_N5 = {
     "q": "05439c821d5b865b0a28dd7f9814790543d834132575ad8261b7adade8a813c2",
     "fp:5": "99476047ed464e9668ecc2c9e066243660e5285c988dce0837c45613b9bedc60",
+}
+
+# sha256 of one line "<ring> <n> <case> <entry texts>" per seeded ``basis``
+# draw, n = 2..5, cases 0..2, seed 1: the coordinates that the ``basis``
+# suite computes and then reports only as passed
+COORDINATE_DIGESTS = {
+    "q": "ee6ea93ab36709c5020a2508055fd3909fc6d21dfcf6eb658a9d47c149e8a53c",
+    "fp:5": "09742c516b0f40e0b9dda46d18380506e3b39fbe6ccf4358474b7e32a9d1f9d9",
 }
 
 # sha256 of render_report(run_instance(fixture, mode))
@@ -64,6 +74,30 @@ def case_texts(ring, ns="2,3,4"):
     return "".join(lines)
 
 
+def entry_text(entry):
+    return f"{entry.num.to_text()} @{entry.exp}"
+
+
+def coordinate_texts(ring, ns="2,3,4,5"):
+    # the draws of cli._basis_case, with each entry's numerator and
+    # exponent written out
+    scalars, ring_text = parse_ring(ring)
+    config = make_suite_config(ring=ring, n=ns, cases=3, seed=1)
+    lines = []
+    for n in config.ns:
+        degree, terms = cli._bounds(config, n)
+        env = cli._RowEnv(scalars, n, degree, terms)
+        for index in range(config.cases):
+            rng = Random(cli._case_seed(config.seed, "basis", ring_text, n, index))
+            y = random_invariant(rng, env.space, env.max_degree, full=False)
+            of_y = coordinates_of_invariant(env.ctx, y)
+            z = random_element(rng, env.space, env.max_terms, env.max_degree)
+            of_z = coordinates(env.ctx, z)
+            texts = " ; ".join(entry_text(e) for e in (*of_y, *of_z))
+            lines.append(f"{ring_text} {n} {index} {texts}\n")
+    return "".join(lines)
+
+
 def instance_text(filename, mode):
     path = str(resources.files("altkit").joinpath("fixtures", filename))
     try:
@@ -84,6 +118,19 @@ def test_case_texts_match_recording(ring):
 @pytest.mark.parametrize("ring", sorted(CASE_DIGESTS_N5))
 def test_case_texts_match_recording_at_arity_5(ring):
     assert sha256(case_texts(ring, "5")) == CASE_DIGESTS_N5[ring]
+
+
+@pytest.mark.parametrize("ring", sorted(COORDINATE_DIGESTS))
+def test_coordinates_match_recording(ring):
+    assert sha256(coordinate_texts(ring)) == COORDINATE_DIGESTS[ring]
+
+
+def test_coordinate_digests_pin_quotients():
+    # on the anchor (1, t, ..., t^(n-1)) alpha(x) divides every numerator,
+    # so each entry is an exact quotient at exponent 0 with real tensor text
+    text = coordinate_texts("fp:5", "3")
+    assert text.count("\n") == 3
+    assert " @0" in text and "[" in text
 
 
 @pytest.mark.parametrize("filename, mode", sorted(INSTANCE_DIGESTS))

@@ -131,3 +131,29 @@ def test_no_unused_imports():
                     if name not in used and name not in exported:
                         unused.append(f"{path.name}:{node.lineno}:{name}")
     assert unused == []
+
+
+def test_plain_int_scalars_stay_in_the_kernel():
+    # the kernel's inner loops work on the int inside an FpElem; every
+    # other module goes through FpElem arithmetic, so no module but
+    # ring_core reads ``.v``, and the kernel has one division and one
+    # multiply
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "ring_core.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "v"
+    ]
+    assert reads == []
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("dict_divide_exact", "terms_mul")
+    ]
+    assert sorted(defined) == [
+        "ring_core.py:dict_divide_exact",
+        "ring_core.py:terms_mul",
+    ]

@@ -6,6 +6,10 @@ the oracle: every kernel result must equal theirs term for term,
 coefficient type and insertion order included.  A tensor over a
 polynomial ring with w variables at arity n is also a polynomial in n*w
 variables, so both classes must agree on one term dict.
+
+The kernel's multiply and exact division later moved to plain-int GF(p)
+coefficients and, in division, to keys packed into one int; the tuple
+and scalar-object loops they replaced are kept here the same way.
 """
 
 from fractions import Fraction
@@ -14,7 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altkit.ring_core import GF, QQ, ZZ, FiniteFreeAlgebra, MultiPoly, PolyRing, power
+from altkit.ring_core import (
+    GF,
+    QQ,
+    ZZ,
+    FiniteFreeAlgebra,
+    FpElem,
+    MultiPoly,
+    PolyRing,
+    dict_divide_exact,
+    power,
+    terms_mul,
+)
 from altkit.span_solver import tensor_divide_exact
 from altkit.tensor_algebra import Tensor, TensorSpace, unit_tensor
 
@@ -81,6 +96,8 @@ def oracle_scale(a, c, norm):
 
 
 def oracle_mul_poly(a, b, norm):
+    # also the tuple-key, scalar-object loop of terms_mul before its GF(p)
+    # coefficients became plain ints
     acc = {}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
@@ -89,6 +106,40 @@ def oracle_mul_poly(a, b, norm):
             s = acc.get(k)
             acc[k] = c if s is None else s + c
     return {k: norm(c) for k, c in acc.items() if c}
+
+
+def oracle_deglex(key):
+    return (sum(key), key)
+
+
+def oracle_dict_divide_exact(num, den, coeff_div):
+    # the tuple-key, scalar-object division that packed keys replaced
+    if not den:
+        return None
+    if not num:
+        return {}
+    dkey = max(den, key=oracle_deglex)
+    dc = den[dkey]
+    rem = dict(num)
+    quot = {}
+    while rem:
+        rkey = max(rem, key=oracle_deglex)
+        qkey = tuple(a - b for a, b in zip(rkey, dkey))
+        if any(e < 0 for e in qkey):
+            return None
+        qc = coeff_div(rem[rkey], dc)
+        if qc is None or not qc:
+            return None
+        quot[qkey] = qc
+        for k, c in den.items():
+            kk = tuple(a + b for a, b in zip(qkey, k))
+            s = rem.get(kk)
+            s = -qc * c if s is None else s - qc * c
+            if s:
+                rem[kk] = s
+            else:
+                rem.pop(kk, None)
+    return quot
 
 
 def oracle_pow(x, k, one):
@@ -249,3 +300,167 @@ def test_power_makes_no_wasted_multiplies(k, multiplies):
     assert got.v == 3**k
     assert len(log) == multiplies
     assert all(1 not in pair for pair in log)
+
+
+# -- exact division and multiply on the wider rings and keys they meet
+
+# 2**61 - 1 is prime and near MAX_MODULUS, so products of two
+# coefficients pass 2**64 before they are reduced
+MERSENNE_61 = 2**61 - 1
+KERNEL_RINGS = {
+    "q": QQ,
+    "z": ZZ,
+    "fp:2": GF(2),
+    "fp:5": GF(5),
+    "fp:2^61-1": GF(MERSENNE_61),
+}
+
+# 0, 2^k - 1 and 2^k: totals on either side of a field width; 1000 at
+# key length 10 runs the total degree past 2^13
+EXPONENTS = st.one_of(
+    st.sampled_from([0, 0, 1, 2, 3, 7, 8, 15, 16, 63, 64, 127, 128, 255, 256, 1000]),
+    st.integers(0, 1000),
+)
+
+
+def kernel_scalar(scalars, raw):
+    num, den = raw
+    if scalars.kind == "Q":
+        return scalars.normalize(Fraction(num, den))
+    if scalars.kind == "Z":
+        return num
+    # reach the whole field, not only small representatives
+    return scalars.from_int(num * 0x9E3779B97F4A7C15 + den)
+
+
+@st.composite
+def kernel_terms(draw, scalars, length, exps, max_size=4):
+    raw = st.tuples(st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    pairs = draw(
+        st.lists(st.tuples(st.tuples(*[exps] * length), raw), max_size=max_size)
+    )
+    return {k: c for k, r in pairs if (c := kernel_scalar(scalars, r))}
+
+
+@st.composite
+def division_case(draw):
+    ring = draw(st.sampled_from(sorted(KERNEL_RINGS)))
+    scalars = KERNEL_RINGS[ring]
+    length = draw(st.integers(1, 10))
+    # a few large exponents per key keep products of large totals cheap
+    exps = st.one_of(st.integers(0, 2), EXPONENTS)
+    quot = draw(kernel_terms(scalars, length, exps))
+    den = draw(kernel_terms(scalars, length, exps))
+    norm = scalars.normalize
+    num = oracle_mul_poly(quot, den, norm)
+    shape = draw(
+        st.sampled_from(["product", "perturbed", "free", "zero_num", "zero_den"])
+    )
+    if shape == "perturbed":
+        extra = draw(kernel_terms(scalars, length, exps, max_size=2))
+        num = oracle_multipoly_add(num, extra, norm)
+    elif shape == "free":
+        num = draw(kernel_terms(scalars, length, exps, max_size=6))
+    elif shape == "zero_num":
+        num = {}
+    elif shape == "zero_den":
+        den = {}
+    return scalars, num, den
+
+
+def check_division(scalars, num, den, packs=None):
+    got = dict_divide_exact(num, den, scalars, packs)
+    want = oracle_dict_divide_exact(num, den, scalars.divide_exact)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert exact(got) == exact(want)
+        assert list(got) == sorted(got, key=oracle_deglex, reverse=True)
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(division_case())
+def test_division_matches_replaced_loop(case):
+    scalars, num, den = case
+    check_division(scalars, num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_case())
+def test_multiply_matches_replaced_loop(case):
+    scalars, a, b = case
+    got = terms_mul(a, b, scalars)
+    assert exact(got) == exact(oracle_mul_poly(a, b, scalars.normalize))
+    if scalars.kind == "Fp":
+        assert all(type(c) is FpElem for c in got.values())
+
+
+def nonunit(scalars):
+    # a leading coefficient other than +-1 wherever the ring has one
+    return scalars.from_int(3) if scalars.p not in (2, 3) else scalars.one()
+
+
+def test_division_covers_each_outcome():
+    # products divide back, on a leading coefficient other than +-1 too;
+    # a leading monomial that the divisor's does not divide (an exponent
+    # would go negative) and a Z quotient that does not exist both give
+    # None, as do a zero divisor and a remainder term
+    for scalars in KERNEL_RINGS.values():
+        one, c = scalars.one(), nonunit(scalars)
+        den = {(1, 0, 0): c, (0, 1, 128): one}
+        quot = {(0, 2, 127): c, (0, 0, 0): one}
+        num = oracle_mul_poly(quot, den, scalars.normalize)
+        assert exact(check_division(scalars, num, den)) == exact(quot)
+        assert check_division(scalars, {(0, 1, 0): one}, den) is None
+        assert check_division(scalars, num, {}) is None
+        assert check_division(scalars, {}, den) == {}
+        bump = oracle_multipoly_add(num, {(0, 0, 1): one}, scalars.normalize)
+        assert check_division(scalars, bump, den) is None
+    assert check_division(ZZ, {(1,): 2}, {(0,): 4}) is None
+    assert check_division(ZZ, {(1,): 8, (0,): 4}, {(0,): 4}) == {(1,): 2, (0,): 1}
+    assert check_division(QQ, {(1,): 2}, {(0,): 4}) == {(1,): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("ring", sorted(KERNEL_RINGS))
+def test_division_past_eight_byte_fields(ring):
+    # a total degree past 2**63 no longer fits struct's widest field
+    scalars = KERNEL_RINGS[ring]
+    big = 2**70
+    one, c = scalars.one(), nonunit(scalars)
+    den = {(1, 0): c, (0, 1): one}
+    quot = {(big, 5): one, (big - 1, 0): c}
+    num = oracle_mul_poly(quot, den, scalars.normalize)
+    assert exact(check_division(scalars, num, den)) == exact(quot)
+    assert check_division(scalars, {(big, 0): one}, {(0, 1): one}) is None
+
+
+def test_divisor_packs_are_reused_per_field_width():
+    # one packs dict kept beside one divisor serves numerators of every
+    # total degree: each field width packs the divisor once
+    scalars = GF(5)
+    den = {(1, 0): scalars.from_int(4), (0, 1): scalars.one()}
+    packs = {}
+    for degree in (1, 2, 200, 3, 300):
+        quot = {(degree, 0): scalars.from_int(2), (0, 0): scalars.one()}
+        num = oracle_mul_poly(quot, den, scalars.normalize)
+        assert exact(check_division(scalars, num, den, packs)) == exact(quot)
+        # a packed divisor that does not divide fails the same way
+        lone = {(degree, 1): scalars.one()}
+        assert check_division(scalars, lone, den, packs) is None
+    assert sorted(packs) == [8, 16]
+
+
+def test_unreduced_ints_over_gf_p_are_reduced():
+    # an int coefficient over GF(p) once stayed an unreduced int: 5 over
+    # GF(5) was a nonzero term printing as 0*t, and 3t squared kept 9
+    ring = GF(5)
+    five = MultiPoly(ring, ("t",), {(1,): 5})
+    assert five.terms == {} and not five
+    assert five == MultiPoly.zero(ring, ("t",))
+    assert five.to_text() == "0"
+    q = MultiPoly(ring, ("t",), {(1,): 3})
+    assert exact(q.terms) == [((1,), FpElem, FpElem(3, 5))]
+    assert exact((q * q).terms) == [((2,), FpElem, FpElem(4, 5))]
+    assert (q * q).to_text() == "4*t^2"
+    assert ring.normalize(7) == FpElem(2, 5) and type(ring.normalize(7)) is FpElem
+    assert (q * 5).terms == {} and (q * 6) == q
