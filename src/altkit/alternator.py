@@ -110,8 +110,8 @@ def _signed_sum(t, fix_last):
     norm = space.scalars.normalize
     out = {}
     for k, c in orbits.items():
+        c = norm(c)
         if c:
-            c = norm(c)
             neg = norm(-c)
             for get, sign in maps.values():
                 out[get(k)] = c if sign > 0 else neg

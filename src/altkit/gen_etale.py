@@ -84,8 +84,10 @@ class ReesFraction:
     def __init__(self, ctx, m, terms):
         self.ctx = ctx
         self.m = m
+        norm = ctx.space.scalars.normalize
         cleaned = []
         for c, pairs in terms:
+            c = norm(c)
             if not c:
                 continue
             if len(pairs) != m:
@@ -387,7 +389,7 @@ def _explicit_columns(n, groups):
     return columns
 
 
-def _grid_row(point, n):
+def _grid_row(point, n, scalars):
     """The point at each monomial with exponents below n, in product order.
 
     Entries come lazily, so the table is never held whole: with large
@@ -395,12 +397,13 @@ def _grid_row(point, n):
     coordinates is multiplied out once, so an entry costs about one
     product.
     """
-    powers = [[c**e for e in range(n)] for c in point]
+    norm, p = scalars.normalize, scalars.p
+    powers = [[pow(c, e, p) for e in range(n)] for c in point]
     half = len(powers) // 2
     tail = [math.prod(t) for t in itertools.product(*powers[half:])]
     for t in itertools.product(*powers[:half]):
         a = math.prod(t)
-        yield from [a * b for b in tail]
+        yield from [norm(a * b) for b in tail]
 
 
 def diagonal_support_probe(scalars, points, tuples=None):
@@ -442,16 +445,21 @@ def diagonal_support_probe(scalars, points, tuples=None):
     pts = [
         [scalars.from_int(c) if isinstance(c, int) else c for c in p] for p in points
     ]
+    # over GF(p) each power is taken mod p, so a large exponent never
+    # builds a large int
+    norm, p = scalars.normalize, scalars.p
 
     def full_rank(cols):
         return len(echelon(cols, scalars, limit=n)[1]) == n
 
     if tuples is None:
-        return not full_rank(zip(*[_grid_row(p, n) for p in pts]))
+        return not full_rank(zip(*[_grid_row(pt, n, scalars) for pt in pts]))
 
     def column(m):
         # evaluated on use and not kept, like the grid's entries
-        return [math.prod(c**e for c, e in zip(p, m) if e) for p in pts]
+        return [
+            norm(math.prod(pow(c, e, p) for c, e in zip(pt, m) if e)) for pt in pts
+        ]
 
     if not full_rank(map(column, columns)):
         return True

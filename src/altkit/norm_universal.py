@@ -97,7 +97,7 @@ def discriminant(alg, basis):
     if len(basis) != alg.rank:
         raise NotABasis(f"{len(basis)} elements for rank {alg.rank}")
     change = [[b.coords[r] for b in basis] for r in range(alg.rank)]
-    det = det_generic(change)
+    det = alg.base.normalize(det_generic(change))
     if not alg.base.is_unit(det):
         raise NotABasis(
             f"coordinate determinant {alg.base.to_text(det)} is not a unit"
@@ -226,7 +226,8 @@ def is_nonzerodivisor(desc, v):
         # scalar and polynomial rings here are all domains
         return not desc.is_zero(v)
     if isinstance(desc, FiniteFreeAlgebra):
-        return is_nonzerodivisor(desc.base, det_generic(desc.mult_matrix(v)))
+        det = desc.base.normalize(det_generic(desc.mult_matrix(v)))
+        return is_nonzerodivisor(desc.base, det)
     raise UnsupportedBase(f"no zerodivisor test for {desc!r}")
 
 

@@ -5,19 +5,21 @@ Everything downstream is built on three kinds of scalars:
 * ``QQ`` / ``ZZ``  -- arbitrary-precision rationals and integers.  Rational
   values are plain ``int`` when integral and ``fractions.Fraction``
   otherwise; the two mix freely and compare equal where they should.
-* ``GF(p)``       -- prime fields, values are :class:`FpElem`.
+* ``GF(p)``       -- prime fields, values are plain ``int`` in 0..p-1.
 * ``PolyRing``    -- sparse multivariate polynomials (:class:`MultiPoly`)
   over one of the above.
+
+Scalar values carry no ring: the descriptor that holds them knows it, and
+its ``normalize`` brings a sum or product back to the canonical value
+(``v % p`` over GF(p)) before it is stored or tested for zero.
 
 Polynomials and tensors share one sparse term kernel: module-level
 functions on dicts from key tuples to nonzero coefficients, for add,
 negate, scale, multiply, power, evaluation and exact division.  Its one
-rule is that keys multiply by adding.  Keys stay tuples and GF(p)
-coefficients stay FpElem objects everywhere outside the kernel's inner
-loops: there, multiply and exact division run on the plain ints inside
-the FpElem values, and exact division packs each key into one int, with
-the total degree in the top field, so that monomials multiply by ``+``
-and compare in degree-lex order by ``<``.
+rule is that keys multiply by adding.  Keys stay tuples everywhere
+outside exact division, which packs each key into one int, with the
+total degree in the top field, so that monomials multiply by ``+`` and
+compare in degree-lex order by ``<``.
 
 On top of the scalars sit dense matrix helpers and :class:`FiniteFreeAlgebra`,
 a commutative algebra of finite rank given by structure constants that are
@@ -51,7 +53,6 @@ __all__ = [
     "ZZ",
     "GF",
     "CoeffRing",
-    "FpElem",
     "MultiPoly",
     "PolyRing",
     "parse_expression",
@@ -102,97 +103,13 @@ def _is_prime(p):
     return True
 
 
-class FpElem:
-    """An element of a prime field, reduced representative in 0..p-1."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v, p):
-        self.v = v % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise RingMismatch(f"GF({self.p}) vs GF({other.p})")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElem(self.v + w, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElem(self.v - w, self.p)
-
-    def __rsub__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElem(w - self.v, self.p)
-
-    def __mul__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElem(self.v * w, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElem(-self.v, self.p)
-
-    def __truediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        if w % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return FpElem(self.v * pow(w, self.p - 2, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        w = self._lift(other)
-        if w is NotImplemented:
-            return NotImplemented
-        return FpElem(w, self.p) / self
-
-    def __pow__(self, k):
-        return FpElem(pow(self.v, k, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        # equal to its representative v, so it must hash like v
-        return hash(self.v)
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"FpElem({self.v}, {self.p})"
-
-
 class CoeffRing:
     """Descriptor for a base scalar ring: Q, Z, or GF(p).
 
-    Values are plain Python numbers (``int``/``Fraction``) or
-    :class:`FpElem`; the descriptor supplies construction, parsing,
-    rendering and the few arithmetic services that depend on the ring
-    rather than on the value.
+    Values are plain Python numbers: ``int``/``Fraction`` over Q and Z,
+    and ``int`` in 0..p-1 over GF(p).  The descriptor supplies
+    construction, parsing, rendering and the few arithmetic services that
+    depend on the ring rather than on the value.
     """
 
     def __init__(self, kind, p=None):
@@ -203,6 +120,8 @@ class CoeffRing:
                 raise UnsupportedBase(f"GF({p}): modulus must be below {MAX_MODULUS}")
             if p is None or not _is_prime(p):
                 raise UnsupportedBase(f"GF({p}): modulus must be prime")
+            # v % p, the canonical representative
+            self.normalize = p.__rmod__
         elif p is not None:
             raise UnsupportedBase(f"{kind} takes no modulus")
         self.kind = kind
@@ -226,21 +145,18 @@ class CoeffRing:
         return self.kind in ("Q", "Fp")
 
     def zero(self):
-        return FpElem(0, self.p) if self.kind == "Fp" else 0
+        return 0
 
     def one(self):
-        return FpElem(1, self.p) if self.kind == "Fp" else 1
+        return 1
 
     def from_int(self, k):
-        return FpElem(k, self.p) if self.kind == "Fp" else k
+        return self.normalize(k)
 
     def normalize(self, v):
-        # keep rationals as ints when integral so dict merges stay cheap,
-        # and reduce a plain int into GF(p), where term dicts hold only
-        # FpElem values
-        if type(v) is int:
-            return v if self.p is None else FpElem(v, self.p)
-        if type(v) is Fraction and v.denominator == 1 and self.kind == "Q":
+        # over Q and Z: keep rationals as ints when integral so dict merges
+        # stay cheap (GF(p) replaces this method in __init__)
+        if type(v) is Fraction and v.denominator == 1:
             return int(v)
         return v
 
@@ -260,15 +176,13 @@ class CoeffRing:
             return self.normalize(Fraction(a) / Fraction(b))
         if self.kind == "Z":
             return a // b if a % b == 0 else None
-        return a / b
+        return a * pow(b, -1, self.p) % self.p
 
     def parse(self, text):
         poly = parse_expression(text, self, ())
         return poly.constant()
 
     def to_text(self, v):
-        if self.kind == "Fp":
-            return str(v.v if isinstance(v, FpElem) else v % self.p)
         return str(v)
 
 
@@ -291,13 +205,14 @@ def GF(p):
 # scalar ring's ``normalize``, and keys multiply by adding.  No function
 # here changes its arguments.
 #
-# Over GF(p) every coefficient in a term dict is an FpElem.  The inner
-# loops of multiply and exact division work on the plain ints inside them,
-# reduce with ``% p``, and build FpElem objects again only for the result;
-# the choice is made once per call from the ring the caller passes, never
-# by looking at a coefficient.  Exact division also packs each key into
-# one int for the length of the call (see ``_packing``), so that
-# multiplying monomials is ``+`` and the degree-lex compare is ``<``.
+# Every coefficient is a plain number, and over GF(p) a sum, difference
+# or product of two of them is not yet reduced, so each result goes
+# through ``norm`` before its zero test.  Exact division over GF(p) keeps
+# its own loop, reducing with ``% p``; the choice is made once per call
+# from the ring the caller passes, never by looking at a coefficient.
+# Exact division also packs each key into one int for the length of the
+# call (see ``_packing``), so that multiplying monomials is ``+`` and the
+# degree-lex compare is ``<``.
 
 
 def _deglex(key):
@@ -321,18 +236,16 @@ def terms_add(a, b, norm):
         if s is None:
             out[k] = c
         else:
-            # normalize keeps zero and nonzero apart, and skipping it on a
-            # cancelled term saves a type check per cancellation
-            s = s + c
+            s = norm(s + c)
             if s:
-                out[k] = norm(s)
+                out[k] = s
             else:
                 del out[k]
     return out
 
 
-def terms_neg(a):
-    return {k: -c for k, c in a.items()}
+def terms_neg(a, norm):
+    return {k: norm(-c) for k, c in a.items()}
 
 
 def terms_scale(a, c, norm):
@@ -349,15 +262,6 @@ def terms_mul(a, b, ring):
     ``ring`` is the CoeffRing of both dicts' coefficients.
     """
     acc = {}
-    p = ring.p
-    if p is not None:
-        bv = [(k, c.v) for k, c in b.items()]
-        for k1, c1 in a.items():
-            v1 = c1.v
-            for k2, v2 in bv:
-                k = tuple(map(add, k1, k2))
-                acc[k] = acc.get(k, 0) + v1 * v2
-        return {k: FpElem(c, p) for k, c in acc.items() if c % p}
     for k1, c1 in a.items():
         for k2, c2 in b.items():
             k = tuple(map(add, k1, k2))
@@ -454,8 +358,7 @@ def _pack_divisor(den, ring, fields):
     lead = int.from_bytes(fields(sum(lead), *lead), "big")
     p = ring.p
     if p is not None:
-        rest = [(k, c.v) for k, c in rest]
-        return lead, pow(lc.v, -1, p), lc, rest
+        return lead, pow(lc, -1, p), lc, rest
     # a normalized a divided by +-1 is a times +-1, and over Q every
     # quotient is a times the inverse
     if lc == 1 or lc == -1:
@@ -492,12 +395,12 @@ def dict_divide_exact(num, den, ring, packs=None):
             packs[width] = packed
     lead, inv, lc, rest = packed
     from_bytes = int.from_bytes
+    # keys are packed inline: a call per key costs as much as packing
+    rem = {from_bytes(fields(sum(k), *k), "big"): c for k, c in num.items()}
+    get = rem.get
     p = ring.p
     quot = []
     if p is not None:
-        # keys are packed inline: a call per key costs as much as packing
-        rem = {from_bytes(fields(sum(k), *k), "big"): c.v for k, c in num.items()}
-        get = rem.get
         # qc and c are nonzero and the ring has no zero divisors, so a
         # sum that reaches zero had a term at k to cancel
         while rem:
@@ -514,32 +417,28 @@ def dict_divide_exact(num, den, ring, packs=None):
                     rem[k] = s
                 else:
                     del rem[k]
-        return {
-            unfields(q.to_bytes(size, "big"))[1:]: FpElem(c, p) for q, c in quot
-        }
-    norm = ring.normalize
-    rem = {from_bytes(fields(sum(k), *k), "big"): c for k, c in num.items()}
-    get = rem.get
-    while rem:
-        r = max(rem)
-        if ((r | guard) - lead) & guard != guard:
-            return None
-        c = rem.pop(r)
-        if inv is not None:
-            qc = norm(c * inv)
-        else:
-            qc, m = divmod(c, lc)
-            if m:
+    else:
+        norm = ring.normalize
+        while rem:
+            r = max(rem)
+            if ((r | guard) - lead) & guard != guard:
                 return None
-        q = r - lead
-        quot.append((q, qc))
-        for k, c in rest:
-            k += q
-            s = get(k, 0) + qc * c
-            if s:
-                rem[k] = s
+            c = rem.pop(r)
+            if inv is not None:
+                qc = norm(c * inv)
             else:
-                del rem[k]
+                qc, m = divmod(c, lc)
+                if m:
+                    return None
+            q = r - lead
+            quot.append((q, qc))
+            for k, c in rest:
+                k += q
+                s = get(k, 0) + qc * c
+                if s:
+                    rem[k] = s
+                else:
+                    del rem[k]
     return {unfields(q.to_bytes(size, "big"))[1:]: c for q, c in quot}
 
 
@@ -599,9 +498,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._compat(other)
             return other
-        if isinstance(other, int):
-            return MultiPoly.const(self.ring, self.vars, self.ring.from_int(other))
-        if isinstance(other, (Fraction, FpElem)):
+        if isinstance(other, (int, Fraction)):
             return MultiPoly.const(self.ring, self.vars, other)
         return None
 
@@ -615,7 +512,8 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, self.vars, terms_neg(self.terms), _clean=True)
+        terms = terms_neg(self.terms, self.ring.normalize)
+        return MultiPoly(self.ring, self.vars, terms, _clean=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -634,7 +532,7 @@ class MultiPoly:
         if isinstance(other, MultiPoly):
             self._compat(other)
             terms = terms_mul(self.terms, other.terms, self.ring)
-        elif isinstance(other, (int, Fraction, FpElem)):
+        elif isinstance(other, (int, Fraction)):
             terms = terms_scale(self.terms, other, norm)
         else:
             return NotImplemented
@@ -646,7 +544,7 @@ class MultiPoly:
         return power(self, k, MultiPoly.const(self.ring, self.vars, self.ring.one()))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, FpElem)):
+        if isinstance(other, (int, Fraction)):
             coerced = self._coerce(other)
             return self.terms == coerced.terms
         if not isinstance(other, MultiPoly):
@@ -693,7 +591,7 @@ class MultiPoly:
         for key in sorted(self.terms, key=_deglex, reverse=True):
             c = self.terms[key]
             mono = monomial_text(self.vars, key)
-            neg = self.ring.kind != "Fp" and c < 0
+            neg = c < 0  # never over GF(p), whose values lie in 0..p-1
             mag = -c if neg else c
             if mono == "1":
                 body = self.ring.to_text(mag)
@@ -887,15 +785,10 @@ class _ExprParser:
                 c = div.constant()
                 if not c:
                     raise ParseError("division by zero")
-                if self.ring.kind == "Q":
-                    acc = acc * self.ring.normalize(Fraction(1) / Fraction(c))
-                elif self.ring.kind == "Fp":
-                    acc = acc * (FpElem(1, self.ring.p) / c)
-                else:
-                    inv = self.ring.divide_exact(self.ring.one(), c)
-                    if inv is None:
-                        raise ParseError(f"cannot divide by {c} over {self.ring!r}")
-                    acc = acc * inv
+                inv = self.ring.divide_exact(self.ring.one(), c)
+                if inv is None:
+                    raise ParseError(f"cannot divide by {c} over {self.ring!r}")
+                acc = acc * inv
             else:
                 return acc
 
@@ -1019,6 +912,7 @@ def echelon(vectors, ring, limit=None):
     there is no row) and the (pivot, row) pairs in pivot order.
     """
     d = ring.one()
+    norm = ring.normalize
     rows = []
     for v in vectors:
         # entry c of w is the minor bordering the pivot block with v and c
@@ -1027,6 +921,7 @@ def echelon(vectors, ring, limit=None):
             f = v[p]
             if f:
                 w = [a - f * b for a, b in zip(w, row)]
+        w = [norm(x) for x in w]
         q = next((i for i, x in enumerate(w) if x), None)
         if q is None:
             continue
@@ -1035,7 +930,7 @@ def echelon(vectors, ring, limit=None):
             (p, [_exact(ring, e * a - row[q] * b, d) for a, b in zip(row, w)])
             for p, row in rows
         ]
-        rows.append((q, [ring.normalize(x) for x in w]))
+        rows.append((q, w))
         d = e
         if len(rows) == limit:
             break
@@ -1105,18 +1000,25 @@ class AlgebraElem:
         other = self._compat(other)
         if other is None:
             return NotImplemented
-        return AlgebraElem(self.alg, [a + b for a, b in zip(self.coords, other.coords)])
+        norm = self.alg.base.normalize
+        return AlgebraElem(
+            self.alg, [norm(a + b) for a, b in zip(self.coords, other.coords)]
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElem(self.alg, [-a for a in self.coords])
+        norm = self.alg.base.normalize
+        return AlgebraElem(self.alg, [norm(-a) for a in self.coords])
 
     def __sub__(self, other):
         other = self._compat(other)
         if other is None:
             return NotImplemented
-        return AlgebraElem(self.alg, [a - b for a, b in zip(self.coords, other.coords)])
+        norm = self.alg.base.normalize
+        return AlgebraElem(
+            self.alg, [norm(a - b) for a, b in zip(self.coords, other.coords)]
+        )
 
     def __rsub__(self, other):
         other = self._compat(other)
@@ -1232,7 +1134,8 @@ class FiniteFreeAlgebra:
         return "(" + ", ".join(self.base.to_text(c) for c in coords) + ")"
 
     def is_unit(self, v):
-        return self.base.is_unit(det_generic(self.mult_matrix(v)))
+        det = self.base.normalize(det_generic(self.mult_matrix(v)))
+        return self.base.is_unit(det)
 
     def divide_exact(self, a, b):
         """a / b when unique: None unless multiplication by b is injective

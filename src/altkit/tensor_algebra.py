@@ -26,7 +26,6 @@ from .ring_core import (
     AlgebraElem,
     CoeffRing,
     FiniteFreeAlgebra,
-    FpElem,
     Fraction,
     MultiPoly,
     PolyRing,
@@ -168,9 +167,7 @@ class TensorSpace:
                 if x.ring != self.scalars or x.vars != self.ring.vars:
                     raise RingMismatch(f"{x!r} not in {self.ring!r}")
                 return x
-            if isinstance(x, int):
-                return self.ring.from_int(x)
-            if isinstance(x, (Fraction, FpElem)):
+            if isinstance(x, (int, Fraction)):
                 return MultiPoly.const(self.scalars, self.ring.vars, x)
             raise RingMismatch(f"cannot coerce {x!r} into {self.ring!r}")
         if isinstance(x, AlgebraElem):
@@ -240,13 +237,13 @@ class Tensor:
         return Tensor(self.space, terms, _clean=True)
 
     def __neg__(self):
-        return Tensor(self.space, terms_neg(self.terms), _clean=True)
+        terms = terms_neg(self.terms, self.space.scalars.normalize)
+        return Tensor(self.space, terms, _clean=True)
 
     def __sub__(self, other):
         self._compat(other)
-        terms = terms_add(
-            self.terms, terms_neg(other.terms), self.space.scalars.normalize
-        )
+        norm = self.space.scalars.normalize
+        terms = terms_add(self.terms, terms_neg(other.terms, norm), norm)
         return Tensor(self.space, terms, _clean=True)
 
     def scale(self, c):
@@ -325,7 +322,8 @@ class Tensor:
             return "0"
         space = self.space
         scalars = space.scalars
-        signable = isinstance(scalars, CoeffRing) and scalars.kind != "Fp"
+        # a GF(p) value lies in 0..p-1, so it never takes the minus sign
+        signable = isinstance(scalars, CoeffRing)
         chunks = []
         for key in self.sorted_keys():
             c = self.terms[key]

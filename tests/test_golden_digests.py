@@ -8,6 +8,7 @@ recording.  A change that alters any of them is a change in behaviour.
 """
 
 import hashlib
+import json
 from importlib import resources
 from random import Random
 
@@ -58,6 +59,29 @@ INSTANCE_DIGESTS = {
     ),
 }
 
+# the bundled fixtures with their base ring moved to GF(5), written to a
+# temporary directory under the file name given here: sqrt2 over GF(5)
+# (u^2 = 2) and t2_minus_s over GF(5)[s]
+FP_BASES = {
+    "sqrt2_fp5.json": ("sqrt2.json", {"kind": "Fp", "p": 5}),
+    "t2_minus_s_fp5.json": (
+        "t2_minus_s.json",
+        {"kind": "poly", "vars": ["s"], "scalars": {"kind": "Fp", "p": 5}},
+    ),
+}
+
+FP_INSTANCE_DIGESTS = {
+    ("sqrt2_fp5.json", "etale"): (
+        "2c3b50af376ba40436dbdfd87fa5f9e860e713767b1eeb514871322f00ed50fe"
+    ),
+    ("sqrt2_fp5.json", "gen_etale"): (
+        "ec5638db419b1df69cfa5c94148549a7b2bfa2b6eb5cf0bf950b20cbc3494e30"
+    ),
+    ("t2_minus_s_fp5.json", "gen_etale"): (
+        "62d6cc845dda56042dc9f03c54acac4c8b2bebe2a3d58cb42fb7a8448cc9e9a7"
+    ),
+}
+
 
 def case_texts(ring, ns="2,3,4"):
     scalars, ring_text = parse_ring(ring)
@@ -98,8 +122,9 @@ def coordinate_texts(ring, ns="2,3,4,5"):
     return "".join(lines)
 
 
-def instance_text(filename, mode):
-    path = str(resources.files("altkit").joinpath("fixtures", filename))
+def instance_text(filename, mode, path=None):
+    if path is None:
+        path = str(resources.files("altkit").joinpath("fixtures", filename))
     try:
         return render_report(run_instance(path, mode))
     except AltkitError as e:  # t2_minus_s is not etale
@@ -136,6 +161,18 @@ def test_coordinate_digests_pin_quotients():
 @pytest.mark.parametrize("filename, mode", sorted(INSTANCE_DIGESTS))
 def test_instance_reports_match_recording(filename, mode):
     assert sha256(instance_text(filename, mode)) == INSTANCE_DIGESTS[filename, mode]
+
+
+@pytest.mark.parametrize("filename, mode", sorted(FP_INSTANCE_DIGESTS))
+def test_fp_instance_reports_match_recording(filename, mode, tmp_path):
+    fixture, base = FP_BASES[filename]
+    data = json.loads(resources.files("altkit").joinpath("fixtures", fixture).read_text())
+    data["algebra"]["base"] = base
+    path = tmp_path / filename
+    path.write_text(json.dumps(data), encoding="utf-8")
+    text = instance_text(filename, mode, str(path))
+    assert f'"file": "{filename}"' in text
+    assert sha256(text) == FP_INSTANCE_DIGESTS[filename, mode]
 
 
 def test_passing_cases_carry_tensor_text():

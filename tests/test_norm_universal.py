@@ -18,6 +18,7 @@ from altkit.norm_universal import (
     alternator_pair_presentation,
     discriminant,
     free_case_check,
+    is_nonzerodivisor,
     trace_formula_check,
     trace_pairing_det,
     traceexp_check,
@@ -90,6 +91,21 @@ def test_discriminant_rejects_non_basis():
     zalg = FiniteFreeAlgebra(ZZ, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
     with pytest.raises(NotABasis):
         discriminant(zalg, [zalg.one(), zalg.basis_elem(1) * 2])
+
+
+def test_determinants_that_are_multiples_of_p_read_as_zero():
+    # raw determinants 2*3 - 1*1 = 5 and 3*3 - 2*2 = 5 are zero in GF(5)
+    gf5 = GF(5)
+    sqrt2 = FiniteFreeAlgebra(gf5, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
+    with pytest.raises(NotABasis):
+        discriminant(sqrt2, [(2, 1), (1, 3)])
+    # u^2 = 1 splits GF(5)[u]: 3 + 2u vanishes at u = 1
+    split = FiniteFreeAlgebra(gf5, 2, (((1, 0), (0, 1)), ((0, 1), (1, 0))), (1, 0))
+    v = split.element((3, 2))
+    assert not split.is_unit(v)
+    assert not is_nonzerodivisor(split, v)
+    assert split.is_unit(split.element((3, 1)))
+    assert is_nonzerodivisor(split, split.element((3, 1)))
 
 
 # -- trace formula

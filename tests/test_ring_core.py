@@ -21,7 +21,6 @@ from altkit.ring_core import (
     ZZ,
     AlgebraMap,
     FiniteFreeAlgebra,
-    FpElem,
     MAX_MODULUS,
     MAX_POWER_DEGREE,
     MAX_POWER_EXPONENT,
@@ -34,6 +33,7 @@ from altkit.ring_core import (
     solve,
 )
 from altkit.ring_core import _is_prime
+from altkit.tensor_algebra import TensorSpace, unit_tensor
 
 
 def sqrt2_algebra():
@@ -61,26 +61,31 @@ def t2_minus_s_algebra():
 
 
 def test_fp_arithmetic():
-    a = FpElem(3, 5)
-    b = FpElem(4, 5)
-    assert a + b == 2
-    assert a - b == 4
-    assert a * b == 2
-    assert -a == 2
-    assert a / b == FpElem(2, 5)  # 3 * 4^-1 = 3 * 4 = 12 = 2
-    assert a**3 == 2
-    assert (a / b) * b == a
-    assert bool(FpElem(5, 5)) is False
-    assert 1 + a == 4 and 2 * a == 1
+    # values are plain ints in 0..p-1; the ring reduces sums and products
+    F = GF(5)
+    a, b = 3, 4
+    assert F.normalize(a + b) == 2
+    assert F.normalize(a - b) == 4
+    assert F.normalize(a * b) == 2
+    assert F.normalize(-a) == 2
+    assert F.divide_exact(a, b) == 2  # 3 * 4^-1 = 3 * 4 = 12 = 2
+    assert F.divide_exact(a, 0) is None
+    assert F.normalize(F.divide_exact(a, b) * b) == a
+    assert F.normalize(5) == 0 and F.from_int(-1) == 4
+    values = [F.zero(), F.one(), F.from_int(7), F.normalize(-8), F.divide_exact(a, b)]
+    assert values == [0, 1, 2, 2, 2]
+    assert all(type(v) is int for v in values)
 
 
 @pytest.mark.parametrize("p", [2, 5, 7])
 def test_fp_hash_matches_representative(p):
-    # FpElem(k, p) == k, so the two must hash alike or sets and dicts
-    # keyed by both split equal keys
-    for k in range(p):
-        assert hash(FpElem(k, p)) == hash(k)
-    assert len({FpElem(1, 5), 1}) == 1
+    # a value is its representative, so values built different ways
+    # meet in one set or dict key
+    F = GF(p)
+    for k in range(-p, 2 * p):
+        v = F.from_int(k)
+        assert type(v) is int and v == k % p and hash(v) == hash(k % p)
+    assert len({F.from_int(1), F.normalize(p + 1), 1}) == 1
 
 
 def test_fp_modulus_must_be_prime():
@@ -129,15 +134,25 @@ def test_fp_modulus_is_bounded():
 
 
 def test_fp_mixed_modulus_rejected():
+    # a value carries no modulus, so the objects that hold values check
+    # that their rings agree
     with pytest.raises(RingMismatch):
-        FpElem(1, 3) + FpElem(1, 5)
+        unit_tensor(TensorSpace(2, PolyRing(GF(3), ("t",)))) + unit_tensor(
+            TensorSpace(2, PolyRing(GF(5), ("t",)))
+        )
+    with pytest.raises(VariableMismatch):
+        PolyRing(GF(3), ("t",)).one() + PolyRing(GF(5), ("t",)).one()
+    alg = FiniteFreeAlgebra(GF(5), 1, [[(1,)]], (1,))
+    with pytest.raises(RingMismatch):
+        AlgebraMap(PolyRing(GF(3), ("t",)), alg, [(1,)])
 
 
 def test_coeff_ring_services():
     assert QQ.parse("3/4") == Fraction(3, 4)
     assert QQ.parse("-2") == -2 and isinstance(QQ.parse("-2"), int)
     assert QQ.to_text(Fraction(3, 4)) == "3/4"
-    assert GF(7).parse("3/4") == FpElem(3, 7) / FpElem(4, 7)
+    assert GF(7).parse("3/4") == 6  # 4 * 6 = 24 = 3
+    assert type(GF(7).parse("3/4")) is int
     assert ZZ.divide_exact(6, 3) == 2
     assert ZZ.divide_exact(7, 3) is None
     assert QQ.divide_exact(7, 3) == Fraction(7, 3)
@@ -265,8 +280,8 @@ def test_det_generic_known_values():
     assert det_generic([[1, 2], [3, 4]]) == -2
     assert det_generic([[2, 0, 1], [1, 1, 0], [0, 3, 1]]) == 5
     assert det_generic([[7]]) == 7
-    one = FpElem(1, 5)
-    assert det_generic([[one, one], [one, one + one]]) == FpElem(1, 5)
+    # over GF(p) the determinant is the integer one; callers reduce it
+    assert GF(5).normalize(det_generic([[4, 2], [3, 4]])) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -301,7 +316,7 @@ def test_field_solve_and_nullspace():
     ker = nullspace([[1, 1]], GF(5))
     assert len(ker) == 1
     v = ker[0]
-    assert v[0] + v[1] == 0 and any(v)
+    assert GF(5).normalize(v[0] + v[1]) == 0 and any(v)
     assert nullspace([[1, 0], [0, 1]], QQ) == []
 
 
