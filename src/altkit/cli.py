@@ -252,11 +252,24 @@ def _basis_case(env, rng):
 def _probe_points(env, rng):
     scalars, n = env.scalars, env.space.n
     if scalars.kind == "Fp":
-        k = 1
-        while scalars.p**k < n:
+        p, k = scalars.p, 1
+        while p**k < n:
             k += 1
-        pool = list(itertools.product(range(scalars.p), repeat=k))
-        return [tuple(p) for p in rng.sample(pool, n)]
+        size = p**k
+        if size <= sys.maxsize:
+            # the indices sample() would pick from the product list itself
+            picks = rng.sample(range(size), n)
+        else:
+            # len() of a range this long overflows; n is tiny beside it,
+            # so a repeat is all but impossible and is redrawn
+            picks = []
+            while len(picks) < n:
+                i = rng.randrange(size)
+                if i not in picks:
+                    picks.append(i)
+        # index i as k base-p digits, most significant first: the i-th
+        # tuple of itertools.product(range(p), repeat=k)
+        return [tuple(i // p**j % p for j in reversed(range(k))) for i in picks]
     k = 1 + rng.randrange(2)
     points, seen = [], set()
     while len(points) < n:
@@ -592,8 +605,28 @@ def run_instance(path, mode=None):
 
 
 def _parse_tuples(tuples, dim):
-    # exponent vectors match the point dimension (when there is a point)
-    # and share the expression parser's exponent bound
+    """The explicit minors of a probe payload, checked.
+
+    Exponent vectors match the point dimension (when there is a point)
+    and share the expression parser's exponent bound.  The whole payload
+    is checked in bulk; only when a check fails does the per-item loop
+    run, to name the first bad entry.
+    """
+    if type(tuples) is list and set(map(type, tuples)) <= {list}:
+        monos = list(itertools.chain.from_iterable(tuples))
+        if set(map(type, monos)) <= {list} and (
+            dim is None or set(map(len, monos)) <= {dim}
+        ):
+            exps = list(itertools.chain.from_iterable(monos))
+            # type() and not isinstance(): a bool is no exponent
+            if set(map(type, exps)) <= {int} and (
+                not exps or 0 <= min(exps) and max(exps) <= MAX_POWER_EXPONENT
+            ):
+                return tuples
+    return _parse_tuples_each(tuples, dim)
+
+
+def _parse_tuples_each(tuples, dim):
     _expect(isinstance(tuples, list), "$.tuples", "expected a list")
     groups = []
     for g, group in enumerate(tuples):
@@ -657,8 +690,105 @@ def run_probe(payload):
 # entry point
 
 
+# the one-line encoding of a block of ints that _render re-indents
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_escape = json.encoder.encode_basestring_ascii
+
+
 def render_report(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as JSON text: 2-space indent, sorted keys, ASCII escapes.
+
+    Byte for byte ``json.dumps(report, indent=2, sort_keys=True)`` plus a
+    newline, in one pass that appends to a single list.  Every key is a
+    string: any other key raises TypeError.
+    """
+    out = []
+    _render(report, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _int_block_depth(value):
+    """Depth of a nonempty list whose every level holds only nonempty
+    lists and whose leaves are all ints at that one depth, else 0."""
+    level, depth = value, 1
+    while True:
+        # type() and not isinstance(): a bool is no int here
+        kinds = set(map(type, level))
+        if kinds == {int}:
+            return depth
+        if kinds != {list} or not all(level):
+            return 0
+        level = list(itertools.chain.from_iterable(level))
+        depth += 1
+
+
+def _render_int_block(value, depth, indent, out):
+    # one compact C-encoded string, re-indented one level at a time: the
+    # separator between siblings m levels above the ints is "]" * m, ","
+    # and "[" * m, so the longest runs go first, and their commas wait
+    # behind "\0" until the commas between ints are done
+    def pad(level):
+        return "\n" + "  " * (indent + level)
+
+    text = _compact(value)[depth:-depth]
+    for m in range(depth - 1, 0, -1):
+        j = depth - 1 - m  # the level whose elements this separator splits
+        text = text.replace(
+            "]" * m + "," + "[" * m,
+            "".join(pad(lv) + "]" for lv in range(depth - 1, j, -1))
+            + "\0"
+            + pad(j + 1)
+            + "".join("[" + pad(lv + 1) for lv in range(j + 1, depth)),
+        )
+    text = text.replace(",", "," + pad(depth)).replace("\0", ",")
+    out.append("".join("[" + pad(lv + 1) for lv in range(depth)))
+    out.append(text)
+    out.append("".join(pad(lv) + "]" for lv in range(depth - 1, -1, -1)))
+
+
+def _render(value, indent, out):
+    kind = type(value)
+    if kind is str:
+        out.append(_escape(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "\n" + "  " * (indent + 1)
+        out.append("{")
+        for key in sorted(value):
+            out.append(sep)
+            out.append(_escape(key))
+            out.append(": ")
+            _render(value[key], indent + 1, out)
+            sep = ",\n" + "  " * (indent + 1)
+        out.append("\n" + "  " * indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        depth = _int_block_depth(value) if kind is list else 0
+        if depth:
+            _render_int_block(value, depth, indent, out)
+            return
+        sep = "\n" + "  " * (indent + 1)
+        out.append("[")
+        for item in value:
+            out.append(sep)
+            _render(item, indent + 1, out)
+            sep = ",\n" + "  " * (indent + 1)
+        out.append("\n" + "  " * indent + "]")
+    else:  # a float, or a str or int subclass
+        out.append(json.dumps(value))
 
 
 def _emit(report, out):

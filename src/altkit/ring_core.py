@@ -173,6 +173,10 @@ class CoeffRing:
         if not b:
             return None
         if self.kind == "Q":
+            if type(a) is int and type(b) is int:
+                # an exact integer quotient needs no Fraction
+                q, r = divmod(a, b)
+                return Fraction(a, b) if r else q
             return self.normalize(Fraction(a) / Fraction(b))
         if self.kind == "Z":
             return a // b if a % b == 0 else None
@@ -237,6 +241,22 @@ def terms_add(a, b, norm):
             out[k] = c
         else:
             s = norm(s + c)
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def terms_sub(a, b, norm):
+    # terms_add(a, terms_neg(b, norm), norm) without the negated copy
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = norm(-c)
+        else:
+            s = norm(s - c)
             if s:
                 out[k] = s
             else:
@@ -519,13 +539,15 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        terms = terms_sub(self.terms, other.terms, self.ring.normalize)
+        return MultiPoly(self.ring, self.vars, terms, _clean=True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        terms = terms_sub(other.terms, self.terms, self.ring.normalize)
+        return MultiPoly(self.ring, self.vars, terms, _clean=True)
 
     def __mul__(self, other):
         norm = self.ring.normalize

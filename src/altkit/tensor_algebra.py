@@ -36,6 +36,7 @@ from .ring_core import (
     terms_mul,
     terms_neg,
     terms_scale,
+    terms_sub,
 )
 
 __all__ = [
@@ -242,8 +243,7 @@ class Tensor:
 
     def __sub__(self, other):
         self._compat(other)
-        norm = self.space.scalars.normalize
-        terms = terms_add(self.terms, terms_neg(other.terms, norm), norm)
+        terms = terms_sub(self.terms, other.terms, self.space.scalars.normalize)
         return Tensor(self.space, terms, _clean=True)
 
     def scale(self, c):

@@ -3,8 +3,9 @@
 The determinism tests compare two runs of one tree, and a passing
 ``verify`` report holds no tensor text.  These digests were recorded once
 and compare every witness text of the identity, ``traceexp`` and
-``trace_formula`` suites, and the full ``instance`` reports, against that
-recording.  A change that alters any of them is a change in behaviour.
+``trace_formula`` suites, and the full rendered ``instance``, probe and
+default ``verify`` reports, against that recording.  A change that alters
+any of them is a change in behaviour.
 """
 
 import hashlib
@@ -15,7 +16,14 @@ from random import Random
 import pytest
 
 from altkit import cli
-from altkit.cli import make_suite_config, parse_ring, render_report, run_instance
+from altkit.cli import (
+    make_suite_config,
+    parse_ring,
+    render_report,
+    run_instance,
+    run_probe,
+    run_suite,
+)
 from altkit.alternator import random_element, random_invariant
 from altkit.errors import AltkitError
 from altkit.span_solver import coordinates, coordinates_of_invariant
@@ -80,6 +88,41 @@ FP_INSTANCE_DIGESTS = {
     ("t2_minus_s_fp5.json", "gen_etale"): (
         "62d6cc845dda56042dc9f03c54acac4c8b2bebe2a3d58cb42fb7a8448cc9e9a7"
     ),
+}
+
+
+# sha256 of render_report(run_probe(payload)) for the PROBE_PAYLOADS below
+PROBE_DIGESTS = {
+    "q-tuples": "762249c9427ec3ae3ff2d32b19f74126760e85d8c586d52c6da5184a25218823",
+    "fp5-tuples": "1232a0e4ce455a061d3fe7ae64e772dce90f5cce6d862eca3dee8c50c0f90286",
+    "q-grid": "82ec2ba491df7a0690c7eb31209a4dcb980d9fa530dde377ff6293cc9867abed",
+}
+
+# sha256 of render_report(run_suite(make_suite_config(seed=1))): every
+# suite at its defaults, q, n = 2, 3, 100 cases
+VERIFY_DIGEST = "9030c83a402497a8bccffed9fc9215eb7f2e287d935ccc1502874f0f7c24d9c5"
+
+
+def probe_payload(ring, n, coords, repeat, groups):
+    # n distinct points of dimension 2 (the last one then replaced by a
+    # copy of the first when repeat is set) and `groups` explicit minors
+    # over the degree-below-n grid, drawn from a fixed seed
+    rng = Random(f"{ring}:{n}:{repeat}")
+    points = rng.sample([[a, b] for a in coords for b in coords], n)
+    if repeat:
+        points[-1] = list(points[0])
+    grid = [[a, b] for a in range(n) for b in range(n)]
+    tuples = [rng.sample(grid, n) for _ in range(groups)]
+    return json.dumps({"ring": ring, "points": points, "tuples": tuples})
+
+
+PROBE_PAYLOADS = {
+    # rational coordinates, a repeated point: every minor is evaluated
+    "q-tuples": probe_payload("q", 4, [-9, 0, 3, "1/2", "-2/3"], True, 60),
+    # distinct points over GF(5): a nonzero minor ends the probe
+    "fp5-tuples": probe_payload("fp:5", 5, list(range(5)), False, 60),
+    # no tuples: the default grid, and "tuples": null in the report
+    "q-grid": json.dumps({"points": [[0, 1, "1/3"], [2, -1, 0], [0, 1, "1/3"]]}),
 }
 
 
@@ -161,6 +204,22 @@ def test_coordinate_digests_pin_quotients():
 @pytest.mark.parametrize("filename, mode", sorted(INSTANCE_DIGESTS))
 def test_instance_reports_match_recording(filename, mode):
     assert sha256(instance_text(filename, mode)) == INSTANCE_DIGESTS[filename, mode]
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_DIGESTS))
+def test_probe_reports_match_recording(name):
+    assert sha256(render_report(run_probe(PROBE_PAYLOADS[name]))) == PROBE_DIGESTS[name]
+
+
+def test_probe_payloads_reach_both_outcomes():
+    # the digests pin the probe only if its answer varies among them
+    outcomes = {k: run_probe(v)["on_diagonal"] for k, v in PROBE_PAYLOADS.items()}
+    assert outcomes == {"q-tuples": True, "fp5-tuples": False, "q-grid": True}
+
+
+def test_default_verify_report_matches_recording():
+    text = render_report(run_suite(make_suite_config(seed=1)))
+    assert sha256(text) == VERIFY_DIGEST
 
 
 @pytest.mark.parametrize("filename, mode", sorted(FP_INSTANCE_DIGESTS))

@@ -159,6 +159,27 @@ def test_coeff_ring_services():
     assert ZZ.is_unit(-1) and not ZZ.is_unit(2)
 
 
+_rationals = st.integers(-(10**30), 10**30) | st.fractions()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals, _rationals.filter(bool))
+def test_rational_division_matches_fraction_quotient(a, b):
+    # two ints divide by divmod, and build a Fraction only when the
+    # quotient is not an integer; the value and its type match the
+    # Fraction quotient normalized back
+    expected = QQ.normalize(Fraction(a) / Fraction(b))
+    got = QQ.divide_exact(a, b)
+    assert got == expected and type(got) is type(expected)
+
+
+def test_rational_division_keeps_integral_quotients_as_ints():
+    assert type(QQ.divide_exact(-12, 4)) is int and QQ.divide_exact(-12, 4) == -3
+    assert QQ.divide_exact(7, -14) == Fraction(-1, 2)
+    assert QQ.divide_exact(0, -5) == 0 and type(QQ.divide_exact(0, -5)) is int
+    assert QQ.divide_exact(3, 0) is None
+
+
 # -- polynomials
 
 

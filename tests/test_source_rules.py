@@ -155,3 +155,17 @@ def test_plain_int_scalars_stay_in_the_kernel():
         "ring_core.py:dict_divide_exact",
         "ring_core.py:terms_mul",
     ]
+
+
+def test_one_report_renderer():
+    # reports render through cli.render_report alone, so no source calls
+    # json.dumps with an indent: a second renderer could drift from it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "dumps"
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert found == []

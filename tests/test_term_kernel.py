@@ -31,7 +31,10 @@ from altkit.ring_core import (
     PolyRing,
     dict_divide_exact,
     power,
+    terms_add,
     terms_mul,
+    terms_neg,
+    terms_sub,
 )
 from altkit.span_solver import tensor_divide_exact
 from altkit.tensor_algebra import Tensor, TensorSpace, unit_tensor
@@ -473,3 +476,42 @@ def test_unreduced_ints_over_gf_p_are_reduced():
     assert (q * q).to_text() == "4*t^2"
     assert ring.normalize(7) == 2 and type(ring.normalize(7)) is int
     assert (q * 5).terms == {} and (q * 6) == q
+
+
+@st.composite
+def subtraction_case(draw):
+    ring = draw(st.sampled_from(sorted(KERNEL_RINGS)))
+    scalars = KERNEL_RINGS[ring]
+    length = draw(st.integers(1, 3))
+    exps = st.integers(0, 2)
+    a = draw(kernel_terms(scalars, length, exps, max_size=6))
+    b = draw(kernel_terms(scalars, length, exps, max_size=6))
+    # some of b's terms equal a's, so the difference drops those keys
+    for k in draw(st.lists(st.sampled_from(sorted(a)), max_size=3) if a else st.just([])):
+        b[k] = a[k]
+    return scalars, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(subtraction_case())
+def test_subtraction_matches_add_of_negation(case):
+    scalars, a, b = case
+    norm = scalars.normalize
+    expected = terms_add(a, terms_neg(b, norm), norm)
+    assert exact(terms_sub(a, b, norm)) == exact(expected)
+    assert exact(terms_sub(b, a, norm)) == exact(terms_add(b, terms_neg(a, norm), norm))
+    assert terms_sub(a, a, norm) == {}
+
+
+def test_subtraction_normalizes_once_per_key():
+    # one normalize per key of b: a new key is negated, a shared one merged
+    calls = []
+
+    def norm(v):
+        calls.append(v)
+        return QQ.normalize(v)
+
+    a = {(0,): 3, (1,): 2}
+    b = {(1,): 2, (2,): Fraction(1, 2), (3,): 5}
+    assert terms_sub(a, b, norm) == {(0,): 3, (2,): Fraction(-1, 2), (3,): -5}
+    assert len(calls) == len(b)
