@@ -8,7 +8,7 @@ approximate comparisons.  The subpackages layer as
     alternator     signed symmetrizations and their identities
     span_solver    coordinates over the inverted alternator square
     norm_universal trace pairing, discriminant, maps onto presented algebras
-    gen_etale      pair fractions and the solving norm map
+    gen_etale      saturation, the single-pair pullback, the probe
     cli            verification driver and JSON reports
 """
 
@@ -41,7 +41,6 @@ from .alternator import (
     check_identity,
 )
 from .span_solver import (
-    CoordinateVector,
     LocalizedElem,
     coordinates,
     coordinates_of_invariant,
@@ -60,7 +59,6 @@ from .norm_universal import (
 from .gen_etale import (
     BPlus,
     NormMapPlus,
-    ReesFraction,
     b_plus,
     diagonal_support_probe,
     is_generically_etale,
@@ -93,7 +91,6 @@ __all__ = [
     "alpha_map",
     "alpha_n11",
     "check_identity",
-    "CoordinateVector",
     "LocalizedElem",
     "coordinates",
     "coordinates_of_invariant",
@@ -108,7 +105,6 @@ __all__ = [
     "verify_pullback",
     "BPlus",
     "NormMapPlus",
-    "ReesFraction",
     "b_plus",
     "diagonal_support_probe",
     "is_generically_etale",

@@ -407,6 +407,17 @@ def _field(obj, key, path, kind=None):
     return value
 
 
+def _known_keys(obj, keys, path):
+    """Reject a key the schema does not name.
+
+    An optional key that is misspelt would otherwise be ignored, and its
+    default would be checked in place of the value the file states.
+    """
+    for key in obj:
+        if key not in keys:
+            raise SchemaError(f"{path}: unknown key {key!r}")
+
+
 def _load_json(text, where):
     try:
         return json.loads(text)
@@ -414,9 +425,20 @@ def _load_json(text, where):
         raise ParseError(f"{where}: invalid JSON: {e}") from None
 
 
+# the keys each kind of base may carry
+_BASE_KEYS = {
+    "Q": ("kind",),
+    "Z": ("kind",),
+    "Fp": ("kind", "p"),
+    "poly": ("kind", "vars", "scalars"),
+}
+
+
 def _build_base(spec, path):
     _expect(isinstance(spec, dict), path, "expected an object")
     kind = _field(spec, "kind", path, str)
+    if kind in _BASE_KEYS:
+        _known_keys(spec, _BASE_KEYS[kind], path)
     if kind == "Q":
         return QQ
     if kind == "Z":
@@ -475,12 +497,14 @@ def build_instance(data):
     multiples of the unit.
     """
     _expect(isinstance(data, dict), "$", "expected a top-level object")
+    _known_keys(data, ("name", "mode", "algebra", "map", "tuple_x"), "$")
     mode = data.get("mode", "etale")
     _expect(mode in ("etale", "gen_etale"), "$.mode", f"unknown mode {mode!r}")
     name = data.get("name", "")
     _expect(isinstance(name, str), "$.name", "expected a string")
 
     alg = _field(data, "algebra", "$", dict)
+    _known_keys(alg, ("base", "rank", "unit", "structure"), "$.algebra")
     base = _build_base(_field(alg, "base", "$.algebra"), "$.algebra.base")
     rank = _field(alg, "rank", "$.algebra", int)
     _expect(2 <= rank <= MAX_ARITY, "$.algebra.rank", f"outside 2..{MAX_ARITY}")
@@ -505,6 +529,7 @@ def build_instance(data):
     E = FiniteFreeAlgebra(base, rank, tuple(structure), unit)
 
     map_spec = _field(data, "map", "$", dict)
+    _known_keys(map_spec, ("vars", "images"), "$.map")
     map_vars = _field(map_spec, "vars", "$.map", list)
     _expect(bool(map_vars), "$.map.vars", "needs at least one variable")
     for v in map_vars:
@@ -651,6 +676,7 @@ def run_probe(payload):
     """Probe a JSON point set: {"ring", "points", optional "tuples"}."""
     data = _load_json(payload, "--points")
     _expect(isinstance(data, dict), "$", "expected a top-level object")
+    _known_keys(data, ("ring", "points", "tuples"), "$")
     try:
         scalars, ring_text = parse_ring(data.get("ring", "q"))
     except ConfigInvalid as e:

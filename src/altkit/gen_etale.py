@@ -1,12 +1,13 @@
-"""Blow-up fractions, the saturated base, and the repeated-point probe.
+"""The saturated base, the single-pair pullback, and the repeated-point probe.
 
 When the discriminant is a nonzerodivisor but not a unit, dividing by it
 outright is no longer available.  The fix is to shrink the source to the
 subring generated by pair fractions: products of two alternators over one
 power of the alternator square.  Those generators map to trace-pairing
-determinants over one power of the discriminant; the norm map that
-performs every such division by exact solving, never by inverting, lives
-in norm_universal and is re-exported here.
+determinants over one power of the discriminant.  The norm map lives in
+norm_universal and is re-exported here: NormMapPlus.fraction_image takes
+pair fractions as plain (c, pairs) terms and performs every division by
+exact solving, never by inverting.
 
 The quotient that makes the discriminant a nonzerodivisor is computed
 explicitly: for a finite-dimensional base of rank r the annihilator of
@@ -25,20 +26,16 @@ import math
 
 from .errors import (
     ArityMismatch,
-    ContextMismatch,
     PreconditionViolated,
-    UnsupportedAmbient,
     UnsupportedBase,
     VerificationFailed,
 )
 from .norm_universal import (
     NormMapPlus,
-    alternator_pair_presentation,
     constants_witness,
     is_nonzerodivisor,
     pullback_constants,
 )
-from .alternator import alpha
 from .ring_core import (
     CoeffRing,
     FiniteFreeAlgebra,
@@ -46,14 +43,8 @@ from .ring_core import (
     echelon,
     nullspace,
 )
-from .span_solver import LEVEL_FULL, LocalizedElem
-from .tensor_algebra import unit_tensor
 
 __all__ = [
-    "ReesFraction",
-    "rees_one",
-    "rees_pair",
-    "rees_from_localized",
     "is_nonzerodivisor",
     "is_generically_etale",
     "BPlus",
@@ -64,151 +55,6 @@ __all__ = [
     "diagonal_support_probe",
     "MAX_PROBE_WORK",
 ]
-
-
-# ---------------------------------------------------------------------------
-# formal pair fractions
-
-
-class ReesFraction:
-    """Signed sum of alternator-pair products over one square power.
-
-    Each term is a coefficient and a tuple of m pairs of anchor-length
-    tuples; the term stands for the product of the pair alternators over
-    the m-th power of the alternator square.  All terms share m: addition
-    pads the shorter side with the anchor pair, which is exactly 1.
-    """
-
-    __slots__ = ("ctx", "m", "terms")
-
-    def __init__(self, ctx, m, terms):
-        self.ctx = ctx
-        self.m = m
-        norm = ctx.space.scalars.normalize
-        cleaned = []
-        for c, pairs in terms:
-            c = norm(c)
-            if not c:
-                continue
-            if len(pairs) != m:
-                raise ArityMismatch(f"term has {len(pairs)} pairs, expected {m}")
-            cleaned.append((c, tuple((tuple(y), tuple(z)) for y, z in pairs)))
-        self.terms = tuple(cleaned)
-
-    def _compat(self, other):
-        if not isinstance(other, ReesFraction):
-            raise ContextMismatch(f"expected a pair fraction, got {other!r}")
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatch("fractions over different anchor tuples")
-
-    def _padded(self, k):
-        if k == 0:
-            return self.terms
-        pad = ((self.ctx.x, self.ctx.x),) * k
-        return tuple((c, pairs + pad) for c, pairs in self.terms)
-
-    def __add__(self, other):
-        self._compat(other)
-        m = max(self.m, other.m)
-        return ReesFraction(
-            self.ctx, m, self._padded(m - self.m) + other._padded(m - other.m)
-        )
-
-    def __neg__(self):
-        return ReesFraction(self.ctx, self.m, [(-c, p) for c, p in self.terms])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, ReesFraction):
-            return self.scale(other)
-        self._compat(other)
-        terms = [
-            (c1 * c2, p1 + p2)
-            for c1, p1 in self.terms
-            for c2, p2 in other.terms
-        ]
-        return ReesFraction(self.ctx, self.m + other.m, terms)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        return ReesFraction(self.ctx, self.m, [(c * c0, p) for c0, p in self.terms])
-
-    def expand(self):
-        """The fraction as a localized element; polynomial ambients only."""
-        space = self.ctx.space
-        num = space.zero()
-        for c, pairs in self.terms:
-            prod = unit_tensor(space)
-            for ys, zs in pairs:
-                prod = prod * (alpha(space, ys) * alpha(space, zs))
-            num = num + prod.scale(c)
-        return LocalizedElem(self.ctx, LEVEL_FULL, num, self.m, _checked=True)
-
-    def to_text(self):
-        if not self.terms:
-            return "0"
-        space = self.ctx.space
-        ring = space.ring
-
-        def tup(t):
-            return ", ".join(ring.to_text(v) for v in t)
-
-        parts = []
-        for c, pairs in self.terms:
-            factors = "*".join(f"a({tup(y)})*a({tup(z)})" for y, z in pairs)
-            parts.append(f"{space.scalars.to_text(c)}*{factors}")
-        joined = " + ".join(parts)
-        return f"({joined}) / asq^{self.m}"
-
-    def __repr__(self):
-        return f"ReesFraction({self.to_text()!r})"
-
-
-def rees_one(ctx):
-    """The anchor pair over one square power: the unit fraction."""
-    one = ctx.space.scalars.one()
-    return ReesFraction(ctx, 1, [(one, ((ctx.x, ctx.x),))])
-
-
-def rees_pair(ctx, ys, zs):
-    """A single pair fraction alpha(y)alpha(z) over one square power."""
-    space = ctx.space
-    if len(ys) != space.n or len(zs) != space.n:
-        raise ArityMismatch(f"pair tuples must have length {space.n}")
-    ys = tuple(space.as_element(y) for y in ys)
-    zs = tuple(space.as_element(z) for z in zs)
-    return ReesFraction(ctx, 1, [(space.scalars.one(), ((ys, zs),))])
-
-
-def rees_from_localized(ctx, le):
-    """Rewrite an invariant element through pair generators, verified.
-
-    Only fractions that normalize to exponent zero rewrite: padding with
-    the anchor pair scales the numerator along with the power, so a
-    leftover square in the denominator cannot be traded for extra pairs.
-    Term by term the numerator times the anchor alternator is a sum of
-    plain alternators; each becomes one pair with the anchor.  The
-    presentation is checked exactly, and that identity times alpha(x) is
-    the expansion of the result, so no second check is needed.
-    """
-    if le.level != LEVEL_FULL:
-        raise UnsupportedAmbient("only fully invariant fractions rewrite")
-    if le.ctx is not ctx and le.ctx != ctx:
-        raise ContextMismatch("fraction over a different anchor tuple")
-    le = le.normalize()
-    if le.exp:
-        raise PreconditionViolated(
-            "fraction keeps a square power after normalizing; "
-            "no pair rewriting exists"
-        )
-    terms = [
-        (c, ((ctx.x, w),))
-        for c, w in alternator_pair_presentation(ctx, le.num)
-    ]
-    return ReesFraction(ctx, 1, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ __all__ = [
     "trace_formula_check",
     "traceexp_check",
     "alternator_pair_presentation",
-    "presentation_pairing",
     "PullbackInstance",
     "is_nonzerodivisor",
     "NormMapPlus",
@@ -81,6 +80,8 @@ def vector_text(base, vec):
 def trace_pairing_det(inst, vs, ws):
     """Determinant of the trace pairing of two mapped tuples."""
     E, f, space = inst.E, inst.f, inst.space
+    if len(vs) != E.rank or len(ws) != E.rank:
+        raise ArityMismatch(f"pair tuples must have length {E.rank}")
     fvs = [f(space.as_element(v)) for v in vs]
     fws = [f(space.as_element(w)) for w in ws]
     rows = [[E.trace(fv * fw) for fw in fws] for fv in fvs]
@@ -164,19 +165,6 @@ def alternator_pair_presentation(ctx, num):
     return tuple(terms)
 
 
-def presentation_pairing(inst, emb, num):
-    """Image of num * alpha(x) * alpha(x) before dividing by the discriminant.
-
-    The sum of emb(c) times the trace pairing of (x, w) over the pair
-    presentation of the fully invariant tensor num.
-    """
-    x = inst.ctx.x
-    total = inst.E.base.zero()
-    for c, w in alternator_pair_presentation(inst.ctx, num):
-        total = total + emb(c) * trace_pairing_det(inst, x, w)
-    return total
-
-
 class PullbackInstance:
     """A finite free algebra presented as the image of a polynomial tuple.
 
@@ -249,15 +237,9 @@ class NormMapPlus:
         self._d_pows = [inst.E.base.one(), inst.d]
 
     def _d_power(self, m):
-        # published power lists are never mutated, same as the square cache
         pows = self._d_pows
-        if len(pows) <= m:
-            pows = list(pows)
-            while len(pows) <= m:
-                pows.append(
-                    self.inst.E.base.normalize(pows[-1] * self.inst.d)
-                )
-            self._d_pows = pows
+        while len(pows) <= m:
+            pows.append(self.inst.E.base.normalize(pows[-1] * self.inst.d))
         return pows[m]
 
     def _divide(self, value, m):
@@ -274,36 +256,46 @@ class NormMapPlus:
 
     def pair_image(self, ys, zs):
         """Image of alpha(y)*alpha(z) over one square: pairing over d."""
-        return self._divide(trace_pairing_det(self.inst, ys, zs), 1)
+        one = self.inst.space.scalars.one()
+        return self.fraction_image([(one, ((ys, zs),))], 1)
 
-    def fraction_image(self, rf):
-        """Image of a pair fraction sum, one exact division at the end."""
-        if rf.ctx is not self.inst.ctx and rf.ctx != self.inst.ctx:
-            raise ContextMismatch("fraction over a different anchor tuple")
-        base = self.inst.E.base
-        total = base.zero()
-        for c, pairs in rf.terms:
-            prod = base.one()
+    def fraction_image(self, terms, m):
+        """Image of a sum of pair products over the m-th square power.
+
+        Each term is a scalar c and a tuple of (ys, zs) pairs, and stands
+        for c times the product of alpha(ys)*alpha(zs) over its pairs.
+        Every pair goes to its trace-pairing determinant and the square to
+        d, so the image is the sum of emb(c) times the determinant
+        products, divided exactly by d^m once at the end.
+        """
+        total = self.inst.E.base.zero()
+        for c, pairs in terms:
+            prod = self._emb(c)
             for ys, zs in pairs:
                 prod = prod * trace_pairing_det(self.inst, ys, zs)
-            total = total + self._emb(c) * prod
-        return self._divide(total, rf.m)
+            total = total + prod
+        return self._divide(total, m)
 
     def localized_image(self, le):
         """Image of num / alpha_sq^exp for a fully invariant numerator.
 
-        num * alpha_sq maps to the pairing value of num's presentation,
-        so the image is that value over the exp+1 power of d.  As d is a
-        nonzerodivisor, a * d^k is divisible by d^(e+k) exactly when a is
-        divisible by d^e: a fraction that is not normalized has the same
-        image, and the same quotient is missing when none exists.
+        num * alpha(x) is a signed sum of alternators alpha(w), so
+        num * alpha_sq is the same sum of pairs alpha(x)*alpha(w), and the
+        image is their pair fraction over the exp+1 power of the square.
+        As d is a nonzerodivisor, a * d^k is divisible by d^(e+k) exactly
+        when a is divisible by d^e: a fraction that is not normalized has
+        the same image, and the same quotient is missing when none exists.
         """
         if le.level != LEVEL_FULL:
             raise LevelMismatch("only fully invariant fractions map down")
         if le.ctx is not self.inst.ctx and le.ctx != self.inst.ctx:
             raise ContextMismatch("fraction over a different anchor tuple")
-        total = presentation_pairing(self.inst, self._emb, le.num)
-        return self._divide(total, le.exp + 1)
+        x = self.inst.ctx.x
+        terms = [
+            (c, ((x, w),))
+            for c, w in alternator_pair_presentation(self.inst.ctx, le.num)
+        ]
+        return self.fraction_image(terms, le.exp + 1)
 
 
 class NormMap(NormMapPlus):

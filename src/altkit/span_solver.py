@@ -21,9 +21,7 @@ when a fraction needs it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .alternator import AlternatorInstance, alpha, alpha_map
+from .alternator import alpha, alpha_map
 from .errors import (
     ContextMismatch,
     LevelMismatch,
@@ -42,7 +40,6 @@ from .tensor_algebra import (
 
 __all__ = [
     "LocalizedElem",
-    "CoordinateVector",
     "tensor_divide_exact",
     "coordinates",
     "coordinates_of_invariant",
@@ -219,23 +216,6 @@ class LocalizedElem:
         return f"LocalizedElem({self.level}, {self.to_text()!r})"
 
 
-@dataclass
-class CoordinateVector:
-    """Coordinates of an element in the co-projection basis."""
-
-    ctx: AlternatorInstance
-    entries: tuple
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def _over_alpha(ctx, nums, target, failure):
     """Coordinate entries nums_i / alpha(x), after a reconstruction check.
 
@@ -259,7 +239,7 @@ def _over_alpha(ctx, nums, target, failure):
             )
         else:
             entries.append(LocalizedElem(ctx, LEVEL_FULL, quot, 0, _checked=True))
-    return CoordinateVector(ctx=ctx, entries=tuple(entries))
+    return tuple(entries)
 
 
 def coordinates(ctx, z):
@@ -313,8 +293,7 @@ def structure_constants_R(ctx):
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            coords = coordinates(ctx, ctx.x[i] * ctx.x[j])
-            table[i][j] = tuple(coords.entries)
+            table[i][j] = coordinates(ctx, ctx.x[i] * ctx.x[j])
             table[j][i] = table[i][j]
     return tuple(tuple(row) for row in table)
 
@@ -372,5 +351,5 @@ def r_algebra(ctx):
     constants = structure_constants_R(ctx)
     unit_coords = coordinates(ctx, ctx.space.ring.one())
     return FiniteFreeAlgebra(
-        LocalizedScalars(ctx), ctx.space.n, constants, tuple(unit_coords.entries)
+        LocalizedScalars(ctx), ctx.space.n, constants, unit_coords
     )

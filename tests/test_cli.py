@@ -1,8 +1,10 @@
 """Driver behavior: config validation, reports, fixtures, exit codes."""
 
 import contextlib
+import copy
 import io
 import json
+import re
 import time
 from importlib import resources
 
@@ -402,6 +404,138 @@ def test_probe_main_never_raises(payload):
     if code == 2:
         assert err.getvalue().startswith("altkit: ")
         assert len(err.getvalue().splitlines()) == 1
+
+
+# -- schema fuzzing
+
+_PROBE_PAYLOAD = {
+    "ring": "fp:5",
+    "points": [[1, 2], [3, 4], [1, 2]],
+    "tuples": [[[0, 0], [1, 0], [0, 1]]],
+}
+
+
+def _nodes(value, path=()):
+    """Every (path, node) of a JSON value, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, document):
+    """One mutation of a JSON document and the key it inserts, if any.
+
+    The mutation is an inserted key, a value of another type, or a
+    dropped field.  Inserted keys start with "x_", so none is a key the
+    schema names.
+    """
+    data = copy.deepcopy(document)
+    nodes = list(_nodes(data))
+    kind = draw(st.sampled_from(["insert", "swap", "drop"]))
+    inserted = None
+    if kind == "insert":
+        objects = [node for _, node in nodes if isinstance(node, dict)]
+        node = draw(st.sampled_from(objects))
+        inserted = "x_" + draw(st.text(max_size=4))
+        node[inserted] = draw(_json_values)
+    elif kind == "swap":
+        path, old = draw(st.sampled_from(nodes[1:]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        other_type = _json_values.filter(lambda v: type(v) is not type(old))
+        parent[path[-1]] = draw(other_type)
+    else:
+        containers = [
+            node for _, node in nodes if isinstance(node, (dict, list)) and node
+        ]
+        node = draw(st.sampled_from(containers))
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        del node[draw(st.sampled_from(keys))]
+    return inserted, json.dumps(data)
+
+
+def _fixture_document(name):
+    return json.loads(open(fixture_path(name), encoding="utf-8").read())
+
+
+def _check_exit(argv, inserted):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(r"altkit: [A-Za-z]+: .+", lines[0])
+    if inserted is not None:
+        assert code == 2
+        assert err.getvalue().startswith("altkit: SchemaError: ")
+        assert err.getvalue().endswith(f": unknown key {inserted!r}\n")
+
+
+@pytest.mark.parametrize("name", ["sqrt2.json", "t2_minus_s.json"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_instance_exits_cleanly(name, data, tmp_path_factory):
+    inserted, text = data.draw(_mutated(_fixture_document(name)), label="mutation")
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_text(text, encoding="utf-8")
+    _check_exit(["instance", "--file", str(path)], inserted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mutated(_PROBE_PAYLOAD))
+def test_mutated_probe_payload_exits_cleanly(mutation):
+    inserted, text = mutation
+    _check_exit(["probe-diagonal", "--points", text], inserted)
+
+
+def test_unknown_keys_are_schema_errors(tmp_path, capsys):
+    # a misspelt optional key used to fall back to its default: Q[s] in
+    # place of GF(5)[s], and the default grid in place of the tuples
+    data = _fixture_document("t2_minus_s.json")
+    data["algebra"]["base"]["coeff"] = {"kind": "Fp", "p": 5}
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["instance", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "altkit: SchemaError: $.algebra.base: unknown key 'coeff'\n"
+    )
+    payload = {"points": [[1], [2]], "tupels": [[[0], [0]]]}
+    assert main(["probe-diagonal", "--points", json.dumps(payload)]) == 2
+    assert capsys.readouterr().err == (
+        "altkit: SchemaError: $: unknown key 'tupels'\n"
+    )
+    for base, key in [
+        ({"kind": "Q", "p": 5}, "p"),
+        ({"kind": "Fp", "p": 5, "vars": ["s"]}, "vars"),
+        ({"kind": "poly", "vars": ["s"], "scalars": {"kind": "Z", "x": 1}}, "x"),
+    ]:
+        data = _fixture_document("sqrt2.json")
+        data["algebra"]["base"] = base
+        with pytest.raises(SchemaError, match=f"unknown key '{key}'"):
+            build_instance(data)
+    for where, at in [
+        ((), r"\$"),
+        (("algebra",), r"\$\.algebra"),
+        (("map",), r"\$\.map"),
+    ]:
+        data = _fixture_document("sqrt2.json")
+        node = data
+        for key in where:
+            node = node[key]
+        node["extra"] = 1
+        with pytest.raises(SchemaError, match=at + ": unknown key 'extra'"):
+            build_instance(data)
 
 
 def test_probe_at_file_payload(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Pair fractions, saturation quotients and the solving norm map."""
+"""Saturation quotients, the solving norm map on pair fractions, the probe."""
 
 import itertools
 import os
@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 
 import altkit
 from altkit import norm_universal
-from altkit.alternator import AlternatorInstance
+from altkit.alternator import alpha
 from altkit.errors import (
     ArityMismatch,
-    ContextMismatch,
     DivisionFails,
     NotGenericallyEtale,
     PreconditionViolated,
-    UnsupportedAmbient,
     UnsupportedBase,
     VerificationFailed,
 )
@@ -28,17 +26,17 @@ from altkit.gen_etale import (
     MAX_PROBE_WORK,
     BPlus,
     NormMapPlus,
-    ReesFraction,
     b_plus,
     diagonal_support_probe,
     is_generically_etale,
     is_nonzerodivisor,
-    rees_from_localized,
-    rees_one,
-    rees_pair,
     verify_pullback_plus,
 )
-from altkit.norm_universal import PullbackInstance, presentation_pairing
+from altkit.norm_universal import (
+    PullbackInstance,
+    alternator_pair_presentation,
+    trace_pairing_det,
+)
 from altkit.ring_core import (
     GF,
     QQ,
@@ -46,17 +44,11 @@ from altkit.ring_core import (
     AlgebraMap,
     FiniteFreeAlgebra,
     PolyRing,
+    _scalar_embedding,
     det_generic,
 )
 from altkit.span_solver import LocalizedElem, coordinates
-from altkit.tensor_algebra import TensorSpace, pure_tensor
-
-
-def qt_context(n, scalars=QQ):
-    ring = PolyRing(scalars, ("t",))
-    t = ring.variable("t")
-    space = TensorSpace(n, ring)
-    return space, AlternatorInstance(space, [t**i for i in range(n)]), t
+from altkit.tensor_algebra import TensorSpace
 
 
 def sqrt2_algebra(scalars=QQ):
@@ -90,79 +82,6 @@ def simple_instance(alg, scalars=QQ):
     source = PolyRing(scalars, ("t",))
     f = AlgebraMap(source, alg, [alg.basis_elem(1)])
     return PullbackInstance(f, [source.one(), source.variable("t")])
-
-
-# -- formal pair fractions
-
-
-def test_unit_pair_is_one():
-    space, ctx, t = qt_context(2)
-    one = rees_one(ctx)
-    assert one.m == 1
-    assert one.expand() == LocalizedElem.from_scalar(ctx, 1)
-
-
-def test_pair_fraction_expand():
-    space, ctx, t = qt_context(2)
-    rf = rees_pair(ctx, ctx.x, (t, t * t))
-    le = rf.expand()
-    assert le.exp == 1
-    from altkit.alternator import alpha
-
-    assert le.num == ctx.alpha_x * alpha(space, (t, t * t))
-
-
-def test_unit_pair_absorbs_in_products():
-    space, ctx, t = qt_context(2)
-    w = (t, t * t)
-    prod = rees_one(ctx) * rees_pair(ctx, ctx.x, w)
-    assert prod.m == 2
-    assert prod.expand() == rees_pair(ctx, ctx.x, w).expand()
-
-
-def test_addition_pads_to_common_power():
-    space, ctx, t = qt_context(2)
-    a = rees_pair(ctx, ctx.x, (t, t * t))
-    b = rees_one(ctx) * rees_one(ctx)
-    s = a + b
-    assert s.m == 2
-    assert (s - b).expand() == a.expand()
-    assert (a.scale(2) - a - a).expand() == 0
-
-
-def test_fraction_guards():
-    space, ctx, t = qt_context(2)
-    other_ctx = AlternatorInstance(space, [t, t * t])
-    with pytest.raises(ContextMismatch):
-        rees_one(ctx) + rees_one(other_ctx)
-    with pytest.raises(ArityMismatch):
-        rees_pair(ctx, (t,), ctx.x)
-    with pytest.raises(ArityMismatch):
-        ReesFraction(ctx, 2, [(1, ((ctx.x, ctx.x),))])
-
-
-def test_expand_needs_polynomial_ambient():
-    alg = sqrt2_algebra()
-    space = TensorSpace(2, alg)
-    ctx = AlternatorInstance(space, [alg.one(), alg.basis_elem(1)])
-    with pytest.raises(UnsupportedAmbient):
-        rees_one(ctx).expand()
-
-
-def test_rewriting_localized_through_pairs():
-    space, ctx, t = qt_context(2)
-    for entry in coordinates(ctx, t * t):
-        rf = rees_from_localized(ctx, entry)
-        assert rf.expand() == entry
-    # a removable exponent normalizes away before rewriting
-    le = LocalizedElem(ctx, "A", ctx.alpha_sq * ctx.alpha_sq, 1, _checked=True)
-    rf = rees_from_localized(ctx, le)
-    assert rf.m == 1
-    assert rf.expand() == le
-    # a stuck exponent has no pair form: padding scales both sides
-    stuck = LocalizedElem(ctx, "A", pure_tensor(space, (t, t)), 1, _checked=True)
-    with pytest.raises(PreconditionViolated):
-        rees_from_localized(ctx, stuck)
 
 
 # -- nonzerodivisor tests and saturation
@@ -244,7 +163,21 @@ def test_plus_map_pair_goldens():
     t = source.variable("t")
     assert nm.pair_image((t, t * t), inst.ctx.x) == -s
     assert nm.pair_image(inst.ctx.x, (source.one(), t * t)) == B.zero()
-    assert nm.fraction_image(rees_one(inst.ctx)) == B.one()
+    x = inst.ctx.x
+    assert nm.fraction_image([(1, ((x, x),))], 1) == B.one()
+
+
+def test_pair_of_the_wrong_length_raises():
+    # a determinant of a non-square pairing, or of one on too many
+    # entries, is no image of any pair fraction
+    inst = theta_instance()[0]
+    nm = NormMapPlus(inst)
+    x, t = inst.ctx.x, inst.space.ring.variable("t")
+    for ys, zs in [((t,), x), ((t,), (t,)), (x + (t,), x + (t,))]:
+        with pytest.raises(ArityMismatch):
+            nm.pair_image(ys, zs)
+        with pytest.raises(ArityMismatch):
+            nm.fraction_image([(1, ((x, x), (ys, zs)))], 2)
 
 
 def test_plus_map_structure_constant_goldens():
@@ -284,26 +217,37 @@ def test_verify_pullback_plus_integer_base():
     assert nm.localized_image(c[1]) == 0
 
 
+def pairing_sum(inst, num):
+    # num * alpha_sq as a sum of pairs alpha(x) * alpha(w) over num's
+    # presentation, each pair taken to its trace-pairing determinant
+    emb = _scalar_embedding(inst.space.scalars, inst.E.base)
+    total = inst.E.base.zero()
+    for c, w in alternator_pair_presentation(inst.ctx, num):
+        total = total + emb(c) * trace_pairing_det(inst, inst.ctx.x, w)
+    return total
+
+
 def unit_inverse_image(inst, le):
     # the etale route before one map: times d^-1, once per square and once
     # for the presentation
     base = inst.E.base
     d_inv = base.divide_exact(base.one(), inst.d)
-    total = presentation_pairing(inst, NormMapPlus(inst)._emb, le.num)
+    total = pairing_sum(inst, le.num)
     for _ in range(le.exp + 1):
         total = total * d_inv
     return base.normalize(total)
 
 
-def rewriting_image(inst, le):
-    # the solving route before one formula: normalize, then exponent-free
-    # fractions go through the verified pair rewriting
-    nm = NormMapPlus(inst)
+def normalized_image(inst, le):
+    # normalize first, then divide the pairing sum once by d^(exp + 1)
+    base = inst.E.base
     le = le.normalize()
-    if not le.exp:
-        return nm.fraction_image(rees_from_localized(inst.ctx, le))
-    total = presentation_pairing(inst, nm._emb, le.num)
-    return nm._divide(total, le.exp + 1)
+    quot = base.divide_exact(
+        pairing_sum(inst, le.num), base.normalize(inst.d ** (le.exp + 1))
+    )
+    if quot is None:
+        raise DivisionFails("no quotient")
+    return base.normalize(quot)
 
 
 def _image_or_missing(route, *args):
@@ -321,20 +265,60 @@ def _oracle_instance(name):
     return theta_instance()[0]
 
 
+def _draw_poly(data, ring, bound):
+    # degree and coefficients up to bound, in t and, when the ring has
+    # it, s
+    t = ring.variable("t")
+    z = ring.zero()
+    for e in range(data.draw(st.integers(0, bound), label="degree") + 1):
+        c = data.draw(st.integers(-bound, bound), label="coefficient")
+        if "s" in ring.vars and data.draw(st.booleans(), label="times s"):
+            z = z + ring.variable("s") * t**e * c
+        else:
+            z = z + t**e * c
+    return z
+
+
+@pytest.mark.parametrize("name", ["sqrt2/Q", "sqrt2/Z", "theta"])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_norm_map_is_a_ring_map_on_pair_fractions(name, data):
+    # a pair fraction alpha(y)*alpha(z)/alpha_sq as a localized element;
+    # its image, and the images of sums and products, against the pair
+    # images computed on their own
+    inst = _oracle_instance(name)
+    nm = NormMapPlus(inst)
+    space, base = inst.space, inst.E.base
+
+    def draw_pair():
+        return tuple(
+            tuple(_draw_poly(data, space.ring, 2) for _ in range(space.n))
+            for _ in range(2)
+        )
+
+    def fraction(pair):
+        num = alpha(space, pair[0]) * alpha(space, pair[1])
+        return LocalizedElem(inst.ctx, "A", num, 1)
+
+    p, q = draw_pair(), draw_pair()
+    a, b = fraction(p), fraction(q)
+    image_a, image_b = nm.pair_image(*p), nm.pair_image(*q)
+    assert nm.localized_image(a) == image_a
+    assert nm.localized_image(a * b) == base.normalize(image_a * image_b)
+    assert nm.localized_image(a + b) == base.normalize(image_a + image_b)
+    c = data.draw(st.integers(-3, 3), label="scale")
+    assert nm.fraction_image([(c, (p, q))], 2) == base.normalize(
+        image_a * image_b * c
+    )
+
+
 @pytest.mark.parametrize("name", ["sqrt2/Q", "sqrt2/Z", "theta"])
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_localized_image_matches_both_old_routes(name, data):
     inst = _oracle_instance(name)
     ctx, ring = inst.ctx, inst.space.ring
-    t = ring.variable("t")
-    z = ring.zero()
-    for e in range(data.draw(st.integers(0, 3), label="degree") + 1):
-        c = data.draw(st.integers(-3, 3), label="coefficient")
-        if "s" in ring.vars and data.draw(st.booleans(), label="times s"):
-            z = z + ring.variable("s") * t**e * c
-        else:
-            z = z + t**e * c
+    z = _draw_poly(data, ring, 3)
     i = data.draw(st.integers(0, inst.E.rank - 1), label="entry")
     entry = coordinates(ctx, z)[i]
     # the same fraction, not normalized: num * asq^k over asq^(exp + k);
@@ -346,7 +330,7 @@ def test_localized_image_matches_both_old_routes(name, data):
         num = num * ctx.alpha_sq
     padded = LocalizedElem(ctx, "A", num, entry.exp + k + over, _checked=True)
     image = _image_or_missing(NormMapPlus(inst).localized_image, padded)
-    assert image == _image_or_missing(rewriting_image, inst, padded)
+    assert image == _image_or_missing(normalized_image, inst, padded)
     if inst.is_etale:
         assert image == unit_inverse_image(inst, padded)
     if not over:
@@ -366,14 +350,14 @@ def test_broken_presentation_raises_through_both_routes(monkeypatch):
     with pytest.raises(VerificationFailed):
         nm.localized_image(entry)
     with pytest.raises(VerificationFailed):
-        rees_from_localized(inst.ctx, entry)
+        alternator_pair_presentation(inst.ctx, entry.num)
 
 
 _BROKEN_PRESENTATION_SCRIPT = """
 import sys
 from altkit import norm_universal
 from altkit.errors import VerificationFailed
-from altkit.gen_etale import NormMapPlus, rees_from_localized
+from altkit.gen_etale import NormMapPlus
 from altkit.ring_core import QQ, AlgebraMap, FiniteFreeAlgebra, PolyRing
 from altkit.span_solver import coordinates
 
@@ -393,7 +377,7 @@ real_alpha = norm_universal.alpha
 norm_universal.alpha = lambda space, xs: real_alpha(space, xs).scale(2)
 for route in (
     lambda: NormMapPlus(inst).localized_image(entry),
-    lambda: rees_from_localized(inst.ctx, entry),
+    lambda: norm_universal.alternator_pair_presentation(inst.ctx, entry.num),
 ):
     try:
         route()

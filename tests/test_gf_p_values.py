@@ -17,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altkit import gen_etale
-from altkit.alternator import AlternatorInstance, alpha_map, alpha_n11
+from altkit.alternator import alpha_map, alpha_n11
 from altkit.errors import NotABasis
-from altkit.gen_etale import diagonal_support_probe, rees_one, rees_pair
-from altkit.norm_universal import discriminant, is_nonzerodivisor
+from altkit.gen_etale import NormMapPlus, diagonal_support_probe
+from altkit.norm_universal import PullbackInstance, discriminant, is_nonzerodivisor
 from altkit.ring_core import (
     GF,
+    AlgebraMap,
     FiniteFreeAlgebra,
     MultiPoly,
     PolyRing,
@@ -227,15 +228,29 @@ def test_determinant_decisions_read_multiples_of_p_as_zero(case):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_pair_fractions_store_reduced_values(p):
-    ring = PolyRing(GF(p), ("t",))
+    # u^2 = u + 2 has discriminant 9 on (1, u), a unit mod every prime
+    # here; term coefficients are plain ints, reduced or not, and every
+    # image must come back reduced
+    F = GF(p)
+    alg = FiniteFreeAlgebra(F, 2, (((1, 0), (0, 1)), ((0, 1), (2, 1))), (1, 0))
+    ring = PolyRing(F, ("t",))
     t = ring.variable("t")
-    ctx = AlternatorInstance(TensorSpace(2, ring), [ring.one(), t])
-    one = rees_one(ctx)
-    pair = rees_pair(ctx, [ring.one(), t + 1], [t, ring.one()])
-    for f in (-one, one.scale(p - 1), one.scale(p + 3), -pair * one, pair - one):
-        assert_reduced([c for c, _ in f.terms], p)
-        assert all(c for c, _ in f.terms)
-    assert one.scale(p).terms == ()
+    f = AlgebraMap(ring, alg, [alg.basis_elem(1)])
+    inst = PullbackInstance(f, [ring.one(), t])
+    assert inst.d == 9 % p
+    nm = NormMapPlus(inst)
+    x = inst.ctx.x
+    pair = ((ring.one(), t + 1), (t, ring.one()))
+    image = nm.pair_image(*pair)
+    assert_reduced([image], p)
+    for c in (-1, p - 1, p + 3, p):
+        one = nm.fraction_image([(c, ((x, x),))], 1)
+        two = nm.fraction_image([(c, (pair, (x, x)))], 2)
+        diff = nm.fraction_image([(c, (pair,)), (-1, ((x, x),))], 1)
+        assert_reduced([one, two, diff], p)
+        assert one == c % p
+        assert two == c * image % p
+        assert diff == (c * image - 1) % p
 
 
 @pytest.mark.parametrize("p", PRIMES)
