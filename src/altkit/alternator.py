@@ -363,7 +363,7 @@ def random_element(rng, space, max_terms, max_degree):
         terms[_random_label(rng, space, max_degree)] = _random_coeff(
             rng, space.scalars
         )
-    return MultiPoly(space.scalars, space.ring.vars, terms)
+    return MultiPoly(space.ring, terms)
 
 
 def random_tensor(rng, space, max_terms, max_degree):

@@ -175,17 +175,18 @@ def make_suite_config(
 ):
     _, ring_text = parse_ring(ring)
     ns = _parse_ns(n)
-    if not isinstance(cases, int) or not 1 <= cases <= MAX_CASES:
+    # type() and not isinstance(): a bool is no count, seed or bound
+    if type(cases) is not int or not 1 <= cases <= MAX_CASES:
         raise ConfigInvalid(
             f"cases must be an integer in 1..{MAX_CASES}, got {cases!r}"
         )
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+    if type(seed) is not int or not 0 <= seed < 2**64:
         raise ConfigInvalid(f"seed must fit in 64 bits, got {seed!r}")
     for label, bound, top in (
         ("max_degree", max_degree, MAX_DEGREE),
         ("max_terms", max_terms, MAX_TERMS),
     ):
-        if bound is not None and (not isinstance(bound, int) or not 1 <= bound <= top):
+        if bound is not None and (type(bound) is not int or not 1 <= bound <= top):
             raise ConfigInvalid(
                 f"{label} must be an integer in 1..{top}, got {bound!r}"
             )

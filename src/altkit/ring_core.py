@@ -7,7 +7,8 @@ Everything downstream is built on three kinds of scalars:
   otherwise; the two mix freely and compare equal where they should.
 * ``GF(p)``       -- prime fields, values are plain ``int`` in 0..p-1.
 * ``PolyRing``    -- sparse multivariate polynomials (:class:`MultiPoly`)
-  over one of the above.
+  over one of the above.  Every polynomial points at its PolyRing, the
+  one factory for polynomials.
 
 Scalar values carry no ring: the descriptor that holds them knows it, and
 its ``normalize`` brings a sum or product back to the canonical value
@@ -183,7 +184,7 @@ class CoeffRing:
         return a * pow(b, -1, self.p) % self.p
 
     def parse(self, text):
-        poly = parse_expression(text, self, ())
+        poly = parse_expression(text, PolyRing(self, ()))
         return poly.constant()
 
     def to_text(self, v):
@@ -480,38 +481,23 @@ def monomial_text(names, exps):
 class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
-    Terms map exponent tuples to nonzero coefficients; the zero polynomial
-    has no terms.  Two polynomials are equal iff they live over the same
-    ring and variables and have identical term dicts, so equality is
-    representation equality of the canonical form.
+    ``parent`` is the :class:`PolyRing` it lives in.  Terms map exponent
+    tuples to nonzero coefficients; the zero polynomial has no terms.  Two
+    polynomials are equal iff their parents are equal and their term dicts
+    identical, so equality is representation equality of the canonical form.
     """
 
-    __slots__ = ("ring", "vars", "terms")
+    __slots__ = ("parent", "terms")
 
-    def __init__(self, ring, vars, terms, _clean=False):
-        self.ring = ring
-        self.vars = tuple(vars)
-        self.terms = terms if _clean else terms_clean(terms, ring.normalize)
-
-    @classmethod
-    def zero(cls, ring, vars):
-        return cls(ring, vars, {}, _clean=True)
-
-    @classmethod
-    def const(cls, ring, vars, c):
-        k = (0,) * len(vars)
-        return cls(ring, vars, {k: c})
-
-    @classmethod
-    def variable(cls, ring, vars, name):
-        i = list(vars).index(name)
-        key = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(ring, vars, {key: ring.one()}, _clean=True)
+    def __init__(self, parent, terms, _clean=False):
+        self.parent = parent
+        self.terms = terms if _clean else terms_clean(terms, parent.coeff.normalize)
 
     def _compat(self, other):
-        if self.ring != other.ring or self.vars != other.vars:
+        a, b = self.parent, other.parent
+        if a is not b and a != b:
             raise VariableMismatch(
-                f"({self.ring!r}, {self.vars}) vs ({other.ring!r}, {other.vars})"
+                f"({a.coeff!r}, {a.vars}) vs ({b.coeff!r}, {b.vars})"
             )
 
     def _coerce(self, other):
@@ -519,66 +505,61 @@ class MultiPoly:
             self._compat(other)
             return other
         if isinstance(other, (int, Fraction)):
-            return MultiPoly.const(self.ring, self.vars, other)
+            return self.parent.embed_scalar(other)
         return None
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = terms_add(self.terms, other.terms, self.ring.normalize)
-        return MultiPoly(self.ring, self.vars, terms, _clean=True)
+        terms = terms_add(self.terms, other.terms, self.parent.coeff.normalize)
+        return MultiPoly(self.parent, terms, _clean=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        terms = terms_neg(self.terms, self.ring.normalize)
-        return MultiPoly(self.ring, self.vars, terms, _clean=True)
+        terms = terms_neg(self.terms, self.parent.coeff.normalize)
+        return MultiPoly(self.parent, terms, _clean=True)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = terms_sub(self.terms, other.terms, self.ring.normalize)
-        return MultiPoly(self.ring, self.vars, terms, _clean=True)
+        terms = terms_sub(self.terms, other.terms, self.parent.coeff.normalize)
+        return MultiPoly(self.parent, terms, _clean=True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = terms_sub(other.terms, self.terms, self.ring.normalize)
-        return MultiPoly(self.ring, self.vars, terms, _clean=True)
+        terms = terms_sub(other.terms, self.terms, self.parent.coeff.normalize)
+        return MultiPoly(self.parent, terms, _clean=True)
 
     def __mul__(self, other):
-        norm = self.ring.normalize
+        parent = self.parent
         if isinstance(other, MultiPoly):
             self._compat(other)
-            terms = terms_mul(self.terms, other.terms, self.ring)
+            terms = terms_mul(self.terms, other.terms, parent.coeff)
         elif isinstance(other, (int, Fraction)):
-            terms = terms_scale(self.terms, other, norm)
+            terms = terms_scale(self.terms, parent._scalar(other), parent.coeff.normalize)
         else:
             return NotImplemented
-        return MultiPoly(self.ring, self.vars, terms, _clean=True)
+        return MultiPoly(parent, terms, _clean=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        return power(self, k, MultiPoly.const(self.ring, self.vars, self.ring.one()))
+        return power(self, k, self.parent.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            coerced = self._coerce(other)
-            return self.terms == coerced.terms
+            return self.terms == self.parent.embed_scalar(other).terms
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
+        return self.parent == other.parent and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring, self.vars, tuple(sorted(self.terms.items()))))
+        return hash((self.parent, tuple(sorted(self.terms.items()))))
 
     def __bool__(self):
         return bool(self.terms)
@@ -589,7 +570,7 @@ class MultiPoly:
     def constant(self):
         """The constant value; raises unless the polynomial is constant."""
         if not self.terms:
-            return self.ring.zero()
+            return self.parent.coeff.zero()
         if not self.is_constant():
             raise VariableMismatch(f"{self.to_text()} is not constant")
         return next(iter(self.terms.values()))
@@ -598,29 +579,30 @@ class MultiPoly:
         return max((sum(k) for k in self.terms), default=0)
 
     def evaluate(self, point):
-        if len(point) != len(self.vars):
+        if len(point) != len(self.parent.vars):
             raise VariableMismatch(
-                f"point of length {len(point)} for vars {self.vars}"
+                f"point of length {len(point)} for vars {self.parent.vars}"
             )
-        acc = evaluate_terms(self.terms, point, self.ring.zero(), lambda c: c)
-        return self.ring.normalize(acc)
+        acc = evaluate_terms(self.terms, point, self.parent.coeff.zero(), lambda c: c)
+        return self.parent.coeff.normalize(acc)
 
     def to_text(self):
         """Canonical text, degree-lex descending, e.g. ``2*s^2-s+1``."""
         if not self.terms:
             return "0"
+        vars, coeff = self.parent.vars, self.parent.coeff
         out = []
         for key in sorted(self.terms, key=_deglex, reverse=True):
             c = self.terms[key]
-            mono = monomial_text(self.vars, key)
+            mono = monomial_text(vars, key)
             neg = c < 0  # never over GF(p), whose values lie in 0..p-1
             mag = -c if neg else c
             if mono == "1":
-                body = self.ring.to_text(mag)
+                body = coeff.to_text(mag)
             elif mag == 1:
                 body = mono
             else:
-                body = f"{self.ring.to_text(mag)}*{mono}"
+                body = f"{coeff.to_text(mag)}*{mono}"
             if not out:
                 out.append(f"-{body}" if neg else body)
             else:
@@ -632,8 +614,10 @@ class MultiPoly:
 
 
 class PolyRing:
-    """Descriptor for a polynomial ring over a CoeffRing.
+    """A polynomial ring over a CoeffRing: the parent of its polynomials.
 
+    Every :class:`MultiPoly` points at its PolyRing, and ``zero``, ``one``,
+    ``from_int``, ``embed_scalar`` and ``variable`` are the one factory.
     Offers the same service surface as :class:`CoeffRing` so finite
     algebras can be based on either without caring which.
     """
@@ -647,7 +631,7 @@ class PolyRing:
             raise VariableMismatch(f"duplicate variable in {self.vars}")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PolyRing)
             and self.coeff == other.coeff
             and self.vars == other.vars
@@ -663,20 +647,28 @@ class PolyRing:
     def is_field(self):
         return False
 
+    def _scalar(self, c):
+        """c as a coefficient; RingMismatch for a non-int over GF(p)."""
+        if self.coeff.p is not None and not isinstance(c, int):
+            raise RingMismatch(f"cannot coerce {c!r} into {self!r}")
+        return c
+
     def zero(self):
-        return MultiPoly.zero(self.coeff, self.vars)
+        return MultiPoly(self, {}, _clean=True)
 
     def one(self):
-        return MultiPoly.const(self.coeff, self.vars, self.coeff.one())
+        return MultiPoly(self, {(0,) * len(self.vars): self.coeff.one()}, _clean=True)
 
     def from_int(self, k):
-        return MultiPoly.const(self.coeff, self.vars, self.coeff.from_int(k))
+        return MultiPoly(self, {(0,) * len(self.vars): self.coeff.from_int(k)})
 
     def embed_scalar(self, c):
-        return MultiPoly.const(self.coeff, self.vars, c)
+        return MultiPoly(self, {(0,) * len(self.vars): self._scalar(c)})
 
     def variable(self, name):
-        return MultiPoly.variable(self.coeff, self.vars, name)
+        i = self.vars.index(name)
+        key = tuple(1 if j == i else 0 for j in range(len(self.vars)))
+        return MultiPoly(self, {key: self.coeff.one()}, _clean=True)
 
     def normalize(self, v):
         return v
@@ -691,10 +683,10 @@ class PolyRing:
         quot = dict_divide_exact(a.terms, b.terms, self.coeff)
         if quot is None:
             return None
-        return MultiPoly(self.coeff, self.vars, quot, _clean=True)
+        return MultiPoly(self, quot, _clean=True)
 
     def parse(self, text):
-        return parse_expression(text, self.coeff, self.vars)
+        return parse_expression(text, self)
 
     def to_text(self, v):
         return v.to_text()
@@ -749,11 +741,10 @@ def _tokenize(text):
 
 
 class _ExprParser:
-    def __init__(self, tokens, ring, vars):
+    def __init__(self, tokens, parent):
         self.tokens = tokens
         self.pos = 0
-        self.ring = ring
-        self.vars = tuple(vars)
+        self.parent = parent
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -807,9 +798,10 @@ class _ExprParser:
                 c = div.constant()
                 if not c:
                     raise ParseError("division by zero")
-                inv = self.ring.divide_exact(self.ring.one(), c)
+                coeff = self.parent.coeff
+                inv = coeff.divide_exact(coeff.one(), c)
                 if inv is None:
-                    raise ParseError(f"cannot divide by {c} over {self.ring!r}")
+                    raise ParseError(f"cannot divide by {c} over {coeff!r}")
                 acc = acc * inv
             else:
                 return acc
@@ -833,11 +825,11 @@ class _ExprParser:
     def atom(self):
         kind, val = self.take()
         if kind == "num":
-            return MultiPoly.const(self.ring, self.vars, self.ring.from_int(val))
+            return self.parent.from_int(val)
         if kind == "name":
-            if val not in self.vars:
-                raise ParseError(f"unknown variable {val!r} (have {self.vars})")
-            return MultiPoly.variable(self.ring, self.vars, val)
+            if val not in self.parent.vars:
+                raise ParseError(f"unknown variable {val!r} (have {self.parent.vars})")
+            return self.parent.variable(val)
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -854,12 +846,12 @@ def _check_power(base, k):
     # the result has at most one term per k-multiset of base terms, and
     # at most one per monomial of its degree in the variables it uses
     m = len(base.terms)
-    used = sum(any(key[i] for key in base.terms) for i in range(len(base.vars)))
+    used = sum(any(key[i] for key in base.terms) for i in range(len(base.parent.vars)))
     if m > 1 and min(
         math.comb(m + k - 1, k), math.comb(degree + used, used)
     ) > MAX_POWER_TERMS:
         raise ParseError(f"power may exceed {MAX_POWER_TERMS} terms")
-    if base.is_constant() and base.ring.kind != "Fp":
+    if base.is_constant() and base.parent.coeff.kind != "Fp":
         c = Fraction(base.constant())
         bits = k * max(c.numerator.bit_length(), c.denominator.bit_length())
         if bits > MAX_POWER_COEFF_BITS:
@@ -868,14 +860,14 @@ def _check_power(base, k):
             )
 
 
-def parse_expression(text, ring, vars):
-    """Parse a polynomial expression over a CoeffRing and variable list."""
+def parse_expression(text, parent):
+    """Parse a polynomial expression into an element of the PolyRing parent."""
     if not isinstance(text, str):
         raise ParseError(f"expected string expression, got {type(text).__name__}")
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _ExprParser(tokens, ring, vars).parse()
+    return _ExprParser(tokens, parent).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -1281,7 +1273,7 @@ class AlgebraMap:
                 raise RingMismatch("map fails multiplicativity spot-check")
 
     def __call__(self, poly):
-        if poly.vars != self.source.vars or poly.ring != self.source.coeff:
+        if poly.parent != self.source:
             raise VariableMismatch("polynomial from a different source ring")
         return evaluate_terms(
             poly.terms,

@@ -165,11 +165,11 @@ class TensorSpace:
         """Coerce x to an element of R."""
         if self.is_poly:
             if isinstance(x, MultiPoly):
-                if x.ring != self.scalars or x.vars != self.ring.vars:
+                if x.parent != self.ring:
                     raise RingMismatch(f"{x!r} not in {self.ring!r}")
                 return x
             if isinstance(x, (int, Fraction)):
-                return MultiPoly.const(self.scalars, self.ring.vars, x)
+                return self.ring.embed_scalar(x)
             raise RingMismatch(f"cannot coerce {x!r} into {self.ring!r}")
         if isinstance(x, AlgebraElem):
             if x.alg != self.ring:
@@ -191,7 +191,7 @@ class TensorSpace:
     def label_elem(self, label):
         """The element of R carried by one slot label."""
         if self.is_poly:
-            return MultiPoly(self.scalars, self.ring.vars, {label: self.scalars.one()}, _clean=True)
+            return MultiPoly(self.ring, {label: self.scalars.one()}, _clean=True)
         return self.ring.basis_elem(label[0])
 
     def label_text(self, label):

@@ -27,7 +27,7 @@ from altkit.cli import (
 from altkit.errors import ConfigInvalid, ParseError, SchemaError
 from altkit.gen_etale import NormMapPlus
 from altkit.norm_universal import NormMap
-from altkit.ring_core import GF, QQ
+from altkit.ring_core import GF, QQ, CoeffRing
 
 
 def fixture_path(name):
@@ -94,6 +94,13 @@ def test_config_validation():
         make_suite_config(identities="no_such_identity")
     with pytest.raises(ConfigInvalid):
         make_suite_config(max_degree=0)
+    # a bool is an int to isinstance, but no count, seed or bound
+    for field in ("cases", "seed", "max_degree", "max_terms"):
+        for flag in (True, False):
+            with pytest.raises(ConfigInvalid, match=field):
+                make_suite_config(**{field: flag})
+    with pytest.raises(ConfigInvalid):
+        make_suite_config(n="2", cases=True, seed=True, identities="coefficient")
 
 
 def test_identity_list_canonical_order():
@@ -212,6 +219,28 @@ def test_instance_computes_each_constant_once(monkeypatch, fixture, built):
     assert report["failures_total"] == 0
     assert len(calls) == 4
     assert maps == [built]
+
+
+@pytest.mark.parametrize(
+    "fixture, mode",
+    [("sqrt2.json", "etale"), ("sqrt2.json", "gen_etale"), ("t2_minus_s.json", "gen_etale")],
+)
+def test_instance_meets_parents_by_identity(monkeypatch, fixture, mode):
+    # every polynomial points at its PolyRing, and polynomials of one
+    # parent meet on `is` alone; comparing two (ring, vars) pairs per
+    # operation once took 198-1067 scalar-ring comparisons per run.
+    # The count repeats exactly, so this pins a count, not a timing.
+    original = CoeffRing.__eq__
+    calls = []
+
+    def counted(self, other):
+        calls.append(other)
+        return original(self, other)
+
+    monkeypatch.setattr(CoeffRing, "__eq__", counted)
+    report = run_instance(fixture_path(fixture), mode)
+    assert report["failures_total"] == 0
+    assert len(calls) <= 8
 
 
 def test_mode_flag_overrides_file():

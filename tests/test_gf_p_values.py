@@ -9,6 +9,8 @@ taken on a determinant must read a nonzero multiple of p as zero.
 """
 
 import math
+import warnings
+from fractions import Fraction
 from itertools import permutations
 from unittest import mock
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from altkit import gen_etale
 from altkit.alternator import alpha_map, alpha_n11
-from altkit.errors import NotABasis
+from altkit.errors import NotABasis, RingMismatch
 from altkit.gen_etale import NormMapPlus, diagonal_support_probe
 from altkit.norm_universal import PullbackInstance, discriminant, is_nonzerodivisor
 from altkit.ring_core import (
@@ -70,7 +72,7 @@ def field_terms(draw, length, max_size=4):
 
 
 def poly(p, terms):
-    return MultiPoly(GF(p), VARS, terms)
+    return MultiPoly(PolyRing(GF(p), VARS), terms)
 
 
 @settings(max_examples=150, deadline=None)
@@ -91,6 +93,36 @@ def test_polynomial_operations_store_reduced_values(case, k):
         bumped = dict_divide_exact((x * y + 1).terms, y.terms, GF(p))
         if bumped is not None:
             assert_terms(bumped, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fraction_scalars_are_refused_over_gf_p(p):
+    # GF(p).normalize is v % p, which gives NotImplemented for a Fraction;
+    # each coercion into GF(p)[t] refuses a non-int before it stores one
+    ring = PolyRing(GF(p), ("t",))
+    t = ring.variable("t")
+    space = TensorSpace(2, ring)
+    half = Fraction(1, 2)
+    forms = (
+        lambda: t + half,
+        lambda: half + t,
+        lambda: t - half,
+        lambda: half - t,
+        lambda: t == half,
+        lambda: t * half,
+        lambda: half * t,
+        lambda: space.as_element(Fraction(3, 2)),
+        lambda: ring.embed_scalar(half),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for form in forms:
+            with pytest.raises(RingMismatch, match="cannot coerce"):
+                form()
+        # ints still coerce, reduced
+        for z in (t + (p + 3), t * (2 * p + 1), space.as_element(p + 2)):
+            assert_terms(z.terms, p)
+        assert t * (2 * p + 1) == t and t != p + 1
 
 
 def tensor_space(p, n):

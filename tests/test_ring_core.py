@@ -1,5 +1,6 @@
 """Scalar rings, polynomials, matrices and finite free algebras."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -184,8 +185,7 @@ def test_rational_division_keeps_integral_quotients_as_ints():
 
 
 def test_poly_canonical_form_prunes_zeros():
-    ring = QQ
-    t = MultiPoly.variable(ring, ("t",), "t")
+    t = PolyRing(QQ, ("t",)).variable("t")
     p = (t + 1) * (t - 1)
     assert p.terms == {(2,): 1, (0,): -1}
     assert (p - p).terms == {}
@@ -193,19 +193,57 @@ def test_poly_canonical_form_prunes_zeros():
 
 
 def test_poly_product_golden():
-    t = MultiPoly.variable(QQ, ("t",), "t")
+    t = PolyRing(QQ, ("t",)).variable("t")
     assert ((t + 1) * (t - 1)).to_text() == "t^2-1"
     assert ((t + 2) ** 3).to_text() == "t^3+6*t^2+12*t+8"
 
 
 def test_poly_mismatch_raises():
-    t = MultiPoly.variable(QQ, ("t",), "t")
-    s = MultiPoly.variable(QQ, ("s",), "s")
-    with pytest.raises(VariableMismatch):
-        t + s
-    u = MultiPoly.variable(GF(5), ("t",), "t")
-    with pytest.raises(VariableMismatch):
-        t * u
+    t = PolyRing(QQ, ("t",)).variable("t")
+    s = PolyRing(QQ, ("s",)).variable("s")
+    u = PolyRing(GF(5), ("t",)).variable("t")
+    for other, text in (
+        (s, "(Q, ('t',)) vs (Q, ('s',))"),
+        (u, "(Q, ('t',)) vs (GF(5), ('t',))"),
+    ):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(VariableMismatch) as info:
+                op(t, other)
+            assert str(info.value) == text
+        assert t != other
+
+
+def test_equal_parents_meet_as_one():
+    # two PolyRing objects for one ring: their polynomials add,
+    # multiply, compare and hash as if they shared one parent
+    one, two = PolyRing(QQ, ("t",)), PolyRing(QQ, ("t",))
+    assert one is not two and one == two and hash(one) == hash(two)
+    a, b = one.parse("t+1"), two.parse("t+1")
+    assert a == b and hash(a) == hash(b)
+    assert (a + b).to_text() == "2*t+2"
+    assert a * b == one.parse("t^2+2*t+1") == two.parse("t^2+2*t+1")
+    assert not a - b
+    assert len({a, b, one.parse("1+t")}) == 1
+
+
+def test_foreign_polynomials_rejected_by_space_and_map():
+    ring = PolyRing(QQ, ("t",))
+    space = TensorSpace(2, ring)
+    alg = sqrt2_algebra()
+    f = AlgebraMap(ring, alg, [alg.basis_elem(1)])
+    twin = PolyRing(QQ, ("t",)).variable("t")
+    assert space.as_element(twin) is twin
+    assert f(twin) == alg.basis_elem(1)
+    for foreign in (
+        PolyRing(QQ, ("s",)).variable("s"),
+        PolyRing(GF(5), ("t",)).variable("t"),
+    ):
+        with pytest.raises(RingMismatch, match=r"^MultiPoly\('\w'\) not in Q\[t\]$"):
+            space.as_element(foreign)
+        with pytest.raises(
+            VariableMismatch, match="^polynomial from a different source ring$"
+        ):
+            f(foreign)
 
 
 def test_poly_evaluate_and_substitute():
@@ -268,7 +306,8 @@ small_qq = st.integers(min_value=-5, max_value=5)
 
 
 def poly_from(coeffs):
-    return MultiPoly(QQ, ("t",), {(i,): c for i, c in enumerate(coeffs)})
+    # a new parent per polynomial: equal parents meet like one parent
+    return MultiPoly(PolyRing(QQ, ("t",)), {(i,): c for i, c in enumerate(coeffs)})
 
 
 @settings(max_examples=60, deadline=None)

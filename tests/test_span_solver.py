@@ -304,7 +304,7 @@ def test_direct_division_matches_square_route(scalars, n, polys, seed):
     ring = PolyRing(scalars, ("u", "v"))
     space = TensorSpace(n, ring)
     elems = [
-        MultiPoly(scalars, ring.vars, {k: scalars.from_int(c) for k, c in p.items()})
+        MultiPoly(ring, {k: scalars.from_int(c) for k, c in p.items()})
         for p in polys
     ]
     ctx = AlternatorInstance(space, elems[:n])
