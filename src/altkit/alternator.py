@@ -25,7 +25,7 @@ bare bool, so failing cases can be reported verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
@@ -226,7 +226,6 @@ class IdentityData:
     z: object = None
     scalars: tuple = ()
     slot: int = 0
-    meta: dict = field(default_factory=dict)
 
 
 IDENTITY_NAMES = (

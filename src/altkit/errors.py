@@ -56,10 +56,6 @@ class ContextMismatch(AltkitError):
     """Localized elements combined over different anchor tuples."""
 
 
-class LevelMismatch(AltkitError):
-    """Invariant-level fraction added to a partially-invariant one without promotion."""
-
-
 class NotInvariant(AltkitError):
     """Tensor fails the invariance required by the operation."""
 

@@ -22,7 +22,6 @@ from .errors import (
     ArityMismatch,
     ContextMismatch,
     DivisionFails,
-    LevelMismatch,
     NotABasis,
     NotEtale,
     NotGenericallyEtale,
@@ -40,7 +39,6 @@ from .ring_core import (
     solve,
 )
 from .span_solver import (
-    LEVEL_FULL,
     LocalizedElem,
     coordinates,
 )
@@ -118,9 +116,7 @@ def trace_formula_check(ctx, z):
     total = LocalizedElem.zero(ctx)
     for k in range(space.n):
         total = total + coordinates(ctx, z * ctx.x[k])[k]
-    expected = LocalizedElem(
-        ctx, LEVEL_FULL, polarized_power_sum(space, z), 0, _checked=True
-    )
+    expected = LocalizedElem(ctx, polarized_power_sum(space, z), 0, _checked=True)
     return Witness("trace_formula", total == expected, total, expected)
 
 
@@ -286,8 +282,6 @@ class NormMapPlus:
         when a is divisible by d^e: a fraction that is not normalized has
         the same image, and the same quotient is missing when none exists.
         """
-        if le.level != LEVEL_FULL:
-            raise LevelMismatch("only fully invariant fractions map down")
         if le.ctx is not self.inst.ctx and le.ctx != self.inst.ctx:
             raise ContextMismatch("fraction over a different anchor tuple")
         x = self.inst.ctx.x

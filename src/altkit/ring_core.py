@@ -161,6 +161,21 @@ class CoeffRing:
             return int(v)
         return v
 
+    def coerce(self, c):
+        """c as a value of this ring, or RingMismatch.
+
+        Q takes an int or a Fraction, Z an int or a Fraction with
+        denominator 1 (stored as an int), GF(p) an int.  Anything else,
+        a float, a bool or a Fraction with no value in the ring, is
+        refused before it is stored.
+        """
+        if type(c) is int or (
+            type(c) is Fraction
+            and (self.kind == "Q" or self.kind == "Z" and c.denominator == 1)
+        ):
+            return self.normalize(c)
+        raise RingMismatch(f"cannot coerce {c!r} into {self!r}")
+
     def is_zero(self, v):
         return not v
 
@@ -541,7 +556,8 @@ class MultiPoly:
             self._compat(other)
             terms = terms_mul(self.terms, other.terms, parent.coeff)
         elif isinstance(other, (int, Fraction)):
-            terms = terms_scale(self.terms, parent._scalar(other), parent.coeff.normalize)
+            coeff = parent.coeff
+            terms = terms_scale(self.terms, coeff.coerce(other), coeff.normalize)
         else:
             return NotImplemented
         return MultiPoly(parent, terms, _clean=True)
@@ -647,12 +663,6 @@ class PolyRing:
     def is_field(self):
         return False
 
-    def _scalar(self, c):
-        """c as a coefficient; RingMismatch for a non-int over GF(p)."""
-        if self.coeff.p is not None and not isinstance(c, int):
-            raise RingMismatch(f"cannot coerce {c!r} into {self!r}")
-        return c
-
     def zero(self):
         return MultiPoly(self, {}, _clean=True)
 
@@ -663,7 +673,7 @@ class PolyRing:
         return MultiPoly(self, {(0,) * len(self.vars): self.coeff.from_int(k)})
 
     def embed_scalar(self, c):
-        return MultiPoly(self, {(0,) * len(self.vars): self._scalar(c)})
+        return MultiPoly(self, {(0,) * len(self.vars): self.coeff.coerce(c)})
 
     def variable(self, name):
         i = self.vars.index(name)
@@ -1045,6 +1055,8 @@ class AlgebraElem:
         if coerced is not None:
             return AlgebraElem(self.alg, self.alg.mul_vec(self.coords, coerced.coords))
         # base scalar action
+        if isinstance(self.alg.base, CoeffRing):
+            other = self.alg.base.coerce(other)
         return AlgebraElem(self.alg, [self.alg._scale(other, a) for a in self.coords])
 
     def __rmul__(self, other):
@@ -1090,11 +1102,15 @@ class FiniteFreeAlgebra:
             raise UnsupportedBase("rank must be >= 1")
         self.base = base
         self.rank = rank
+        # a coordinate from outside passes the CoeffRing gate, if any
+        check = self._check_scalar = (
+            base.coerce if isinstance(base, CoeffRing) else base.normalize
+        )
         self.structure = tuple(
-            tuple(tuple(base.normalize(c) for c in structure[i][j]) for j in range(rank))
+            tuple(tuple(check(c) for c in structure[i][j]) for j in range(rank))
             for i in range(rank)
         )
-        self.unit = tuple(base.normalize(c) for c in unit)
+        self.unit = tuple(check(c) for c in unit)
         bad = [
             (i, j)
             for i in range(rank)
@@ -1164,7 +1180,7 @@ class FiniteFreeAlgebra:
         return self.base.normalize(c * v)
 
     def element(self, coords):
-        coords = tuple(self.base.normalize(c) for c in coords)
+        coords = tuple(map(self._check_scalar, coords))
         if len(coords) != self.rank:
             raise UnsupportedBase(f"expected {self.rank} coordinates")
         return AlgebraElem(self, coords)

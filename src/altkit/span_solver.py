@@ -7,11 +7,14 @@ carries the fraction arithmetic for that localization and the coordinate
 formulas: slot substitution for ring elements, signed drop-a-slot
 expansion for invariant tensors, and structure constants of the basis.
 
-Fractions are pairs (numerator tensor, power of the alternator square).
-Equality is by cross-multiplication, which is only sound when the
-ambient tensor power is a domain; construction therefore requires a
-polynomial ambient over Q, Z or a prime field.  Multiplication divides
-out common alternator-square factors eagerly so exponents stay small.
+Fractions are pairs (fully invariant numerator tensor, power of the
+alternator square): the localized fully-invariant ring.  An element of
+the localized partially-invariant ring is its coordinate vector of such
+fractions, and ``r_algebra`` multiplies those vectors.  Equality is by
+cross-multiplication, which is only sound when the ambient tensor power
+is a domain; construction therefore requires a polynomial ambient over
+Q, Z or a prime field.  Multiplication divides out common
+alternator-square factors eagerly so exponents stay small.
 
 A coordinate entry is a numerator over the alternator alpha(x) itself.
 It is divided by alpha(x) exactly where it can be, and otherwise kept as
@@ -24,7 +27,6 @@ from __future__ import annotations
 from .alternator import alpha, alpha_map
 from .errors import (
     ContextMismatch,
-    LevelMismatch,
     NotInvariant,
     UnsupportedAmbient,
     VerificationFailed,
@@ -47,10 +49,6 @@ __all__ = [
     "r_algebra",
     "LocalizedScalars",
 ]
-
-LEVEL_FULL = "A"
-LEVEL_PARTIAL = "R"
-
 
 def _require_poly_domain(space):
     if not space.is_poly:
@@ -86,43 +84,36 @@ def _asq_power(ctx, k):
 
 
 class LocalizedElem:
-    """numerator / alpha_sq(x)^exp at a declared invariance level.
+    """A fully invariant numerator over alpha_sq(x)^exp.
 
-    Level "A" asserts a fully invariant numerator, level "R" one that is
-    invariant in the first n-1 slots.  Addition insists on equal levels;
-    promote() moves A into R explicitly.  Multiplication is defined for
-    any level pair and lands in the finer of the two.
+    The numerator is symmetric under every slot permutation; the checking
+    constructor raises NotInvariant otherwise, and ``_checked=True`` is for
+    results that are fully invariant by construction.
     """
 
-    __slots__ = ("ctx", "level", "num", "exp")
+    __slots__ = ("ctx", "num", "exp")
 
-    def __init__(self, ctx, level, num, exp, _checked=False):
-        if level not in (LEVEL_FULL, LEVEL_PARTIAL):
-            raise LevelMismatch(f"unknown level {level!r}")
+    def __init__(self, ctx, num, exp, _checked=False):
         _require_poly_domain(ctx.space)
         if num.space != ctx.space:
             raise ContextMismatch("numerator from a different tensor power")
         if exp < 0:
             raise UnsupportedAmbient("negative exponent")
-        if not _checked:
-            if level == LEVEL_FULL and not is_symmetric(num):
-                raise NotInvariant("numerator is not fully invariant")
-            if level == LEVEL_PARTIAL and not is_sym_n11(num):
-                raise NotInvariant("numerator is not invariant in the first n-1 slots")
+        if not _checked and not is_symmetric(num):
+            raise NotInvariant("numerator is not fully invariant")
         if not num:
             exp = 0
         self.ctx = ctx
-        self.level = level
         self.num = num
         self.exp = exp
 
     @classmethod
-    def from_scalar(cls, ctx, c, level=LEVEL_FULL):
-        return cls(ctx, level, unit_tensor(ctx.space).scale(c), 0, _checked=True)
+    def from_scalar(cls, ctx, c):
+        return cls(ctx, unit_tensor(ctx.space).scale(c), 0, _checked=True)
 
     @classmethod
-    def zero(cls, ctx, level=LEVEL_FULL):
-        return cls(ctx, level, ctx.space.zero(), 0, _checked=True)
+    def zero(cls, ctx):
+        return cls(ctx, ctx.space.zero(), 0, _checked=True)
 
     def _compat(self, other):
         if not isinstance(other, LocalizedElem):
@@ -130,20 +121,10 @@ class LocalizedElem:
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch("fractions over different anchor tuples")
 
-    def promote(self):
-        """View an A-level fraction at R level."""
-        if self.level == LEVEL_PARTIAL:
-            return self
-        return LocalizedElem(self.ctx, LEVEL_PARTIAL, self.num, self.exp, _checked=True)
-
     def __add__(self, other):
         if isinstance(other, int) and other == 0:
             return self
         self._compat(other)
-        if self.level != other.level:
-            raise LevelMismatch(
-                f"{self.level}-level plus {other.level}-level; promote() first"
-            )
         m = max(self.exp, other.exp)
         a = self.num * _asq_power(self.ctx, m - self.exp) if m > self.exp else self.num
         b = (
@@ -151,12 +132,12 @@ class LocalizedElem:
             if m > other.exp
             else other.num
         )
-        return LocalizedElem(self.ctx, self.level, a + b, m, _checked=True)
+        return LocalizedElem(self.ctx, a + b, m, _checked=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalizedElem(self.ctx, self.level, -self.num, self.exp, _checked=True)
+        return LocalizedElem(self.ctx, -self.num, self.exp, _checked=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -165,16 +146,11 @@ class LocalizedElem:
         if not isinstance(other, LocalizedElem):
             # scalar action
             return LocalizedElem(
-                self.ctx, self.level, self.num.scale(other), self.exp, _checked=True
+                self.ctx, self.num.scale(other), self.exp, _checked=True
             )
         self._compat(other)
-        level = (
-            LEVEL_FULL
-            if self.level == other.level == LEVEL_FULL
-            else LEVEL_PARTIAL
-        )
         out = LocalizedElem(
-            self.ctx, level, self.num * other.num, self.exp + other.exp, _checked=True
+            self.ctx, self.num * other.num, self.exp + other.exp, _checked=True
         )
         return out.normalize()
 
@@ -184,7 +160,7 @@ class LocalizedElem:
         """Strip alternator-square factors from the numerator, exactly."""
         num, exp = self.num, self.exp
         if not num:
-            return LocalizedElem(self.ctx, self.level, num, 0, _checked=True)
+            return LocalizedElem(self.ctx, num, 0, _checked=True)
         while exp > 0:
             quot = tensor_divide_exact(num, self.ctx.alpha_sq)
             if quot is None:
@@ -192,7 +168,7 @@ class LocalizedElem:
             num, exp = quot, exp - 1
         if exp == self.exp:
             return self
-        return LocalizedElem(self.ctx, self.level, num, exp, _checked=True)
+        return LocalizedElem(self.ctx, num, exp, _checked=True)
 
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
@@ -213,7 +189,7 @@ class LocalizedElem:
         return f"({self.num.to_text()}) / asq^{self.exp}"
 
     def __repr__(self):
-        return f"LocalizedElem({self.level}, {self.to_text()!r})"
+        return f"LocalizedElem({self.to_text()!r})"
 
 
 def _over_alpha(ctx, nums, target, failure):
@@ -235,10 +211,10 @@ def _over_alpha(ctx, nums, target, failure):
         quot = tensor_divide_exact(num, ctx.alpha_x, ctx.alpha_packs)
         if quot is None:
             entries.append(
-                LocalizedElem(ctx, LEVEL_FULL, num * ctx.alpha_x, 1, _checked=True)
+                LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True)
             )
         else:
-            entries.append(LocalizedElem(ctx, LEVEL_FULL, quot, 0, _checked=True))
+            entries.append(LocalizedElem(ctx, quot, 0, _checked=True))
     return tuple(entries)
 
 

@@ -247,7 +247,10 @@ class Tensor:
         return Tensor(self.space, terms, _clean=True)
 
     def scale(self, c):
-        terms = terms_scale(self.terms, c, self.space.scalars.normalize)
+        scalars = self.space.scalars
+        if isinstance(scalars, CoeffRing):
+            c = scalars.coerce(c)
+        terms = terms_scale(self.terms, c, scalars.normalize)
         return Tensor(self.space, terms, _clean=True)
 
     def __mul__(self, other):

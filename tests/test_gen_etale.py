@@ -298,7 +298,7 @@ def test_norm_map_is_a_ring_map_on_pair_fractions(name, data):
 
     def fraction(pair):
         num = alpha(space, pair[0]) * alpha(space, pair[1])
-        return LocalizedElem(inst.ctx, "A", num, 1)
+        return LocalizedElem(inst.ctx, num, 1)
 
     p, q = draw_pair(), draw_pair()
     a, b = fraction(p), fraction(q)
@@ -328,7 +328,7 @@ def test_localized_image_matches_both_old_routes(name, data):
     num = entry.num
     for _ in range(k):
         num = num * ctx.alpha_sq
-    padded = LocalizedElem(ctx, "A", num, entry.exp + k + over, _checked=True)
+    padded = LocalizedElem(ctx, num, entry.exp + k + over, _checked=True)
     image = _image_or_missing(NormMapPlus(inst).localized_image, padded)
     assert image == _image_or_missing(normalized_image, inst, padded)
     if inst.is_etale:

@@ -7,7 +7,6 @@ import pytest
 from altkit.alternator import AlternatorInstance, alpha
 from altkit.errors import (
     ContextMismatch,
-    LevelMismatch,
     NotABasis,
     NotEtale,
     NotInvariant,
@@ -228,7 +227,7 @@ def test_instance_rejects_non_basis_image():
 def test_norm_map_square_goes_to_discriminant():
     inst = sqrt2_instance()
     nm = NormMap(inst)
-    asq = LocalizedElem(inst.ctx, "A", inst.ctx.alpha_sq, 0, _checked=True)
+    asq = LocalizedElem(inst.ctx, inst.ctx.alpha_sq, 0, _checked=True)
     assert nm.localized_image(asq) == 8
     one = LocalizedElem.from_scalar(inst.ctx, 1)
     assert nm.localized_image(one) == 1
@@ -252,7 +251,7 @@ def test_norm_map_pair_routes_agree():
     via_det = trace_pairing_det(inst, inst.ctx.x, ys)
     pair = inst.ctx.alpha_x * alpha(space, ys)
     via_presentation = nm.localized_image(
-        LocalizedElem(inst.ctx, "A", pair, 0, _checked=True)
+        LocalizedElem(inst.ctx, pair, 0, _checked=True)
     )
     assert via_det == via_presentation
 
@@ -264,9 +263,6 @@ def test_norm_map_guards():
     other_ctx = AlternatorInstance(inst.space, [t, t * t])
     with pytest.raises(ContextMismatch):
         nm.localized_image(LocalizedElem.from_scalar(other_ctx, 1))
-    r_level = LocalizedElem.from_scalar(inst.ctx, 1).promote()
-    with pytest.raises(LevelMismatch):
-        nm.localized_image(r_level)
 
 
 def test_verify_pullback_sqrt2():

@@ -160,6 +160,90 @@ def test_coeff_ring_services():
     assert ZZ.is_unit(-1) and not ZZ.is_unit(2)
 
 
+def _scalar_entry_forms(scalars):
+    # every way a scalar from outside enters a stored value: the constant
+    # polynomial, a polynomial times it, a structure constant, an algebra
+    # coordinate, the algebra's scalar action, and a tensor scaled by it
+    ring = PolyRing(scalars, ("t",))
+    t = ring.variable("t")
+
+    def algebra(c):
+        structure = [[(1, 0), (0, 1)], [(0, 1), (c, 0)]]
+        return FiniteFreeAlgebra(scalars, 2, structure, (1, 0))
+
+    alg = algebra(2)
+    unit = unit_tensor(TensorSpace(2, ring))
+    return {
+        "embed_scalar": lambda c: ring.embed_scalar(c).terms[(0,)],
+        "poly_times": lambda c: (t * c).terms[(1,)],
+        "structure": lambda c: algebra(c).structure[1][1][0],
+        "element": lambda c: alg.element((c, 0)).coords[0],
+        "algebra_times": lambda c: (alg.one() * c).coords[0],
+        "tensor_scale": lambda c: unit.scale(c).terms[(0, 0)],
+    }
+
+
+@pytest.mark.parametrize(
+    "scalars, value",
+    [
+        (QQ, 0.1),
+        (QQ, 0.5),
+        (ZZ, 0.5),
+        (ZZ, Fraction(1, 2)),
+        (GF(5), Fraction(1, 2)),
+        (GF(5), Fraction(2, 1)),
+        (GF(5), 0.5),
+    ],
+)
+def test_scalar_gate_refuses_foreign_values(scalars, value):
+    # a float, or a Fraction with no value in the ring, is refused before
+    # it is stored, in every form
+    for name, form in _scalar_entry_forms(scalars).items():
+        if name == "poly_times" and isinstance(value, float):
+            # a polynomial only multiplies by ints and Fractions; Python
+            # refuses the rest through the operator protocol
+            with pytest.raises(TypeError):
+                form(value)
+            continue
+        with pytest.raises(RingMismatch, match="cannot coerce"):
+            form(value)
+    with pytest.raises(RingMismatch, match="cannot coerce"):
+        scalars.coerce(value)
+
+
+@pytest.mark.parametrize("scalars", [QQ, ZZ, GF(5)])
+def test_scalar_gate_refuses_bools(scalars):
+    # a bool is an int that would be stored, and rendered, as True; the
+    # algebra's scalar action takes ints through from_int instead, which
+    # multiplies them into the unit
+    forms = _scalar_entry_forms(scalars)
+    for name in ("embed_scalar", "poly_times", "structure", "element", "tensor_scale"):
+        with pytest.raises(RingMismatch, match="cannot coerce"):
+            forms[name](True)
+    got = forms["algebra_times"](True)
+    assert got == 1 and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "scalars, value, stored",
+    [
+        (QQ, Fraction(1, 2), Fraction(1, 2)),
+        (QQ, Fraction(4, 2), 2),
+        (QQ, -3, -3),
+        (ZZ, Fraction(4, 2), 2),
+        (ZZ, -3, -3),
+        (GF(5), 7, 2),
+        (GF(5), -1, 4),
+    ],
+)
+def test_scalar_gate_stores_ring_values(scalars, value, stored):
+    for name, form in _scalar_entry_forms(scalars).items():
+        got = form(value)
+        assert got == stored and type(got) is type(stored), name
+    got = scalars.coerce(value)
+    assert got == stored and type(got) is type(stored)
+
+
 _rationals = st.integers(-(10**30), 10**30) | st.fractions()
 
 

@@ -169,3 +169,25 @@ def test_one_report_renderer():
         and any(kw.arg == "indent" for kw in node.keywords)
     ]
     assert found == []
+
+
+def test_no_error_type_outlives_its_last_raise():
+    # an error type that nothing raises any more is a name callers may
+    # still catch for nothing; delete it with its last raise
+    import altkit.errors
+
+    defined = {
+        name
+        for name, cls in vars(altkit.errors).items()
+        if isinstance(cls, type)
+        and issubclass(cls, altkit.errors.AltkitError)
+        and cls is not altkit.errors.AltkitError
+    }
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert len(defined) >= 20
+    assert sorted(defined - raised) == []

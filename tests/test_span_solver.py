@@ -13,7 +13,6 @@ import altkit
 from altkit.alternator import AlternatorInstance, alpha, alpha_map, random_invariant
 from altkit.errors import (
     ContextMismatch,
-    LevelMismatch,
     NonCommutative,
     NotInvariant,
     UnsupportedAmbient,
@@ -50,42 +49,28 @@ def qt_context(n):
 
 def test_zero_numerator_collapses_exponent():
     space, ctx, t = qt_context(2)
-    z = LocalizedElem(ctx, "A", space.zero(), 3, _checked=True)
+    z = LocalizedElem(ctx, space.zero(), 3, _checked=True)
     assert z.exp == 0
     assert not z
     assert z == 0
 
 
-def test_rejects_unknown_level_and_wrong_space():
+def test_rejects_wrong_space():
     space, ctx, t = qt_context(2)
-    with pytest.raises(LevelMismatch):
-        LocalizedElem(ctx, "B", unit_tensor(space), 0)
     other_space = TensorSpace(3, space.ring)
     with pytest.raises(ContextMismatch):
-        LocalizedElem(ctx, "A", unit_tensor(other_space), 0)
+        LocalizedElem(ctx, unit_tensor(other_space), 0)
 
 
 def test_invariance_guard_on_construction():
     space, ctx, t = qt_context(3)
     skew = pure_tensor(space, [t, space.ring.one(), space.ring.one()])
     with pytest.raises(NotInvariant):
-        LocalizedElem(ctx, "A", skew, 0)
-    # invariant in the first two slots only: fine at level R, not at A
+        LocalizedElem(ctx, skew, 0)
+    # invariant in the first two slots only, which is not enough
     partial = pure_tensor(space, [t, t, t * t])
-    LocalizedElem(ctx, "R", partial, 0)
     with pytest.raises(NotInvariant):
-        LocalizedElem(ctx, "A", partial, 0)
-
-
-def test_level_mixing_needs_promote():
-    space, ctx, t = qt_context(2)
-    a = LocalizedElem.from_scalar(ctx, 3)
-    r = LocalizedElem(ctx, "R", pure_tensor(space, [t, space.ring.one()]), 0)
-    with pytest.raises(LevelMismatch):
-        a + r
-    s = a.promote() + r
-    assert s.level == "R"
-    assert r.promote() is r  # already partial, nothing to do
+        LocalizedElem(ctx, partial, 0)
 
 
 def test_context_mixing_rejected():
@@ -98,22 +83,22 @@ def test_context_mixing_rejected():
 def test_equality_by_cross_multiplication():
     space, ctx, t = qt_context(2)
     tt = pure_tensor(space, [t, t])
-    plain = LocalizedElem(ctx, "A", tt, 0)
-    padded = LocalizedElem(ctx, "A", tt * ctx.alpha_sq, 1, _checked=True)
+    plain = LocalizedElem(ctx, tt, 0)
+    padded = LocalizedElem(ctx, tt * ctx.alpha_sq, 1, _checked=True)
     assert plain == padded
     assert padded.normalize().exp == 0
     assert padded.normalize().num == tt
-    assert plain != LocalizedElem(ctx, "A", tt + tt, 0)
+    assert plain != LocalizedElem(ctx, tt + tt, 0)
 
 
 def test_addition_promotes_to_common_exponent():
     space, ctx, t = qt_context(2)
     tt = pure_tensor(space, [t, t])
-    a = LocalizedElem(ctx, "A", tt, 0)
-    b = LocalizedElem(ctx, "A", tt * ctx.alpha_sq, 1, _checked=True)
+    a = LocalizedElem(ctx, tt, 0)
+    b = LocalizedElem(ctx, tt * ctx.alpha_sq, 1, _checked=True)
     s = a + b
     assert s.exp == 1
-    assert s == LocalizedElem(ctx, "A", tt + tt, 0)
+    assert s == LocalizedElem(ctx, tt + tt, 0)
     assert (a - b) == 0
     assert (a + LocalizedElem.zero(ctx)).normalize().exp == 0
 
@@ -123,9 +108,9 @@ def test_scalar_action_and_text():
     a = LocalizedElem.from_scalar(ctx, 3)
     assert (a * 2) == LocalizedElem.from_scalar(ctx, 6)
     assert (2 * a) == LocalizedElem.from_scalar(ctx, 6)
-    frac = LocalizedElem(ctx, "A", ctx.alpha_sq * ctx.alpha_sq, 1, _checked=True)
+    frac = LocalizedElem(ctx, ctx.alpha_sq * ctx.alpha_sq, 1, _checked=True)
     assert "asq^" not in frac.normalize().to_text()
-    raw = LocalizedElem(ctx, "A", pure_tensor(space, [t, t]), 1, _checked=True)
+    raw = LocalizedElem(ctx, pure_tensor(space, [t, t]), 1, _checked=True)
     assert raw.to_text().endswith("/ asq^1")
 
 
@@ -266,7 +251,7 @@ def test_invariant_coordinates_reconstruction_random():
 def _route_through_square(ctx, num):
     # the former coordinate route, kept as the oracle: numerator times
     # alpha(x) over the alternator square, then normalized
-    return LocalizedElem(ctx, "A", num * ctx.alpha_x, 1, _checked=True).normalize()
+    return LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True).normalize()
 
 
 def _assert_matches_square_route(ctx, z, y):
@@ -334,6 +319,36 @@ def test_direct_division_matches_square_route_on_fixed_anchors(scalars):
     assert exps == {"vandermonde": {0}, "degenerate": {0}, "not_dividing": {1}}
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([QQ, GF(5)]),
+    st.integers(2, 3),
+    st.lists(_UV_TERMS, min_size=4, max_size=4),
+    st.integers(0, 2**32),
+)
+def test_trusted_constructions_are_fully_invariant(scalars, n, polys, seed):
+    # every fraction built with _checked=True skips the invariance check;
+    # rebuilt through the checking constructor, none may raise NotInvariant
+    ring = PolyRing(scalars, ("u", "v"))
+    space = TensorSpace(n, ring)
+    elems = [
+        MultiPoly(ring, {k: scalars.from_int(c) for k, c in p.items()})
+        for p in polys
+    ]
+    ctx = AlternatorInstance(space, elems[:n])
+    rng = random.Random(seed)
+    y = random_invariant(rng, space, 1, full=False)
+    entries = [*coordinates(ctx, elems[n]), *coordinates_of_invariant(ctx, y)]
+    for row in structure_constants_R(ctx):
+        for coords in row:
+            entries.extend(coords)
+    a, b = rng.choice(entries), rng.choice(entries)
+    witness = trace_formula_check(ctx, elems[n])
+    entries += [a + b, a * b, witness.lhs, witness.rhs]
+    for e in entries:
+        LocalizedElem(ctx, e.num, e.exp)
+
+
 def test_vandermonde_checks_never_build_the_square():
     for scalars in (QQ, GF(5)):
         ring = PolyRing(scalars, ("t",))
@@ -362,8 +377,8 @@ def test_structure_constants_golden_n2():
     assert c[0][0] == (one, zero)
     assert c[0][1] == (zero, one)
     assert c[0][1] == c[1][0]
-    tt = LocalizedElem(ctx, "A", -pure_tensor(space, [t, t]), 0, _checked=True)
-    ps = LocalizedElem(ctx, "A", polarized_power_sum(space, t), 0, _checked=True)
+    tt = LocalizedElem(ctx, -pure_tensor(space, [t, t]), 0, _checked=True)
+    ps = LocalizedElem(ctx, polarized_power_sum(space, t), 0, _checked=True)
     assert c[1][1] == (tt, ps)
 
 
@@ -391,9 +406,7 @@ def test_r_algebra_trace_is_power_sum():
     space, ctx, t = qt_context(2)
     alg = r_algebra(ctx)
     tr = alg.trace(alg.basis_elem(1))
-    expected = LocalizedElem(
-        ctx, "A", polarized_power_sum(space, t), 0, _checked=True
-    )
+    expected = LocalizedElem(ctx, polarized_power_sum(space, t), 0, _checked=True)
     assert tr == expected
 
 
