@@ -75,34 +75,41 @@ def vector_text(base, vec):
     return "(" + ", ".join(base.to_text(v) for v in vec) + ")"
 
 
+def _coordinate_det(alg, elems):
+    """Determinant of the coordinate matrix of rank-many algebra elements."""
+    return alg.base.normalize(det_generic([e.coords for e in elems]))
+
+
 def trace_pairing_det(inst, vs, ws):
-    """Determinant of the trace pairing of two mapped tuples."""
-    E, f, space = inst.E, inst.f, inst.space
+    """Determinant of the trace pairing of two mapped tuples.
+
+    With A and B the coordinate matrices of f(vs) and f(ws) over the
+    algebra's basis e, the pairing matrix [Tr(f(v_i) f(w_j))] is
+    A^T G_e B for the Gram matrix G_e of e, so its determinant is
+    det A * disc(e) * det B over any commutative base.
+    """
+    E = inst.E
     if len(vs) != E.rank or len(ws) != E.rank:
         raise ArityMismatch(f"pair tuples must have length {E.rank}")
-    fvs = [f(space.as_element(v)) for v in vs]
-    fws = [f(space.as_element(w)) for w in ws]
-    rows = [[E.trace(fv * fw) for fw in fws] for fv in fvs]
-    return E.base.normalize(det_generic(rows))
+    return E.base.normalize(inst.tuple_det(vs) * E.disc * inst.tuple_det(ws))
 
 
 def discriminant(alg, basis):
     """Determinant of the trace pairing on a basis of the algebra.
 
-    The claimed basis is checked first: its coordinate matrix against the
-    built-in basis must have unit determinant.
+    The claimed basis is checked first: its coordinate matrix C against
+    the built-in basis must have unit determinant.  The pairing matrix is
+    C^T G_e C, so the value is det(C)^2 times the algebra's own disc(e).
     """
     basis = _as_elems(alg, basis)
     if len(basis) != alg.rank:
         raise NotABasis(f"{len(basis)} elements for rank {alg.rank}")
-    change = [[b.coords[r] for b in basis] for r in range(alg.rank)]
-    det = alg.base.normalize(det_generic(change))
+    det = _coordinate_det(alg, basis)
     if not alg.base.is_unit(det):
         raise NotABasis(
             f"coordinate determinant {alg.base.to_text(det)} is not a unit"
         )
-    gram = [[alg.trace(bi * bj) for bj in basis] for bi in basis]
-    return alg.base.normalize(det_generic(gram))
+    return alg.base.normalize(det * det * alg.disc)
 
 
 def trace_formula_check(ctx, z):
@@ -165,9 +172,10 @@ class PullbackInstance:
     """A finite free algebra presented as the image of a polynomial tuple.
 
     Bundles the presenting map, the anchor tuple in the source ring, the
-    image basis, and the discriminant of that basis.  The image tuple
-    must genuinely be a basis; how invertible the discriminant is decides
-    which norm map applies.
+    image basis with its coordinate determinant (``det_x``), and the
+    discriminant of that basis.  The image tuple must genuinely be a
+    basis; how invertible the discriminant is decides which norm map
+    applies.
     """
 
     def __init__(self, f, xs):
@@ -179,8 +187,27 @@ class PullbackInstance:
             )
         self.space = TensorSpace(self.E.rank, f.source)
         self.ctx = AlternatorInstance(self.space, xs)
-        self.fx = tuple(f(x) for x in self.ctx.x)
+        # f(v) by polynomial; kept here, since equal polynomials map
+        # differently under another instance's map
+        self._images = {}
+        self.fx = tuple(self.image(x) for x in self.ctx.x)
         self.d = discriminant(self.E, self.fx)
+        self.det_x = _coordinate_det(self.E, self.fx)
+
+    def image(self, v):
+        """f(v) for a source polynomial, evaluated once per polynomial."""
+        v = self.space.as_element(v)
+        out = self._images.get(v)
+        if out is None:
+            out = self._images[v] = self.f(v)
+        return out
+
+    def tuple_det(self, vs):
+        """Coordinate determinant of the mapped tuple f(vs); the anchor
+        tuple's is stored."""
+        if vs is self.ctx.x:
+            return self.det_x
+        return _coordinate_det(self.E, [self.image(v) for v in vs])
 
     @property
     def is_etale(self):

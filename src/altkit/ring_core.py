@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 from struct import Struct, calcsize
 
@@ -1176,6 +1176,18 @@ class FiniteFreeAlgebra:
 
     # -- algebra proper
 
+    @cached_property
+    def disc(self):
+        """det[Tr(e_i e_j)], the discriminant of the built-in basis.
+
+        Built on first read and kept: every trace-pairing determinant is
+        a multiple of it (norm_universal.trace_pairing_det), and algebras
+        that never pair, such as r_algebra's, never pay for it.
+        """
+        n = self.rank
+        gram = [[self.trace(self.structure[i][j]) for j in range(n)] for i in range(n)]
+        return self.base.normalize(det_generic(gram))
+
     def _scale(self, c, v):
         return self.base.normalize(c * v)
 
@@ -1226,18 +1238,18 @@ class FiniteFreeAlgebra:
             for j in range(i + 1, n):
                 if self.structure[i][j] != self.structure[j][i]:
                     raise NonCommutative(f"e{i + 1}*e{j + 1} != e{j + 1}*e{i + 1}")
-        for j in range(n):
-            e_j = self.basis_elem(j).coords
+        basis = [self.basis_elem(i).coords for i in range(n)]
+        for j, e_j in enumerate(basis):
             if tuple(self.mul_vec(self.unit, e_j)) != e_j:
                 raise BadUnit(f"unit * e{j + 1} != e{j + 1}")
+        # e_j * e_k once per pair, so (e_i e_j) e_k and e_i (e_j e_k) cost
+        # one product each
+        prods = [[self.mul_vec(e_j, e_k) for e_k in basis] for e_j in basis]
         for i in range(n):
-            e_i = self.basis_elem(i).coords
             for j in range(n):
-                ij = self.mul_vec(e_i, self.basis_elem(j).coords)
                 for k in range(n):
-                    e_k = self.basis_elem(k).coords
-                    left = self.mul_vec(ij, e_k)
-                    right = self.mul_vec(e_i, self.mul_vec(self.basis_elem(j).coords, e_k))
+                    left = self.mul_vec(prods[i][j], basis[k])
+                    right = self.mul_vec(basis[i], prods[j][k])
                     if left != right:
                         raise NonAssociative(
                             f"(e{i + 1}*e{j + 1})*e{k + 1} != e{i + 1}*(e{j + 1}*e{k + 1})"

@@ -122,8 +122,10 @@ class LocalizedElem:
             raise ContextMismatch("fractions over different anchor tuples")
 
     def __add__(self, other):
-        if isinstance(other, int) and other == 0:
-            return self
+        if isinstance(other, int):
+            if other == 0:
+                return self
+            other = LocalizedElem.from_scalar(self.ctx, other)
         self._compat(other)
         m = max(self.exp, other.exp)
         a = self.num * _asq_power(self.ctx, m - self.exp) if m > self.exp else self.num
@@ -141,6 +143,9 @@ class LocalizedElem:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
 
     def __mul__(self, other):
         if not isinstance(other, LocalizedElem):
@@ -171,8 +176,10 @@ class LocalizedElem:
         return LocalizedElem(self.ctx, num, exp, _checked=True)
 
     def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.num
+        if isinstance(other, int):
+            if other == 0:
+                return not self.num
+            other = LocalizedElem.from_scalar(self.ctx, other)
         if not isinstance(other, LocalizedElem):
             return NotImplemented
         self._compat(other)

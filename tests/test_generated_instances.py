@@ -1,0 +1,261 @@
+"""Monogenic instances K[s][u]/(g): trace pairings, discriminants, norm maps.
+
+The trace-pairing determinant of two mapped tuples is computed as
+det A * disc(e) * det B from coordinate determinants.  The route it
+replaced, r^2 algebra products and traces under one determinant, stays
+here as the oracle.  Generated instances u^r = s and u^r = s*u + 1 check
+the discriminant against a Sylvester resultant and the norm map against
+the algebra's own structure constants.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from altkit.errors import NotABasis, NotGenericallyEtale
+from altkit.gen_etale import NormMapPlus, check_pullback_plus
+from altkit.norm_universal import (
+    PullbackInstance,
+    discriminant,
+    trace_pairing_det,
+)
+from altkit.ring_core import (
+    GF,
+    QQ,
+    AlgebraMap,
+    FiniteFreeAlgebra,
+    PolyRing,
+    det_generic,
+)
+
+
+def monogenic(base, tail):
+    """base[u]/(u^r - sum_i tail[i] u^i) on the basis 1, u, ..., u^(r-1)."""
+    r = len(tail)
+    zero, one = base.zero(), base.one()
+    powers = []
+    cur = [one] + [zero] * (r - 1)
+    for _ in range(2 * r - 1):
+        powers.append(tuple(cur))
+        top = cur[-1]
+        cur = [
+            base.normalize(c + top * t) for c, t in zip([zero] + cur[:-1], tail)
+        ]
+    structure = tuple(tuple(powers[i + j] for j in range(r)) for i in range(r))
+    return FiniteFreeAlgebra(base, r, structure, powers[0])
+
+
+def monogenic_source(E):
+    """The source ring and f: t -> u, with the base variables mapped to
+    themselves times the unit, as `altkit instance` builds it."""
+    base = E.base
+    if isinstance(base, PolyRing):
+        source = PolyRing(base.coeff, base.vars + ("t",))
+        images = [E.element([base.variable(v) * c for c in E.unit]) for v in base.vars]
+    else:
+        source = PolyRing(base, ("t",))
+        images = []
+    images.append(E.basis_elem(1))
+    return source, AlgebraMap(source, E, images)
+
+
+def power_anchor(source, r):
+    t = source.variable("t")
+    return [t**k for k in range(r)]
+
+
+def old_trace_pairing_det(inst, vs, ws):
+    # the replaced route: f on both tuples, r^2 products and traces
+    E, f, space = inst.E, inst.f, inst.space
+    fvs = [f(space.as_element(v)) for v in vs]
+    fws = [f(space.as_element(w)) for w in ws]
+    rows = [[E.trace(fv * fw) for fw in fws] for fv in fvs]
+    return E.base.normalize(det_generic(rows))
+
+
+def gram_discriminant(alg, basis):
+    # the replaced route: the Gram matrix of the basis itself
+    return alg.base.normalize(
+        det_generic([[alg.trace(bi * bj) for bj in basis] for bi in basis])
+    )
+
+
+# -- random monogenic algebras over Q, GF(5) and Q[s]
+
+QS = PolyRing(QQ, ("s",))
+BASES = {"Q": QQ, "GF(5)": GF(5), "Q[s]": QS}
+
+
+def _draw_scalar(data, ring, nonzero=False):
+    # a constant of the ring, plus a multiple of s where the ring has s;
+    # a nonzero draw is a nonzero constant, so a unit
+    coeff = ring.coeff if isinstance(ring, PolyRing) else ring
+    c = coeff.normalize(data.draw(st.integers(1 if nonzero else -3, 3)))
+    if not isinstance(ring, PolyRing):
+        return c
+    c = ring.embed_scalar(c)
+    if "s" in ring.vars and not nonzero:
+        c = c + ring.variable("s") * data.draw(st.integers(-2, 2))
+    return c
+
+
+def _draw_algebra(data, base):
+    r = data.draw(st.integers(2, 4), label="rank")
+    return monogenic(base, [_draw_scalar(data, base) for _ in range(r)])
+
+
+def _draw_source_poly(data, source):
+    t = source.variable("t")
+    z = source.zero()
+    for e in range(data.draw(st.integers(0, 2)) + 1):
+        z = z + _draw_scalar(data, source) * t**e
+    return z
+
+
+def _draw_anchor(data, source, r):
+    # c_k t^k plus lower powers, c_k a nonzero constant: the image
+    # f(x) = (c_k u^k + ...) has unit coordinate determinant prod c_k
+    t = source.variable("t")
+    xs = []
+    for k in range(r):
+        x = _draw_scalar(data, source, nonzero=True) * t**k
+        for j in range(k):
+            x = x + _draw_scalar(data, source) * t**j
+        xs.append(x)
+    return xs
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_trace_pairing_det_matches_trace_route(name, data):
+    base = BASES[name]
+    E = _draw_algebra(data, base)
+    source, f = monogenic_source(E)
+    inst = PullbackInstance(f, _draw_anchor(data, source, E.rank))
+    x = inst.ctx.x
+    vs, ws = (
+        tuple(_draw_source_poly(data, source) for _ in range(E.rank))
+        for _ in range(2)
+    )
+    # the stored anchor side, an equal tuple that is not the anchor, and
+    # two drawn sides
+    for ys, zs in ((x, x), (x, ws), (vs, x), (vs, ws), (list(x), ws)):
+        assert trace_pairing_det(inst, ys, zs) == old_trace_pairing_det(inst, ys, zs)
+    assert trace_pairing_det(inst, x, x) == inst.d
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_discriminant_matches_gram_route(name, data):
+    base = BASES[name]
+    E = _draw_algebra(data, base)
+    r = E.rank
+    # a unimodular change: a unit diagonal and elementary row additions
+    change = [
+        [_draw_scalar(data, base, nonzero=True) if i == j else base.zero()
+         for j in range(r)]
+        for i in range(r)
+    ]
+    for _ in range(data.draw(st.integers(0, 2 * r))):
+        i, j = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+        if i != j:
+            a = _draw_scalar(data, base)
+            change[i] = [
+                base.normalize(p + a * q) for p, q in zip(change[i], change[j])
+            ]
+    basis = [E.element([change[row][col] for row in range(r)]) for col in range(r)]
+    assert discriminant(E, basis) == gram_discriminant(E, basis)
+    assert E.disc == gram_discriminant(E, [E.basis_elem(k) for k in range(r)])
+    if isinstance(base, PolyRing):
+        # s times a basis vector: no longer a basis over Q[s]
+        s = base.variable("s")
+        with pytest.raises(NotABasis, match="is not a unit"):
+            discriminant(E, [basis[0] * s] + basis[1:])
+
+
+# -- the image memo belongs to its instance
+
+
+def _witness_rows(inst):
+    witnesses, _ = check_pullback_plus(inst, NormMapPlus(inst))
+    return [(w.name, w.ok, w.lhs_text, w.rhs_text) for w in witnesses]
+
+
+def test_memo_is_per_instance():
+    # one source ring and anchor tuple, two algebras: u^2 = 2 and u^2 = 3
+    source = PolyRing(QQ, ("t",))
+    anchor = power_anchor(source, 2)
+
+    def build(c):
+        E = monogenic(QQ, [c, 0])
+        return PullbackInstance(AlgebraMap(source, E, [E.basis_elem(1)]), anchor)
+
+    alone = {c: _witness_rows(build(c)) for c in (2, 3)}
+    assert alone[2] != alone[3]
+    insts = {c: build(c) for c in (2, 3)}
+    assert [insts[c].d for c in (2, 3)] == [8, 12]
+    for c in (2, 3, 2, 3):
+        rows = _witness_rows(insts[c])
+        assert rows == alone[c]
+        assert all(ok for _, ok, _, _ in rows)
+
+
+# -- generated instances u^r = s and u^r = s*u + 1
+
+
+def sylvester_resultant(g, h, zero):
+    """Res(g, h) as the Sylvester determinant; coefficients highest first."""
+    m, n = len(g) - 1, len(h) - 1
+    rows = [[zero] * i + list(g) + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + list(h) + [zero] * (m - 1 - i) for i in range(m)]
+    return det_generic(rows)
+
+
+def family_tail(base, family, r):
+    s = base.variable("s")
+    zero = base.zero()
+    if family == "u^r = s":
+        return [s] + [zero] * (r - 1)
+    return [base.one(), s] + [zero] * (r - 2)
+
+
+# ROADMAP's closed forms, as the report prints them
+CLOSED_FORMS = {
+    "u^r = s": {2: "4*s", 3: "-27*s^2", 4: "-256*s^3", 5: "3125*s^4"},
+    "u^r = s*u + 1": {2: "s^2+4", 3: "4*s^3-27", 4: "-27*s^4-256", 5: "-256*s^5+3125"},
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_generated_instance(family, r):
+    base = QS
+    tail = family_tail(base, family, r)
+    E = monogenic(base, tail)
+    source, f = monogenic_source(E)
+    inst = PullbackInstance(f, power_anchor(source, r))
+
+    # g = u^r - sum tail_i u^i and g' = r u^(r-1) - ..., highest first
+    g = [base.one()] + [base.normalize(-c) for c in reversed(tail)]
+    dg = [base.normalize(c * (r - k)) for k, c in enumerate(g[:-1])]
+    res = sylvester_resultant(g, dg, base.zero())
+    sign = -1 if r * (r - 1) // 2 % 2 else 1
+    assert inst.d == base.normalize(res * sign)
+    assert base.to_text(inst.d) == CLOSED_FORMS[family][r]
+
+    witnesses, rows = check_pullback_plus(inst, NormMapPlus(inst))
+    assert len(rows) == r * (r + 1) // 2
+    assert [w.name for w in witnesses if not w.ok] == []
+
+
+@pytest.mark.parametrize("p, r", [(5, 5), (3, 3)])
+def test_generated_instance_with_p_dividing_r_is_refused(p, r):
+    base = PolyRing(GF(p), ("s",))
+    E = monogenic(base, family_tail(base, "u^r = s", r))
+    source, f = monogenic_source(E)
+    inst = PullbackInstance(f, power_anchor(source, r))
+    assert not inst.d
+    with pytest.raises(NotGenericallyEtale):
+        NormMapPlus(inst)

@@ -114,6 +114,28 @@ def test_scalar_action_and_text():
     assert raw.to_text().endswith("/ asq^1")
 
 
+@pytest.mark.parametrize("k", [0, 1, -3])
+def test_plain_ints_are_scalar_fractions(k):
+    # an int on either side of ==, + and - stands for from_scalar(ctx, k),
+    # also when the fraction carries a square power
+    space, ctx, t = qt_context(2)
+    a = LocalizedElem.from_scalar(ctx, k)
+    padded = LocalizedElem(ctx, a.num * ctx.alpha_sq, 1, _checked=True)
+    for frac in (a, padded):
+        assert frac == k
+        assert k == frac
+        assert frac != k + 1
+        assert k + 1 != frac
+    tt = LocalizedElem(ctx, pure_tensor(space, [t, t]), 0)
+    assert tt + k == tt + a
+    assert k + tt == tt + a
+    assert padded + k == LocalizedElem.from_scalar(ctx, 2 * k)
+    assert k + padded == 2 * k
+    assert (tt + k) - k == tt
+    assert k - tt == -(tt - k)
+    assert k - padded == 0
+
+
 def test_multiplication_divides_out_square_factors():
     space, ctx, t = qt_context(2)
     c = coordinates(ctx, t * t)
