@@ -17,7 +17,9 @@ adds its signed coefficient at the key with its alternated slots sorted;
 a term with two equal alternated slots cancels in every ring and is
 dropped.  Only each surviving sorted key is then expanded over the group,
 once, with no merging: the work is one sort per input term plus one write
-per output term.
+per output term.  The determinant of a matrix of fully invariant tensors
+(``det_invariant``) keeps its minors the same way, by their coefficients
+at sorted keys.
 
 Identity checks return a :class:`Witness` carrying both sides, never a
 bare bool, so failing cases can be reported verbatim.
@@ -27,9 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from operator import add, itemgetter, sub
 
-from .errors import ArityMismatch, PreconditionViolated
+from .errors import (
+    ArityMismatch,
+    NotInvariant,
+    PreconditionViolated,
+    UnsupportedAmbient,
+)
 from .ring_core import MultiPoly
 from .tensor_algebra import (
     Permutation,
@@ -45,6 +52,7 @@ __all__ = [
     "alpha",
     "alpha_map",
     "alpha_n11",
+    "det_invariant",
     "AlternatorInstance",
     "IdentityData",
     "Witness",
@@ -116,6 +124,91 @@ def _signed_sum(t, fix_last):
             for get, sign in maps.values():
                 out[get(k)] = c if sign > 0 else neg
     return Tensor(space, out, _clean=True)
+
+
+def det_invariant(rows):
+    """Determinant of a square matrix of fully invariant tensors.
+
+    The subset expansion of ``ring_core.det_generic``, over a polynomial
+    ambient.  Every minor is a sum of products of invariant tensors, so it
+    is invariant too and fixed by its coefficients at sorted keys: each
+    minor is kept as that dict alone, and a zero minor is dropped.  A
+    product a * minor is computed at sorted keys only.  If a sorted key
+    kappa is k' + s(rho) with rho sorted, then s^-1(kappa) is s^-1(k') +
+    rho, and s^-1(k') lies in the support of a again; so the candidates
+    sort(k + rho), k over a's terms and rho over the minor's sorted keys,
+    hold every sorted key of the product.  Its coefficient there is the
+    sum of a[k] * minor[kappa - k], read from the minor's orbit expansion:
+    exact in every characteristic, with no division.  The determinant is
+    expanded once into a full tensor.
+    """
+    n = len(rows)
+    if n == 0 or any(len(r) != n for r in rows):
+        raise ValueError("square nonempty matrix required")
+    first = rows[0][0]
+    space = first.space
+    if not space.is_poly:
+        raise UnsupportedAmbient("orbit determinant needs a polynomial ambient")
+    for row in rows:
+        for a in row:
+            first._compat(a)
+            if not is_symmetric(a):
+                raise NotInvariant("determinant entries must be fully invariant")
+    slots_of, maps = _signed_reindex(space.n, space.width, False)
+    order = range(space.n)
+    gets = [get for get, _ in maps.values()]
+    norm = space.scalars.normalize
+
+    sorted_of = {}  # memo of sort: the products revisit keys
+
+    def sort(key):
+        slots = slots_of(key)
+        get = maps[tuple(sorted(order, key=slots.__getitem__))][0]
+        sorted_of[key] = s = get(key)
+        return s
+
+    cur = {}
+    for j, a in enumerate(rows[0]):
+        minor = {k: c for k, c in a.terms.items() if sort(k) == k}
+        if minor:
+            cur[1 << j] = minor
+    for r in range(1, n):
+        row = [list(a.terms.items()) for a in rows[r]]
+        nxt = {}
+        for mask, minor in cur.items():
+            full = {get(k): c for k, c in minor.items() for get in gets}
+            for j, items in enumerate(row):
+                bit = 1 << j
+                if mask & bit or not items:
+                    continue
+                negate = (r + (mask & (bit - 1)).bit_count()) % 2
+                acc = nxt.setdefault(mask | bit, {})
+                done = set()
+                for k, _ in items:
+                    for rho in minor:
+                        key = tuple(map(add, k, rho))
+                        kappa = sorted_of.get(key) or sort(key)
+                        if kappa in done:
+                            continue
+                        done.add(kappa)
+                        s = 0
+                        for k2, c in items:
+                            m = full.get(tuple(map(sub, kappa, k2)))
+                            if m is not None:
+                                s += c * m
+                        if negate:
+                            s = -s
+                        p = acc.get(kappa)
+                        acc[kappa] = s if p is None else p + s
+        cur = {}
+        for mask, acc in nxt.items():
+            minor = {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
+            if minor:
+                cur[mask] = minor
+    det = cur.get((1 << n) - 1, {})
+    return Tensor(
+        space, {get(k): c for k, c in det.items() for get in gets}, _clean=True
+    )
 
 
 def alpha_map(t):

@@ -77,7 +77,7 @@ SCHEMA_VERSION = 1
 
 # --max-degree and --max-terms size every random draw of a suite case.
 # At both bounds the dearest n = 5 case measured, traceexp over fp:5,
-# takes a few seconds (see README's input bounds)
+# takes 0.2-0.35 s (see README's input bounds)
 MAX_DEGREE = 4
 MAX_TERMS = 4
 

@@ -17,7 +17,7 @@ such division succeeds.
 
 from __future__ import annotations
 
-from .alternator import AlternatorInstance, Witness, alpha
+from .alternator import AlternatorInstance, Witness, alpha, det_invariant
 from .errors import (
     ArityMismatch,
     ContextMismatch,
@@ -131,6 +131,8 @@ def traceexp_check(ctx, ys):
     """Alternator pair against the determinant of pairwise power sums.
 
     Plain tensor arithmetic on both sides, so any ambient ring works.
+    Every power sum is fully invariant, so over a polynomial ambient the
+    determinant keeps one coefficient per orbit (``det_invariant``).
     """
     space = ctx.space
     if len(ys) != space.n:
@@ -140,7 +142,7 @@ def traceexp_check(ctx, ys):
     rows = [
         [polarized_power_sum(space, xi * yj) for yj in ys] for xi in ctx.x
     ]
-    rhs = det_generic(rows)
+    rhs = det_invariant(rows) if space.is_poly else det_generic(rows)
     return Witness("traceexp", lhs == rhs, lhs, rhs)
 
 

@@ -13,8 +13,9 @@ Supported arity is 1 <= n <= 5; everything here is exact.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations, product
+from operator import itemgetter
 
 from .errors import (
     ArityMismatch,
@@ -187,6 +188,26 @@ class TensorSpace:
         if self.is_poly:
             return list(x.terms.items())
         return [((i,), c) for i, c in enumerate(x.coords) if c]
+
+    @cached_property
+    def coprojection_frames(self):
+        """The unit's terms around each slot, built once.
+
+        One (prefix, suffix, c) per slot p and per pair of unit terms on
+        the slots before and after p: the co-projection of r into slot p
+        has c * c' at prefix + label + suffix for each term (label, c')
+        of r.
+        """
+        one = self.decompose(self.ring.one())
+        units = [[((), self.one_coeff())]]
+        for _ in range(self.n - 1):
+            units.append([(k + lbl, c * c2) for k, c in units[-1] for lbl, c2 in one])
+        return tuple(
+            (k1, k3, c1 * c3)
+            for p in range(self.n)
+            for k1, c1 in units[p]
+            for k3, c3 in units[self.n - 1 - p]
+        )
 
     def label_elem(self, label):
         """The element of R carried by one slot label."""
@@ -378,14 +399,32 @@ def unit_tensor(space):
     return pure_tensor(space, [space.ring.one()] * space.n)
 
 
+@lru_cache(maxsize=None)
+def _adjacent_swaps(n, width):
+    """Getters of flat keys with slots i and i+1 exchanged, i < n - 1."""
+    swaps = []
+    for i in range(n - 1):
+        idx = list(range(n * width))
+        lo, mid, hi = i * width, (i + 1) * width, (i + 2) * width
+        idx[lo:hi] = idx[mid:hi] + idx[lo:mid]
+        swaps.append(itemgetter(*idx))
+    return tuple(swaps)
+
+
 def _fixed_by_adjacent(t, slots):
     # invariance under the group the transpositions (i, i+1), i < slots - 1,
-    # generate: the symmetric group on the first ``slots`` slots
-    n = t.space.n
-    return all(
-        t.permute(Permutation.transposition(n, i, i + 1)).terms == t.terms
-        for i in range(slots - 1)
-    )
+    # generate: the symmetric group on the first ``slots`` slots.  A
+    # transposition s fixes t when t[s(k)] = t[k] at every term k: s is a
+    # bijection of keys, so it then maps the support onto itself
+    terms = t.terms
+    swaps = _adjacent_swaps(t.space.n, t.space.width)
+    for i in range(slots - 1):
+        swap = swaps[i]
+        for k, c in terms.items():
+            d = terms.get(swap(k))
+            if d is None or d != c:
+                return False
+    return True
 
 
 def is_symmetric(t):
@@ -399,8 +438,14 @@ def is_sym_n11(t):
 
 
 def polarized_power_sum(space, z):
-    """Sum of the n co-projections of z, an S_n-invariant tensor."""
-    acc = space.zero()
-    for p in range(1, space.n + 1):
-        acc = acc + coprojection(space, p, z)
-    return acc
+    """Sum of the n co-projections of z, an S_n-invariant tensor, built in
+    one dict over the space's co-projection frames."""
+    zs = space.decompose(z)
+    acc = {}
+    for prefix, suffix, c1 in space.coprojection_frames:
+        for label, c2 in zs:
+            k = prefix + label + suffix
+            c = c1 * c2
+            s = acc.get(k)
+            acc[k] = c if s is None else s + c
+    return Tensor(space, acc)

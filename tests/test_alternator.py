@@ -1,6 +1,9 @@
 """Alternating sums: values, linearity, and the six exchange identities."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import altkit
 from altkit.alternator import (
     IDENTITY_NAMES,
     AlternatorInstance,
@@ -17,12 +21,21 @@ from altkit.alternator import (
     alpha_map,
     alpha_n11,
     check_identity,
+    det_invariant,
     random_case,
     random_invariant,
     random_tensor,
 )
-from altkit.errors import PreconditionViolated
-from altkit.ring_core import GF, QQ, ZZ, FiniteFreeAlgebra, PolyRing, det_generic
+from altkit.errors import NotInvariant, PreconditionViolated, UnsupportedAmbient
+from altkit.ring_core import (
+    GF,
+    QQ,
+    ZZ,
+    FiniteFreeAlgebra,
+    MultiPoly,
+    PolyRing,
+    det_generic,
+)
 from altkit.tensor_algebra import (
     Permutation,
     Tensor,
@@ -30,7 +43,9 @@ from altkit.tensor_algebra import (
     all_signed_permutations,
     coprojection,
     is_symmetric,
+    polarized_power_sum,
     pure_tensor,
+    unit_tensor,
 )
 
 RT = PolyRing(QQ, ("t",))
@@ -346,3 +361,94 @@ def test_random_data_is_seed_deterministic():
     a = random_case("symmetric_span", random.Random(99), sp, 4, 3)
     b = random_case("symmetric_span", random.Random(99), sp, 4, 3)
     assert a.x == b.x and a.y == b.y
+
+
+# -- the orbit determinant of fully invariant tensors
+
+
+def symmetrized(sp, terms):
+    """The sum of a tensor over every slot permutation: fully invariant."""
+    raw = Tensor(sp, terms)
+    acc = sp.zero()
+    for sigma, _ in all_signed_permutations(sp.n):
+        acc = acc + raw.permute(sigma)
+    return acc
+
+
+@st.composite
+def invariant_matrices(draw):
+    """Square matrices of invariant tensors, singular ones included."""
+    scalars = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+    ring = PolyRing(scalars, draw(st.sampled_from([("t",), ("t", "u")])))
+    sp = TensorSpace(draw(st.integers(1, 5)), ring)
+    size = draw(st.integers(1, 5))
+    label = st.tuples(*[st.integers(0, 2 if sp.width == 1 else 1)] * sp.width)
+    coeff = st.integers(1, 4)
+
+    def entry():
+        kind = draw(st.sampled_from(("zero", "power_sum", "symmetrized")))
+        if kind == "zero":
+            return sp.zero()
+        if kind == "power_sum":
+            z = draw(st.dictionaries(label, coeff, min_size=1, max_size=2))
+            return polarized_power_sum(sp, MultiPoly(ring, z))
+        # two labelled slots and the rest at the unit label: an orbit of
+        # at most n(n-1) keys, which keeps the dense oracle quick
+        key = (draw(label) + draw(label) + (0,) * sp.width * sp.n)[: sp.width * sp.n]
+        return symmetrized(sp, {key: draw(coeff)})
+
+    rows = [[entry() for _ in range(size)] for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(invariant_matrices())
+def test_det_invariant_matches_dense_expansion(rows):
+    # det_generic multiplies full tensors term by term: the oracle
+    assert det_invariant(rows) == det_generic(rows)
+
+
+def test_det_invariant_refuses_other_entries():
+    sp = space(3)
+    t = RT.variable("t")
+    sym = polarized_power_sum(sp, t)
+    with pytest.raises(NotInvariant):
+        det_invariant([[sym, sym], [sym, coprojection(sp, 1, t)]])
+    alg = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))
+    with pytest.raises(UnsupportedAmbient):
+        det_invariant([[unit_tensor(TensorSpace(2, alg))]])
+    with pytest.raises(ValueError):
+        det_invariant([[sym, sym]])
+
+
+_NOT_INVARIANT_SCRIPT = """
+import sys
+from altkit.alternator import det_invariant
+from altkit.errors import NotInvariant
+from altkit.ring_core import QQ, PolyRing
+from altkit.tensor_algebra import TensorSpace, coprojection
+print("optimize", sys.flags.optimize, __debug__ is False)
+ring = PolyRing(QQ, ("t",))
+sp = TensorSpace(2, ring)
+try:
+    det_invariant([[coprojection(sp, 1, ring.variable("t"))]])
+    print("no error")
+except NotInvariant as e:
+    print("raised", type(e).__name__)
+"""
+
+
+def test_det_invariant_gate_holds_under_optimize():
+    # python -O strips assert statements; the invariance gate is not one
+    src = os.path.dirname(os.path.dirname(altkit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _NOT_INVARIANT_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["optimize 1 True", "raised NotInvariant"]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from altkit import norm_universal
 from altkit.alternator import AlternatorInstance, alpha
 from altkit.errors import (
     ContextMismatch,
@@ -25,7 +26,7 @@ from altkit.norm_universal import (
 )
 from altkit.ring_core import GF, QQ, ZZ, AlgebraMap, FiniteFreeAlgebra, PolyRing
 from altkit.span_solver import LocalizedElem, coordinates
-from altkit.tensor_algebra import TensorSpace, pure_tensor
+from altkit.tensor_algebra import TensorSpace, pure_tensor, unit_tensor
 
 
 def sqrt2_algebra():
@@ -161,6 +162,33 @@ def test_traceexp_random_tuples():
                         y = y + ring.embed_scalar(scalars.from_int(c)) * t**d
                 ys.append(y)
             assert traceexp_check(ctx, ys).ok
+
+
+@pytest.mark.parametrize("scalars", [QQ, GF(5)])
+@pytest.mark.parametrize("n", [4, 5])
+def test_traceexp_nonzero_sides_at_high_arity(monkeypatch, scalars, n):
+    # verify's default draws at n >= 4 have degree <= 2: their n ys lie in
+    # a 3-dimensional space, so alpha(y) = 0 and both sides are 0.  Here
+    # the ys have degree n - 1 and span the same space as the anchor
+    ring = PolyRing(scalars, ("t",))
+    t = ring.variable("t")
+    space = TensorSpace(n, ring)
+    ctx = AlternatorInstance(space, [t**i for i in range(n)])
+    ys = [t**j + t ** (j + 1) * 2 for j in range(n - 1)] + [t ** (n - 1) + 3]
+    w = traceexp_check(ctx, ys)
+    assert w.lhs and w.ok
+    # the same check with one power sum replaced by another invariant
+    # tensor must fail
+    real = norm_universal.polarized_power_sum
+    seen = []
+
+    def altered(space, z):
+        seen.append(z)
+        value = real(space, z)
+        return value + unit_tensor(space) if len(seen) == 1 else value
+
+    monkeypatch.setattr(norm_universal, "polarized_power_sum", altered)
+    assert not traceexp_check(ctx, ys).ok
 
 
 def test_traceexp_over_algebra_ambient():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altkit.errors import ArityMismatch, IndexOutOfRange, RingMismatch, UnsupportedBase
-from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, PolyRing
+from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, MultiPoly, PolyRing
 from altkit.tensor_algebra import (
     Permutation,
     Tensor,
@@ -261,6 +261,65 @@ def test_polarized_power_sum_additive():
     assert polarized_power_sum(sp, r + s) == polarized_power_sum(
         sp, r
     ) + polarized_power_sum(sp, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5),
+    st.sampled_from([("t",), ("t", "u")]),
+    st.sampled_from([QQ, GF(2), GF(5)]),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3)),
+)
+def test_polarized_power_sum_matches_coprojection_sum(n, names, scalars, terms):
+    # the sum of the n co-projections, added one tensor at a time: the
+    # oracle for the one-dict build
+    ring = PolyRing(scalars, names)
+    z = ring.zero()
+    for key, c in terms.items():
+        z = z + MultiPoly(ring, {key[: len(names)]: c})
+    sp = TensorSpace(n, ring)
+    acc = sp.zero()
+    for p in range(1, n + 1):
+        acc = acc + coprojection(sp, p, z)
+    assert polarized_power_sum(sp, z) == acc
+
+
+def test_polarized_power_sum_over_algebra():
+    # a unit that is not a basis element: e1 + e2 in the split algebra
+    alg = FiniteFreeAlgebra(
+        QQ, 2, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1)
+    )
+    for n in (1, 2, 3):
+        sp = space(n, alg)
+        z = alg.element((2, -3))
+        acc = sp.zero()
+        for p in range(1, n + 1):
+            acc = acc + coprojection(sp, p, z)
+        assert polarized_power_sum(sp, z) == acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 1)] * 8), st.integers(-2, 2), max_size=4
+    ),
+    st.booleans(),
+)
+def test_invariance_predicates_match_every_permutation(n, terms, symmetrize):
+    # width-2 keys: every permutation applied in full is the oracle for
+    # the adjacent-swap lookups
+    sp = space(n, PolyRing(QQ, ("t", "u")))
+    raw = Tensor(sp, {k[: 2 * n]: c for k, c in terms.items()})
+    if symmetrize:
+        sym = sp.zero()
+        for sigma, _ in all_signed_permutations(n):
+            sym = sym + raw.permute(sigma)
+        raw = sym
+    perms = [sigma for sigma, _ in all_signed_permutations(n)]
+    assert is_symmetric(raw) == all(raw.permute(s) == raw for s in perms)
+    fixing_last = [s for s in perms if s(n - 1) == n - 1]
+    assert is_sym_n11(raw) == all(raw.permute(s) == raw for s in fixing_last)
 
 
 # -- tensors over a finite algebra
