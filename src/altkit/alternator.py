@@ -19,7 +19,9 @@ dropped.  Only each surviving sorted key is then expanded over the group,
 once, with no merging: the work is one sort per input term plus one write
 per output term.  The determinant of a matrix of fully invariant tensors
 (``det_invariant``) keeps its minors the same way, by their coefficients
-at sorted keys.
+at sorted keys, and so does exact division of one alternating tensor by
+another (``divide_orbits``): the quotient is symmetric and is found one
+orbit at a time.
 
 Identity checks return a :class:`Witness` carrying both sides, never a
 bare bool, so failing cases can be reported verbatim.
@@ -37,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .ring_core import MultiPoly
+from .ring_core import MultiPoly, quotient_factor
 from .tensor_algebra import (
     Permutation,
     Tensor,
@@ -52,6 +54,10 @@ __all__ = [
     "alpha",
     "alpha_map",
     "alpha_n11",
+    "alpha_orbits",
+    "signed_orbits",
+    "expand_orbits",
+    "divide_orbits",
     "det_invariant",
     "AlternatorInstance",
     "IdentityData",
@@ -93,14 +99,17 @@ def _signed_reindex(n, width, fix_last):
     return slots, maps
 
 
-def _signed_sum(t, fix_last):
-    # The sum is alternating, so it is fixed by one coefficient per orbit:
-    # the one at the key whose alternated slots are sorted.  A term whose
-    # slots sort by a permutation of sign e adds e * c there.  A term with
-    # two equal alternated slots meets its own transposition with the
-    # opposite sign, so it cancels in every ring, characteristic 2
-    # included, and is dropped.  Each surviving sorted key then expands
-    # once into its orbit, whose keys are distinct: no key is merged twice.
+def signed_orbits(t, fix_last=False):
+    """The signed sum of t by its coefficients at sorted keys.
+
+    The sum is alternating, so it is fixed by one coefficient per orbit:
+    the one at the key whose alternated slots are in ascending order.  A
+    term whose slots sort by a permutation of sign e adds e * c there.  A
+    term with two equal alternated slots meets its own transposition with
+    the opposite sign, so it cancels in every ring, characteristic 2
+    included, and is dropped.  Returns the nonzero normalized
+    coefficients, keyed by those ascending keys.
+    """
     space = t.space
     slots_of, maps = _signed_reindex(space.n, space.width, fix_last)
     order = range(space.n - 1 if fix_last else space.n)
@@ -116,14 +125,119 @@ def _signed_sum(t, fix_last):
             c = -c
         orbits[k] = c if s is None else s + c
     norm = space.scalars.normalize
+    return {k: c for k, c in ((k, norm(c)) for k, c in orbits.items()) if c}
+
+
+def expand_orbits(space, orbits, fix_last=False):
+    """The alternating tensor with the given coefficients at sorted keys.
+
+    Each sorted key expands once into its orbit, whose keys are distinct:
+    no key is merged twice.
+    """
+    _, maps = _signed_reindex(space.n, space.width, fix_last)
+    norm = space.scalars.normalize
     out = {}
     for k, c in orbits.items():
-        c = norm(c)
-        if c:
-            neg = norm(-c)
-            for get, sign in maps.values():
-                out[get(k)] = c if sign > 0 else neg
+        neg = norm(-c)
+        for get, sign in maps.values():
+            out[get(k)] = c if sign > 0 else neg
     return Tensor(space, out, _clean=True)
+
+
+def _signed_sum(t, fix_last):
+    return expand_orbits(t.space, signed_orbits(t, fix_last), fix_last)
+
+
+def divide_orbits(space, num, den):
+    """num / den for two alternating tensors, or None; exact only.
+
+    Both are given by their coefficients at sorted keys (``signed_orbits``),
+    over a polynomial ambient whose tensor power is a domain.  The quotient
+    of two alternating tensors is symmetric, so it is a sum of monomial
+    symmetric tensors m_lam, one per orbit; a quotient of alternants is
+    the bialternant quotient (Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., ch. I.3).  Division runs on orbits alone:
+
+    - Keys are rearranged with their slots in descending order, so the
+      degree-lex leading key of a tensor is the largest of them.  The
+      leading key of a product is the sum of the leading keys, and the
+      leading key of a symmetric tensor is descending; so the largest
+      remainder key minus den's leading key is the next lam, or the
+      division fails when it has a negative entry or its slots are not
+      weakly descending.
+    - Its coefficient follows ``ring_core.dict_divide_exact``: the
+      leading coefficient's inverse over GF(p), Q and for +-1, and a
+      ``divmod`` with no remainder over Z.
+    - m_lam * A(d) = sum of A(mu + d) over the distinct arrangements mu
+      of lam, over Z, where A(k) is the alternant of key k: zero when k
+      has two equal slots, and sign(s) * A(sort k) otherwise.  So each
+      step subtracts that sum, at sorted keys, and stays exact in every
+      characteristic, 2 included: an alternating tensor is fixed by its
+      coefficients at sorted keys with distinct slots.
+
+    The quotient is expanded once into a full tensor; in a domain it is
+    unique, so it equals ``dict_divide_exact`` on the expanded tensors.
+    """
+    if not den:
+        return None
+    if not num:
+        return space.zero()
+    n = space.n
+    slots_of, maps = _signed_reindex(n, space.width, False)
+    order = range(n)
+    gets = [get for get, _ in maps.values()]
+    # one reindexing for both sides: a common sign cancels in every quotient
+    desc = maps[tuple(reversed(order))][0]
+    rem = {desc(k): c for k, c in num.items()}
+    dterms = [(desc(k), c) for k, c in den.items()]
+
+    def deglex(key):
+        return sum(key), key
+
+    lead, lc = max(dterms, key=lambda kc: deglex(kc[0]))
+    ring = space.scalars
+    inv = quotient_factor(lc, ring)
+    norm = ring.normalize
+    quot = {}
+    while rem:
+        r = max(rem, key=deglex)
+        lam = tuple(map(sub, r, lead))
+        if min(lam) < 0:
+            return None
+        blocks = slots_of(lam)
+        if any(blocks[i] < blocks[i + 1] for i in range(n - 1)):
+            return None
+        c = rem.pop(r)
+        if inv is None:
+            qc, m = divmod(c, lc)
+            if m:
+                return None
+        else:
+            qc = norm(c * inv)
+        quot[lam] = qc
+        # the contributions at r add up to qc * lc, which cancels c
+        for mu in {get(lam) for get in gets}:
+            for d, cd in dterms:
+                key = tuple(map(add, mu, d))
+                slots = slots_of(key)
+                if len(set(slots)) < n:
+                    continue
+                get, sign = maps[
+                    tuple(sorted(order, key=slots.__getitem__, reverse=True))
+                ]
+                kappa = get(key)
+                if kappa == r:
+                    continue
+                m = qc * cd
+                s = rem.get(kappa, 0)
+                s = norm(s - m if sign > 0 else s + m)
+                if s:
+                    rem[kappa] = s
+                else:
+                    rem.pop(kappa, None)
+    return Tensor(
+        space, {get(lam): c for lam, c in quot.items() for get in gets}, _clean=True
+    )
 
 
 def det_invariant(rows):
@@ -226,6 +340,11 @@ def alpha(space, xs):
     return alpha_map(pure_tensor(space, xs))
 
 
+def alpha_orbits(space, xs):
+    """Alternator of an n-tuple, by its coefficients at sorted keys."""
+    return signed_orbits(pure_tensor(space, xs))
+
+
 class AlternatorInstance:
     """A fixed anchor tuple x with its alternator cached.
 
@@ -239,13 +358,17 @@ class AlternatorInstance:
             raise ArityMismatch(f"{len(xs)} entries for arity {space.n}")
         self.space = space
         self.x = tuple(space.as_element(x) for x in xs)
-        self.alpha_x = alpha(space, self.x)
-        # alpha(x) packed for exact division, one form per field width
-        # (see ring_core.dict_divide_exact): every coordinate divides by it
-        self.alpha_packs = {}
+        # alpha(x) by its coefficients at sorted keys: every coordinate
+        # divides by it in that form (see ``divide_orbits``)
+        self.alpha_x_orbits = alpha_orbits(space, self.x)
         self.phi_n_x = tuple(
             coprojection(space, space.n, xi) for xi in self.x
         )
+
+    @cached_property
+    def alpha_x(self):
+        """The alternator of x as a full tensor, expanded on first read."""
+        return expand_orbits(self.space, self.alpha_x_orbits)
 
     @cached_property
     def alpha_sq(self):

@@ -392,27 +392,32 @@ def _pack_divisor(den, ring, fields):
         if k != lead
     ]
     lead = int.from_bytes(fields(sum(lead), *lead), "big")
+    return lead, quotient_factor(lc, ring), lc, rest
+
+
+def quotient_factor(lc, ring):
+    """The factor that turns a coefficient into its quotient by the
+    nonzero lc of the CoeffRing ``ring``, or None when the ring must
+    divide (over Z, by ``divmod``)."""
     p = ring.p
     if p is not None:
-        return lead, pow(lc, -1, p), lc, rest
+        return pow(lc, -1, p)
     # a normalized a divided by +-1 is a times +-1, and over Q every
     # quotient is a times the inverse
     if lc == 1 or lc == -1:
-        return lead, lc, lc, rest
+        return lc
     if ring.kind == "Q":
-        return lead, ring.normalize(1 / Fraction(lc)), lc, rest
-    return lead, None, lc, rest
+        return ring.normalize(1 / Fraction(lc))
+    return None
 
 
-def dict_divide_exact(num, den, ring, packs=None):
+def dict_divide_exact(num, den, ring):
     """Exact division of sparse term dicts under degree-lex order.
 
     Both dicts map equal-length exponent tuples to coefficients in the
     CoeffRing ``ring``.  Returns the quotient dict, its keys in descending
     degree-lex order, or None when the division leaves a remainder or a
-    coefficient quotient does not exist.  ``packs``, when given, is a dict
-    the caller keeps beside den: it holds den's packed form per field
-    width, so that dividing many numerators by one divisor packs it once.
+    coefficient quotient does not exist.
     """
     if not den:
         return None
@@ -424,12 +429,7 @@ def dict_divide_exact(num, den, ring, packs=None):
     width, fields, unfields, size, guard = _packing(
         len(next(iter(den))), top.bit_length() + 1
     )
-    packed = None if packs is None else packs.get(width)
-    if packed is None:
-        packed = _pack_divisor(den, ring, fields)
-        if packs is not None:
-            packs[width] = packed
-    lead, inv, lc, rest = packed
+    lead, inv, lc, rest = _pack_divisor(den, ring, fields)
     from_bytes = int.from_bytes
     # keys are packed inline: a call per key costs as much as packing
     rem = {from_bytes(fields(sum(k), *k), "big"): c for k, c in num.items()}
@@ -887,30 +887,35 @@ def parse_expression(text, parent):
 def det_generic(rows):
     """Division-free determinant via expansion over column subsets.
 
-    Works over any commutative ring whose values implement +, *, unary -.
-    Cost is O(2^n n), fine for the ranks handled here (n <= 8).
+    Works over any commutative ring whose values implement +, *, unary -
+    and a truth value that is false only for zero.  Cost is O(2^n n), fine
+    for the ranks handled here (n <= 8).  A zero entry and a zero minor
+    are skipped; when no term is left, the zero is a - a for an entry a.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("square nonempty matrix required")
-    cur = {1 << j: rows[0][j] for j in range(n)}
+    cur = {1 << j: a for j, a in enumerate(rows[0]) if a}
     for r in range(1, n):
-        row = rows[r]
+        row = [(1 << j, a) for j, a in enumerate(rows[r]) if a]
         nxt = {}
         for mask, minor in cur.items():
-            for j in range(n):
-                bit = 1 << j
+            for bit, a in row:
                 if mask & bit:
                     continue
                 below = (mask & (bit - 1)).bit_count()
-                term = row[j] * minor
+                term = a * minor
                 if (r + below) % 2:
                     term = -term
                 key = mask | bit
                 acc = nxt.get(key)
                 nxt[key] = term if acc is None else acc + term
-        cur = nxt
-    return cur[(1 << n) - 1]
+        cur = {mask: minor for mask, minor in nxt.items() if minor}
+    det = cur.get((1 << n) - 1)
+    if det is None:
+        a = rows[0][0]
+        return a - a
+    return det
 
 
 def _exact(ring, a, b):

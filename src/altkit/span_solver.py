@@ -17,14 +17,18 @@ Q, Z or a prime field.  Multiplication divides out common
 alternator-square factors eagerly so exponents stay small.
 
 A coordinate entry is a numerator over the alternator alpha(x) itself.
-It is divided by alpha(x) exactly where it can be, and otherwise kept as
-numerator times alpha(x) over the square, so the square is only built
-when a fraction needs it.
+Both are alternating, so both are kept by their coefficients at sorted
+keys, one per orbit, and the entry is divided there: the quotient is
+symmetric, found one orbit at a time and expanded once.  The defining
+expansion is re-checked through the quotients.  An entry that alpha(x)
+does not divide is kept as numerator times alpha(x) over the square, and
+its expansion is re-checked on the expanded numerators; the square is
+only built when a fraction needs it.
 """
 
 from __future__ import annotations
 
-from .alternator import alpha, alpha_map
+from .alternator import alpha_orbits, divide_orbits, expand_orbits, signed_orbits
 from .errors import (
     ContextMismatch,
     NotInvariant,
@@ -59,14 +63,11 @@ def _require_poly_domain(space):
         raise UnsupportedAmbient(f"unsupported scalars {space.scalars!r}")
 
 
-def tensor_divide_exact(num, den, packs=None):
-    """num / den in the ambient tensor power, or None; exact only.
-
-    ``packs`` caches den's packed form, as in ``dict_divide_exact``.
-    """
+def tensor_divide_exact(num, den):
+    """num / den in the ambient tensor power, or None; exact only."""
     _require_poly_domain(num.space)
     num._compat(den)
-    quot = dict_divide_exact(num.terms, den.terms, num.space.scalars, packs)
+    quot = dict_divide_exact(num.terms, den.terms, num.space.scalars)
     if quot is None:
         return None
     return Tensor(num.space, quot, _clean=True)
@@ -202,27 +203,39 @@ class LocalizedElem:
 def _over_alpha(ctx, nums, target, failure):
     """Coordinate entries nums_i / alpha(x), after a reconstruction check.
 
-    The check is sum nums_i * phi_n(x_i) == target * alpha(x).  Each entry
-    is the exact quotient by alpha(x) at exponent 0 when one exists, and
-    nums_i * alpha(x) over the square otherwise: the ambient is a domain,
-    so the square divides nums_i * alpha(x) exactly when alpha(x) divides
-    nums_i, and both forms are already normalized.
+    Every numerator is alternating and given by its coefficients at
+    sorted keys, and so is alpha(x); each is divided by alpha(x) on those
+    coefficients (``divide_orbits``).  When every entry divides, the
+    check is sum q_i * phi_n(x_i) == target on the quotients q_i: the
+    ambient is a domain and alpha(x) is nonzero, so that is the same as
+    sum nums_i * phi_n(x_i) == target * alpha(x), which is checked on
+    the expanded numerators otherwise.  Each entry is the quotient at
+    exponent 0 when one exists, and nums_i * alpha(x) over the square
+    otherwise: the square divides nums_i * alpha(x) exactly when alpha(x)
+    divides nums_i, so both forms are already normalized.
     """
-    lhs = ctx.space.zero()
-    for num, phi in zip(nums, ctx.phi_n_x):
-        lhs = lhs + num * phi
-    if lhs != target * ctx.alpha_x:
+    space = ctx.space
+
+    def expansion(parts):
+        lhs = space.zero()
+        for part, phi in zip(parts, ctx.phi_n_x):
+            lhs = lhs + part * phi
+        return lhs
+
+    quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
+    if all(q is not None for q in quots):
+        if expansion(quots) != target:
+            raise VerificationFailed(failure)
+        return tuple(LocalizedElem(ctx, q, 0, _checked=True) for q in quots)
+    full = [expand_orbits(space, num) for num in nums]
+    if expansion(full) != target * ctx.alpha_x:
         raise VerificationFailed(failure)
-    entries = []
-    for num in nums:
-        quot = tensor_divide_exact(num, ctx.alpha_x, ctx.alpha_packs)
-        if quot is None:
-            entries.append(
-                LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True)
-            )
-        else:
-            entries.append(LocalizedElem(ctx, quot, 0, _checked=True))
-    return tuple(entries)
+    return tuple(
+        LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True)
+        if q is None
+        else LocalizedElem(ctx, q, 0, _checked=True)
+        for num, q in zip(full, quots)
+    )
 
 
 def coordinates(ctx, z):
@@ -235,7 +248,9 @@ def coordinates(ctx, z):
     _require_poly_domain(ctx.space)
     space = ctx.space
     z = space.as_element(z)
-    nums = [alpha(space, ctx.x_replaced(i, z)) for i in range(1, space.n + 1)]
+    nums = [
+        alpha_orbits(space, ctx.x_replaced(i, z)) for i in range(1, space.n + 1)
+    ]
     return _over_alpha(
         ctx,
         nums,
@@ -256,10 +271,13 @@ def coordinates_of_invariant(ctx, y):
     if not is_sym_n11(y):
         raise NotInvariant("input must be invariant in the first n-1 slots")
     n = space.n
+    norm = space.scalars.normalize
     nums = []
     for i in range(1, n + 1):
-        num = alpha_map(ctx.x_dropped(i) * y)
-        nums.append(-num if (n - i) % 2 else num)
+        num = signed_orbits(ctx.x_dropped(i) * y)
+        if (n - i) % 2:
+            num = {k: norm(-c) for k, c in num.items()}
+        nums.append(num)
     return _over_alpha(
         ctx, nums, y, "invariant expansion failed to reconstruct"
     )

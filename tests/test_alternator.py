@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import altkit
@@ -22,9 +22,12 @@ from altkit.alternator import (
     alpha_n11,
     check_identity,
     det_invariant,
+    divide_orbits,
+    expand_orbits,
     random_case,
     random_invariant,
     random_tensor,
+    signed_orbits,
 )
 from altkit.errors import NotInvariant, PreconditionViolated, UnsupportedAmbient
 from altkit.ring_core import (
@@ -35,6 +38,7 @@ from altkit.ring_core import (
     MultiPoly,
     PolyRing,
     det_generic,
+    dict_divide_exact,
 )
 from altkit.tensor_algebra import (
     Permutation,
@@ -408,6 +412,96 @@ def invariant_matrices(draw):
 def test_det_invariant_matches_dense_expansion(rows):
     # det_generic multiplies full tensors term by term: the oracle
     assert det_invariant(rows) == det_generic(rows)
+
+
+@st.composite
+def orbit_division_cases(draw):
+    """Alternating numerator and divisor, each by its sorted-key
+    coefficients, and whether the numerator is a multiple of the divisor
+    by construction."""
+    scalars = SIGNED_SUM_RINGS[draw(st.sampled_from(sorted(SIGNED_SUM_RINGS)))]
+    w = draw(st.integers(1, 2))
+    ring = PolyRing(scalars, ("s", "t")[:w])
+    sp = TensorSpace(draw(st.integers(1, 5)), ring)
+    n = sp.n
+    label = st.tuples(*[st.integers(0, n if w == 1 else 2)] * w)
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3))
+
+    def poly(size):
+        terms = draw(st.dictionaries(label, coeff, min_size=1, max_size=size))
+        return MultiPoly(ring, {k: scalars.from_int(c) for k, c in terms.items()})
+
+    # a monomial anchor, or one with a two-term entry: the dense oracle
+    # multiplies the expanded tensors, so that keeps n = 5 quick
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    xs = [MultiPoly(ring, {k: scalars.from_int(draw(coeff))}) for k in labels]
+    if draw(st.booleans()):
+        xs[draw(st.integers(0, n - 1))] = poly(2)
+    den = signed_orbits(pure_tensor(sp, xs))
+    kind = draw(st.sampled_from(("multiple", "alternant", "bumped")))
+    if kind == "alternant":
+        num = signed_orbits(pure_tensor(sp, [poly(2) for _ in range(n)]))
+        return sp, num, den, False
+    # a symmetric quotient: two labelled slots, the rest at the unit label;
+    # it commutes with every slot permutation, so q * alpha(x) is the
+    # signed sum of q times the pure tensor of x
+    key = (draw(label) + draw(label) + (0,) * w * n)[: w * n]
+    quot = symmetrized(sp, {key: scalars.from_int(draw(coeff))})
+    num = signed_orbits(quot * pure_tensor(sp, xs))
+    if kind == "bumped":
+        extra = signed_orbits(pure_tensor(sp, [poly(1) for _ in range(n)]))
+        num = signed_orbits(expand_orbits(sp, num) + expand_orbits(sp, extra))
+    return sp, num, den, kind == "multiple"
+
+
+@settings(max_examples=150, deadline=None)
+@given(orbit_division_cases())
+def test_orbit_division_matches_dense_division(case):
+    # dict_divide_exact on the expanded tensors is the oracle, over Q, Z,
+    # GF(2) and GF(5): both divide, or both return None
+    sp, num, den, multiple = case
+    got = divide_orbits(sp, num, den)
+    want = dict_divide_exact(
+        expand_orbits(sp, num).terms, expand_orbits(sp, den).terms, sp.scalars
+    )
+    event(f"n = {sp.n}, {'None' if want is None else 'divides'}")
+    if want is None:
+        assert got is None
+        assert not (multiple and den)
+    else:
+        assert got is not None and exact(got) == exact(Tensor(sp, want))
+        assert is_symmetric(got)
+        assert got * expand_orbits(sp, den) == expand_orbits(sp, num)
+
+
+def test_orbit_division_outcomes():
+    sp = space(3)
+    t = RT.variable("t")
+    den = signed_orbits(pure_tensor(sp, [RT.one(), t, t * t]))
+    assert len(den) == 1
+    # a quotient of alternants: alpha(1, t, t^3) / alpha(1, t, t^2) = e_1
+    num = signed_orbits(pure_tensor(sp, [RT.one(), t, t**3]))
+    assert divide_orbits(sp, num, den) == polarized_power_sum(sp, t)
+    # a zero numerator divides, a zero divisor divides nothing
+    assert divide_orbits(sp, {}, den) == sp.zero()
+    assert divide_orbits(sp, num, {}) is None and divide_orbits(sp, {}, {}) is None
+    # alpha(1, t^2, t^3) is e_2 times den; alpha(t, t^2, t^3) over
+    # alpha(1, t, t^3) leaves the lead (0, 1, 1), not weakly descending
+    e2 = symmetrized(sp, {(1, 1, 0): Fraction(1, 2)})
+    num = signed_orbits(pure_tensor(sp, [RT.one(), t**2, t**3]))
+    assert divide_orbits(sp, num, den) == e2
+    other = signed_orbits(pure_tensor(sp, [RT.one(), t, t**3]))
+    num = signed_orbits(pure_tensor(sp, [t, t**2, t**3]))
+    assert divide_orbits(sp, num, other) is None
+    # over Z a leading coefficient that does not divide gives None
+    zt = PolyRing(ZZ, ("t",))
+    zsp = TensorSpace(2, zt)
+
+    def zalpha(c):
+        return signed_orbits(pure_tensor(zsp, [zt.from_int(c), zt.variable("t")]))
+
+    assert divide_orbits(zsp, zalpha(1), zalpha(2)) is None
+    assert divide_orbits(zsp, zalpha(4), zalpha(2)) == unit_tensor(zsp).scale(2)
 
 
 def test_det_invariant_refuses_other_entries():

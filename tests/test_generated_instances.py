@@ -5,7 +5,9 @@ det A * disc(e) * det B from coordinate determinants.  The route it
 replaced, r^2 algebra products and traces under one determinant, stays
 here as the oracle.  Generated instances u^r = s and u^r = s*u + 1 check
 the discriminant against a Sylvester resultant and the norm map against
-the algebra's own structure constants.
+the algebra's own structure constants.  Points of the line moving over
+Q[s] and GF(5)[s] check the discriminant against the repeated-point
+probe.
 """
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altkit.errors import NotABasis, NotGenericallyEtale
-from altkit.gen_etale import NormMapPlus, check_pullback_plus
+from altkit.gen_etale import NormMapPlus, check_pullback_plus, diagonal_support_probe
 from altkit.norm_universal import (
     PullbackInstance,
     discriminant,
@@ -259,3 +261,78 @@ def test_generated_instance_with_p_dividing_r_is_refused(p, r):
     assert not inst.d
     with pytest.raises(NotGenericallyEtale):
         NormMapPlus(inst)
+
+
+# -- colliding points: the discriminant against the repeated-point probe
+#
+# n points p_1(s), ..., p_n(s) of the line over a base K[s] are the
+# algebra K[s][u]/(prod (u - p_i(s))).  Its discriminant on 1, u, ...,
+# u^(n-1) is prod_{i<j} (p_j - p_i)^2, which vanishes at s0 exactly when
+# two points collide there; the probe decides the same at the points
+# p_i(s0) by a rank test that shares no code with the norm map.
+
+
+def _point_algebra(base, points):
+    # prod (u - p_i) = u^n - sum tail_i u^i, coefficients lowest first
+    g = [base.one()]
+    for p in points:
+        shifted = [base.zero()] + g
+        g = [base.normalize(a - p * b) for a, b in zip(shifted, g + [base.zero()])]
+    return monogenic(base, [base.normalize(-c) for c in g[:-1]])
+
+
+@pytest.mark.parametrize("scalars", [QQ, GF(5)], ids=["Q[s]", "GF(5)[s]"])
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_colliding_points_discriminant_matches_probe(scalars, data):
+    base = PolyRing(scalars, ("s",))
+    s = base.variable("s")
+    n = data.draw(st.integers(2, 5), label="n")
+    # integer coefficients, degree at most 2 below n = 5 and 1 at n = 5
+    top = 1 if n == 5 else 2
+    points = [
+        sum(
+            (s**k * data.draw(st.integers(-2, 2)) for k in range(1, top + 1)),
+            base.from_int(data.draw(st.integers(-3, 3))),
+        )
+        for _ in range(n)
+    ]
+    E = _point_algebra(base, points)
+    source, f = monogenic_source(E)
+    inst = PullbackInstance(f, power_anchor(source, n))
+    vandermonde = base.one()
+    for i in range(n):
+        for j in range(i + 1, n):
+            vandermonde = vandermonde * (points[j] - points[i]) ** 2
+    assert inst.d == vandermonde
+    if inst.d:
+        witnesses, _ = check_pullback_plus(inst, NormMapPlus(inst))
+        assert [w.name for w in witnesses if not w.ok] == []
+    else:
+        with pytest.raises(NotGenericallyEtale):
+            NormMapPlus(inst)
+    # every fibre over GF(5), a window of them over Q
+    fibres = range(scalars.p) if scalars.p else range(-4, 5)
+    for s0 in fibres:
+        at = [[p.evaluate([scalars.from_int(s0)])] for p in points]
+        collide = not inst.d.evaluate([scalars.from_int(s0)])
+        assert diagonal_support_probe(scalars, at) == collide
+
+
+def test_colliding_points_fixed_family():
+    # 0, s, s^2 + 1 and s + 2 collide at s = 0 and s = -2 only, among
+    # the integers -4..4
+    base = PolyRing(QQ, ("s",))
+    s = base.variable("s")
+    points = [base.zero(), s, s**2 + 1, s + 2]
+    source, f = monogenic_source(_point_algebra(base, points))
+    inst = PullbackInstance(f, power_anchor(source, 4))
+    witnesses, _ = check_pullback_plus(inst, NormMapPlus(inst))
+    assert all(w.ok for w in witnesses)
+    on_locus = [
+        s0
+        for s0 in range(-4, 5)
+        if diagonal_support_probe(QQ, [[p.evaluate([s0])] for p in points])
+    ]
+    assert on_locus == [-2, 0]
+    assert [s0 for s0 in range(-4, 5) if not inst.d.evaluate([s0])] == [-2, 0]

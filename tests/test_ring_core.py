@@ -16,6 +16,7 @@ from altkit.errors import (
     UnsupportedBase,
     VariableMismatch,
 )
+from altkit.gen_etale import BPlus
 from altkit.ring_core import (
     GF,
     QQ,
@@ -448,6 +449,104 @@ def test_adjugate_identity(rows):
                 [rows[r][c] for c in range(3) if c != i] for r in range(3) if r != j
             ]
             assert d * x[i] == (-1) ** (i + j) * det_generic(minor)
+
+
+def dense_det(rows):
+    """The expansion det_generic replaced, kept as its oracle: every
+    entry multiplied into every minor, zero or not."""
+    n = len(rows)
+    cur = {1 << j: rows[0][j] for j in range(n)}
+    for r in range(1, n):
+        nxt = {}
+        for mask, minor in cur.items():
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    continue
+                term = rows[r][j] * minor
+                if (r + (mask & (bit - 1)).bit_count()) % 2:
+                    term = -term
+                key = mask | bit
+                nxt[key] = term if key not in nxt else nxt[key] + term
+        cur = nxt
+    return cur[(1 << n) - 1]
+
+
+def split_algebra(scalars, rank):
+    # scalars^rank with componentwise product: every idempotent but 0
+    # and 1 is a zero divisor
+    unit = tuple(scalars.one() for _ in range(rank))
+    structure = [
+        [
+            tuple(scalars.one() if k == i == j else scalars.zero() for k in range(rank))
+            for j in range(rank)
+        ]
+        for i in range(rank)
+    ]
+    return FiniteFreeAlgebra(scalars, rank, structure, unit)
+
+
+_QS = PolyRing(QQ, ("s",))
+# GF(5)[t]/(t^2): t is nilpotent, so t * t is a zero product
+_DUAL = FiniteFreeAlgebra(GF(5), 2, (((1, 0), (0, 1)), ((0, 1), (0, 0))), (1, 0))
+# Q^3 modulo what (1, 1, 0) kills: the quotient Q^2 keeps zero divisors
+_Q3 = split_algebra(QQ, 3)
+_BPLUS = BPlus(_Q3, _Q3.element((1, 1, 0))).desc
+DET_RINGS = {
+    "Q": (QQ, lambda a, b: Fraction(a, b)),
+    "GF(2)": (GF(2), lambda a, b: GF(2).from_int(a * b)),
+    "GF(5)": (GF(5), lambda a, b: GF(5).from_int(a * b)),
+    "Q[s]": (_QS, lambda a, b: _QS.from_int(a) + _QS.variable("s") * b),
+    "GF(5)[t]/(t^2)": (_DUAL, lambda a, b: _DUAL.element((a % 5, b % 5))),
+    "B+ quotient": (_BPLUS, lambda a, b: _BPLUS.element((a, b - 2))),
+}
+
+
+@st.composite
+def det_cases(draw):
+    name = draw(st.sampled_from(sorted(DET_RINGS)))
+    ring, make = DET_RINGS[name]
+    n = draw(st.integers(1, 5))
+    # mostly zeros, dense, or a repeated row
+    zeros = draw(st.sampled_from((0.0, 0.5, 0.8)))
+    pair = st.tuples(st.integers(-3, 3), st.integers(1, 3))
+    rows = [
+        [
+            ring.zero() if draw(st.floats(0, 1)) < zeros else make(*draw(pair))
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return ring, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(det_cases())
+def test_sparse_det_matches_dense_expansion(case):
+    # the sparse expansion skips every value whose truth value is false:
+    # that must be a zero of the ring, and for a normalized value exactly
+    # the zero (an unreduced int over GF(p) such as -5 is only kept)
+    ring, rows = case
+    got, want = det_generic(rows), dense_det(rows)
+    assert ring.normalize(got) == ring.normalize(want)
+    zero = ring.zero()
+    for v in [got, want] + [a * b for a in rows[0] for b in rows[-1]]:
+        if not v:
+            assert ring.normalize(v) == zero
+        v = ring.normalize(v)
+        assert (not v) == (v == zero)
+
+
+def test_sparse_det_zero_matrices():
+    assert det_generic([[0, 0], [0, 0]]) == 0
+    qs = _QS.variable("s")
+    assert det_generic([[qs, qs], [qs, qs]]) == _QS.zero()
+    dual = _DUAL.basis_elem(1)
+    # the one product left is t * t = 0, so no term reaches the full mask
+    assert det_generic([[dual, _DUAL.one()], [dual * 0, dual]]) == _DUAL.zero()
+    assert not det_generic([[dual, dual], [dual, dual]])
 
 
 def test_field_solve_and_nullspace():

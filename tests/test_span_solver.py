@@ -448,14 +448,14 @@ def test_torsion_relation_over_nilpotent_algebra():
     assert a2 * ctx.alpha_x == space.zero()
 
 
-_BROKEN_ALPHA_SCRIPT = """
+_OPTIMIZE_PRELUDE = """
 import sys
 from altkit import span_solver
 from altkit.alternator import AlternatorInstance
 from altkit.cli import make_suite_config, run_suite
 from altkit.errors import VerificationFailed
 from altkit.ring_core import QQ, PolyRing
-from altkit.tensor_algebra import TensorSpace
+from altkit.tensor_algebra import TensorSpace, pure_tensor
 
 stripped = True
 try:
@@ -463,10 +463,19 @@ try:
 except AssertionError:
     stripped = False
 print("optimize", sys.flags.optimize, stripped)
-real_alpha = span_solver.alpha
-span_solver.alpha = lambda space, xs: real_alpha(space, xs).scale(2)
 ring = PolyRing(QQ, ("t",))
 t = ring.variable("t")
+
+
+def doubled(orbits):
+    return {k: 2 * c for k, c in orbits.items()}
+"""
+
+# each script doubles the numerators of one coordinate routine at the
+# step that builds them, so the reconstruction check must fail
+_BROKEN_ALPHA_SCRIPT = _OPTIMIZE_PRELUDE + """
+real = span_solver.alpha_orbits
+span_solver.alpha_orbits = lambda space, xs: doubled(real(space, xs))
 ctx = AlternatorInstance(TensorSpace(2, ring), [ring.one(), t])
 try:
     span_solver.coordinates(ctx, t * t)
@@ -476,22 +485,70 @@ report = run_suite(make_suite_config(cases=2, n="2", identities="basis"))
 print("row", report["failures_total"], report["suites"][0]["failures"][0]["lhs"])
 """
 
+_BROKEN_INVARIANT_SCRIPT = _OPTIMIZE_PRELUDE + """
+real = span_solver.signed_orbits
+span_solver.signed_orbits = lambda t, fix_last=False: doubled(real(t, fix_last))
+space = TensorSpace(3, ring)
+ctx = AlternatorInstance(space, [ring.one(), t, t * t])
+try:
+    span_solver.coordinates_of_invariant(ctx, pure_tensor(space, [t, t, t * t]))
+except VerificationFailed as e:
+    print("raised", type(e).__name__)
+report = run_suite(make_suite_config(cases=2, n="3", identities="basis"))
+print("row", report["failures_total"], report["suites"][0]["failures"][0]["lhs"])
+"""
 
-def test_broken_reconstruction_raises_under_optimize():
-    # python -O strips assert statements; the reconstruction check must
-    # still fire, both directly and inside a basis suite row
+# alpha(x) = t^2 (x) t - t (x) t^2 does not divide the entries of
+# t^3 + 2, so the check runs on the expanded numerators
+_BROKEN_FALLBACK_SCRIPT = _OPTIMIZE_PRELUDE + """
+ctx = AlternatorInstance(TensorSpace(2, ring), [t * t, t])
+z = t**3 + 2
+print("exponents", [e.exp for e in span_solver.coordinates(ctx, z)])
+real = span_solver.alpha_orbits
+span_solver.alpha_orbits = lambda space, xs: doubled(real(space, xs))
+try:
+    span_solver.coordinates(ctx, z)
+except VerificationFailed as e:
+    print("raised", type(e).__name__, e)
+"""
+
+
+def _run_optimized(script):
     src = os.path.dirname(os.path.dirname(altkit.__file__))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_ALPHA_SCRIPT],
+        [sys.executable, "-O", "-c", script],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
+    return done.stdout.splitlines()
+
+
+def test_broken_reconstruction_raises_under_optimize():
+    # python -O strips assert statements; the reconstruction check must
+    # still fire, both directly and inside a basis suite row
+    assert _run_optimized(_BROKEN_ALPHA_SCRIPT) == [
         "optimize 1 True",
         "raised VerificationFailed",
         "row 2 VerificationFailed: coordinate expansion failed to "
+        "reconstruct the input",
+    ]
+
+
+def test_broken_invariant_reconstruction_raises_under_optimize():
+    assert _run_optimized(_BROKEN_INVARIANT_SCRIPT) == [
+        "optimize 1 True",
+        "raised VerificationFailed",
+        "row 2 VerificationFailed: invariant expansion failed to reconstruct",
+    ]
+
+
+def test_broken_fallback_reconstruction_raises_under_optimize():
+    assert _run_optimized(_BROKEN_FALLBACK_SCRIPT) == [
+        "optimize 1 True",
+        "exponents [1, 1]",
+        "raised VerificationFailed coordinate expansion failed to "
         "reconstruct the input",
     ]

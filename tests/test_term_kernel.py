@@ -379,8 +379,8 @@ def division_case(draw):
     return scalars, num, den
 
 
-def check_division(scalars, num, den, packs=None):
-    got = dict_divide_exact(num, den, scalars, packs)
+def check_division(scalars, num, den):
+    got = dict_divide_exact(num, den, scalars)
     want = oracle_dict_divide_exact(num, den, scalars)
     assert (got is None) == (want is None)
     if got is not None:
@@ -443,22 +443,6 @@ def test_division_past_eight_byte_fields(ring):
     num = oracle_mul_poly(quot, den, scalars.normalize)
     assert exact(check_division(scalars, num, den)) == exact(quot)
     assert check_division(scalars, {(big, 0): one}, {(0, 1): one}) is None
-
-
-def test_divisor_packs_are_reused_per_field_width():
-    # one packs dict kept beside one divisor serves numerators of every
-    # total degree: each field width packs the divisor once
-    scalars = GF(5)
-    den = {(1, 0): scalars.from_int(4), (0, 1): scalars.one()}
-    packs = {}
-    for degree in (1, 2, 200, 3, 300):
-        quot = {(degree, 0): scalars.from_int(2), (0, 0): scalars.one()}
-        num = oracle_mul_poly(quot, den, scalars.normalize)
-        assert exact(check_division(scalars, num, den, packs)) == exact(quot)
-        # a packed divisor that does not divide fails the same way
-        lone = {(degree, 1): scalars.one()}
-        assert check_division(scalars, lone, den, packs) is None
-    assert sorted(packs) == [8, 16]
 
 
 def test_unreduced_ints_over_gf_p_are_reduced():
