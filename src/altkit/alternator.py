@@ -17,11 +17,12 @@ adds its signed coefficient at the key with its alternated slots sorted;
 a term with two equal alternated slots cancels in every ring and is
 dropped.  Only each surviving sorted key is then expanded over the group,
 once, with no merging: the work is one sort per input term plus one write
-per output term.  The determinant of a matrix of fully invariant tensors
-(``det_invariant``) keeps its minors the same way, by their coefficients
-at sorted keys, and so does exact division of one alternating tensor by
-another (``divide_orbits``): the quotient is symmetric and is found one
-orbit at a time.
+per output term.  The determinant of a matrix of polarized power sums
+(``det_power_sums``) keeps its minors the same way, by their coefficients
+at sorted keys, and multiplies a power sum into a minor on those keys
+alone; so does exact division of one alternating tensor by another
+(``divide_orbits``): the quotient is symmetric and is found one orbit at
+a time.
 
 Identity checks return a :class:`Witness` carrying both sides, never a
 bare bool, so failing cases can be reported verbatim.
@@ -29,13 +30,13 @@ bare bool, so failing cases can be reported verbatim.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, itemgetter, sub
 
 from .errors import (
     ArityMismatch,
-    NotInvariant,
     PreconditionViolated,
     UnsupportedAmbient,
 )
@@ -58,7 +59,7 @@ __all__ = [
     "signed_orbits",
     "expand_orbits",
     "divide_orbits",
-    "det_invariant",
+    "det_power_sums",
     "AlternatorInstance",
     "IdentityData",
     "Witness",
@@ -240,89 +241,98 @@ def divide_orbits(space, num, den):
     )
 
 
-def det_invariant(rows):
-    """Determinant of a square matrix of fully invariant tensors.
+def det_power_sums(space, zs):
+    """det[P(z_ij)] for a square matrix of ring elements z_ij.
 
-    The subset expansion of ``ring_core.det_generic``, over a polynomial
-    ambient.  Every minor is a sum of products of invariant tensors, so it
-    is invariant too and fixed by its coefficients at sorted keys: each
-    minor is kept as that dict alone, and a zero minor is dropped.  A
-    product a * minor is computed at sorted keys only.  If a sorted key
-    kappa is k' + s(rho) with rho sorted, then s^-1(kappa) is s^-1(k') +
-    rho, and s^-1(k') lies in the support of a again; so the candidates
-    sort(k + rho), k over a's terms and rho over the minor's sorted keys,
-    hold every sorted key of the product.  Its coefficient there is the
-    sum of a[k] * minor[kappa - k], read from the minor's orbit expansion:
-    exact in every characteristic, with no division.  The determinant is
-    expanded once into a full tensor.
+    P(z) is the polarized power sum of z, the sum of its n co-projections:
+    sum of c * p_label over the terms (label, c) of z, where p_label has
+    the label in one slot and the unit label in every other.  The subset
+    expansion of ``ring_core.det_generic``, over a polynomial ambient.
+    Every minor is fully invariant, so it is kept by its coefficients at
+    sorted keys rho alone (tuples of n slot blocks in ascending order),
+    the coefficients of the monomial symmetric tensors m_rho, and a zero
+    minor is dropped.  An entry times a minor
+    never expands the minor: p_label * m_rho is the sum over the distinct
+    slot blocks v of rho of w * m_kappa, with kappa = sort(rho with one v
+    replaced by v + label) and w the number of slot blocks of kappa equal
+    to v + label (Macdonald, Symmetric Functions and Hall Polynomials,
+    ch. I).  The unit label gives w summing to n at kappa = rho: the
+    factor n of p_0 = n, which vanishes over GF(p) when p divides n.  So
+    the result is exact in every characteristic, with no division.  The
+    determinant is expanded once into a full tensor.
     """
-    n = len(rows)
-    if n == 0 or any(len(r) != n for r in rows):
+    size = len(zs)
+    if size == 0 or any(len(row) != size for row in zs):
         raise ValueError("square nonempty matrix required")
-    first = rows[0][0]
-    space = first.space
     if not space.is_poly:
-        raise UnsupportedAmbient("orbit determinant needs a polynomial ambient")
-    for row in rows:
-        for a in row:
-            first._compat(a)
-            if not is_symmetric(a):
-                raise NotInvariant("determinant entries must be fully invariant")
-    slots_of, maps = _signed_reindex(space.n, space.width, False)
-    order = range(space.n)
-    gets = [get for get, _ in maps.values()]
+        raise UnsupportedAmbient("power-sum determinant needs a polynomial ambient")
+    n = space.n
     norm = space.scalars.normalize
+    unit = (0,) * space.width
+    # each entry as its unit-label coefficient times n, and its other terms
+    rows = []
+    for row in zs:
+        entries = []
+        for z in row:
+            terms = space.decompose(z)
+            const = norm(sum(n * a for lbl, a in terms if lbl == unit))
+            entries.append((const, [(lbl, a) for lbl, a in terms if lbl != unit]))
+        rows.append(entries)
+    scatters = {}  # memo: a sorted key meets the same label in many minors
 
-    sorted_of = {}  # memo of sort: the products revisit keys
+    def scatter(rho, label):
+        # (kappa, w) for each distinct slot block v of rho: the last index
+        # of each block, and v + label sorts in after it
+        out = []
+        for i in range(n):
+            v = rho[i]
+            if i + 1 < n and rho[i + 1] == v:
+                continue
+            u = tuple(map(add, v, label))
+            hi = bisect_right(rho, u, i + 1)
+            w = hi - bisect_left(rho, u, i + 1) + 1
+            out.append((rho[:i] + rho[i + 1 : hi] + (u,) + rho[hi:], w))
+        scatters[rho, label] = out
+        return out
 
-    def sort(key):
-        slots = slots_of(key)
-        get = maps[tuple(sorted(order, key=slots.__getitem__))][0]
-        sorted_of[key] = s = get(key)
-        return s
-
-    cur = {}
-    for j, a in enumerate(rows[0]):
-        minor = {k: c for k, c in a.terms.items() if sort(k) == k}
-        if minor:
-            cur[1 << j] = minor
-    for r in range(1, n):
-        row = [list(a.terms.items()) for a in rows[r]]
+    cur = {0: {(unit,) * n: space.scalars.one()}}
+    for r, row in enumerate(rows):
         nxt = {}
         for mask, minor in cur.items():
-            full = {get(k): c for k, c in minor.items() for get in gets}
-            for j, items in enumerate(row):
+            for j, (const, terms) in enumerate(row):
                 bit = 1 << j
-                if mask & bit or not items:
+                if mask & bit or not (const or terms):
                     continue
-                negate = (r + (mask & (bit - 1)).bit_count()) % 2
                 acc = nxt.setdefault(mask | bit, {})
-                done = set()
-                for k, _ in items:
-                    for rho in minor:
-                        key = tuple(map(add, k, rho))
-                        kappa = sorted_of.get(key) or sort(key)
-                        if kappa in done:
-                            continue
-                        done.add(kappa)
-                        s = 0
-                        for k2, c in items:
-                            m = full.get(tuple(map(sub, kappa, k2)))
-                            if m is not None:
-                                s += c * m
-                        if negate:
-                            s = -s
-                        p = acc.get(kappa)
-                        acc[kappa] = s if p is None else p + s
+                negate = (r + (mask & (bit - 1)).bit_count()) % 2
+                for rho, c in minor.items():
+                    if negate:
+                        c = -c
+                    if const:
+                        s = acc.get(rho)
+                        m = const * c
+                        acc[rho] = m if s is None else s + m
+                    for label, a in terms:
+                        ac = a * c
+                        kappas = scatters.get((rho, label)) or scatter(rho, label)
+                        for kappa, w in kappas:
+                            m = w * ac
+                            s = acc.get(kappa)
+                            acc[kappa] = m if s is None else s + m
         cur = {}
         for mask, acc in nxt.items():
             minor = {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
             if minor:
                 cur[mask] = minor
-    det = cur.get((1 << n) - 1, {})
-    return Tensor(
-        space, {get(k): c for k, c in det.items() for get in gets}, _clean=True
-    )
+    det = cur.get((1 << size) - 1, {})
+    _, maps = _signed_reindex(n, space.width, False)
+    gets = [get for get, _ in maps.values()]
+    out = {}
+    for rho, c in det.items():
+        flat = sum(rho, ())
+        for get in gets:
+            out[get(flat)] = c
+    return Tensor(space, out, _clean=True)
 
 
 def alpha_map(t):
@@ -361,9 +371,12 @@ class AlternatorInstance:
         # alpha(x) by its coefficients at sorted keys: every coordinate
         # divides by it in that form (see ``divide_orbits``)
         self.alpha_x_orbits = alpha_orbits(space, self.x)
-        self.phi_n_x = tuple(
-            coprojection(space, space.n, xi) for xi in self.x
-        )
+
+    @cached_property
+    def phi_n_x(self):
+        """The co-projections of the x_i into the last slot, built on
+        first read."""
+        return tuple(coprojection(self.space, self.space.n, xi) for xi in self.x)
 
     @cached_property
     def alpha_x(self):

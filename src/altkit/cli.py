@@ -14,6 +14,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from random import Random
 
@@ -21,6 +22,7 @@ from . import __version__
 from .alternator import (
     IDENTITY_NAMES,
     AlternatorInstance,
+    Witness,
     check_identity,
     random_case,
     random_element,
@@ -219,8 +221,7 @@ def _bounds(config, n):
 def _identity_case(name):
     def run(env, rng):
         data = random_case(name, rng, env.space, env.max_terms, env.max_degree)
-        w = check_identity(name, env.space, data)
-        return w.ok, w.lhs_text, w.rhs_text
+        return check_identity(name, env.space, data)
 
     return run
 
@@ -230,14 +231,12 @@ def _traceexp_case(env, rng):
         random_element(rng, env.space, env.max_terms, env.max_degree)
         for _ in range(env.space.n)
     )
-    w = traceexp_check(env.ctx, ys)
-    return w.ok, w.lhs_text, w.rhs_text
+    return traceexp_check(env.ctx, ys)
 
 
 def _trace_formula_case(env, rng):
     z = random_element(rng, env.space, env.max_terms, env.max_degree)
-    w = trace_formula_check(env.ctx, z)
-    return w.ok, w.lhs_text, w.rhs_text
+    return trace_formula_check(env.ctx, z)
 
 
 def _basis_case(env, rng):
@@ -247,7 +246,7 @@ def _basis_case(env, rng):
     coordinates_of_invariant(env.ctx, y)
     z = random_element(rng, env.space, env.max_terms, env.max_degree)
     coordinates(env.ctx, z)
-    return True, "", ""
+    return Witness("basis", True)
 
 
 def _probe_points(env, rng):
@@ -283,15 +282,21 @@ def _probe_points(env, rng):
 
 def _probe_case(env, rng):
     points = _probe_points(env, rng)
+    name = "probe_diagonal"
     if diagonal_support_probe(env.scalars, points):
-        return False, f"distinct points {points}", "expected off-diagonal"
+        return Witness(
+            name, False, f"distinct points {points}", "expected off-diagonal"
+        )
     repeated = list(points)
     repeated[-1] = repeated[0]
     if not diagonal_support_probe(env.scalars, repeated):
-        return False, f"repeated points {repeated}", "expected on-diagonal"
-    return True, "", ""
+        return Witness(
+            name, False, f"repeated points {repeated}", "expected on-diagonal"
+        )
+    return Witness(name, True)
 
 
+# every case returns its Witness; a passing case's sides are never rendered
 _CASES = {name: _identity_case(name) for name in IDENTITY_NAMES}
 _CASES["traceexp"] = _traceexp_case
 _CASES["trace_formula"] = _trace_formula_case
@@ -305,10 +310,15 @@ class _RowEnv:
     def __init__(self, scalars, n, max_degree, max_terms):
         self.scalars = scalars
         self.space = TensorSpace(n, PolyRing(scalars, ("t",)))
-        t = self.space.ring.variable("t")
-        self.ctx = AlternatorInstance(self.space, [t**i for i in range(n)])
         self.max_degree = max_degree
         self.max_terms = max_terms
+
+    @cached_property
+    def ctx(self):
+        """The anchor (1, t, ..., t^(n-1)), built on first read: only
+        traceexp, trace_formula and basis read it."""
+        t = self.space.ring.variable("t")
+        return AlternatorInstance(self.space, [t**i for i in range(self.space.n)])
 
 
 def _run_row(name, scalars, config, n):
@@ -320,11 +330,11 @@ def _run_row(name, scalars, config, n):
     for index in range(config.cases):
         rng = Random(_case_seed(config.seed, name, config.ring_text, n, index))
         try:
-            ok, lhs, rhs = case(env, rng)
+            w = case(env, rng)
         except AltkitError as e:
-            ok, lhs, rhs = False, f"{type(e).__name__}: {e}", ""
-        if not ok:
-            failures.append({"case": index, "lhs": lhs, "rhs": rhs})
+            w = Witness(name, False, f"{type(e).__name__}: {e}", "")
+        if not w.ok:
+            failures.append({"case": index, "lhs": w.lhs_text, "rhs": w.rhs_text})
     return {
         "identity": name,
         "ring": config.ring_text,

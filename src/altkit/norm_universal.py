@@ -17,7 +17,7 @@ such division succeeds.
 
 from __future__ import annotations
 
-from .alternator import AlternatorInstance, Witness, alpha, det_invariant
+from .alternator import AlternatorInstance, Witness, alpha, det_power_sums
 from .errors import (
     ArityMismatch,
     ContextMismatch,
@@ -130,19 +130,22 @@ def trace_formula_check(ctx, z):
 def traceexp_check(ctx, ys):
     """Alternator pair against the determinant of pairwise power sums.
 
-    Plain tensor arithmetic on both sides, so any ambient ring works.
-    Every power sum is fully invariant, so over a polynomial ambient the
-    determinant keeps one coefficient per orbit (``det_invariant``).
+    Both sides are computed, and the right one never touches alpha.  Over
+    a polynomial ambient the determinant of [P(x_i * y_j)] is taken on
+    the ring elements x_i * y_j (``det_power_sums``); over a finite free
+    algebra it multiplies the power-sum tensors out (``det_generic``).
     """
     space = ctx.space
     if len(ys) != space.n:
         raise ArityMismatch(f"{len(ys)} entries for arity {space.n}")
     ys = tuple(space.as_element(y) for y in ys)
     lhs = ctx.alpha_x * alpha(space, ys)
-    rows = [
-        [polarized_power_sum(space, xi * yj) for yj in ys] for xi in ctx.x
-    ]
-    rhs = det_invariant(rows) if space.is_poly else det_generic(rows)
+    if space.is_poly:
+        rhs = det_power_sums(space, [[xi * yj for yj in ys] for xi in ctx.x])
+    else:
+        rhs = det_generic(
+            [[polarized_power_sum(space, xi * yj) for yj in ys] for xi in ctx.x]
+        )
     return Witness("traceexp", lhs == rhs, lhs, rhs)
 
 

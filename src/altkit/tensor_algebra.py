@@ -14,7 +14,7 @@ Supported arity is 1 <= n <= 5; everything here is exact.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import itemgetter
 
 from .errors import (
@@ -193,20 +193,22 @@ class TensorSpace:
     def coprojection_frames(self):
         """The unit's terms around each slot, built once.
 
-        One (prefix, suffix, c) per slot p and per pair of unit terms on
-        the slots before and after p: the co-projection of r into slot p
-        has c * c' at prefix + label + suffix for each term (label, c')
-        of r.
+        Frame p (0-based) holds one (prefix, suffix, c) per pair of unit
+        terms on the slots before and after p: the co-projection of r into
+        slot p has c * c' at prefix + label + suffix for each term
+        (label, c') of r.
         """
         one = self.decompose(self.ring.one())
         units = [[((), self.one_coeff())]]
         for _ in range(self.n - 1):
             units.append([(k + lbl, c * c2) for k, c in units[-1] for lbl, c2 in one])
         return tuple(
-            (k1, k3, c1 * c3)
+            tuple(
+                (k1, k3, c1 * c3)
+                for k1, c1 in units[p]
+                for k3, c3 in units[self.n - 1 - p]
+            )
             for p in range(self.n)
-            for k1, c1 in units[p]
-            for k3, c3 in units[self.n - 1 - p]
         )
 
     def label_elem(self, label):
@@ -385,14 +387,24 @@ def pure_tensor(space, elems):
     return Tensor(space, dict(items))
 
 
+def _frame_sum(space, frames, r):
+    # r placed into every frame, in one dict
+    rs = space.decompose(r)
+    acc = {}
+    for prefix, suffix, c1 in frames:
+        for label, c2 in rs:
+            k = prefix + label + suffix
+            c = c1 * c2
+            s = acc.get(k)
+            acc[k] = c if s is None else s + c
+    return Tensor(space, acc)
+
+
 def coprojection(space, p, r):
     """The tensor 1 (x) .. (x) r (x) .. (x) 1 with r in slot p (1-based)."""
     if not 1 <= p <= space.n:
         raise IndexOutOfRange(f"slot {p} outside 1..{space.n}")
-    one = space.ring.one()
-    elems = [one] * space.n
-    elems[p - 1] = space.as_element(r)
-    return pure_tensor(space, elems)
+    return _frame_sum(space, space.coprojection_frames[p - 1], r)
 
 
 def unit_tensor(space):
@@ -439,13 +451,5 @@ def is_sym_n11(t):
 
 def polarized_power_sum(space, z):
     """Sum of the n co-projections of z, an S_n-invariant tensor, built in
-    one dict over the space's co-projection frames."""
-    zs = space.decompose(z)
-    acc = {}
-    for prefix, suffix, c1 in space.coprojection_frames:
-        for label, c2 in zs:
-            k = prefix + label + suffix
-            c = c1 * c2
-            s = acc.get(k)
-            acc[k] = c if s is None else s + c
-    return Tensor(space, acc)
+    one dict over every slot's co-projection frames."""
+    return _frame_sum(space, chain.from_iterable(space.coprojection_frames), z)

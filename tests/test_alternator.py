@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import Phase, event, find, given, settings
 from hypothesis import strategies as st
 
 import altkit
@@ -21,7 +21,7 @@ from altkit.alternator import (
     alpha_map,
     alpha_n11,
     check_identity,
-    det_invariant,
+    det_power_sums,
     divide_orbits,
     expand_orbits,
     random_case,
@@ -29,7 +29,7 @@ from altkit.alternator import (
     random_tensor,
     signed_orbits,
 )
-from altkit.errors import NotInvariant, PreconditionViolated, UnsupportedAmbient
+from altkit.errors import PreconditionViolated, UnsupportedAmbient
 from altkit.ring_core import (
     GF,
     QQ,
@@ -380,38 +380,71 @@ def symmetrized(sp, terms):
 
 
 @st.composite
-def invariant_matrices(draw):
-    """Square matrices of invariant tensors, singular ones included."""
-    scalars = draw(st.sampled_from([QQ, GF(2), GF(5)]))
+def power_sum_matrices(draw):
+    """Square matrices of ring elements, singular ones included: zero
+    entries, constant terms (whose power sum carries the factor n, which
+    is 0 in GF(p) when p divides n) and repeated rows."""
+    scalars = SIGNED_SUM_RINGS[draw(st.sampled_from(sorted(SIGNED_SUM_RINGS)))]
     ring = PolyRing(scalars, draw(st.sampled_from([("t",), ("t", "u")])))
     sp = TensorSpace(draw(st.integers(1, 5)), ring)
     size = draw(st.integers(1, 5))
     label = st.tuples(*[st.integers(0, 2 if sp.width == 1 else 1)] * sp.width)
-    coeff = st.integers(1, 4)
-
-    def entry():
-        kind = draw(st.sampled_from(("zero", "power_sum", "symmetrized")))
-        if kind == "zero":
-            return sp.zero()
-        if kind == "power_sum":
-            z = draw(st.dictionaries(label, coeff, min_size=1, max_size=2))
-            return polarized_power_sum(sp, MultiPoly(ring, z))
-        # two labelled slots and the rest at the unit label: an orbit of
-        # at most n(n-1) keys, which keeps the dense oracle quick
-        key = (draw(label) + draw(label) + (0,) * sp.width * sp.n)[: sp.width * sp.n]
-        return symmetrized(sp, {key: draw(coeff)})
-
-    rows = [[entry() for _ in range(size)] for _ in range(size)]
+    coeff = st.integers(-3, 3).map(scalars.from_int)
+    entry = st.dictionaries(label, coeff, max_size=2).map(
+        lambda terms: MultiPoly(ring, terms)
+    )
+    rows = [[draw(entry) for _ in range(size)] for _ in range(size)]
     if size > 1 and draw(st.booleans()):
         rows[-1] = list(rows[0])
-    return rows
+    return sp, rows
+
+
+def dense_power_sum_det(sp, zs):
+    # det_generic multiplies the full power-sum tensors term by term
+    return det_generic([[polarized_power_sum(sp, z) for z in row] for row in zs])
 
 
 @settings(max_examples=60, deadline=None)
-@given(invariant_matrices())
-def test_det_invariant_matches_dense_expansion(rows):
-    # det_generic multiplies full tensors term by term: the oracle
-    assert det_invariant(rows) == det_generic(rows)
+@given(power_sum_matrices())
+def test_det_power_sums_matches_dense_expansion(case):
+    sp, zs = case
+    want = dense_power_sum_det(sp, zs)
+    event(f"size {len(zs)}, {'nonzero' if want else 'zero'}")
+    assert exact(det_power_sums(sp, zs)) == exact(want)
+
+
+def test_power_sum_matrices_draw_nonzero_determinants():
+    # the oracle above proves little if every drawn determinant is zero;
+    # the first nonzero draw will do, so there is no shrinking
+    def nonzero(case):
+        return bool(dense_power_sum_det(*case))
+
+    quick = settings(
+        database=None, deadline=None, derandomize=True, phases=[Phase.generate]
+    )
+    assert nonzero(find(power_sum_matrices(), nonzero, settings=quick))
+
+
+def test_det_power_sums_factor_n():
+    # P(1) = n times the unit: it vanishes over GF(p) exactly when p | n
+    for scalars, n, vanishes in (
+        (GF(5), 5, True),
+        (GF(2), 4, True),
+        (GF(3), 2, False),
+        (QQ, 3, False),
+    ):
+        ring = PolyRing(scalars, ("t",))
+        sp = TensorSpace(n, ring)
+        t = ring.variable("t")
+        want = polarized_power_sum(sp, t)
+        if not vanishes:
+            want = want + unit_tensor(sp).scale(n)
+        assert det_power_sums(sp, [[ring.one() + t]]) == want
+        assert det_power_sums(sp, [[ring.zero()]]) == sp.zero()
+        # a nonzero 2 x 2 determinant with constant entries
+        zs = [[ring.one() + t, t * t], [t, ring.one() + t * t * t]]
+        det = det_power_sums(sp, zs)
+        assert det and exact(det) == exact(dense_power_sum_det(sp, zs))
 
 
 @st.composite
@@ -504,45 +537,46 @@ def test_orbit_division_outcomes():
     assert divide_orbits(zsp, zalpha(4), zalpha(2)) == unit_tensor(zsp).scale(2)
 
 
-def test_det_invariant_refuses_other_entries():
+def test_det_power_sums_refuses_other_input():
     sp = space(3)
     t = RT.variable("t")
-    sym = polarized_power_sum(sp, t)
-    with pytest.raises(NotInvariant):
-        det_invariant([[sym, sym], [sym, coprojection(sp, 1, t)]])
+    with pytest.raises(ValueError):
+        det_power_sums(sp, [[t, t]])
+    with pytest.raises(ValueError):
+        det_power_sums(sp, [])
     alg = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))
     with pytest.raises(UnsupportedAmbient):
-        det_invariant([[unit_tensor(TensorSpace(2, alg))]])
-    with pytest.raises(ValueError):
-        det_invariant([[sym, sym]])
+        det_power_sums(TensorSpace(2, alg), [[alg.one()]])
 
 
-_NOT_INVARIANT_SCRIPT = """
+_UNSUPPORTED_AMBIENT_SCRIPT = """
 import sys
-from altkit.alternator import det_invariant
-from altkit.errors import NotInvariant
-from altkit.ring_core import QQ, PolyRing
-from altkit.tensor_algebra import TensorSpace, coprojection
+from altkit.alternator import det_power_sums
+from altkit.errors import UnsupportedAmbient
+from altkit.ring_core import QQ, FiniteFreeAlgebra
+from altkit.tensor_algebra import TensorSpace
 print("optimize", sys.flags.optimize, __debug__ is False)
-ring = PolyRing(QQ, ("t",))
-sp = TensorSpace(2, ring)
+alg = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))
 try:
-    det_invariant([[coprojection(sp, 1, ring.variable("t"))]])
+    det_power_sums(TensorSpace(2, alg), [[alg.one()]])
     print("no error")
-except NotInvariant as e:
+except UnsupportedAmbient as e:
     print("raised", type(e).__name__)
 """
 
 
-def test_det_invariant_gate_holds_under_optimize():
-    # python -O strips assert statements; the invariance gate is not one
+def test_det_power_sums_gate_holds_under_optimize():
+    # python -O strips assert statements; the ambient gate is not one
     src = os.path.dirname(os.path.dirname(altkit.__file__))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _NOT_INVARIANT_SCRIPT],
+        [sys.executable, "-O", "-c", _UNSUPPORTED_AMBIENT_SCRIPT],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["optimize 1 True", "raised NotInvariant"]
+    assert done.stdout.splitlines() == [
+        "optimize 1 True",
+        "raised UnsupportedAmbient",
+    ]

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altkit import cli, gen_etale, norm_universal, span_solver
+from altkit.alternator import Witness
 from altkit.cli import (
     SUITE_NAMES,
     build_instance,
@@ -28,6 +29,8 @@ from altkit.errors import ConfigInvalid, ParseError, SchemaError
 from altkit.gen_etale import NormMapPlus
 from altkit.norm_universal import NormMap
 from altkit.ring_core import GF, QQ, CoeffRing
+from altkit.span_solver import LocalizedElem
+from altkit.tensor_algebra import Tensor
 
 
 def fixture_path(name):
@@ -146,11 +149,28 @@ def test_report_bytes_deterministic():
     assert first == second
 
 
+def test_passing_cases_render_no_side(monkeypatch):
+    # a passing case's sides are never rendered: every text routine raises
+    def refuse(self):
+        raise RuntimeError("a passing side was rendered")
+
+    monkeypatch.setattr(Tensor, "to_text", refuse)
+    monkeypatch.setattr(LocalizedElem, "to_text", refuse)
+    suites = [name for name in SUITE_NAMES if name not in cli._FIXTURE_FILES]
+    for ring in ("q", "fp:5"):
+        config = make_suite_config(
+            ring=ring, n="2,3,4", cases=3, seed=7, identities=",".join(suites)
+        )
+        report = run_suite(config)
+        assert len(report["suites"]) == len(suites) * 3
+        assert report["failures_total"] == 0
+
+
 def test_failures_flow_into_report_and_exit_code(monkeypatch, capsys):
     import altkit.cli as cli
 
     def broken(env, rng):
-        return False, "left text", "right text"
+        return Witness("ts_linearity", False, "left text", "right text")
 
     monkeypatch.setitem(cli._CASES, "ts_linearity", broken)
     code = main(["verify", "--identity", "ts_linearity", "--n", "2", "--cases", "3"])

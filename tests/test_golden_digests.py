@@ -136,7 +136,8 @@ def case_texts(ring, ns="2,3,4"):
             env = cli._RowEnv(scalars, n, degree, terms)
             for index in range(config.cases):
                 seed = cli._case_seed(config.seed, name, ring_text, n, index)
-                ok, lhs, rhs = cli._CASES[name](env, Random(seed))
+                w = cli._CASES[name](env, Random(seed))
+                ok, lhs, rhs = w.ok, w.lhs_text, w.rhs_text
                 lines.append(f"{name} {ring_text} {n} {index} {ok} {lhs} {rhs}\n")
     return "".join(lines)
 

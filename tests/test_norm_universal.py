@@ -26,7 +26,7 @@ from altkit.norm_universal import (
 )
 from altkit.ring_core import GF, QQ, ZZ, AlgebraMap, FiniteFreeAlgebra, PolyRing
 from altkit.span_solver import LocalizedElem, coordinates
-from altkit.tensor_algebra import TensorSpace, pure_tensor, unit_tensor
+from altkit.tensor_algebra import TensorSpace, pure_tensor
 
 
 def sqrt2_algebra():
@@ -177,17 +177,17 @@ def test_traceexp_nonzero_sides_at_high_arity(monkeypatch, scalars, n):
     ys = [t**j + t ** (j + 1) * 2 for j in range(n - 1)] + [t ** (n - 1) + 3]
     w = traceexp_check(ctx, ys)
     assert w.lhs and w.ok
-    # the same check with one power sum replaced by another invariant
-    # tensor must fail
-    real = norm_universal.polarized_power_sum
-    seen = []
+    # the same check with one power sum altered must fail: the first
+    # entry x_1 * y_1 gains t, so its power sum P(z) gains P(t).  (A
+    # constant would add n times the unit, which is 0 over GF(5) at n = 5)
+    real = norm_universal.det_power_sums
 
-    def altered(space, z):
-        seen.append(z)
-        value = real(space, z)
-        return value + unit_tensor(space) if len(seen) == 1 else value
+    def altered(space, zs):
+        zs = [list(row) for row in zs]
+        zs[0][0] = zs[0][0] + t
+        return real(space, zs)
 
-    monkeypatch.setattr(norm_universal, "polarized_power_sum", altered)
+    monkeypatch.setattr(norm_universal, "det_power_sums", altered)
     assert not traceexp_check(ctx, ys).ok
 
 

@@ -110,6 +110,30 @@ def test_coprojection_is_multiplicative():
     assert coprojection(sp, 2, RT.one()) == unit_tensor(sp)
 
 
+def test_coprojection_matches_pure_tensor_in_every_slot():
+    # the frame co-projection against the multilinear expansion of
+    # 1 (x) .. (x) r (x) .. (x) 1, on two variables and on an algebra
+    # whose unit has two basis terms, r = 0 included
+    ring = PolyRing(GF(5), ("s", "t"))
+    s, t = ring.variable("s"), ring.variable("t")
+    split = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 0)], [(0, 0), (0, 1)]], (1, 1))
+    assert len(TensorSpace(3, split).decompose(split.one())) == 2
+    cases = (
+        (TensorSpace(3, ring), [s * t + s * 3 + 2, t**2, ring.zero(), 0]),
+        (TensorSpace(3, split), [split.element((2, -1)), split.one(), split.zero()]),
+    )
+    for sp, rs in cases:
+        for r in rs:
+            for p in range(1, sp.n + 1):
+                elems = [sp.ring.one()] * sp.n
+                elems[p - 1] = sp.as_element(r)
+                got, want = coprojection(sp, p, r), pure_tensor(sp, elems)
+                assert got == want
+                assert {k: type(c) for k, c in got.terms.items()} == {
+                    k: type(c) for k, c in want.terms.items()
+                }
+
+
 def test_tensor_sum_cancels():
     sp = space(2)
     t = RT.variable("t")
