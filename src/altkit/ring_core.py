@@ -17,10 +17,9 @@ its ``normalize`` brings a sum or product back to the canonical value
 Polynomials and tensors share one sparse term kernel: module-level
 functions on dicts from key tuples to nonzero coefficients, for add,
 negate, scale, multiply, power, evaluation and exact division.  Its one
-rule is that keys multiply by adding.  Keys stay tuples everywhere
-outside exact division, which packs each key into one int, with the
-total degree in the top field, so that monomials multiply by ``+`` and
-compare in degree-lex order by ``<``.
+rule is that keys multiply by adding.  Keys are tuples everywhere;
+exact division puts each key's total degree in front, so that tuple
+order is degree-lex order, and runs one loop for every ring.
 
 On top of the scalars sit dense matrix helpers and :class:`FiniteFreeAlgebra`,
 a commutative algebra of finite rank given by structure constants that are
@@ -34,9 +33,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import add
-from struct import Struct, calcsize
+from functools import cached_property
+from operator import add, sub
 
 from .errors import (
     BadUnit,
@@ -227,12 +225,10 @@ def GF(p):
 #
 # Every coefficient is a plain number, and over GF(p) a sum, difference
 # or product of two of them is not yet reduced, so each result goes
-# through ``norm`` before its zero test.  Exact division over GF(p) keeps
-# its own loop, reducing with ``% p``; the choice is made once per call
-# from the ring the caller passes, never by looking at a coefficient.
-# Exact division also packs each key into one int for the length of the
-# call (see ``_packing``), so that multiplying monomials is ``+`` and the
-# degree-lex compare is ``<``.
+# through ``norm`` before its zero test.  Exact division keeps tuple keys,
+# with the total degree put in front for the length of the call, so that
+# plain ``max`` is the degree-lex leading key; it runs one loop for every
+# ring.
 
 
 def _deglex(key):
@@ -341,60 +337,6 @@ def evaluate_terms(terms, images, acc, lift):
     return acc
 
 
-@lru_cache(maxsize=128)
-def _packing(length, bits):
-    """How keys of ``length`` exponents pack into ints, at ``bits`` a field.
-
-    A packed key is the big-endian bytes of its fields: the key's total
-    degree, then its exponents, first exponent first, so int ``<`` is the
-    order of ``_deglex``.  Every field takes whole bytes, at least
-    ``bits`` in all, and its top bit (the guard bit) stays clear while
-    the field holds less than 2**(bits - 1).  One field minus another
-    then borrows from its own guard bit alone, so
-    ``((r | G) - d) & G == G`` says that d divides r exponent by exponent.
-
-    Returns the field width in bits, ``fields`` (field values to bytes),
-    ``unfields`` (bytes to the tuple of field values), the byte length of
-    a packed key and the guard mask G.
-    """
-    for code in "BHIQ":
-        if bits <= 8 * calcsize(code):
-            layout = Struct(f">{length + 1}{code}")
-            fields, unfields = layout.pack, layout.unpack
-            nbytes = calcsize(code)
-            break
-    else:
-        nbytes = -(-bits // 8)
-        from_bytes = int.from_bytes
-
-        def fields(*values):
-            return b"".join([v.to_bytes(nbytes, "big") for v in values])
-
-        def unfields(data):
-            starts = range(0, len(data), nbytes)
-            return tuple([from_bytes(data[i : i + nbytes], "big") for i in starts])
-
-    width = 8 * nbytes
-    guard = sum(1 << (width - 1 + width * i) for i in range(length + 1))
-    return width, fields, unfields, nbytes * (length + 1), guard
-
-
-def _pack_divisor(den, ring, fields):
-    """den's leading packed key, the factor that turns a leading
-    coefficient into a quotient coefficient (None when the ring must
-    divide), den's leading coefficient, and its other terms, packed and
-    negated."""
-    lead = max(den, key=_deglex)
-    lc = den[lead]
-    rest = [
-        (int.from_bytes(fields(sum(k), *k), "big"), -c)
-        for k, c in den.items()
-        if k != lead
-    ]
-    lead = int.from_bytes(fields(sum(lead), *lead), "big")
-    return lead, quotient_factor(lc, ring), lc, rest
-
-
 def quotient_factor(lc, ring):
     """The factor that turns a coefficient into its quotient by the
     nonzero lc of the CoeffRing ``ring``, or None when the ring must
@@ -423,59 +365,37 @@ def dict_divide_exact(num, den, ring):
         return None
     if not num:
         return {}
-    # no remainder key passes the total degree of num's leading key, so
-    # fields that hold the largest total degree never overflow
-    top = max(max(map(sum, num)), max(map(sum, den)))
-    width, fields, unfields, size, guard = _packing(
-        len(next(iter(den))), top.bit_length() + 1
-    )
-    lead, inv, lc, rest = _pack_divisor(den, ring, fields)
-    from_bytes = int.from_bytes
-    # keys are packed inline: a call per key costs as much as packing
-    rem = {from_bytes(fields(sum(k), *k), "big"): c for k, c in num.items()}
+    rem = {(sum(k), *k): c for k, c in num.items()}
+    rest = {(sum(k), *k): c for k, c in den.items()}
+    lead = max(rest)
+    lc = rest.pop(lead)
+    inv = quotient_factor(lc, ring)
+    norm = ring.normalize
     get = rem.get
-    p = ring.p
-    quot = []
-    if p is not None:
-        # qc and c are nonzero and the ring has no zero divisors, so a
+    quot = {}
+    while rem:
+        r = max(rem)
+        q = tuple(map(sub, r, lead))
+        if min(q) < 0:
+            return None
+        c = rem.pop(r)
+        if inv is None:
+            qc, m = divmod(c, lc)
+            if m:
+                return None
+        else:
+            qc = norm(c * inv)
+        quot[q[1:]] = qc
+        # qc and dc are nonzero and the ring has no zero divisors, so a
         # sum that reaches zero had a term at k to cancel
-        while rem:
-            r = max(rem)
-            if ((r | guard) - lead) & guard != guard:
-                return None
-            qc = rem.pop(r) * inv % p
-            q = r - lead
-            quot.append((q, qc))
-            for k, c in rest:
-                k += q
-                s = (get(k, 0) + qc * c) % p
-                if s:
-                    rem[k] = s
-                else:
-                    del rem[k]
-    else:
-        norm = ring.normalize
-        while rem:
-            r = max(rem)
-            if ((r | guard) - lead) & guard != guard:
-                return None
-            c = rem.pop(r)
-            if inv is not None:
-                qc = norm(c * inv)
+        for d, dc in rest.items():
+            k = tuple(map(add, q, d))
+            s = norm(get(k, 0) - qc * dc)
+            if s:
+                rem[k] = s
             else:
-                qc, m = divmod(c, lc)
-                if m:
-                    return None
-            q = r - lead
-            quot.append((q, qc))
-            for k, c in rest:
-                k += q
-                s = get(k, 0) + qc * c
-                if s:
-                    rem[k] = s
-                else:
-                    del rem[k]
-    return {unfields(q.to_bytes(size, "big"))[1:]: c for q, c in quot}
+                del rem[k]
+    return quot
 
 
 # ---------------------------------------------------------------------------

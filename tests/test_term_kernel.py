@@ -8,8 +8,8 @@ polynomial ring with w variables at arity n is also a polynomial in n*w
 variables, so both classes must agree on one term dict.
 
 The kernel's multiply and exact division later moved to plain-int GF(p)
-coefficients and, in division, to keys packed into one int; the tuple
-and scalar-object loops they replaced are kept here the same way.
+coefficients, and division to keys with their total degree in front;
+the scalar-object loops they replaced are kept here the same way.
 
 Those loops once ran on GF(p) values that reduced themselves.  GF(p)
 values are now plain ints in 0..p-1, so each oracle normalizes a sum,
@@ -124,7 +124,7 @@ def oracle_deglex(key):
 
 
 def oracle_dict_divide_exact(num, den, ring):
-    # the tuple-key, scalar-object division that packed keys replaced
+    # the tuple-key, scalar-object division that the kernel replaced
     coeff_div, norm = ring.divide_exact, ring.normalize
     if not den:
         return None
@@ -357,7 +357,8 @@ def kernel_terms(draw, scalars, length, exps, max_size=4):
 def division_case(draw):
     ring = draw(st.sampled_from(sorted(KERNEL_RINGS)))
     scalars = KERNEL_RINGS[ring]
-    length = draw(st.integers(1, 10))
+    # length 0 is the constants of PolyRing(R, ())
+    length = draw(st.integers(0, 10))
     # a few large exponents per key keep products of large totals cheap
     exps = st.one_of(st.integers(0, 2), EXPONENTS)
     quot = draw(kernel_terms(scalars, length, exps))
@@ -434,7 +435,7 @@ def test_division_covers_each_outcome():
 
 @pytest.mark.parametrize("ring", sorted(KERNEL_RINGS))
 def test_division_past_eight_byte_fields(ring):
-    # a total degree past 2**63 no longer fits struct's widest field
+    # a total degree past 2**63, beyond any fixed-width machine int
     scalars = KERNEL_RINGS[ring]
     big = 2**70
     one, c = scalars.one(), nonunit(scalars)
