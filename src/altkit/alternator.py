@@ -17,12 +17,16 @@ adds its signed coefficient at the key with its alternated slots sorted;
 a term with two equal alternated slots cancels in every ring and is
 dropped.  Only each surviving sorted key is then expanded over the group,
 once, with no merging: the work is one sort per input term plus one write
-per output term.  The determinant of a matrix of polarized power sums
-(``det_power_sums``) keeps its minors the same way, by their coefficients
-at sorted keys, and multiplies a power sum into a minor on those keys
-alone; so does exact division of one alternating tensor by another
-(``divide_orbits``): the quotient is symmetric and is found one orbit at
-a time.
+per output term.  The alternator of a tuple is its exterior product
+x_1 ^ ... ^ x_n, and it is built that way (``wedge_orbits``): each
+factor's labels are inserted into ascending label tuples, so the pure
+tensor of the tuple is never formed.  The determinant of a matrix of
+polarized power sums (``det_power_sums``) keeps its minors the same way,
+by their coefficients at sorted keys, and multiplies a power sum into a
+minor on those keys alone; so does exact division of one alternating
+tensor by another (``divide_orbits``): the quotient is symmetric, is
+found one orbit at a time, and is kept by its orbits until read
+(``expand_symmetric``).
 
 Identity checks return a :class:`Witness` carrying both sides, never a
 bare bool, so failing cases can be reported verbatim.
@@ -33,10 +37,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, itemgetter, sub
+from itertools import permutations
+from operator import add, eq, itemgetter, sub
 
 from .errors import (
     ArityMismatch,
+    IndexOutOfRange,
     PreconditionViolated,
     UnsupportedAmbient,
 )
@@ -56,8 +62,10 @@ __all__ = [
     "alpha_map",
     "alpha_n11",
     "alpha_orbits",
+    "wedge_orbits",
     "signed_orbits",
     "expand_orbits",
+    "expand_symmetric",
     "divide_orbits",
     "det_power_sums",
     "AlternatorInstance",
@@ -98,6 +106,27 @@ def _signed_reindex(n, width, fix_last):
         maps[perm.images] = (_getter(idx), sign)
     slots = _getter([slice(i * width, (i + 1) * width) for i in range(m)])
     return slots, maps
+
+
+@lru_cache(maxsize=None)
+def _arrangements(pattern, width):
+    """Getters of the distinct rearrangements of a key with sorted slots.
+
+    pattern[i] tells whether slot i + 1 of the key equals slot i, so equal
+    slots form runs.  Each getter sends the key to one arrangement of its
+    slots, and no two getters give the same key.
+    """
+    firsts = [0]
+    for i, same in enumerate(pattern, start=1):
+        firsts.append(firsts[-1] if same else i)
+    return tuple(
+        _getter([b * width + c for b in arr for c in range(width)])
+        for arr in dict.fromkeys(permutations(firsts))
+    )
+
+
+def _pattern(slots):
+    return tuple(map(eq, slots, slots[1:]))
 
 
 def signed_orbits(t, fix_last=False):
@@ -145,6 +174,20 @@ def expand_orbits(space, orbits, fix_last=False):
     return Tensor(space, out, _clean=True)
 
 
+def expand_symmetric(space, orbits):
+    """The symmetric tensor with the given coefficients at sorted keys.
+
+    Each key expands once into its distinct arrangements, which come from
+    a cache keyed by its pattern of equal slots.
+    """
+    slots_of, _ = _signed_reindex(space.n, space.width, False)
+    out = {}
+    for k, c in orbits.items():
+        for get in _arrangements(_pattern(slots_of(k)), space.width):
+            out[get(k)] = c
+    return Tensor(space, out, _clean=True)
+
+
 def _signed_sum(t, fix_last):
     return expand_orbits(t.space, signed_orbits(t, fix_last), fix_last)
 
@@ -174,19 +217,20 @@ def divide_orbits(space, num, den):
       has two equal slots, and sign(s) * A(sort k) otherwise.  So each
       step subtracts that sum, at sorted keys, and stays exact in every
       characteristic, 2 included: an alternating tensor is fixed by its
-      coefficients at sorted keys with distinct slots.
+      coefficients at sorted keys with distinct slots.  The arrangements
+      come from a cache keyed by lam's pattern of equal slots.
 
-    The quotient is expanded once into a full tensor; in a domain it is
-    unique, so it equals ``dict_divide_exact`` on the expanded tensors.
+    Returns the quotient by its coefficients at sorted keys, which
+    ``expand_symmetric`` turns into a tensor; in a domain it is unique,
+    so that tensor equals ``dict_divide_exact`` on the expanded tensors.
     """
     if not den:
         return None
     if not num:
-        return space.zero()
-    n = space.n
-    slots_of, maps = _signed_reindex(n, space.width, False)
+        return {}
+    n, width = space.n, space.width
+    slots_of, maps = _signed_reindex(n, width, False)
     order = range(n)
-    gets = [get for get, _ in maps.values()]
     # one reindexing for both sides: a common sign cancels in every quotient
     desc = maps[tuple(reversed(order))][0]
     rem = {desc(k): c for k, c in num.items()}
@@ -217,7 +261,8 @@ def divide_orbits(space, num, den):
             qc = norm(c * inv)
         quot[lam] = qc
         # the contributions at r add up to qc * lc, which cancels c
-        for mu in {get(lam) for get in gets}:
+        for get in _arrangements(_pattern(blocks), width):
+            mu = get(lam)
             for d, cd in dterms:
                 key = tuple(map(add, mu, d))
                 slots = slots_of(key)
@@ -236,9 +281,8 @@ def divide_orbits(space, num, den):
                     rem[kappa] = s
                 else:
                     rem.pop(kappa, None)
-    return Tensor(
-        space, {get(lam): c for lam, c in quot.items() for get in gets}, _clean=True
-    )
+    # desc reverses the slots, so it sorts each lam ascending
+    return {desc(lam): c for lam, c in quot.items()}
 
 
 def det_power_sums(space, zs):
@@ -259,7 +303,7 @@ def det_power_sums(space, zs):
     ch. I).  The unit label gives w summing to n at kappa = rho: the
     factor n of p_0 = n, which vanishes over GF(p) when p divides n.  So
     the result is exact in every characteristic, with no division.  The
-    determinant is expanded once into a full tensor.
+    determinant is expanded once into a full tensor (``expand_symmetric``).
     """
     size = len(zs)
     if size == 0 or any(len(row) != size for row in zs):
@@ -324,15 +368,7 @@ def det_power_sums(space, zs):
             minor = {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
             if minor:
                 cur[mask] = minor
-    det = cur.get((1 << size) - 1, {})
-    _, maps = _signed_reindex(n, space.width, False)
-    gets = [get for get, _ in maps.values()]
-    out = {}
-    for rho, c in det.items():
-        flat = sum(rho, ())
-        for get in gets:
-            out[get(flat)] = c
-    return Tensor(space, out, _clean=True)
+    return expand_symmetric(space, flat_orbits(cur.get((1 << size) - 1, {})))
 
 
 def alpha_map(t):
@@ -345,14 +381,52 @@ def alpha_n11(t):
     return _signed_sum(t, fix_last=True)
 
 
-def alpha(space, xs):
-    """Alternator of an n-tuple of ring elements."""
-    return alpha_map(pure_tensor(space, xs))
+def wedge_orbits(space, wedge, terms):
+    """The wedge of an m-fold wedge with one more ring element.
+
+    An m-fold wedge is alternating, so it is kept by its coefficients at
+    ascending tuples of m slot labels.  Each term (label, a) of the
+    element (``TensorSpace.decompose``) is inserted into each tuple: at
+    position p it passes the m - p labels after it, so it carries the
+    sign (-1)^(m - p); a label the tuple already holds drops the term,
+    since it cancels in every ring.  Returns the (m+1)-fold wedge in the
+    same form, without zeros.
+    """
+    acc = {}
+    for key, c in wedge.items():
+        m = len(key)
+        for label, a in terms:
+            p = bisect_left(key, label)
+            if p < m and key[p] == label:
+                continue
+            k = key[:p] + (label,) + key[p:]
+            v = c * a if (m - p) % 2 == 0 else -(c * a)
+            s = acc.get(k)
+            acc[k] = v if s is None else s + v
+    norm = space.scalars.normalize
+    return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
+
+
+def flat_orbits(wedge):
+    """Orbit coefficients keyed by tuples of n slot labels, rekeyed by the
+    flat keys that ``signed_orbits`` and ``divide_orbits`` use."""
+    return {sum(k, ()): c for k, c in wedge.items()}
 
 
 def alpha_orbits(space, xs):
-    """Alternator of an n-tuple, by its coefficients at sorted keys."""
-    return signed_orbits(pure_tensor(space, xs))
+    """Alternator of an n-tuple, by its coefficients at sorted keys: the
+    wedge of its entries, one factor at a time."""
+    if len(xs) != space.n:
+        raise ArityMismatch(f"{len(xs)} factors for arity {space.n}")
+    wedge = {(): space.one_coeff()}
+    for x in xs:
+        wedge = wedge_orbits(space, wedge, space.decompose(x))
+    return flat_orbits(wedge)
+
+
+def alpha(space, xs):
+    """Alternator of an n-tuple of ring elements."""
+    return expand_orbits(space, alpha_orbits(space, xs))
 
 
 class AlternatorInstance:
@@ -361,6 +435,9 @@ class AlternatorInstance:
     The instance is the shared context for coordinate computations: the
     alternator square of x is the invariant that gets inverted, and the
     co-projections of the x_i into the last slot are the spanning set.
+    What the coordinates read of x (its (n-1)-fold wedges, the terms of
+    each x_i, the pure tensors with one slot dropped) is built on first
+    read and kept.
     """
 
     def __init__(self, space, xs):
@@ -371,6 +448,30 @@ class AlternatorInstance:
         # alpha(x) by its coefficients at sorted keys: every coordinate
         # divides by it in that form (see ``divide_orbits``)
         self.alpha_x_orbits = alpha_orbits(space, self.x)
+
+    @cached_property
+    def x_terms(self):
+        """The (label, coefficient) terms of each x_i."""
+        return tuple(self.space.decompose(xi) for xi in self.x)
+
+    @cached_property
+    def cofactor_wedges(self):
+        """(-1)^(n-i) times the wedge of the x_j with j != i, for i = 1..n.
+
+        Moving z from slot i to the end passes n - i slots, so the
+        alternator of x with slot i replaced by z is the wedge of entry
+        i - 1 with z (``wedge_orbits``).
+        """
+        space, n = self.space, self.space.n
+        one = space.one_coeff()
+        signs = (one, space.scalars.normalize(-one))
+        out = []
+        for i in range(n):
+            wedge = {(): signs[(n - 1 - i) % 2]}
+            for terms in self.x_terms[:i] + self.x_terms[i + 1 :]:
+                wedge = wedge_orbits(space, wedge, terms)
+            out.append(wedge)
+        return tuple(out)
 
     @cached_property
     def phi_n_x(self):
@@ -389,18 +490,28 @@ class AlternatorInstance:
         divide by alpha(x) itself and never need it."""
         return self.alpha_x * self.alpha_x
 
+    def _check_slot(self, i):
+        if not 1 <= i <= self.space.n:
+            raise IndexOutOfRange(f"slot {i} outside 1..{self.space.n}")
+
+    @cached_property
+    def _dropped(self):
+        one = self.space.ring.one()
+        return tuple(
+            pure_tensor(self.space, self.x[:i] + self.x[i + 1 :] + (one,))
+            for i in range(self.space.n)
+        )
+
     def x_dropped(self, i):
         """Pure tensor of x with slot i (1-based) removed and a 1 appended."""
-        elems = [xj for j, xj in enumerate(self.x, start=1) if j != i]
-        elems.append(self.space.ring.one())
-        return pure_tensor(self.space, elems)
+        self._check_slot(i)
+        return self._dropped[i - 1]
 
     def x_replaced(self, i, z):
         """The tuple x with slot i (1-based) replaced by z."""
+        self._check_slot(i)
         z = self.space.as_element(z)
-        return tuple(
-            z if j == i else xj for j, xj in enumerate(self.x, start=1)
-        )
+        return self.x[: i - 1] + (z,) + self.x[i:]
 
     def __eq__(self, other):
         return (

@@ -18,17 +18,31 @@ alternator-square factors eagerly so exponents stay small.
 
 A coordinate entry is a numerator over the alternator alpha(x) itself.
 Both are alternating, so both are kept by their coefficients at sorted
-keys, one per orbit, and the entry is divided there: the quotient is
-symmetric, found one orbit at a time and expanded once.  The defining
-expansion is re-checked through the quotients.  An entry that alpha(x)
-does not divide is kept as numerator times alpha(x) over the square, and
-its expansion is re-checked on the expanded numerators; the square is
-only built when a fraction needs it.
+keys, one per orbit.  Numerator i of a ring element z is one wedge,
+(-1)^(n-i) W_i ^ z, with W_i the anchor's cached wedge of the x_j with
+j != i.  The entry is divided on orbits: the quotient is symmetric,
+found one orbit at a time, and expanded into a tensor only when its
+numerator is read.  The defining expansion is re-checked through the
+quotients, on the orbits of the first n-1 slots: both sides are
+invariant there, so they agree when they agree at the keys whose first
+n-1 slots ascend.  An entry that alpha(x) does not divide is kept as
+numerator times alpha(x) over the square, and its expansion is
+re-checked on the expanded numerators; the square is only built when a
+fraction needs it.
 """
 
 from __future__ import annotations
 
-from .alternator import alpha_orbits, divide_orbits, expand_orbits, signed_orbits
+from operator import add
+
+from .alternator import (
+    divide_orbits,
+    expand_orbits,
+    expand_symmetric,
+    flat_orbits,
+    signed_orbits,
+    wedge_orbits,
+)
 from .errors import (
     ContextMismatch,
     NotInvariant,
@@ -89,10 +103,12 @@ class LocalizedElem:
 
     The numerator is symmetric under every slot permutation; the checking
     constructor raises NotInvariant otherwise, and ``_checked=True`` is for
-    results that are fully invariant by construction.
+    results that are fully invariant by construction.  A coordinate entry
+    that divides is made from its quotient's orbits (``_quotient``) and
+    expands its numerator the first time ``num`` is read.
     """
 
-    __slots__ = ("ctx", "num", "exp")
+    __slots__ = ("ctx", "num", "exp", "_orbits")
 
     def __init__(self, ctx, num, exp, _checked=False):
         _require_poly_domain(ctx.space)
@@ -107,6 +123,21 @@ class LocalizedElem:
         self.ctx = ctx
         self.num = num
         self.exp = exp
+
+    @classmethod
+    def _quotient(cls, ctx, orbits):
+        # a symmetric tensor over exponent 0, by its coefficients at
+        # sorted keys; ``num`` is left unset until read
+        out = cls.__new__(cls)
+        out.ctx, out.exp, out._orbits = ctx, 0, orbits
+        return out
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: a quotient's numerator, unread
+        if name != "num":
+            raise AttributeError(name)
+        num = self.num = expand_symmetric(self.ctx.space, self._orbits)
+        return num
 
     @classmethod
     def from_scalar(cls, ctx, c):
@@ -200,6 +231,42 @@ class LocalizedElem:
         return f"LocalizedElem({self.to_text()!r})"
 
 
+def _heads_ascend(space, key):
+    # the first n-1 slots of a flat key are weakly ascending
+    w = space.width
+    return all(
+        key[j * w : (j + 1) * w] <= key[(j + 1) * w : (j + 2) * w]
+        for j in range(space.n - 2)
+    )
+
+
+def _expansion_heads(ctx, quots):
+    """sum q_i * phi_n(x_i) at the keys whose first n-1 slots ascend.
+
+    Each q_i is symmetric, by its coefficients at sorted keys lam.  The
+    arrangements of lam with the first n-1 slots ascending are fixed by
+    the slot block v that goes last, one per distinct block, and each
+    term (label, a) of x_i moves that key to v + label in the last slot.
+    """
+    space = ctx.space
+    n, w = space.n, space.width
+    acc = {}
+    for q, terms in zip(quots, ctx.x_terms):
+        for lam, c in q.items():
+            for j in range(0, n * w, w):
+                v = lam[j : j + w]
+                if lam[j + w : j + 2 * w] == v:
+                    continue  # the last slot of each block stands for it
+                head = lam[:j] + lam[j + w :]
+                for label, a in terms:
+                    k = head + tuple(map(add, v, label))
+                    m = c * a
+                    s = acc.get(k)
+                    acc[k] = m if s is None else s + m
+    norm = space.scalars.normalize
+    return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
+
+
 def _over_alpha(ctx, nums, target, failure):
     """Coordinate entries nums_i / alpha(x), after a reconstruction check.
 
@@ -209,31 +276,33 @@ def _over_alpha(ctx, nums, target, failure):
     check is sum q_i * phi_n(x_i) == target on the quotients q_i: the
     ambient is a domain and alpha(x) is nonzero, so that is the same as
     sum nums_i * phi_n(x_i) == target * alpha(x), which is checked on
-    the expanded numerators otherwise.  Each entry is the quotient at
-    exponent 0 when one exists, and nums_i * alpha(x) over the square
-    otherwise: the square divides nums_i * alpha(x) exactly when alpha(x)
-    divides nums_i, so both forms are already normalized.
+    the expanded numerators otherwise.  The target is invariant in the
+    first n-1 slots (a last-slot co-projection, or a y that passed
+    ``is_sym_n11``), and so is every q_i * phi_n(x_i), since q_i is
+    symmetric; so the quotients are checked at the keys whose first n-1
+    slots ascend, one per orbit of those slots, and never expanded.  Each
+    entry is the quotient at exponent 0 when one exists, and
+    nums_i * alpha(x) over the square otherwise: the square divides
+    nums_i * alpha(x) exactly when alpha(x) divides nums_i, so both forms
+    are already normalized.
     """
     space = ctx.space
-
-    def expansion(parts):
-        lhs = space.zero()
-        for part, phi in zip(parts, ctx.phi_n_x):
-            lhs = lhs + part * phi
-        return lhs
-
     quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
     if all(q is not None for q in quots):
-        if expansion(quots) != target:
+        heads = {k: c for k, c in target.terms.items() if _heads_ascend(space, k)}
+        if _expansion_heads(ctx, quots) != heads:
             raise VerificationFailed(failure)
-        return tuple(LocalizedElem(ctx, q, 0, _checked=True) for q in quots)
+        return tuple(LocalizedElem._quotient(ctx, q) for q in quots)
     full = [expand_orbits(space, num) for num in nums]
-    if expansion(full) != target * ctx.alpha_x:
+    lhs = space.zero()
+    for num, phi in zip(full, ctx.phi_n_x):
+        lhs = lhs + num * phi
+    if lhs != target * ctx.alpha_x:
         raise VerificationFailed(failure)
     return tuple(
         LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True)
         if q is None
-        else LocalizedElem(ctx, q, 0, _checked=True)
+        else LocalizedElem._quotient(ctx, q)
         for num, q in zip(full, quots)
     )
 
@@ -242,15 +311,15 @@ def coordinates(ctx, z):
     """Coordinates of the last-slot co-projection of a ring element.
 
     Entry i is the alternator of x with slot i replaced by z, over the
-    alternator of x.  The defining expansion is re-checked exactly before
-    returning.
+    alternator of x.  That alternator is (-1)^(n-i) W_i ^ z, one wedge
+    with the anchor's cached (n-1)-fold wedge W_i.  The defining
+    expansion is re-checked exactly before returning.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space
     z = space.as_element(z)
-    nums = [
-        alpha_orbits(space, ctx.x_replaced(i, z)) for i in range(1, space.n + 1)
-    ]
+    terms = space.decompose(z)
+    nums = [flat_orbits(wedge_orbits(space, w, terms)) for w in ctx.cofactor_wedges]
     return _over_alpha(
         ctx,
         nums,

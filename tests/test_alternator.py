@@ -20,16 +20,25 @@ from altkit.alternator import (
     alpha,
     alpha_map,
     alpha_n11,
+    alpha_orbits,
     check_identity,
     det_power_sums,
     divide_orbits,
     expand_orbits,
+    expand_symmetric,
     random_case,
     random_invariant,
     random_tensor,
+    flat_orbits,
     signed_orbits,
+    wedge_orbits,
 )
-from altkit.errors import PreconditionViolated, UnsupportedAmbient
+from altkit.errors import (
+    ArityMismatch,
+    IndexOutOfRange,
+    PreconditionViolated,
+    UnsupportedAmbient,
+)
 from altkit.ring_core import (
     GF,
     QQ,
@@ -267,6 +276,21 @@ def test_instance_caches_square():
     assert inst.x_replaced(2, t * t) == (RT.one(), t * t)
 
 
+def test_instance_slots_out_of_range():
+    sp = space(3)
+    t = RT.variable("t")
+    inst = AlternatorInstance(sp, [RT.one(), t, t * t])
+    for i in (0, 4, -1):
+        with pytest.raises(IndexOutOfRange):
+            inst.x_replaced(i, t)
+        with pytest.raises(IndexOutOfRange):
+            inst.x_dropped(i)
+    assert inst.x_replaced(3, t) == (RT.one(), t, t)
+    # the dropped pure tensors are built once per anchor
+    assert inst.x_dropped(2) is inst.x_dropped(2)
+    assert inst.x_dropped(2) == pure_tensor(sp, [RT.one(), t * t, RT.one()])
+
+
 def test_instance_over_algebra():
     alg = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (2, 0)]], (1, 0))
     sp = TensorSpace(2, alg)
@@ -274,6 +298,85 @@ def test_instance_over_algebra():
     assert inst.alpha_x.terms == {(0, 1): 1, (1, 0): -1}
     assert inst.alpha_sq.terms == {(0, 0): 4, (1, 1): -2}
     assert is_symmetric(inst.alpha_sq)
+
+
+# -- alternators as wedges
+
+
+def split_algebra(scalars, rank):
+    """scalars^rank with idempotent basis vectors: the unit has rank terms."""
+    one = scalars.one()
+    structure = [
+        [[one if i == j == k else 0 for k in range(rank)] for j in range(rank)]
+        for i in range(rank)
+    ]
+    return FiniteFreeAlgebra(scalars, rank, structure, [scalars.one()] * rank)
+
+
+@st.composite
+def wedge_cases(draw):
+    """n + 1 ring elements over Q, Z, GF(2) or GF(5) in one or two
+    variables, or over a split finite free algebra of rank 3: zero,
+    constant and repeated entries included."""
+    scalars = SIGNED_SUM_RINGS[draw(st.sampled_from(sorted(SIGNED_SUM_RINGS)))]
+    n = draw(st.integers(1, 5))
+    # nonzero in every one of these rings, so a drawn term never vanishes
+    coeff = st.sampled_from((-3, -1, 1, 3)).map(scalars.from_int)
+    if draw(st.integers(0, 4)) == 0:
+        alg = split_algebra(scalars, 3)
+        sp = TensorSpace(n, alg)
+        coord = st.integers(-3, 3).map(scalars.from_int)
+        entry = st.lists(coord, min_size=3, max_size=3).map(alg.element)
+        zero = alg.zero()
+    else:
+        ring = PolyRing(scalars, draw(st.sampled_from([("t",), ("s", "t")])))
+        sp = TensorSpace(n, ring)
+        label = st.tuples(*[st.integers(0, 5 if sp.width == 1 else 2)] * sp.width)
+        entry = st.dictionaries(label, coeff, min_size=1, max_size=3).map(
+            lambda terms: MultiPoly(ring, terms)
+        )
+        zero = ring.zero()
+    xs = [draw(entry) for _ in range(n + 1)]
+    if draw(st.integers(0, 5)) == 0:
+        xs[draw(st.integers(0, n))] = zero
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        xs[draw(st.integers(1, n))] = xs[0]
+    return sp, xs
+
+
+def exact_orbits(orbits):
+    return {k: (type(c), c) for k, c in orbits.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(wedge_cases())
+def test_wedge_orbits_match_the_pure_tensor_route(case):
+    # the signed sum of the pure tensor is the oracle for the wedge, for
+    # the alternator and for every coordinate numerator of the last entry
+    sp, elems = case
+    xs, z = elems[:-1], elems[-1]
+    want = signed_orbits(pure_tensor(sp, xs))
+    event("nonzero" if want else "zero")
+    assert exact_orbits(alpha_orbits(sp, xs)) == exact_orbits(want)
+    assert exact(alpha(sp, xs)) == exact(alpha_map(pure_tensor(sp, xs)))
+    inst = AlternatorInstance(sp, xs)
+    for i, wedge in enumerate(inst.cofactor_wedges, start=1):
+        got = flat_orbits(wedge_orbits(sp, wedge, sp.decompose(z)))
+        replaced = signed_orbits(pure_tensor(sp, inst.x_replaced(i, z)))
+        assert exact_orbits(got) == exact_orbits(replaced)
+
+
+def test_wedge_orbits_signs_and_repeats():
+    sp = space(3)
+    t = RT.variable("t")
+    # inserting at position p of m labels carries (-1)^(m - p)
+    wedge = {((0,), (2,)): 1}
+    assert wedge_orbits(sp, wedge, [((1,), 1)]) == {((0,), (1,), (2,)): -1}
+    assert wedge_orbits(sp, wedge, [((3,), 1)]) == {((0,), (2,), (3,)): 1}
+    assert wedge_orbits(sp, wedge, [((0,), 1)]) == {}  # a repeated label
+    assert alpha_orbits(sp, [t, RT.one(), t * t]) == {(0, 1, 2): -1}
+    with pytest.raises(ArityMismatch, match="^2 factors for arity 3$"):
+        alpha_orbits(sp, [t, t])
 
 
 # -- the six identities
@@ -494,6 +597,8 @@ def test_orbit_division_matches_dense_division(case):
     # GF(2) and GF(5): both divide, or both return None
     sp, num, den, multiple = case
     got = divide_orbits(sp, num, den)
+    if got is not None:
+        got = expand_symmetric(sp, got)
     want = dict_divide_exact(
         expand_orbits(sp, num).terms, expand_orbits(sp, den).terms, sp.scalars
     )
@@ -514,15 +619,17 @@ def test_orbit_division_outcomes():
     assert len(den) == 1
     # a quotient of alternants: alpha(1, t, t^3) / alpha(1, t, t^2) = e_1
     num = signed_orbits(pure_tensor(sp, [RT.one(), t, t**3]))
-    assert divide_orbits(sp, num, den) == polarized_power_sum(sp, t)
+    assert expand_symmetric(sp, divide_orbits(sp, num, den)) == polarized_power_sum(
+        sp, t
+    )
     # a zero numerator divides, a zero divisor divides nothing
-    assert divide_orbits(sp, {}, den) == sp.zero()
+    assert divide_orbits(sp, {}, den) == {}
     assert divide_orbits(sp, num, {}) is None and divide_orbits(sp, {}, {}) is None
     # alpha(1, t^2, t^3) is e_2 times den; alpha(t, t^2, t^3) over
     # alpha(1, t, t^3) leaves the lead (0, 1, 1), not weakly descending
     e2 = symmetrized(sp, {(1, 1, 0): Fraction(1, 2)})
     num = signed_orbits(pure_tensor(sp, [RT.one(), t**2, t**3]))
-    assert divide_orbits(sp, num, den) == e2
+    assert expand_symmetric(sp, divide_orbits(sp, num, den)) == e2
     other = signed_orbits(pure_tensor(sp, [RT.one(), t, t**3]))
     num = signed_orbits(pure_tensor(sp, [t, t**2, t**3]))
     assert divide_orbits(sp, num, other) is None
@@ -534,7 +641,7 @@ def test_orbit_division_outcomes():
         return signed_orbits(pure_tensor(zsp, [zt.from_int(c), zt.variable("t")]))
 
     assert divide_orbits(zsp, zalpha(1), zalpha(2)) is None
-    assert divide_orbits(zsp, zalpha(4), zalpha(2)) == unit_tensor(zsp).scale(2)
+    assert divide_orbits(zsp, zalpha(4), zalpha(2)) == {(0, 0): 2}
 
 
 def test_det_power_sums_refuses_other_input():

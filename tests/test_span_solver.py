@@ -6,16 +6,25 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import altkit
-from altkit.alternator import AlternatorInstance, alpha, alpha_map, random_invariant
+from altkit import span_solver
+from altkit.alternator import (
+    AlternatorInstance,
+    alpha,
+    alpha_map,
+    expand_symmetric,
+    random_invariant,
+)
+from altkit.cli import make_suite_config, run_suite
 from altkit.errors import (
     ContextMismatch,
     NonCommutative,
     NotInvariant,
     UnsupportedAmbient,
+    VerificationFailed,
 )
 from altkit.norm_universal import trace_formula_check
 from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, MultiPoly, PolyRing
@@ -388,6 +397,125 @@ def test_vandermonde_checks_never_build_the_square():
         assert ctx.alpha_sq is ctx.__dict__["alpha_sq"]
 
 
+# -- the re-check through the quotients, on orbits of the first n-1 slots
+
+
+@st.composite
+def recheck_cases(draw):
+    """A non-monomial anchor over Q[u, v] or GF(5)[u, v] with alpha(x) != 0,
+    and symmetric tensors q_1..q_n by their coefficients at sorted keys."""
+    scalars = draw(st.sampled_from([QQ, GF(5)]))
+    n = draw(st.integers(2, 4))
+    ring = PolyRing(scalars, ("u", "v"))
+    space = TensorSpace(n, ring)
+    label = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3)).map(scalars.from_int)
+
+    def poly(low):
+        terms = draw(st.dictionaries(label, coeff, min_size=low, max_size=2))
+        return MultiPoly(ring, terms)
+
+    ctx = AlternatorInstance(space, [poly(2)] + [poly(1) for _ in range(n - 1)])
+    assume(ctx.alpha_x_orbits)
+    small = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    slots = st.lists(small, min_size=n, max_size=n)
+    key = slots.map(lambda ls: sum(sorted(ls), ()))
+    orbits = st.dictionaries(key, coeff, max_size=2)
+    return ctx, [draw(orbits) for _ in range(n)]
+
+
+def full_expansion(ctx, quots):
+    # sum q_i * phi_n(x_i) on full tensors
+    lhs = ctx.space.zero()
+    for q, phi in zip(quots, ctx.phi_n_x):
+        lhs = lhs + expand_symmetric(ctx.space, q) * phi
+    return lhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(recheck_cases())
+def test_orbit_recheck_matches_full_reconstruction(case):
+    # the orbit check reads the full reconstruction at the keys whose
+    # first n-1 slots ascend, and those keys fix it
+    ctx, quots = case
+    space = ctx.space
+    full = full_expansion(ctx, quots)
+    heads = span_solver._expansion_heads(ctx, quots)
+    assert heads == {
+        k: c for k, c in full.terms.items() if span_solver._heads_ascend(space, k)
+    }
+    event("zero" if not full else "nonzero")
+    # so a y built from the quotients gives them back as its coordinates,
+    # each expanded only when read, and equal to the eager tensor
+    entries = coordinates_of_invariant(ctx, full)
+    for entry, q in zip(entries, quots):
+        assert entry.exp == 0 and entry._orbits == q
+        eager = LocalizedElem(ctx, expand_symmetric(space, q), 0)
+        assert entry.num == eager.num and entry.num is entry.num
+        assert entry == eager
+
+
+@settings(max_examples=60, deadline=None)
+@given(recheck_cases(), st.data())
+def test_orbit_recheck_catches_any_corrupted_coefficient(case, data):
+    ctx, quots = case
+    space = ctx.space
+    y = full_expansion(ctx, quots)
+    n = space.n
+    # one coefficient of one quotient, at a key it has or a new one
+    i = data.draw(st.integers(0, n - 1))
+    known = sorted(quots[i])
+    label = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    slots = st.lists(label, min_size=n, max_size=n)
+    keys = slots.map(lambda ls: sum(sorted(ls), ()))
+    if known and data.draw(st.booleans()):
+        keys = st.sampled_from(known)
+    key = data.draw(keys)
+    delta = data.draw(st.sampled_from((1, 2, -1)).map(space.scalars.from_int))
+    bad = dict(quots[i])
+    c = space.scalars.normalize(bad.get(key, 0) + delta)
+    if c:
+        bad[key] = c
+    else:
+        del bad[key]
+    corrupted = quots[:i] + [bad] + quots[i + 1 :]
+    # the full reconstruction sees the corruption, and so must the check
+    assert full_expansion(ctx, corrupted) != y
+    real = span_solver.divide_orbits
+    calls = []
+
+    def divide(space, num, den):
+        calls.append(num)
+        q = real(space, num, den)
+        return bad if len(calls) == i + 1 else q
+
+    span_solver.divide_orbits = divide
+    try:
+        with pytest.raises(VerificationFailed):
+            coordinates_of_invariant(ctx, y)
+    finally:
+        span_solver.divide_orbits = real
+
+
+def test_passing_basis_cases_expand_no_quotient(monkeypatch):
+    # basis reads no entry, so no quotient may be expanded; trace_formula
+    # reads one entry of each coordinate vector
+    expanded = []
+
+    def record(space, orbits):
+        expanded.append(space.n)
+        return expand_symmetric(space, orbits)
+
+    monkeypatch.setattr(span_solver, "expand_symmetric", record)
+    for ring in ("q", "fp:5"):
+        config = make_suite_config(cases=3, n="2,3,4,5", identities="basis", ring=ring)
+        assert run_suite(config)["failures_total"] == 0
+    assert expanded == []
+    space, ctx, t = qt_context(4)
+    assert trace_formula_check(ctx, t**5 + 2).ok
+    assert expanded == [4] * 4
+
+
 # -- structure constants and the validated basis algebra
 
 
@@ -474,8 +602,8 @@ def doubled(orbits):
 # each script doubles the numerators of one coordinate routine at the
 # step that builds them, so the reconstruction check must fail
 _BROKEN_ALPHA_SCRIPT = _OPTIMIZE_PRELUDE + """
-real = span_solver.alpha_orbits
-span_solver.alpha_orbits = lambda space, xs: doubled(real(space, xs))
+real = span_solver.wedge_orbits
+span_solver.wedge_orbits = lambda space, w, terms: doubled(real(space, w, terms))
 ctx = AlternatorInstance(TensorSpace(2, ring), [ring.one(), t])
 try:
     span_solver.coordinates(ctx, t * t)
@@ -504,8 +632,8 @@ _BROKEN_FALLBACK_SCRIPT = _OPTIMIZE_PRELUDE + """
 ctx = AlternatorInstance(TensorSpace(2, ring), [t * t, t])
 z = t**3 + 2
 print("exponents", [e.exp for e in span_solver.coordinates(ctx, z)])
-real = span_solver.alpha_orbits
-span_solver.alpha_orbits = lambda space, xs: doubled(real(space, xs))
+real = span_solver.wedge_orbits
+span_solver.wedge_orbits = lambda space, w, terms: doubled(real(space, w, terms))
 try:
     span_solver.coordinates(ctx, z)
 except VerificationFailed as e:
