@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -86,6 +87,16 @@ MAX_TERMS = 4
 # --cases of one verify run: with the arity and draw bounds it caps the
 # work of every suite row
 MAX_CASES = 1000
+
+# the fully invariant numerators an instance file's anchor leads to: in
+# each slot, every coordinate numerator has degree at most 2*D_v in each
+# source variable v, and a fraction's numerator over the alternator
+# square at most 3*D_v, for D_v the anchor's largest degree in v.  With
+# M = prod_v (3*D_v + 1) such a numerator has at most C(M + n - 1, n)
+# orbits of keys, and its norm takes at most n! determinants per orbit.
+# The bound is the value of the rank-5 anchor (1, t, ..., t^4); the
+# dearest accepted instances measured are in README's input bounds
+MAX_ANCHOR_ORBITS = 6188
 
 # every suite the verify command knows; the first six take random data,
 # the pullback pair replays bundled fixtures, the probe draws point sets
@@ -500,6 +511,13 @@ def _parse_vector(base, vec, rank, path):
     )
 
 
+def _anchor_orbits(source, xs):
+    box = 1
+    for v in range(len(source.vars)):
+        box *= 3 * max((key[v] for x in xs for key in x.terms), default=0) + 1
+    return math.comb(box + len(xs) - 1, len(xs))
+
+
 def build_instance(data):
     """Instance JSON to a PullbackInstance plus its metadata.
 
@@ -583,6 +601,13 @@ def build_instance(data):
             xs.append(source.parse(text))
         except ParseError as e:
             raise ParseError(f"$.tuple_x[{i}]: {e}") from None
+    orbits = _anchor_orbits(source, xs)
+    _expect(
+        orbits <= MAX_ANCHOR_ORBITS,
+        "$.tuple_x",
+        f"entry degrees allow {orbits} numerator orbits, above "
+        f"MAX_ANCHOR_ORBITS = {MAX_ANCHOR_ORBITS}",
+    )
     return PullbackInstance(f, xs), {"mode": mode, "name": name}
 
 

@@ -5,9 +5,10 @@ outright is no longer available.  The fix is to shrink the source to the
 subring generated by pair fractions: products of two alternators over one
 power of the alternator square.  Those generators map to trace-pairing
 determinants over one power of the discriminant.  The norm map lives in
-norm_universal and is re-exported here: NormMapPlus.fraction_image takes
-pair fractions as plain (c, pairs) terms and performs every division by
-exact solving, never by inverting.
+norm_universal and is re-exported here: NormMapPlus.localized_image takes
+a coordinate fraction through the norm, NormMapPlus.fraction_image takes
+pair fractions as plain (c, pairs) terms, and both divide by exact
+solving, never by inverting.
 
 The quotient that makes the discriminant a nonzerodivisor is computed
 explicitly: for a finite-dimensional base of rank r the annihilator of
@@ -168,10 +169,13 @@ def b_plus(inst):
 def check_pullback_plus(inst, nm):
     """Witnesses of the solving norm map nm and the constant rows they compare.
 
-    Route one pushes the coordinate fractions through nm.  Route two
-    expresses each coordinate directly as a single pair: the anchor with
-    one entry replaced by the product, against the anchor.  Both must
-    land on the image-basis coordinates computed in the algebra.
+    Route one takes the norm of each coordinate fraction
+    (nm.localized_image).  Route two expresses each coordinate directly
+    as a single pair, the anchor with one entry replaced by the product
+    against the anchor, and takes its trace-pairing determinant
+    (nm.pair_image).  The routes meet only in the map f and the
+    determinant routine, and both must land on the image-basis
+    coordinates computed in the algebra.
     """
     ctx, base = inst.ctx, inst.E.base
     unit, rows = pullback_constants(inst, nm)

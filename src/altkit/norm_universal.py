@@ -2,17 +2,16 @@
 
 A finite free algebra pairs its elements through traces of multiplication
 operators; the determinant of that pairing on a basis is the discriminant.
-When the algebra is presented as the image of a polynomial tuple, the
-coordinate fractions of the tuple push forward: a fully invariant tensor
-times the tuple's alternator rewrites as a signed sum of plain
-alternators, an alternator pair goes to a trace-pairing determinant, and
-the alternator square goes to the discriminant.
+When the algebra E is presented as the image of a polynomial tuple, a
+fully invariant tensor over the source ring has a norm in the base (Roby
+1963, Ferrand 1998), one determinant per term.  The norm is
+multiplicative and sends an alternator pair to its trace-pairing
+determinant, so the alternator square goes to the discriminant d.
 
-One norm map does this for every generically etale instance, whose
-discriminant is a nonzerodivisor: each image is a pairing value divided
-exactly by a discriminant power, and a missing quotient raises.  The
-etale map is the same map restricted to a unit discriminant, where every
-such division succeeds.
+One norm map pushes fractions down for every generically etale instance,
+whose d is a nonzerodivisor: num/alpha_sq^e goes to N(num) divided
+exactly by d^e, and a missing quotient raises.  The etale map is the same
+map restricted to a unit d, where every such division succeeds.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .errors import (
     NotGenericallyEtale,
     NotInvariant,
     UnsupportedBase,
-    VerificationFailed,
 )
 from .ring_core import (
     AlgebraElem,
@@ -52,9 +50,9 @@ from .tensor_algebra import (
 __all__ = [
     "discriminant",
     "trace_pairing_det",
+    "norm",
     "trace_formula_check",
     "traceexp_check",
-    "alternator_pair_presentation",
     "PullbackInstance",
     "is_nonzerodivisor",
     "NormMapPlus",
@@ -92,6 +90,26 @@ def trace_pairing_det(inst, vs, ws):
     if len(vs) != E.rank or len(ws) != E.rank:
         raise ArityMismatch(f"pair tuples must have length {E.rank}")
     return E.base.normalize(inst.tuple_det(vs) * E.disc * inst.tuple_det(ws))
+
+
+def norm(inst, q):
+    """Norm of a fully invariant tensor over the source ring, in the base.
+
+    For q = sum_k c_k e_{k_1} x ... x e_{k_n} it is sum_k c_k det R_k,
+    where row i of R_k is row i of the multiplication matrix of f(e_{k_i})
+    in E (Roby, "Lois polynomes et lois formelles en theorie des modules",
+    1963; Ferrand, "Un foncteur norme", 1998).  On a power a x ... x a it
+    is the determinant of f(a); over a split E = B^n it is q evaluated at
+    the n points of f.
+    """
+    if not is_symmetric(q):
+        raise NotInvariant("the norm needs a fully invariant tensor")
+    base, space = inst.E.base, inst.space
+    total = base.zero()
+    for key, c in q.terms.items():
+        rows = [inst.mult_matrix(lab)[i] for i, lab in enumerate(space.key_slots(key))]
+        total = total + inst.emb(c) * det_generic(rows)
+    return base.normalize(total)
 
 
 def discriminant(alg, basis):
@@ -149,30 +167,6 @@ def traceexp_check(ctx, ys):
     return Witness("traceexp", lhs == rhs, lhs, rhs)
 
 
-def alternator_pair_presentation(ctx, num):
-    """A fully invariant tensor times alpha(x), as signed plain alternators.
-
-    Term by term: the slot labels of the tensor multiply into the anchor
-    entries, giving one alternator per term.  The rewriting is re-checked
-    exactly before returning.
-    """
-    space = ctx.space
-    if not is_symmetric(num):
-        raise NotInvariant("presentation needs a fully invariant tensor")
-    terms = []
-    acc = space.zero()
-    for key, c in num.terms.items():
-        labels = space.key_slots(key)
-        w = tuple(
-            xj * space.label_elem(lab) for xj, lab in zip(ctx.x, labels)
-        )
-        terms.append((c, w))
-        acc = acc + alpha(space, w).scale(c)
-    if acc != num * ctx.alpha_x:
-        raise VerificationFailed("presentation failed to rebuild the input")
-    return tuple(terms)
-
-
 class PullbackInstance:
     """A finite free algebra presented as the image of a polynomial tuple.
 
@@ -192,9 +186,13 @@ class PullbackInstance:
             )
         self.space = TensorSpace(self.E.rank, f.source)
         self.ctx = AlternatorInstance(self.space, xs)
+        # source scalars into the base, for the coefficients of a tensor
+        self.emb = _scalar_embedding(self.space.scalars, self.E.base)
         # f(v) by polynomial; kept here, since equal polynomials map
         # differently under another instance's map
         self._images = {}
+        # the multiplication matrix of f(label), by slot label
+        self._mult = {}
         self.fx = tuple(self.image(x) for x in self.ctx.x)
         self.d = discriminant(self.E, self.fx)
         self.det_x = _coordinate_det(self.E, self.fx)
@@ -205,6 +203,14 @@ class PullbackInstance:
         out = self._images.get(v)
         if out is None:
             out = self._images[v] = self.f(v)
+        return out
+
+    def mult_matrix(self, label):
+        """Multiplication matrix of f(label) in E, built once per slot label."""
+        out = self._mult.get(label)
+        if out is None:
+            elem = self.image(self.space.label_elem(label))
+            out = self._mult[label] = self.E.mult_matrix(elem)
         return out
 
     def tuple_det(self, vs):
@@ -261,7 +267,6 @@ class NormMapPlus:
                 f"discriminant {inst.E.base.to_text(inst.d)} is a zerodivisor"
             )
         self.inst = inst
-        self._emb = _scalar_embedding(inst.space.scalars, inst.E.base)
         self._d_pows = [inst.E.base.one(), inst.d]
 
     def _d_power(self, m):
@@ -298,7 +303,7 @@ class NormMapPlus:
         """
         total = self.inst.E.base.zero()
         for c, pairs in terms:
-            prod = self._emb(c)
+            prod = self.inst.emb(c)
             for ys, zs in pairs:
                 prod = prod * trace_pairing_det(self.inst, ys, zs)
             total = total + prod
@@ -307,21 +312,14 @@ class NormMapPlus:
     def localized_image(self, le):
         """Image of num / alpha_sq^exp for a fully invariant numerator.
 
-        num * alpha(x) is a signed sum of alternators alpha(w), so
-        num * alpha_sq is the same sum of pairs alpha(x)*alpha(w), and the
-        image is their pair fraction over the exp+1 power of the square.
-        As d is a nonzerodivisor, a * d^k is divisible by d^(e+k) exactly
-        when a is divisible by d^e: a fraction that is not normalized has
-        the same image, and the same quotient is missing when none exists.
+        N is multiplicative and sends alpha_sq to d, so the image is N(num)
+        divided exactly by d^exp, or not divided when exp is 0.  As d is a
+        nonzerodivisor, a fraction that is not normalized has the same
+        image, and the same quotient is missing when none exists.
         """
         if le.ctx is not self.inst.ctx and le.ctx != self.inst.ctx:
             raise ContextMismatch("fraction over a different anchor tuple")
-        x = self.inst.ctx.x
-        terms = [
-            (c, ((x, w),))
-            for c, w in alternator_pair_presentation(self.inst.ctx, le.num)
-        ]
-        return self.fraction_image(terms, le.exp + 1)
+        return self._divide(norm(self.inst, le.num), le.exp)
 
 
 class NormMap(NormMapPlus):

@@ -318,6 +318,57 @@ def test_unbounded_power_in_instance_fails_fast(tmp_path, capsys):
     assert err.startswith("altkit: ParseError: $.tuple_x[1]: exponent 100000")
 
 
+def _power_instance(n, tuple_x):
+    # Q[u]/(u^n - 2) on 1, u, ..., u^(n-1), with t -> u
+    def power(k):
+        vec = ["0"] * n
+        vec[k % n] = str(2 ** (k // n))
+        return vec
+
+    return {
+        "algebra": {
+            "base": {"kind": "Q"},
+            "rank": n,
+            "unit": power(0),
+            "structure": [[power(i + j) for j in range(n)] for i in range(n)],
+        },
+        "map": {"vars": ["t"], "images": [power(1)]},
+        "tuple_x": tuple_x,
+    }
+
+
+def test_anchor_past_its_bound_exits_2(tmp_path, capsys, monkeypatch):
+    # (1, t, ..., t^4) at rank 5 sits exactly on MAX_ANCHOR_ORBITS; one
+    # more degree in the last entry, or a bound one below, refuses it
+    # before any coordinate work (with t^4 + t^5 the norm takes 15 s)
+    path = tmp_path / "anchor.json"
+    powers = ["1", "t", "t^2", "t^3", "t^4"]
+    for tuple_x, bound, code in (
+        (powers, cli.MAX_ANCHOR_ORBITS, 0),
+        (powers, cli.MAX_ANCHOR_ORBITS - 1, 2),
+        (powers[:4] + ["t^4+t^5"], cli.MAX_ANCHOR_ORBITS, 2),
+    ):
+        monkeypatch.setattr(cli, "MAX_ANCHOR_ORBITS", bound)
+        path.write_text(json.dumps(_power_instance(5, tuple_x)), encoding="utf-8")
+        started = time.monotonic()
+        assert main(["instance", "--file", str(path)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert time.monotonic() - started < 1.0
+            assert err.startswith("altkit: SchemaError: $.tuple_x: entry degrees allow ")
+            assert err.endswith(f"above MAX_ANCHOR_ORBITS = {bound}\n")
+            assert len(err.splitlines()) == 1
+    # M = 3*4 + 1 = 13 and C(17, 5) = 6188 orbits; the fixtures are rank
+    # 2 at degree 1, M = 4 and C(5, 2) = 10
+    for document, orbits in (
+        (_power_instance(5, powers), 6188),
+        (_fixture_document("sqrt2.json"), 10),
+        (_fixture_document("t2_minus_s.json"), 10),
+    ):
+        inst, _ = build_instance(document)
+        assert cli._anchor_orbits(inst.space.ring, inst.ctx.x) == orbits
+
+
 def test_poly_base_variable_collision_rejected():
     data = json.loads(
         open(fixture_path("t2_minus_s.json"), encoding="utf-8").read()

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import altkit
-from altkit import norm_universal
 from altkit.alternator import alpha
 from altkit.errors import (
     ArityMismatch,
@@ -20,7 +19,6 @@ from altkit.errors import (
     NotGenericallyEtale,
     PreconditionViolated,
     UnsupportedBase,
-    VerificationFailed,
 )
 from altkit.gen_etale import (
     MAX_PROBE_WORK,
@@ -32,11 +30,7 @@ from altkit.gen_etale import (
     is_nonzerodivisor,
     verify_pullback_plus,
 )
-from altkit.norm_universal import (
-    PullbackInstance,
-    alternator_pair_presentation,
-    trace_pairing_det,
-)
+from altkit.norm_universal import PullbackInstance, trace_pairing_det
 from altkit.ring_core import (
     GF,
     QQ,
@@ -49,6 +43,12 @@ from altkit.ring_core import (
 )
 from altkit.span_solver import LocalizedElem, coordinates
 from altkit.tensor_algebra import TensorSpace
+from norm_helpers import (
+    alternator_pair_presentation,
+    monogenic,
+    monogenic_source,
+    power_anchor,
+)
 
 
 def sqrt2_algebra(scalars=QQ):
@@ -257,12 +257,29 @@ def _image_or_missing(route, *args):
         return DivisionFails
 
 
+_QS = PolyRing(QQ, ("s",))
+_GF5S = PolyRing(GF(5), ("s",))
+
+# monogenic instances of ranks 3-5: the base, the tail of u^r with "s"
+# for the base variable, and how many extra squares a fraction may take
+_MONOGENIC = {
+    "u^3=s*u+1/Q[s]": (_QS, (1, "s", 0), 2),
+    "u^4=s/GF(5)[s]": (_GF5S, ("s", 0, 0, 0), 0),
+    "u^5=2/Q": (QQ, (2, 0, 0, 0, 0), 0),
+}
+
+
 def _oracle_instance(name):
     if name == "sqrt2/Q":
         return simple_instance(sqrt2_algebra())
     if name == "sqrt2/Z":
         return simple_instance(sqrt2_algebra(ZZ), scalars=ZZ)
-    return theta_instance()[0]
+    if name == "theta":
+        return theta_instance()[0]
+    base, tail, _ = _MONOGENIC[name]
+    tail = [base.variable(c) if c == "s" else base.from_int(c) for c in tail]
+    source, f = monogenic_source(monogenic(base, tail))
+    return PullbackInstance(f, power_anchor(source, len(tail)))
 
 
 def _draw_poly(data, ring, bound):
@@ -312,18 +329,28 @@ def test_norm_map_is_a_ring_map_on_pair_fractions(name, data):
     )
 
 
-@pytest.mark.parametrize("name", ["sqrt2/Q", "sqrt2/Z", "theta"])
+@pytest.mark.parametrize(
+    "name", ["sqrt2/Q", "sqrt2/Z", "theta"] + sorted(_MONOGENIC)
+)
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_localized_image_matches_both_old_routes(name, data):
     inst = _oracle_instance(name)
     ctx, ring = inst.ctx, inst.space.ring
     z = _draw_poly(data, ring, 3)
+    squares = 2
+    if name in _MONOGENIC:
+        # past degree rank - 1, so that the coordinates are fractions;
+        # the square has thousands of terms at rank 4 and 5, so fewer
+        # extra squares there
+        r = inst.E.rank
+        z = z * ring.variable("t") ** data.draw(st.integers(r - 3, r - 1))
+        squares = _MONOGENIC[name][2]
     i = data.draw(st.integers(0, inst.E.rank - 1), label="entry")
     entry = coordinates(ctx, z)[i]
     # the same fraction, not normalized: num * asq^k over asq^(exp + k);
     # one more square below may leave it without an image over Z or Q[s]
-    k = data.draw(st.integers(0, 2), label="extra squares")
+    k = data.draw(st.integers(0, squares), label="extra squares")
     over = data.draw(st.integers(0, 1), label="extra denominator")
     num = entry.num
     for _ in range(k):
@@ -338,28 +365,11 @@ def test_localized_image_matches_both_old_routes(name, data):
         assert image == inst.E.base.normalize(inst.basis_coords(inst.f(z))[i])
 
 
-def test_broken_presentation_raises_through_both_routes(monkeypatch):
-    inst = theta_instance()[0]
-    nm = NormMapPlus(inst)
-    t = inst.space.ring.variable("t")
-    entry = coordinates(inst.ctx, t * t)[0]
-    real_alpha = norm_universal.alpha
-    monkeypatch.setattr(
-        norm_universal, "alpha", lambda space, xs: real_alpha(space, xs).scale(2)
-    )
-    with pytest.raises(VerificationFailed):
-        nm.localized_image(entry)
-    with pytest.raises(VerificationFailed):
-        alternator_pair_presentation(inst.ctx, entry.num)
-
-
-_BROKEN_PRESENTATION_SCRIPT = """
+_CORRUPTED_NORM_SCRIPT = """
 import sys
-from altkit import norm_universal
-from altkit.errors import VerificationFailed
-from altkit.gen_etale import NormMapPlus
+from altkit.gen_etale import NormMapPlus, check_pullback_plus
+from altkit.norm_universal import NormMap, PullbackInstance, check_pullback
 from altkit.ring_core import QQ, AlgebraMap, FiniteFreeAlgebra, PolyRing
-from altkit.span_solver import coordinates
 
 stripped = True
 try:
@@ -371,38 +381,37 @@ alg = FiniteFreeAlgebra(QQ, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
 source = PolyRing(QQ, ("t",))
 t = source.variable("t")
 f = AlgebraMap(source, alg, [alg.basis_elem(1)])
-inst = norm_universal.PullbackInstance(f, [source.one(), t])
-entry = coordinates(inst.ctx, t * t)[0]
-real_alpha = norm_universal.alpha
-norm_universal.alpha = lambda space, xs: real_alpha(space, xs).scale(2)
-for route in (
-    lambda: NormMapPlus(inst).localized_image(entry),
-    lambda: norm_universal.alternator_pair_presentation(inst.ctx, entry.num),
-):
-    try:
-        route()
-        print("no error")
-    except VerificationFailed as e:
-        print("raised", type(e).__name__)
+for check, norm_map in ((check_pullback, NormMap), (check_pullback_plus, NormMapPlus)):
+    inst = PullbackInstance(f, [source.one(), t])
+    # the memoised matrix of f(t), doubled: only the norm reads it
+    inst._mult[(1,)] = [[2 * a for a in row] for row in alg.mult_matrix(inst.fx[1])]
+    witnesses, _ = check(inst, norm_map(inst))
+    print(" ".join(w.name for w in witnesses if not w.ok))
+    print(" ".join(w.name for w in witnesses if w.name.startswith("pair_route") and w.ok))
 """
 
 
-def test_broken_presentation_raises_under_optimize():
-    # python -O strips assert statements; the one presentation check
-    # must still fire on both routes
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_corrupted_norm_fails_the_pullback_witness(flags):
+    # python -O strips assert statements; a wrong norm must still fail
+    # the pullback witness through both norm maps, and the pair route,
+    # which never reads the norm, must stay ok
     src = os.path.dirname(os.path.dirname(altkit.__file__))
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_PRESENTATION_SCRIPT],
+        [sys.executable, *flags, "-c", _CORRUPTED_NORM_SCRIPT],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    optimized = 1 if flags else 0
     assert done.stdout.splitlines() == [
-        "optimize 1 True",
-        "raised VerificationFailed",
-        "raised VerificationFailed",
+        f"optimize {optimized} {bool(flags)}",
+        "pullback[2,2]",
+        "",
+        "pullback_plus[2,2]",
+        "pair_route[1,1] pair_route[1,2] pair_route[2,2]",
     ]
 
 

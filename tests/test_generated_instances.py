@@ -5,7 +5,8 @@ det A * disc(e) * det B from coordinate determinants.  The route it
 replaced, r^2 algebra products and traces under one determinant, stays
 here as the oracle.  Generated instances u^r = s and u^r = s*u + 1 check
 the discriminant against a Sylvester resultant and the norm map against
-the algebra's own structure constants.  Points of the line moving over
+the algebra's own structure constants, and random ones of ranks 2-5 the
+laws of the norm.  Points of the line moving over
 Q[s] and GF(5)[s] check the discriminant against the repeated-point
 probe.
 """
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altkit.alternator import alpha, expand_symmetric
 from altkit.errors import NotABasis, NotGenericallyEtale
 from altkit.gen_etale import NormMapPlus, check_pullback_plus, diagonal_support_probe
 from altkit.norm_universal import (
     PullbackInstance,
     discriminant,
+    norm,
     trace_pairing_det,
 )
 from altkit.ring_core import (
@@ -29,41 +32,7 @@ from altkit.ring_core import (
     PolyRing,
     det_generic,
 )
-
-
-def monogenic(base, tail):
-    """base[u]/(u^r - sum_i tail[i] u^i) on the basis 1, u, ..., u^(r-1)."""
-    r = len(tail)
-    zero, one = base.zero(), base.one()
-    powers = []
-    cur = [one] + [zero] * (r - 1)
-    for _ in range(2 * r - 1):
-        powers.append(tuple(cur))
-        top = cur[-1]
-        cur = [
-            base.normalize(c + top * t) for c, t in zip([zero] + cur[:-1], tail)
-        ]
-    structure = tuple(tuple(powers[i + j] for j in range(r)) for i in range(r))
-    return FiniteFreeAlgebra(base, r, structure, powers[0])
-
-
-def monogenic_source(E):
-    """The source ring and f: t -> u, with the base variables mapped to
-    themselves times the unit, as `altkit instance` builds it."""
-    base = E.base
-    if isinstance(base, PolyRing):
-        source = PolyRing(base.coeff, base.vars + ("t",))
-        images = [E.element([base.variable(v) * c for c in E.unit]) for v in base.vars]
-    else:
-        source = PolyRing(base, ("t",))
-        images = []
-    images.append(E.basis_elem(1))
-    return source, AlgebraMap(source, E, images)
-
-
-def power_anchor(source, r):
-    t = source.variable("t")
-    return [t**k for k in range(r)]
+from norm_helpers import monogenic, monogenic_source, power_anchor
 
 
 def old_trace_pairing_det(inst, vs, ws):
@@ -175,6 +144,122 @@ def test_discriminant_matches_gram_route(name, data):
         s = base.variable("s")
         with pytest.raises(NotABasis, match="is not a unit"):
             discriminant(E, [basis[0] * s] + basis[1:])
+
+
+# -- the norm's own laws, at ranks 2-5
+#
+# N(q) = sum_k c_k det R_k, row i of R_k from the multiplication matrix
+# of f(e_{k_i}).  It is multiplicative on fully invariant tensors, sends
+# alpha(y)*alpha(z) to the trace-pairing determinant of y and z, and over
+# a split algebra B^n it is q evaluated at the n points of f.
+
+LAW_BASES = dict(BASES, **{"GF(5)[s]": PolyRing(GF(5), ("s",))})
+
+
+def _draw_label(data, source, r, s_degree=1):
+    # a monomial of the source ring: s^a t^e, t-degree at most r
+    return tuple(
+        data.draw(st.integers(0, r if v == "t" else s_degree), label=v)
+        for v in source.vars
+    )
+
+
+def _draw_invariant(data, space, r):
+    # one or two orbit sums of drawn sorted keys, each with a coefficient
+    orbits = {}
+    for _ in range(data.draw(st.integers(1, 2), label="orbits")):
+        labels = sorted(_draw_label(data, space.ring, r) for _ in range(space.n))
+        key = tuple(v for label in labels for v in label)
+        orbits[key] = _draw_scalar(data, space.scalars, nonzero=True)
+    return expand_symmetric(space, orbits)
+
+
+def _law_instance(data, base, top=5):
+    r = data.draw(st.integers(2, top), label="rank")
+    E = monogenic(base, [_draw_scalar(data, base) for _ in range(r)])
+    source, f = monogenic_source(E)
+    return PullbackInstance(f, power_anchor(source, r))
+
+
+@pytest.mark.parametrize("name", sorted(LAW_BASES))
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_norm_of_an_alternator_pair_is_its_pairing_determinant(name, data):
+    # a rank-5 pair has thousands of keys, one determinant each: over
+    # Q[s] and GF(5)[s] that is seconds per draw, so those stop at rank 4
+    # here and meet rank 5 in the two laws below
+    base = LAW_BASES[name]
+    inst = _law_instance(data, base, 4 if isinstance(base, PolyRing) else 5)
+    space, r = inst.space, inst.E.rank
+    # one term per entry keeps alpha at r! terms at most, distinct
+    # t-degrees keep it nonzero, and s in one entry keeps the keys few
+    t = space.ring.variable("t")
+    degrees = st.lists(st.integers(0, r), min_size=r, max_size=r, unique=True)
+    ys, zs = (
+        [t**e * _draw_scalar(data, space.scalars, nonzero=True) for e in data.draw(degrees)]
+        for _ in range(2)
+    )
+    ys[0] = ys[0] * space.label_elem(_draw_label(data, space.ring, 0))
+    pair = alpha(space, ys) * alpha(space, zs)
+    assert norm(inst, pair) == trace_pairing_det(inst, ys, zs)
+
+
+@pytest.mark.parametrize("name", sorted(LAW_BASES))
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_norm_is_multiplicative(name, data):
+    inst = _law_instance(data, LAW_BASES[name])
+    q, q2 = (_draw_invariant(data, inst.space, 2) for _ in range(2))
+    assert norm(inst, q * q2) == inst.E.base.normalize(norm(inst, q) * norm(inst, q2))
+
+
+def _split_instance(base, points):
+    # E = B^n, unit (1, ..., 1), with f(t) = points and each base
+    # variable to itself; anchored on (1, t, ..., t^(n-1))
+    n = len(points)
+    zero, one = base.zero(), base.one()
+    idem = [tuple(one if k == i else zero for k in range(n)) for i in range(n)]
+    structure = tuple(
+        tuple(idem[i] if i == j else (zero,) * n for j in range(n)) for i in range(n)
+    )
+    E = FiniteFreeAlgebra(base, n, structure, (one,) * n)
+    if isinstance(base, PolyRing):
+        source = PolyRing(base.coeff, base.vars + ("t",))
+        images = [E.element([base.variable(v)] * n) for v in base.vars]
+    else:
+        source = PolyRing(base, ("t",))
+        images = []
+    f = AlgebraMap(source, E, images + [E.element(points)])
+    return PullbackInstance(f, power_anchor(source, n))
+
+
+@pytest.mark.parametrize("name", sorted(LAW_BASES))
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_norm_over_a_split_algebra_evaluates_at_the_points(name, data):
+    # distinct constants plus one common drawn element: the Vandermonde
+    # of the anchor is then a unit
+    base = LAW_BASES[name]
+    n = data.draw(st.integers(2, 5), label="rank")
+    consts = data.draw(
+        st.lists(st.integers(0, 4), min_size=n, max_size=n, unique=True),
+        label="constants",
+    )
+    shift = _draw_scalar(data, base)
+    points = [base.normalize(base.from_int(c) + shift) for c in consts]
+    inst = _split_instance(base, points)
+    space = inst.space
+    q = _draw_invariant(data, space, n)
+    emb = base.embed_scalar if isinstance(base, PolyRing) else base.normalize
+    expected = base.zero()
+    for key, c in q.terms.items():
+        term = emb(c)
+        for label, p in zip(space.key_slots(key), points):
+            # the source monomial at t = p, each base variable to itself
+            for v, e in zip(space.ring.vars, label):
+                term = term * (p if v == "t" else base.variable(v)) ** e
+        expected = expected + term
+    assert norm(inst, q) == base.normalize(expected)
 
 
 # -- the image memo belongs to its instance

@@ -34,7 +34,9 @@ from altkit.ring_core import (
     nullspace,
     solve,
 )
+from altkit.span_solver import coordinates
 from altkit.tensor_algebra import Permutation, Tensor, TensorSpace
+from norm_helpers import presentation_image
 
 PRIMES = (2, 5, 2**61 - 1)
 VARS = ("s", "t")
@@ -262,7 +264,7 @@ def test_determinant_decisions_read_multiples_of_p_as_zero(case):
 def test_pair_fractions_store_reduced_values(p):
     # u^2 = u + 2 has discriminant 9 on (1, u), a unit mod every prime
     # here; term coefficients are plain ints, reduced or not, and every
-    # image must come back reduced
+    # image, of a pair or of a coordinate fraction, must come back reduced
     F = GF(p)
     alg = FiniteFreeAlgebra(F, 2, (((1, 0), (0, 1)), ((0, 1), (2, 1))), (1, 0))
     ring = PolyRing(F, ("t",))
@@ -283,6 +285,13 @@ def test_pair_fractions_store_reduced_values(p):
         assert one == c % p
         assert two == c * image % p
         assert diff == (c * image - 1) % p
+    # coordinate fractions go through the norm, and land where the
+    # replaced presentation route did
+    for k in range(5):
+        for entry in coordinates(inst.ctx, t**k * (p - 1) + 3):
+            image = nm.localized_image(entry)
+            assert_reduced([image], p)
+            assert image == presentation_image(nm, entry)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -15,10 +15,10 @@ from altkit.errors import (
 from altkit.norm_universal import (
     NormMap,
     PullbackInstance,
-    alternator_pair_presentation,
     discriminant,
     free_case_check,
     is_nonzerodivisor,
+    norm,
     trace_formula_check,
     trace_pairing_det,
     traceexp_check,
@@ -27,6 +27,7 @@ from altkit.norm_universal import (
 from altkit.ring_core import GF, QQ, ZZ, AlgebraMap, FiniteFreeAlgebra, PolyRing
 from altkit.span_solver import LocalizedElem, coordinates
 from altkit.tensor_algebra import TensorSpace, pure_tensor
+from norm_helpers import alternator_pair_presentation
 
 
 def sqrt2_algebra():
@@ -199,7 +200,7 @@ def test_traceexp_over_algebra_ambient():
     assert traceexp_check(ctx, [t, t + alg.one()]).ok
 
 
-# -- presentation through plain alternators
+# -- presentation through plain alternators, the norm's oracle
 
 
 def test_presentation_round_trip_random():
@@ -278,10 +279,8 @@ def test_norm_map_pair_routes_agree():
     ys = (t, t * t)
     via_det = trace_pairing_det(inst, inst.ctx.x, ys)
     pair = inst.ctx.alpha_x * alpha(space, ys)
-    via_presentation = nm.localized_image(
-        LocalizedElem(inst.ctx, pair, 0, _checked=True)
-    )
-    assert via_det == via_presentation
+    via_norm = nm.localized_image(LocalizedElem(inst.ctx, pair, 0, _checked=True))
+    assert via_det == via_norm == norm(inst, pair)
 
 
 def test_norm_map_guards():
@@ -291,6 +290,13 @@ def test_norm_map_guards():
     other_ctx = AlternatorInstance(inst.space, [t, t * t])
     with pytest.raises(ContextMismatch):
         nm.localized_image(LocalizedElem.from_scalar(other_ctx, 1))
+    # a numerator that is not fully invariant has no norm, even in a
+    # fraction built without the checking constructor
+    lopsided = pure_tensor(inst.space, [t, inst.space.ring.one()])
+    with pytest.raises(NotInvariant):
+        norm(inst, lopsided)
+    with pytest.raises(NotInvariant):
+        nm.localized_image(LocalizedElem(inst.ctx, lopsided, 0, _checked=True))
 
 
 def test_verify_pullback_sqrt2():
