@@ -38,6 +38,7 @@ from .errors import (
 )
 from .gen_etale import (
     NormMapPlus,
+    _ExponentBlock,
     b_plus,
     check_pullback_plus,
     diagonal_support_probe,
@@ -670,21 +671,37 @@ def _parse_tuples(tuples, dim):
 
     Exponent vectors match the point dimension (when there is a point)
     and share the expression parser's exponent bound.  The whole payload
-    is checked in bulk; only when a check fails does the per-item loop
-    run, to name the first bad entry.
+    is checked in bulk, every exponent once; only when a check fails does
+    the per-item loop run, to name the first bad entry.  When every
+    group has one nonzero length and every vector is nonempty, the
+    groups come back as one immutable block of row tuples, which the
+    probe keys and the report renders as they are; ragged or empty
+    groups come back as given.
     """
-    if type(tuples) is list and set(map(type, tuples)) <= {list}:
-        monos = list(itertools.chain.from_iterable(tuples))
-        if set(map(type, monos)) <= {list} and (
-            dim is None or set(map(len, monos)) <= {dim}
-        ):
-            exps = list(itertools.chain.from_iterable(monos))
-            # type() and not isinstance(): a bool is no exponent
-            if set(map(type, exps)) <= {int} and (
-                not exps or 0 <= min(exps) and max(exps) <= MAX_POWER_EXPONENT
-            ):
-                return tuples
-    return _parse_tuples_each(tuples, dim)
+    if type(tuples) is not list or not set(map(type, tuples)) <= {list}:
+        return _parse_tuples_each(tuples, dim)
+    monos = list(itertools.chain.from_iterable(tuples))
+    if not set(map(type, monos)) <= {list}:
+        return _parse_tuples_each(tuples, dim)
+    lengths = set(map(len, monos))
+    if dim is not None and not lengths <= {dim}:
+        return _parse_tuples_each(tuples, dim)
+    exps = list(itertools.chain.from_iterable(monos))
+    # type() and not isinstance(): a bool is no exponent
+    if not set(map(type, exps)) <= {int}:
+        return _parse_tuples_each(tuples, dim)
+    values = set(exps)
+    if values and not (0 <= min(values) and max(values) <= MAX_POWER_EXPONENT):
+        return _parse_tuples_each(tuples, dim)
+    sizes = set(map(len, tuples))
+    if len(sizes) != 1 or 0 in sizes | lengths:
+        return tuples
+    # zip regroups the rows in C, size at a time; the distinct rows are
+    # keyed here once, for the probe's columns and the renderer's memo
+    rows = list(map(tuple, monos))
+    block = _ExponentBlock(zip(*[iter(rows)] * sizes.pop()))
+    block.columns = list(dict.fromkeys(rows))
+    return block
 
 
 def _parse_tuples_each(tuples, dim):
@@ -709,7 +726,11 @@ def _parse_tuples_each(tuples, dim):
 
 
 def run_probe(payload):
-    """Probe a JSON point set: {"ring", "points", optional "tuples"}."""
+    """Probe a JSON point set: {"ring", "points", optional "tuples"}.
+
+    The tuples are checked once, and the checked block is what the probe
+    reads and what the report echoes.
+    """
     data = _load_json(payload, "--points")
     _expect(isinstance(data, dict), "$", "expected a top-level object")
     _known_keys(data, ("ring", "points", "tuples"), "$")
@@ -742,7 +763,7 @@ def run_probe(payload):
         "artifact": {"name": "altkit", "version": __version__},
         "ring": ring_text,
         "points": raw_points,
-        "tuples": data.get("tuples"),
+        "tuples": tuples,
         "on_diagonal": on_diagonal,
         "failures_total": 0,
     }
@@ -752,8 +773,6 @@ def run_probe(payload):
 # entry point
 
 
-# the one-line encoding of a block of ints that _render re-indents
-_compact = json.JSONEncoder(separators=(",", ":")).encode
 _escape = json.encoder.encode_basestring_ascii
 
 
@@ -761,19 +780,50 @@ def render_report(report):
     """The report as JSON text: 2-space indent, sorted keys, ASCII escapes.
 
     Byte for byte ``json.dumps(report, indent=2, sort_keys=True)`` plus a
-    newline, in one pass that appends to a single list.  Every key is a
-    string: any other key raises TypeError.
+    newline, in one pass that appends to a single list.  A nested list of
+    ints, or a probe's checked exponent block, is one int block: the text
+    of each distinct row is built once and joined upward.  Every key is
+    a string: any other key raises TypeError.  A list or dict that holds
+    itself raises ValueError, as json.dumps does.
     """
     out = []
-    _render(report, 0, out)
+    try:
+        _render(report, 0, out)
+    except RecursionError:
+        # only a deep report gets here, so the common path checks nothing
+        if _is_circular(report):
+            raise ValueError("Circular reference detected") from None
+        raise
     out.append("\n")
     return "".join(out)
 
 
+def _is_circular(value):
+    """Does some list, tuple or dict in value hold itself?"""
+    on_path, done = set(), set()
+    stack = [(value, False)]
+    while stack:
+        node, leaving = stack.pop()
+        if leaving:
+            on_path.discard(id(node))
+            done.add(id(node))
+        elif isinstance(node, (list, tuple, dict)):
+            if id(node) in on_path:
+                return True
+            if id(node) not in done:
+                on_path.add(id(node))
+                stack.append((node, True))
+                children = node.values() if isinstance(node, dict) else node
+                stack.extend((child, False) for child in children)
+    return False
+
+
 def _int_block_depth(value):
     """Depth of a nonempty list whose every level holds only nonempty
-    lists and whose leaves are all ints at that one depth, else 0."""
-    level, depth = value, 1
+    lists and whose leaves are all ints at that one depth, else 0.
+
+    Every leaf is type-checked; a list inside itself is no block."""
+    level, depth, seen = value, 1, {id(value)}
     while True:
         # type() and not isinstance(): a bool is no int here
         kinds = set(map(type, level))
@@ -781,32 +831,51 @@ def _int_block_depth(value):
             return depth
         if kinds != {list} or not all(level):
             return 0
+        ids = set(map(id, level))
+        if not seen.isdisjoint(ids):
+            return 0  # a list inside itself, which _render reports
+        seen |= ids
+        if len(ids) < len(level):
+            # a list met twice is checked once, so no level outgrows the
+            # lists the value holds
+            level = list({id(x): x for x in level}.values())
         level = list(itertools.chain.from_iterable(level))
         depth += 1
 
 
 def _render_int_block(value, depth, indent, out):
-    # one compact C-encoded string, re-indented one level at a time: the
-    # separator between siblings m levels above the ints is "]" * m, ","
-    # and "[" * m, so the longest runs go first, and their commas wait
-    # behind "\0" until the commas between ints are done
-    def pad(level):
-        return "\n" + "  " * (indent + level)
+    # the text of each distinct row of ints is built once, then joined
+    # upward one level at a time.  Rows are keyed as tuples, which is
+    # sound only because every leaf is an exact int, as _int_block_depth
+    # or _parse_tuples checked: (True, 0) == (1, 0).  A checked block
+    # lists its distinct rows itself, and its rows are tuples already
+    pads = ["\n" + "  " * (indent + lv) for lv in range(depth + 1)]
+    checked = type(value) is _ExponentBlock
+    if checked:
+        distinct = value.columns
+    else:
+        rows = (value,)
+        for _ in range(depth - 1):
+            rows = itertools.chain.from_iterable(rows)
+        distinct = set(map(tuple, rows))
+    sep = "," + pads[depth]
+    head, tail = "[" + pads[depth], pads[depth - 1] + "]"
+    text = {
+        row: head + sep.join(map(int.__repr__, row)) + tail for row in distinct
+    }.__getitem__
 
-    text = _compact(value)[depth:-depth]
-    for m in range(depth - 1, 0, -1):
-        j = depth - 1 - m  # the level whose elements this separator splits
-        text = text.replace(
-            "]" * m + "," + "[" * m,
-            "".join(pad(lv) + "]" for lv in range(depth - 1, j, -1))
-            + "\0"
-            + pad(j + 1)
-            + "".join("[" + pad(lv + 1) for lv in range(j + 1, depth)),
-        )
-    text = text.replace(",", "," + pad(depth)).replace("\0", ",")
-    out.append("".join("[" + pad(lv + 1) for lv in range(depth)))
-    out.append(text)
-    out.append("".join(pad(lv) + "]" for lv in range(depth - 1, -1, -1)))
+    def joined(nodes, lv):
+        # the text of each node at level lv, whose elements are at lv + 1
+        sep = "," + pads[lv + 1]
+        head, tail = "[" + pads[lv + 1], pads[lv] + "]"
+        if lv == depth - 2:
+            return [
+                head + sep.join(map(text, node if checked else map(tuple, node))) + tail
+                for node in nodes
+            ]
+        return [head + sep.join(joined(node, lv + 1)) + tail for node in nodes]
+
+    out.append(text(tuple(value)) if depth == 1 else joined((value,), 0)[0])
 
 
 def _render(value, indent, out):
@@ -838,7 +907,12 @@ def _render(value, indent, out):
         if not value:
             out.append("[]")
             return
-        depth = _int_block_depth(value) if kind is list else 0
+        if kind is list:
+            depth = _int_block_depth(value)
+        elif kind is _ExponentBlock:
+            depth = 3  # groups of rows of ints, checked where it was built
+        else:
+            depth = 0
         if depth:
             _render_int_block(value, depth, indent, out)
             return

@@ -228,11 +228,31 @@ def _grid_work(n, k):
     return n * n * size
 
 
+class _ExponentBlock(tuple):
+    """Explicit probe groups already in the probe's own form.
+
+    A nonempty tuple of groups of one length, each a tuple of nonempty
+    row tuples of exact ints in 0..MAX_POWER_EXPONENT.  ``columns`` lists
+    the distinct rows in first-seen order.  Only ``cli._parse_tuples``
+    builds one, after checking every exponent, so the probe takes its
+    columns as they are and the report renderer writes it with no
+    further check.
+    """
+
+
 def _explicit_columns(n, groups):
-    """The distinct monomials the groups name, after checking each group."""
-    if any(len(monos) != n for monos in groups):
+    """The distinct monomials the groups name, after checking each group.
+
+    Group lengths are checked in one pass.  The columns are the distinct
+    rows themselves, so the groups hold hashable rows; a checked block
+    lists them already.
+    """
+    if set(map(len, groups)) - {n}:
         raise ArityMismatch(f"need {n} monomials per determinant")
-    columns = list(dict.fromkeys(itertools.chain.from_iterable(groups)))
+    if type(groups) is _ExponentBlock:
+        columns = groups.columns
+    else:
+        columns = list(dict.fromkeys(itertools.chain.from_iterable(groups)))
     # a negative power would leave the ring: over Z, 2**-1 is a float
     if any(type(e) is not int or e < 0 for m in columns for e in m):
         raise PreconditionViolated("monomial exponents are non-negative integers")
@@ -284,7 +304,11 @@ def diagonal_support_probe(scalars, points, tuples=None):
     if tuples is None:
         work = _grid_work(n, k)
     else:
-        groups = [tuple(map(tuple, monos)) for monos in tuples]
+        groups = (
+            tuples
+            if type(tuples) is _ExponentBlock
+            else [tuple(map(tuple, monos)) for monos in tuples]
+        )
         columns = _explicit_columns(n, groups)
         work = n * n * len(columns) + n**3 * len(groups)
     if work > MAX_PROBE_WORK:

@@ -11,7 +11,7 @@ Both stay here as the oracle of ``norm_universal.norm`` and of
 from altkit.alternator import alpha
 from altkit.errors import NotInvariant, VerificationFailed
 from altkit.ring_core import AlgebraMap, FiniteFreeAlgebra, PolyRing
-from altkit.tensor_algebra import is_symmetric
+from altkit.tensor_algebra import Tensor, is_symmetric
 
 
 def alternator_pair_presentation(ctx, num):
@@ -25,13 +25,16 @@ def alternator_pair_presentation(ctx, num):
     if not is_symmetric(num):
         raise NotInvariant("presentation needs a fully invariant tensor")
     terms = []
-    acc = space.zero()
+    # one dict for the whole sum, normalized once into one tensor: a
+    # tensor per partial sum would copy the growing sum once per term
+    acc = {}
     for key, c in num.terms.items():
         labels = space.key_slots(key)
         w = tuple(xj * space.label_elem(lab) for xj, lab in zip(ctx.x, labels))
         terms.append((c, w))
-        acc = acc + alpha(space, w).scale(c)
-    if acc != num * ctx.alpha_x:
+        for k, v in alpha(space, w).terms.items():
+            acc[k] = acc[k] + v * c if k in acc else v * c
+    if Tensor(space, acc) != num * ctx.alpha_x:
         raise VerificationFailed("presentation failed to rebuild the input")
     return tuple(terms)
 

@@ -2,14 +2,19 @@
 
 ``render_report`` once was ``json.dumps(report, indent=2, sort_keys=True)``
 plus a newline, ``_parse_tuples`` checked a probe payload one exponent at
-a time, and ``_probe_points`` sampled n points from the whole list
-``itertools.product(range(p), repeat=k)``.  Each is kept here, as it was,
-as the oracle: the new path must give the same bytes, the same groups,
-the same error text and the same points.
+a time, ``run_probe`` echoed the payload's raw tuple lists and handed them
+to ``diagonal_support_probe``, and ``_probe_points`` sampled n points from
+the whole list ``itertools.product(range(p), repeat=k)``.  Each is kept
+here, as it was, as the oracle: the new path must give the same bytes,
+the same groups, the same answer, the same error text and the same
+points.
 """
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from random import Random
 from types import SimpleNamespace
@@ -18,10 +23,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import altkit
 from altkit import cli
 from altkit.cli import render_report
-from altkit.errors import SchemaError
-from altkit.ring_core import GF, MAX_POWER_EXPONENT, _is_prime
+from altkit.errors import AltkitError, SchemaError
+from altkit.gen_etale import _ExponentBlock, diagonal_support_probe
+from altkit.ring_core import GF, MAX_POWER_EXPONENT, QQ, _is_prime
 
 
 # -- the replaced code, kept as the oracle
@@ -82,14 +89,26 @@ def _nest(leaves, depth, min_size):
     return leaves
 
 
+def _repeated_rows(leaves):
+    # a few distinct rows, each used many times: what the renderer keys
+    rows = st.lists(leaves, min_size=1, max_size=3)
+    pools = st.lists(rows, min_size=1, max_size=3)
+    return st.tuples(pools, st.integers(0, 3)).flatmap(
+        lambda pool_depth: _nest(st.sampled_from(pool_depth[0]), pool_depth[1], 1)
+    )
+
+
 _json_values = st.recursive(
     st.none()
     | st.booleans()
     | _ints
     | st.floats()
     | _text
-    # uniform blocks of ints: the C-encoded and re-indented path
+    # uniform blocks of ints: the path that renders each distinct row once
     | _int_lists(_ints, 1)
+    | _repeated_rows(_ints)
+    # rows equal as tuples but not as JSON: 1, True and 1.0
+    | _repeated_rows(st.sampled_from([0, 1, True, False, 1.0]))
     # empty lists at some depth, or bools among the ints: recursed
     | _int_lists(_ints, 0)
     | _int_lists(_ints | st.booleans(), 1)
@@ -107,6 +126,9 @@ _json_values = st.recursive(
 @example([[[]]])
 @example([[1, [2]], [3]])
 @example([[1, 2], [True, 0]])
+@example([[1, 0], [True, 0], [1, 0]])
+@example([[[1, 0], [1.0, 0]], [[1, 0], [1, 0]]])
+@example([[[0, 1]] * 5] * 300)
 @example({"a": [[[1, -2], [3, 10**30]], [[0, 0], [5, 6]]], "é\x01": {}})
 def test_render_matches_json_dumps(value):
     assert render_report(value) == oracle_render(value)
@@ -138,11 +160,76 @@ def test_int_blocks_are_found_by_type_not_value():
     assert cli._int_block_depth([[1], [[2]]]) == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_checked_blocks_render_as_their_lists(data):
+    # a block from _parse_tuples, echoed in a report, against the lists
+    # it was built from
+    dim = data.draw(st.integers(1, 3))
+    size = data.draw(st.integers(1, 4))
+    exps = st.integers(0, MAX_POWER_EXPONENT)
+    pool = data.draw(
+        st.lists(st.lists(exps, min_size=dim, max_size=dim), min_size=1, max_size=4)
+    )
+    group = st.lists(st.sampled_from(pool), min_size=size, max_size=size)
+    tuples = data.draw(st.lists(group, min_size=1, max_size=20))
+    block = cli._parse_tuples(json.loads(json.dumps(tuples)), dim)
+    assert type(block) is _ExponentBlock
+    assert render_report({"tuples": block}) == oracle_render({"tuples": tuples})
+
+
 def test_render_refuses_non_string_keys():
     # no report has one, and raising beats rendering other bytes
     for key in (1, None, (1, 2)):
         with pytest.raises(TypeError):
             render_report({"a": {key: 0}})
+
+
+_CIRCULAR_SCRIPT = """
+import json
+
+from altkit.cli import render_report
+
+a = []
+a.append(a)
+d = {}
+d["d"] = d
+b = [[1], [2]]
+b[1].append(b)
+for value in ({"x": a}, d, [d], b, [[[a]]]):
+    for render in (render_report, lambda v: json.dumps(v, indent=2, sort_keys=True)):
+        try:
+            render(value)
+        except ValueError as e:
+            print(type(e).__name__, e)
+print(render_report({"x": [b[0], b[0]]}), end="")
+"""
+
+
+def test_render_refuses_a_value_that_holds_itself():
+    # json.dumps raises ValueError on a list or dict inside itself; a
+    # hang would outlive the timeout, which fails the test
+    src = os.path.dirname(os.path.dirname(altkit.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _CIRCULAR_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    shared = {"x": [[1], [1]]}
+    refused = ["ValueError Circular reference detected"] * 10
+    assert done.stdout.splitlines() == refused + oracle_render(shared).splitlines()
+
+
+def test_deep_but_acyclic_values_still_overflow():
+    # as with json.dumps: too deep is a RecursionError, not a cycle
+    deep = 0
+    for _ in range(sys.getrecursionlimit() + 10):
+        deep = {"x": deep}
+    with pytest.raises(RecursionError):
+        render_report(deep)
 
 
 # -- _parse_tuples
@@ -216,6 +303,132 @@ def test_each_bad_payload_names_its_first_bad_entry(tuples, error):
         oracle_parse_tuples(tuples, 2)
     assert str(bulk.value) == str(loop.value)
     assert str(bulk.value).startswith(error)
+
+
+# -- run_probe and the probe on a checked block
+
+
+@st.composite
+def _probe_cases(draw):
+    # well-formed payloads of every shape: groups as long as the point
+    # count (a checked block) or not, ragged or empty groups, no tuples;
+    # vectors come from a small pool, so they repeat
+    dim = draw(st.integers(1, 3))
+    coords = st.integers(-3, 3) | st.sampled_from(["1/2", "-2/3"])
+    point = st.lists(coords, min_size=dim, max_size=dim)
+    points = draw(st.lists(point, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        points.append(points[0])
+    vector = st.lists(st.integers(0, 4), min_size=dim, max_size=dim)
+    pool = st.sampled_from(draw(st.lists(vector, min_size=1, max_size=6)))
+
+    def groups(size):
+        return st.lists(pool, min_size=size, max_size=size)
+
+    n = len(points)
+    uniform = st.sampled_from([n, n, n + 1, 0]).flatmap(
+        lambda size: st.lists(groups(size), max_size=6)
+    )
+    ragged = st.lists(st.integers(0, n + 1).flatmap(groups), max_size=6)
+    data = {"ring": draw(st.sampled_from(["q", "fp:5"])), "points": points}
+    tuples = draw(st.none() | uniform | ragged)
+    if tuples is not None:
+        data["tuples"] = tuples
+    return json.dumps(data)
+
+
+def _scalars_and_points(data):
+    scalars = QQ if data["ring"] == "q" else GF(5)
+    points = [
+        [cli._parse_coeff(scalars, c, "$") if type(c) is str else c for c in p]
+        for p in data["points"]
+    ]
+    return scalars, points
+
+
+def _probe_outcome(scalars, points, tuples):
+    try:
+        return diagonal_support_probe(scalars, points, tuples)
+    except AltkitError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_probe_cases())
+def test_probe_report_echoes_the_raw_lists(payload):
+    data = json.loads(payload)
+    try:
+        report = cli.run_probe(payload)
+    except AltkitError as e:
+        # the payload is well formed, so only the probe may refuse it
+        scalars, points = _scalars_and_points(data)
+        raw = _probe_outcome(scalars, points, data.get("tuples"))
+        assert f"{type(e).__name__}: {e}" == raw
+        return
+    raw_echo = dict(report, tuples=data.get("tuples"))
+    assert render_report(report) == oracle_render(raw_echo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_probe_cases())
+@example('{"ring": "q", "points": [[2], [5]], "tuples": [[[0], [1]], [[1], [0]]]}')
+@example('{"ring": "q", "points": [[2], [5]], "tuples": [[[0], [0]], [[1], [1]]]}')
+@example('{"ring": "fp:5", "points": [[1, 2], [3, 4]], "tuples": [[[0, 1], [1, 0]]]}')
+def test_probe_answers_alike_on_block_and_lists(payload):
+    data = json.loads(payload)
+    tuples = data.get("tuples")
+    if tuples is None:
+        return
+    scalars, points = _scalars_and_points(data)
+    checked = cli._parse_tuples(json.loads(json.dumps(tuples)), len(points[0]))
+    assert _probe_outcome(scalars, points, checked) == _probe_outcome(
+        scalars, points, tuples
+    )
+
+
+# -- probe-diagonal under python -O
+
+
+@pytest.mark.parametrize(
+    "tuples, error",
+    [
+        ([[[0, 0], [1, 0], [0, 1]], [[1, 1], [2, 0], [0, 2]]] * 4, None),
+        ([[[0, 0], [1, 0]]], "altkit: ArityMismatch: "),
+        (
+            [[[0, 0], [1, 0], [0, 1]], [[1, 1], [True, 0], [0, 2]]],
+            "altkit: SchemaError: $.tuples[1][1]: exponents",
+        ),
+    ],
+    ids=["block", "arity", "bool"],
+)
+def test_probe_cli_bytes_alike_under_optimize(tuples, error):
+    # python -O strips assert statements; no check of the payload rests
+    # on one, so stdout, stderr and the exit code do not change
+    payload = json.dumps({"points": [[0, 1], [2, 3], [0, 1]], "tuples": tuples})
+    src = os.path.dirname(os.path.dirname(altkit.__file__))
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-m", "altkit.cli", "probe-diagonal"]
+            + ["--points", payload],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            timeout=120,
+        )
+        for flags in ([], ["-O"])
+    )
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+        plain.returncode,
+        plain.stdout,
+        plain.stderr,
+    )
+    if error is None:
+        assert plain.returncode == 0
+        report = json.loads(plain.stdout)
+        assert report["tuples"] == tuples and report["on_diagonal"] is True
+    else:
+        assert (plain.returncode, plain.stdout) == (2, b"")
+        lines = plain.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(error)
 
 
 # -- _probe_points
