@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from operator import add, eq, itemgetter, sub
+from operator import add, eq, itemgetter, le, sub
 
 from .errors import (
     ArityMismatch,
@@ -66,6 +66,7 @@ __all__ = [
     "signed_orbits",
     "expand_orbits",
     "expand_symmetric",
+    "symmetric_orbits",
     "divide_orbits",
     "det_power_sums",
     "AlternatorInstance",
@@ -188,8 +189,51 @@ def expand_symmetric(space, orbits):
     return Tensor(space, out, _clean=True)
 
 
+def symmetric_orbits(t):
+    """The coefficients of a symmetric tensor at its sorted keys, the keys
+    whose slots ascend: the inverse of ``expand_symmetric``."""
+    slots_of, _ = _signed_reindex(t.space.n, t.space.width, False)
+    out = {}
+    for k, c in t.terms.items():
+        slots = slots_of(k)
+        if all(map(le, slots, slots[1:])):
+            out[k] = c
+    return out
+
+
 def _signed_sum(t, fix_last):
     return expand_orbits(t.space, signed_orbits(t, fix_last), fix_last)
+
+
+# m_lam * A(d) for one quotient orbit lam and one divisor orbit d, as
+# (kappa, sign) pairs: one pair per distinct arrangement mu of lam whose
+# mu + d has distinct slots, kappa its slots sorted descending.  Keys
+# carry their total degree in front.  An entry holds at most n! = 120
+# pairs of (n * width + 1)-tuples, about 25 kB at n = 5 and width 1.
+@lru_cache(maxsize=1024)
+def _product_orbits(lam, d, n, width):
+    """The (kappa, sign) pairs of m_lam * A(d), or None when lam has a
+    negative entry or its slots do not weakly descend."""
+    if min(lam) < 0:
+        return None
+    slots_of, maps = _signed_reindex(n, width, False)
+    lam, d = lam[1:], d[1:]
+    blocks = slots_of(lam)
+    if any(blocks[i] < blocks[i + 1] for i in range(n - 1)):
+        return None
+    order = range(n)
+    out = []
+    for get in _arrangements(_pattern(blocks), width):
+        key = tuple(map(add, get(lam), d))
+        slots = slots_of(key)
+        if len(set(slots)) < n:
+            continue
+        reindex, sign = maps[
+            tuple(sorted(order, key=slots.__getitem__, reverse=True))
+        ]
+        kappa = reindex(key)
+        out.append(((sum(kappa), *kappa), sign))
+    return tuple(out)
 
 
 def divide_orbits(space, num, den):
@@ -202,13 +246,13 @@ def divide_orbits(space, num, den):
     the bialternant quotient (Macdonald, Symmetric Functions and Hall
     Polynomials, 2nd ed., ch. I.3).  Division runs on orbits alone:
 
-    - Keys are rearranged with their slots in descending order, so the
-      degree-lex leading key of a tensor is the largest of them.  The
-      leading key of a product is the sum of the leading keys, and the
-      leading key of a symmetric tensor is descending; so the largest
-      remainder key minus den's leading key is the next lam, or the
-      division fails when it has a negative entry or its slots are not
-      weakly descending.
+    - Keys are rearranged with their slots in descending order, and carry
+      their total degree in front, so the degree-lex leading key of a
+      tensor is the largest of them.  The leading key of a product is the
+      sum of the leading keys, and the leading key of a symmetric tensor
+      is descending; so the largest remainder key minus den's leading key
+      is the next lam, or the division fails when it has a negative entry
+      or its slots are not weakly descending.
     - Its coefficient follows ``ring_core.dict_divide_exact``: the
       leading coefficient's inverse over GF(p), Q and for +-1, and a
       ``divmod`` with no remainder over Z.
@@ -217,8 +261,11 @@ def divide_orbits(space, num, den):
       has two equal slots, and sign(s) * A(sort k) otherwise.  So each
       step subtracts that sum, at sorted keys, and stays exact in every
       characteristic, 2 included: an alternating tensor is fixed by its
-      coefficients at sorted keys with distinct slots.  The arrangements
-      come from a cache keyed by lam's pattern of equal slots.
+      coefficients at sorted keys with distinct slots.  The sum for one
+      (lam, d) comes from a bounded table (``_product_orbits``), since
+      the same shapes recur across entries, anchors and cases.  Every
+      pair is subtracted, the one at the leading remainder key too, which
+      the step's quotient coefficient cancels exactly.
 
     Returns the quotient by its coefficients at sorted keys, which
     ``expand_symmetric`` turns into a tensor; in a domain it is unique,
@@ -229,60 +276,58 @@ def divide_orbits(space, num, den):
     if not num:
         return {}
     n, width = space.n, space.width
-    slots_of, maps = _signed_reindex(n, width, False)
-    order = range(n)
     # one reindexing for both sides: a common sign cancels in every quotient
-    desc = maps[tuple(reversed(order))][0]
-    rem = {desc(k): c for k, c in num.items()}
-    dterms = [(desc(k), c) for k, c in den.items()]
-
-    def deglex(key):
-        return sum(key), key
-
-    lead, lc = max(dterms, key=lambda kc: deglex(kc[0]))
+    desc = _signed_reindex(n, width, False)[1][tuple(reversed(range(n)))][0]
+    rem = {(sum(k), *desc(k)): c for k, c in num.items()}
+    dterms = [((sum(k), *desc(k)), c) for k, c in den.items()]
+    lead, lc = max(dterms)
     ring = space.scalars
     inv = quotient_factor(lc, ring)
     norm = ring.normalize
+    get = rem.get
     quot = {}
     while rem:
-        r = max(rem, key=deglex)
+        r = max(rem)
         lam = tuple(map(sub, r, lead))
-        if min(lam) < 0:
-            return None
-        blocks = slots_of(lam)
-        if any(blocks[i] < blocks[i + 1] for i in range(n - 1)):
-            return None
-        c = rem.pop(r)
+        c = rem[r]
         if inv is None:
             qc, m = divmod(c, lc)
             if m:
                 return None
         else:
             qc = norm(c * inv)
-        quot[lam] = qc
-        # the contributions at r add up to qc * lc, which cancels c
-        for get in _arrangements(_pattern(blocks), width):
-            mu = get(lam)
-            for d, cd in dterms:
-                key = tuple(map(add, mu, d))
-                slots = slots_of(key)
-                if len(set(slots)) < n:
-                    continue
-                get, sign = maps[
-                    tuple(sorted(order, key=slots.__getitem__, reverse=True))
-                ]
-                kappa = get(key)
-                if kappa == r:
-                    continue
-                m = qc * cd
-                s = rem.get(kappa, 0)
-                s = norm(s - m if sign > 0 else s + m)
+        for d, cd in dterms:
+            pairs = _product_orbits(lam, d, n, width)
+            if pairs is None:
+                return None
+            m = qc * cd
+            for kappa, sign in pairs:
+                s = norm(get(kappa, 0) - m if sign > 0 else get(kappa, 0) + m)
                 if s:
                     rem[kappa] = s
                 else:
-                    rem.pop(kappa, None)
+                    del rem[kappa]
+        quot[lam] = qc
     # desc reverses the slots, so it sorts each lam ascending
-    return {desc(lam): c for lam, c in quot.items()}
+    return {desc(lam[1:]): c for lam, c in quot.items()}
+
+
+# p_label * m_rho as (kappa, w) pairs, one per distinct slot block v of
+# rho: a sorted key meets the same label in many minors, rows and cases.
+# An entry holds at most n = 5 pairs of n-block keys, under 2 kB.
+@lru_cache(maxsize=4096)
+def _scatter(rho, label, n):
+    out = []
+    for i in range(n):
+        v = rho[i]
+        # the last index of each block, and v + label sorts in after it
+        if i + 1 < n and rho[i + 1] == v:
+            continue
+        u = tuple(map(add, v, label))
+        hi = bisect_right(rho, u, i + 1)
+        w = hi - bisect_left(rho, u, i + 1) + 1
+        out.append((rho[:i] + rho[i + 1 : hi] + (u,) + rho[hi:], w))
+    return tuple(out)
 
 
 def det_power_sums(space, zs):
@@ -300,8 +345,9 @@ def det_power_sums(space, zs):
     slot blocks v of rho of w * m_kappa, with kappa = sort(rho with one v
     replaced by v + label) and w the number of slot blocks of kappa equal
     to v + label (Macdonald, Symmetric Functions and Hall Polynomials,
-    ch. I).  The unit label gives w summing to n at kappa = rho: the
-    factor n of p_0 = n, which vanishes over GF(p) when p divides n.  So
+    ch. I), read from a bounded table (``_scatter``).  The unit label
+    gives w summing to n at kappa = rho: the factor n of p_0 = n, which
+    vanishes over GF(p) when p divides n.  So
     the result is exact in every characteristic, with no division.  The
     determinant is expanded once into a full tensor (``expand_symmetric``).
     """
@@ -322,23 +368,6 @@ def det_power_sums(space, zs):
             const = norm(sum(n * a for lbl, a in terms if lbl == unit))
             entries.append((const, [(lbl, a) for lbl, a in terms if lbl != unit]))
         rows.append(entries)
-    scatters = {}  # memo: a sorted key meets the same label in many minors
-
-    def scatter(rho, label):
-        # (kappa, w) for each distinct slot block v of rho: the last index
-        # of each block, and v + label sorts in after it
-        out = []
-        for i in range(n):
-            v = rho[i]
-            if i + 1 < n and rho[i + 1] == v:
-                continue
-            u = tuple(map(add, v, label))
-            hi = bisect_right(rho, u, i + 1)
-            w = hi - bisect_left(rho, u, i + 1) + 1
-            out.append((rho[:i] + rho[i + 1 : hi] + (u,) + rho[hi:], w))
-        scatters[rho, label] = out
-        return out
-
     cur = {0: {(unit,) * n: space.scalars.one()}}
     for r, row in enumerate(rows):
         nxt = {}
@@ -358,8 +387,7 @@ def det_power_sums(space, zs):
                         acc[rho] = m if s is None else s + m
                     for label, a in terms:
                         ac = a * c
-                        kappas = scatters.get((rho, label)) or scatter(rho, label)
-                        for kappa, w in kappas:
+                        for kappa, w in _scatter(rho, label, n):
                             m = w * ac
                             s = acc.get(kappa)
                             acc[kappa] = m if s is None else s + m

@@ -119,6 +119,11 @@ def discriminant(alg, basis):
     the built-in basis must have unit determinant.  The pairing matrix is
     C^T G_e C, so the value is det(C)^2 times the algebra's own disc(e).
     """
+    return _discriminant_and_det(alg, basis)[0]
+
+
+def _discriminant_and_det(alg, basis):
+    # the discriminant of a claimed basis and its coordinate determinant
     basis = _as_elems(alg, basis)
     if len(basis) != alg.rank:
         raise NotABasis(f"{len(basis)} elements for rank {alg.rank}")
@@ -127,7 +132,7 @@ def discriminant(alg, basis):
         raise NotABasis(
             f"coordinate determinant {alg.base.to_text(det)} is not a unit"
         )
-    return alg.base.normalize(det * det * alg.disc)
+    return alg.base.normalize(det * det * alg.disc), det
 
 
 def trace_formula_check(ctx, z):
@@ -194,8 +199,7 @@ class PullbackInstance:
         # the multiplication matrix of f(label), by slot label
         self._mult = {}
         self.fx = tuple(self.image(x) for x in self.ctx.x)
-        self.d = discriminant(self.E, self.fx)
-        self.det_x = _coordinate_det(self.E, self.fx)
+        self.d, self.det_x = _discriminant_and_det(self.E, self.fx)
 
     def image(self, v):
         """f(v) for a source polynomial, evaluated once per polynomial."""

@@ -1167,12 +1167,12 @@ class FiniteFreeAlgebra:
         for j, e_j in enumerate(basis):
             if tuple(self.mul_vec(self.unit, e_j)) != e_j:
                 raise BadUnit(f"unit * e{j + 1} != e{j + 1}")
-        # e_j * e_k once per pair, so (e_i e_j) e_k and e_i (e_j e_k) cost
-        # one product each
+        # e_j * e_k once per pair; by commutativity (k, j, i) is (i, j, k)
+        # and i = k always holds, so the triples with i < k suffice
         prods = [[self.mul_vec(e_j, e_k) for e_k in basis] for e_j in basis]
         for i in range(n):
             for j in range(n):
-                for k in range(n):
+                for k in range(i + 1, n):
                     left = self.mul_vec(prods[i][j], basis[k])
                     right = self.mul_vec(basis[i], prods[j][k])
                     if left != right:

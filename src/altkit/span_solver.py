@@ -10,10 +10,12 @@ expansion for invariant tensors, and structure constants of the basis.
 Fractions are pairs (fully invariant numerator tensor, power of the
 alternator square): the localized fully-invariant ring.  An element of
 the localized partially-invariant ring is its coordinate vector of such
-fractions, and ``r_algebra`` multiplies those vectors.  Equality is by
-cross-multiplication, which is only sound when the ambient tensor power
-is a domain; construction therefore requires a polynomial ambient over
-Q, Z or a prime field.  Multiplication divides out common
+fractions, and ``r_algebra`` multiplies those vectors.  Two fractions
+with one exponent are added and compared on their numerators'
+coefficients at sorted keys, since every numerator is symmetric.
+Otherwise equality is by cross-multiplication, which is only sound when
+the ambient tensor power is a domain; construction therefore requires a
+polynomial ambient over Q, Z or a prime field.  Multiplication divides out common
 alternator-square factors eagerly so exponents stay small.
 
 A coordinate entry is a numerator over the alternator alpha(x) itself.
@@ -21,8 +23,8 @@ Both are alternating, so both are kept by their coefficients at sorted
 keys, one per orbit.  Numerator i of a ring element z is one wedge,
 (-1)^(n-i) W_i ^ z, with W_i the anchor's cached wedge of the x_j with
 j != i.  The entry is divided on orbits: the quotient is symmetric,
-found one orbit at a time, and expanded into a tensor only when its
-numerator is read.  The defining expansion is re-checked through the
+found one orbit at a time (``divide_orbits``), and expanded into a
+tensor only when its numerator is read.  The defining expansion is re-checked through the
 quotients, on the orbits of the first n-1 slots: both sides are
 invariant there, so they agree when they agree at the keys whose first
 n-1 slots ascend.  An entry that alpha(x) does not divide is kept as
@@ -33,6 +35,7 @@ fraction needs it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 
 from .alternator import (
@@ -41,6 +44,7 @@ from .alternator import (
     expand_symmetric,
     flat_orbits,
     signed_orbits,
+    symmetric_orbits,
     wedge_orbits,
 )
 from .errors import (
@@ -49,7 +53,7 @@ from .errors import (
     UnsupportedAmbient,
     VerificationFailed,
 )
-from .ring_core import FiniteFreeAlgebra, dict_divide_exact
+from .ring_core import FiniteFreeAlgebra, dict_divide_exact, terms_add
 from .tensor_algebra import (
     Tensor,
     coprojection,
@@ -103,12 +107,16 @@ class LocalizedElem:
 
     The numerator is symmetric under every slot permutation; the checking
     constructor raises NotInvariant otherwise, and ``_checked=True`` is for
-    results that are fully invariant by construction.  A coordinate entry
-    that divides is made from its quotient's orbits (``_quotient``) and
-    expands its numerator the first time ``num`` is read.
+    results that are fully invariant by construction.  So the numerator is
+    fixed by its coefficients at sorted keys, and a fraction holds it in
+    one form or both: as a full tensor, or by those coefficients.  A
+    coordinate entry that divides, and a sum of two fractions with one
+    exponent, start from the coefficients (``_from_orbits``) and expand
+    ``num`` the first time it is read.  Add and ``==`` at equal exponents
+    run on the coefficients; products and ``normalize`` use full tensors.
     """
 
-    __slots__ = ("ctx", "num", "exp", "_orbits")
+    __slots__ = ("ctx", "exp", "_num", "_orbits")
 
     def __init__(self, ctx, num, exp, _checked=False):
         _require_poly_domain(ctx.space)
@@ -118,26 +126,31 @@ class LocalizedElem:
             raise UnsupportedAmbient("negative exponent")
         if not _checked and not is_symmetric(num):
             raise NotInvariant("numerator is not fully invariant")
-        if not num:
-            exp = 0
         self.ctx = ctx
-        self.num = num
-        self.exp = exp
+        self._num = num
+        self._orbits = None
+        self.exp = exp if num else 0
 
     @classmethod
-    def _quotient(cls, ctx, orbits):
-        # a symmetric tensor over exponent 0, by its coefficients at
-        # sorted keys; ``num`` is left unset until read
+    def _from_orbits(cls, ctx, orbits, exp=0):
+        # a symmetric numerator by its coefficients at sorted keys
         out = cls.__new__(cls)
-        out.ctx, out.exp, out._orbits = ctx, 0, orbits
+        out.ctx, out._num, out._orbits = ctx, None, orbits
+        out.exp = exp if orbits else 0
         return out
 
-    def __getattr__(self, name):
-        # reached only for an unset slot: a quotient's numerator, unread
-        if name != "num":
-            raise AttributeError(name)
-        num = self.num = expand_symmetric(self.ctx.space, self._orbits)
-        return num
+    @property
+    def num(self):
+        """The numerator as a full tensor, expanded on first read."""
+        if self._num is None:
+            self._num = expand_symmetric(self.ctx.space, self._orbits)
+        return self._num
+
+    def _sorted(self):
+        # the numerator's coefficients at sorted keys, kept once read
+        if self._orbits is None:
+            self._orbits = symmetric_orbits(self._num)
+        return self._orbits
 
     @classmethod
     def from_scalar(cls, ctx, c):
@@ -159,6 +172,10 @@ class LocalizedElem:
                 return self
             other = LocalizedElem.from_scalar(self.ctx, other)
         self._compat(other)
+        if self.exp == other.exp:
+            norm = self.ctx.space.scalars.normalize
+            orbits = terms_add(self._sorted(), other._sorted(), norm)
+            return LocalizedElem._from_orbits(self.ctx, orbits, self.exp)
         m = max(self.exp, other.exp)
         a = self.num * _asq_power(self.ctx, m - self.exp) if m > self.exp else self.num
         b = (
@@ -195,9 +212,9 @@ class LocalizedElem:
 
     def normalize(self):
         """Strip alternator-square factors from the numerator, exactly."""
+        if not self.exp:
+            return self
         num, exp = self.num, self.exp
-        if not num:
-            return LocalizedElem(self.ctx, num, 0, _checked=True)
         while exp > 0:
             quot = tensor_divide_exact(num, self.ctx.alpha_sq)
             if quot is None:
@@ -210,17 +227,19 @@ class LocalizedElem:
     def __eq__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return not self.num
+                return not self
             other = LocalizedElem.from_scalar(self.ctx, other)
         if not isinstance(other, LocalizedElem):
             return NotImplemented
         self._compat(other)
+        if self.exp == other.exp:
+            return self._sorted() == other._sorted()
         a = self.num * _asq_power(self.ctx, other.exp) if other.exp else self.num
         b = other.num * _asq_power(self.ctx, self.exp) if self.exp else other.num
         return a == b
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._orbits if self._num is None else self._num)
 
     def to_text(self):
         if self.exp == 0:
@@ -240,34 +259,44 @@ def _heads_ascend(space, key):
     )
 
 
+# the keys of m_lam * phi_n(label) whose first n-1 slots ascend, one per
+# distinct slot block v of lam: v goes last and takes the label.  An
+# entry holds at most n = 5 keys of n * width ints, under 1 kB.
+@lru_cache(maxsize=4096)
+def _head_keys(lam, label, n, width):
+    out = []
+    for j in range(0, n * width, width):
+        v = lam[j : j + width]
+        if lam[j + width : j + 2 * width] == v:
+            continue  # the last slot of each block stands for it
+        out.append(lam[:j] + lam[j + width :] + tuple(map(add, v, label)))
+    return tuple(out)
+
+
 def _expansion_heads(ctx, quots):
     """sum q_i * phi_n(x_i) at the keys whose first n-1 slots ascend.
 
     Each q_i is symmetric, by its coefficients at sorted keys lam.  The
     arrangements of lam with the first n-1 slots ascending are fixed by
     the slot block v that goes last, one per distinct block, and each
-    term (label, a) of x_i moves that key to v + label in the last slot.
+    term (label, a) of x_i moves that key to v + label in the last slot
+    (``_head_keys``).
     """
     space = ctx.space
     n, w = space.n, space.width
     acc = {}
     for q, terms in zip(quots, ctx.x_terms):
         for lam, c in q.items():
-            for j in range(0, n * w, w):
-                v = lam[j : j + w]
-                if lam[j + w : j + 2 * w] == v:
-                    continue  # the last slot of each block stands for it
-                head = lam[:j] + lam[j + w :]
-                for label, a in terms:
-                    k = head + tuple(map(add, v, label))
-                    m = c * a
+            for label, a in terms:
+                m = c * a
+                for k in _head_keys(lam, label, n, w):
                     s = acc.get(k)
                     acc[k] = m if s is None else s + m
     norm = space.scalars.normalize
     return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
 
 
-def _over_alpha(ctx, nums, target, failure):
+def _over_alpha(ctx, nums, heads, target, failure):
     """Coordinate entries nums_i / alpha(x), after a reconstruction check.
 
     Every numerator is alternating and given by its coefficients at
@@ -279,30 +308,30 @@ def _over_alpha(ctx, nums, target, failure):
     the expanded numerators otherwise.  The target is invariant in the
     first n-1 slots (a last-slot co-projection, or a y that passed
     ``is_sym_n11``), and so is every q_i * phi_n(x_i), since q_i is
-    symmetric; so the quotients are checked at the keys whose first n-1
-    slots ascend, one per orbit of those slots, and never expanded.  Each
-    entry is the quotient at exponent 0 when one exists, and
-    nums_i * alpha(x) over the square otherwise: the square divides
-    nums_i * alpha(x) exactly when alpha(x) divides nums_i, so both forms
-    are already normalized.
+    symmetric; so the quotients are checked against ``heads``, the
+    target's terms at the keys whose first n-1 slots ascend, one per
+    orbit of those slots, and never expanded.  ``target()`` builds the
+    full target, which only the expanded check reads.  Each entry is the
+    quotient at exponent 0 when one exists, and nums_i * alpha(x) over
+    the square otherwise: the square divides nums_i * alpha(x) exactly
+    when alpha(x) divides nums_i, so both forms are already normalized.
     """
     space = ctx.space
     quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
     if all(q is not None for q in quots):
-        heads = {k: c for k, c in target.terms.items() if _heads_ascend(space, k)}
         if _expansion_heads(ctx, quots) != heads:
             raise VerificationFailed(failure)
-        return tuple(LocalizedElem._quotient(ctx, q) for q in quots)
+        return tuple(LocalizedElem._from_orbits(ctx, q) for q in quots)
     full = [expand_orbits(space, num) for num in nums]
     lhs = space.zero()
     for num, phi in zip(full, ctx.phi_n_x):
         lhs = lhs + num * phi
-    if lhs != target * ctx.alpha_x:
+    if lhs != target() * ctx.alpha_x:
         raise VerificationFailed(failure)
     return tuple(
         LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True)
         if q is None
-        else LocalizedElem._quotient(ctx, q)
+        else LocalizedElem._from_orbits(ctx, q)
         for num, q in zip(full, quots)
     )
 
@@ -313,17 +342,22 @@ def coordinates(ctx, z):
     Entry i is the alternator of x with slot i replaced by z, over the
     alternator of x.  That alternator is (-1)^(n-i) W_i ^ z, one wedge
     with the anchor's cached (n-1)-fold wedge W_i.  The defining
-    expansion is re-checked exactly before returning.
+    expansion is re-checked exactly before returning.  The co-projection
+    phi_n(z) has the unit label in its first n-1 slots, so its keys there
+    ascend and its heads are z's terms behind that unit prefix; the full
+    co-projection is built only when some entry does not divide.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space
     z = space.as_element(z)
     terms = space.decompose(z)
     nums = [flat_orbits(wedge_orbits(space, w, terms)) for w in ctx.cofactor_wedges]
+    unit = (0,) * (space.width * (space.n - 1))
     return _over_alpha(
         ctx,
         nums,
-        coprojection(space, space.n, z),
+        {unit + label: c for label, c in terms},
+        lambda: coprojection(space, space.n, z),
         "coordinate expansion failed to reconstruct the input",
     )
 
@@ -347,8 +381,9 @@ def coordinates_of_invariant(ctx, y):
         if (n - i) % 2:
             num = {k: norm(-c) for k, c in num.items()}
         nums.append(num)
+    heads = {k: c for k, c in y.terms.items() if _heads_ascend(space, k)}
     return _over_alpha(
-        ctx, nums, y, "invariant expansion failed to reconstruct"
+        ctx, nums, heads, lambda: y, "invariant expansion failed to reconstruct"
     )
 
 

@@ -1,5 +1,6 @@
 """Alternating sums: values, linearity, and the six exchange identities."""
 
+import operator
 import os
 import random
 import subprocess
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 import altkit
 from altkit.alternator import (
     IDENTITY_NAMES,
+    _arrangements,
+    _pattern,
+    _signed_reindex,
     AlternatorInstance,
     IdentityData,
     Witness,
@@ -48,6 +52,7 @@ from altkit.ring_core import (
     PolyRing,
     det_generic,
     dict_divide_exact,
+    quotient_factor,
 )
 from altkit.tensor_algebra import (
     Permutation,
@@ -610,6 +615,86 @@ def test_orbit_division_matches_dense_division(case):
         assert got is not None and exact(got) == exact(Tensor(sp, want))
         assert is_symmetric(got)
         assert got * expand_orbits(sp, den) == expand_orbits(sp, num)
+
+
+def oracle_divide_orbits(space, num, den):
+    # divide_orbits before its product table: every step rebuilds the
+    # arrangements of lam, each sorted with its sign, and rescans the
+    # remainder with a Python key function
+    if not den:
+        return None
+    if not num:
+        return {}
+    n, width = space.n, space.width
+    slots_of, maps = _signed_reindex(n, width, False)
+    order = range(n)
+    desc = maps[tuple(reversed(order))][0]
+    rem = {desc(k): c for k, c in num.items()}
+    dterms = [(desc(k), c) for k, c in den.items()]
+
+    def deglex(key):
+        return sum(key), key
+
+    lead, lc = max(dterms, key=lambda kc: deglex(kc[0]))
+    ring = space.scalars
+    inv = quotient_factor(lc, ring)
+    norm = ring.normalize
+    quot = {}
+    while rem:
+        r = max(rem, key=deglex)
+        lam = tuple(map(operator.sub, r, lead))
+        if min(lam) < 0:
+            return None
+        blocks = slots_of(lam)
+        if any(blocks[i] < blocks[i + 1] for i in range(n - 1)):
+            return None
+        c = rem.pop(r)
+        if inv is None:
+            qc, m = divmod(c, lc)
+            if m:
+                return None
+        else:
+            qc = norm(c * inv)
+        quot[lam] = qc
+        for get in _arrangements(_pattern(blocks), width):
+            mu = get(lam)
+            for d, cd in dterms:
+                key = tuple(map(operator.add, mu, d))
+                slots = slots_of(key)
+                if len(set(slots)) < n:
+                    continue
+                get, sign = maps[
+                    tuple(sorted(order, key=slots.__getitem__, reverse=True))
+                ]
+                kappa = get(key)
+                if kappa == r:
+                    continue
+                m = qc * cd
+                s = rem.get(kappa, 0)
+                s = norm(s - m if sign > 0 else s + m)
+                if s:
+                    rem[kappa] = s
+                else:
+                    rem.pop(kappa, None)
+    return {desc(lam): c for lam, c in quot.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_division_cases())
+def test_orbit_division_matches_the_replaced_loop(case):
+    # the table-driven division gives the replaced loop's quotient, key
+    # for key and type for type, or None with it, over Q, Z, GF(2) and
+    # GF(5), n = 1..5, widths 1 and 2
+    sp, num, den, multiple = case
+    want = oracle_divide_orbits(sp, num, den)
+    got = divide_orbits(sp, num, den)
+    event(f"{'one' if len(den) == 1 else 'several'} divisor orbits")
+    event("None" if want is None else "divides")
+    if want is None:
+        assert got is None
+    else:
+        assert exact_orbits(got) == exact_orbits(want)
+        assert list(got) == list(want)
 
 
 def test_orbit_division_outcomes():

@@ -7,13 +7,14 @@ import json
 import re
 import time
 from importlib import resources
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altkit import cli, gen_etale, norm_universal, span_solver
-from altkit.alternator import Witness
+from altkit.alternator import IDENTITY_NAMES, Witness
 from altkit.cli import (
     SUITE_NAMES,
     build_instance,
@@ -730,3 +731,26 @@ def test_emit_timing_goes_to_stderr_only(capsys):
     captured = capsys.readouterr()
     assert "wall_s=" in captured.err
     assert "wall_s\": null" in captured.out
+
+
+@pytest.mark.parametrize("ring", ["q", "fp:5"])
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("name", [*IDENTITY_NAMES, "traceexp"])
+def test_identity_suites_reach_nonzero_sides_at_high_arity(name, n, ring):
+    # the default draws at n >= 4 have degree <= 2 in one variable, so
+    # their slots take at most 3 values and every alternating side is 0;
+    # with --max-degree 4 the rows see passing cases with nonzero sides
+    config = make_suite_config(ring=ring, n=str(n), max_degree=4, identities=name)
+    scalars, ring_text = parse_ring(ring)
+    degree, terms = cli._bounds(config, n)
+    env = cli._RowEnv(scalars, n, degree, terms)
+    nonzero = 0
+    for index in range(200):
+        rng = Random(cli._case_seed(config.seed, name, ring_text, n, index))
+        w = cli._CASES[name](env, rng)
+        assert w.ok
+        if w.lhs or w.rhs:
+            nonzero += 1
+            if nonzero == 3:
+                break
+    assert nonzero == 3

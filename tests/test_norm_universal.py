@@ -253,6 +253,33 @@ def test_instance_rejects_non_basis_image():
         PullbackInstance(f, [source.one(), source.variable("t")])
 
 
+def test_instance_takes_one_coordinate_determinant(monkeypatch):
+    # the discriminant's unit check and det_x share one determinant
+    calls = []
+    real = norm_universal._coordinate_det
+
+    def counted(alg, elems):
+        calls.append(len(elems))
+        return real(alg, elems)
+
+    monkeypatch.setattr(norm_universal, "_coordinate_det", counted)
+    inst = sqrt2_instance(shift=1)
+    assert calls == [2]
+    assert inst.det_x == real(inst.E, inst.fx)
+    assert inst.d == discriminant(inst.E, inst.fx) == 8
+    assert inst.tuple_det(inst.ctx.x) is inst.det_x
+    # the shared route keeps the refusal text of discriminant
+    alg = sqrt2_algebra()
+    source = PolyRing(QQ, ("t",))
+    f = AlgebraMap(source, alg, [alg.from_int(2)])
+    with pytest.raises(NotABasis) as err:
+        PullbackInstance(f, [source.one(), source.variable("t")])
+    assert str(err.value) == "coordinate determinant 0 is not a unit"
+    with pytest.raises(NotABasis) as err:
+        discriminant(alg, [alg.one()])
+    assert str(err.value) == "1 elements for rank 2"
+
+
 def test_norm_map_square_goes_to_discriminant():
     inst = sqrt2_instance()
     nm = NormMap(inst)

@@ -4,7 +4,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from altkit.errors import (
@@ -746,3 +746,69 @@ def test_algebra_map_scalar_mismatch():
     ring = PolyRing(GF(5), ("t",))
     with pytest.raises(RingMismatch):
         AlgebraMap(ring, alg, [(0, 1)])
+
+
+def test_validator_rejects_commutative_nonassociative():
+    # commutative with a unit, so only the associativity check can refuse
+    # it, and it names the first failing triple as it did on every triple
+    z, o = 0, 1
+    structure = [
+        [(o, z, z), (z, o, z), (z, z, o)],
+        [(z, o, z), (z, z, o), (o, z, z)],
+        [(z, z, o), (o, z, z), (z, z, z)],
+    ]
+    assert all(structure[i][j] == structure[j][i] for i in range(3) for j in range(3))
+    with pytest.raises(NonAssociative) as err:
+        FiniteFreeAlgebra(QQ, 3, structure, (1, 0, 0))
+    assert str(err.value) == "(e2*e2)*e3 != e2*(e2*e3)"
+
+
+def first_nonassociative_triple(structure):
+    # the validator's old loop over every triple (i, j, k), on plain ints
+    r = len(structure)
+
+    def mul(a, b):
+        return tuple(
+            sum(a[i] * b[j] * structure[i][j][m] for i in range(r) for j in range(r))
+            for m in range(r)
+        )
+
+    basis = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                left = mul(mul(basis[i], basis[j]), basis[k])
+                if left != mul(basis[i], mul(basis[j], basis[k])):
+                    return f"(e{i + 1}*e{j + 1})*e{k + 1} != e{i + 1}*(e{j + 1}*e{k + 1})"
+    return None
+
+
+@st.composite
+def commutative_tables(draw):
+    # rank 2..4 with e1 the unit and symmetric products of the others
+    r = draw(st.integers(2, 4))
+    entry = st.tuples(*[st.integers(-1, 1)] * r)
+    structure = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            if i == 0:
+                v = tuple(int(m == j) for m in range(r))
+            else:
+                v = draw(entry)
+            structure[i][j] = structure[j][i] = v
+    return structure
+
+
+@settings(max_examples=200, deadline=None)
+@given(commutative_tables())
+def test_associativity_check_matches_every_triple(structure):
+    want = first_nonassociative_triple(structure)
+    r = len(structure)
+    unit = tuple(int(m == 0) for m in range(r))
+    event("associative" if want is None else "refused")
+    if want is None:
+        assert FiniteFreeAlgebra(QQ, r, structure, unit).rank == r
+    else:
+        with pytest.raises(NonAssociative) as err:
+            FiniteFreeAlgebra(QQ, r, structure, unit)
+        assert str(err.value) == want

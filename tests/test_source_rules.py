@@ -191,3 +191,69 @@ def test_no_error_type_outlives_its_last_raise():
                 raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
     assert len(defined) >= 20
     assert sorted(defined - raised) == []
+
+
+# parameters that take a handful of values, so a table keyed by them alone
+# stays small with no bound: arity, slot width, a pattern of equal slots
+# (one bool per adjacent pair) and the bool fix_last
+SHAPE_PARAMETERS = {"n", "width", "pattern", "fix_last"}
+
+
+def _cache_bound(decorator):
+    # (is a functools cache, its maxsize) for one decorator node, with
+    # None for unbounded; a maxsize that is not a literal counts as None
+    call = decorator if isinstance(decorator, ast.Call) else None
+    func = call.func if call else decorator
+    name = getattr(func, "attr", getattr(func, "id", None))
+    if name not in ("cache", "lru_cache"):
+        return False, None
+    if name == "cache":
+        return True, None
+    if call is None:
+        return True, 128
+    given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args[:1]
+    if not given:
+        return True, 128
+    return True, given[0].value if isinstance(given[0], ast.Constant) else None
+
+
+def test_caches_are_bounded_or_keyed_by_shape():
+    # a cache keyed by data grows with every input it meets, so it needs a
+    # finite maxsize and a comment just above it that states how large an
+    # entry can get; an unbounded one may only take shape parameters
+    bad = []
+    for path in SOURCES:
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                is_cache, maxsize = _cache_bound(decorator)
+                if not is_cache:
+                    continue
+                where = f"{path.name}:{node.name}"
+                params = {a.arg for a in node.args.args}
+                if maxsize is None:
+                    if not params <= SHAPE_PARAMETERS:
+                        bad.append(f"{where} unbounded on {sorted(params)}")
+                elif not isinstance(maxsize, int) or maxsize <= 0:
+                    bad.append(f"{where} maxsize {maxsize!r}")
+                elif not lines[decorator.lineno - 2].lstrip().startswith("#"):
+                    bad.append(f"{where} has no comment on its entry size")
+    assert bad == []
+    tables = {
+        node.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        and any(_cache_bound(d)[0] for d in node.decorator_list)
+    }
+    assert tables >= {
+        "_signed_reindex",
+        "_arrangements",
+        "_adjacent_swaps",
+        "all_signed_permutations",
+        "_product_orbits",
+        "_scatter",
+        "_head_keys",
+    }

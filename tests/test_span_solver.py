@@ -1,5 +1,6 @@
 """Localized fractions, coordinates and the basis validator."""
 
+import operator
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ from altkit.alternator import (
     alpha_map,
     expand_symmetric,
     random_invariant,
+    symmetric_orbits,
 )
 from altkit.cli import make_suite_config, run_suite
 from altkit.errors import (
@@ -27,7 +29,7 @@ from altkit.errors import (
     VerificationFailed,
 )
 from altkit.norm_universal import trace_formula_check
-from altkit.ring_core import GF, QQ, FiniteFreeAlgebra, MultiPoly, PolyRing
+from altkit.ring_core import GF, QQ, ZZ, FiniteFreeAlgebra, MultiPoly, PolyRing
 from altkit.span_solver import (
     LocalizedElem,
     LocalizedScalars,
@@ -397,6 +399,96 @@ def test_vandermonde_checks_never_build_the_square():
         assert ctx.alpha_sq is ctx.__dict__["alpha_sq"]
 
 
+# -- sums and compares on orbits
+
+
+def _asq_times(ctx, num, k):
+    for _ in range(k):
+        num = num * ctx.alpha_sq
+    return num
+
+
+def full_sum(a, b):
+    # LocalizedElem.__add__ before orbit sums: both numerators as full
+    # tensors, raised to the larger exponent and added
+    ctx, m = a.ctx, max(a.exp, b.exp)
+    num = _asq_times(ctx, a.num, m - a.exp) + _asq_times(ctx, b.num, m - b.exp)
+    return LocalizedElem(ctx, num, m, _checked=True)
+
+
+def full_equal(a, b):
+    # LocalizedElem.__eq__ before orbit compares: cross-multiplication
+    ctx = a.ctx
+    return _asq_times(ctx, a.num, b.exp) == _asq_times(ctx, b.num, a.exp)
+
+
+def exact_terms(t):
+    return {k: (type(c), c) for k, c in t.terms.items()}
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two fractions over one anchor, each at exponent 0 or 1, each held
+    as a full tensor or by its orbits; the second is often the first, its
+    negative or the first padded by a square."""
+    scalars = draw(st.sampled_from([QQ, ZZ, GF(5)]))
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(scalars, ("t",))
+    space = TensorSpace(n, ring)
+    label = st.tuples(st.integers(0, 3))
+    coeff = st.sampled_from((-2, -1, 1, 2)).map(scalars.from_int)
+    xs = [
+        MultiPoly(ring, draw(st.dictionaries(label, coeff, min_size=1, max_size=2)))
+        for _ in range(n)
+    ]
+    ctx = AlternatorInstance(space, xs)
+    assume(ctx.alpha_x_orbits)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def fraction(num, exp):
+        if draw(st.booleans()):
+            return LocalizedElem._from_orbits(ctx, symmetric_orbits(num), exp)
+        return LocalizedElem(ctx, num, exp, _checked=True)
+
+    num = random_invariant(rng, space, 1, full=True)
+    exp = draw(st.integers(0, 1))
+    a = fraction(num, exp)
+    kind = draw(st.sampled_from(("other", "same", "negative", "padded")))
+    if kind == "other":
+        b = fraction(random_invariant(rng, space, 1, full=True), draw(st.integers(0, 1)))
+    elif kind == "same":
+        b = fraction(num, exp)
+    elif kind == "negative":
+        b = fraction(-num, exp)
+    else:
+        b = fraction(num * ctx.alpha_sq, exp + 1)
+    return kind, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_pairs())
+def test_orbit_sums_and_compares_match_full_tensors(case):
+    # add and == at equal exponents run on sorted-key coefficients; they
+    # must agree with the full-tensor route, and unequal exponents still
+    # take it, over Q, Z and GF(5)
+    kind, a, b = case
+    event(kind)
+    event("equal exponents" if a.exp == b.exp else "unequal exponents")
+    # the first pair runs on the forms as drawn; the oracles then expand
+    # every numerator, so the second runs with both forms at hand
+    for x, y in ((a, b), (b, a)):
+        got, diff, same = x + y, x - y, x == y
+        equal = full_equal(x, y)
+        if kind in ("same", "padded"):
+            assert equal
+        want = full_sum(x, y)
+        assert got.exp == want.exp
+        assert exact_terms(got.num) == exact_terms(want.num)
+        assert (got == 0) is (not want.num)
+        assert same is equal
+        assert (diff == 0) is equal
+
+
 # -- the re-check through the quotients, on orbits of the first n-1 slots
 
 
@@ -455,6 +547,76 @@ def test_orbit_recheck_matches_full_reconstruction(case):
         assert entry == eager
 
 
+def oracle_expansion_heads(ctx, quots):
+    # _expansion_heads before its head-key table: the keys are rebuilt
+    # for every term of every quotient
+    space = ctx.space
+    n, w = space.n, space.width
+    acc = {}
+    for q, terms in zip(quots, ctx.x_terms):
+        for lam, c in q.items():
+            for j in range(0, n * w, w):
+                v = lam[j : j + w]
+                if lam[j + w : j + 2 * w] == v:
+                    continue
+                head = lam[:j] + lam[j + w :]
+                for label, a in terms:
+                    k = head + tuple(map(operator.add, v, label))
+                    m = c * a
+                    s = acc.get(k)
+                    acc[k] = m if s is None else s + m
+    norm = space.scalars.normalize
+    return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
+
+
+@settings(max_examples=60, deadline=None)
+@given(recheck_cases())
+def test_expansion_heads_match_the_replaced_loop(case):
+    ctx, quots = case
+    got = span_solver._expansion_heads(ctx, quots)
+    want = oracle_expansion_heads(ctx, quots)
+    event("zero" if not want else "nonzero")
+    assert {k: (type(c), c) for k, c in got.items()} == {
+        k: (type(c), c) for k, c in want.items()
+    }
+
+
+_Z_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.sampled_from((-2, -1, 1, 2)),
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(recheck_cases(), _Z_TERMS)
+def test_coordinate_heads_are_the_coprojection_heads(case, terms):
+    # coordinates() hands the check z's terms behind the unit prefix; they
+    # are the co-projection's terms whose first n-1 slots ascend, and the
+    # full co-projection is built only on the fallback route
+    ctx, _ = case
+    space = ctx.space
+    z = MultiPoly(space.ring, {k: space.scalars.from_int(c) for k, c in terms.items()})
+    seen = []
+    real = span_solver._over_alpha
+
+    def spy(ctx, nums, heads, target, failure):
+        seen.append((heads, target))
+        return real(ctx, nums, heads, target, failure)
+
+    span_solver._over_alpha = spy
+    try:
+        coordinates(ctx, z)
+    finally:
+        span_solver._over_alpha = real
+    [(heads, target)] = seen
+    full = coprojection(space, space.n, z)
+    assert target() == full
+    assert heads == {
+        k: c for k, c in full.terms.items() if span_solver._heads_ascend(space, k)
+    }
+
+
 @settings(max_examples=60, deadline=None)
 @given(recheck_cases(), st.data())
 def test_orbit_recheck_catches_any_corrupted_coefficient(case, data):
@@ -499,7 +661,8 @@ def test_orbit_recheck_catches_any_corrupted_coefficient(case, data):
 
 def test_passing_basis_cases_expand_no_quotient(monkeypatch):
     # basis reads no entry, so no quotient may be expanded; trace_formula
-    # reads one entry of each coordinate vector
+    # adds one entry of each coordinate vector and compares the sum on
+    # orbits, so a passing case expands none either
     expanded = []
 
     def record(space, orbits):
@@ -513,7 +676,7 @@ def test_passing_basis_cases_expand_no_quotient(monkeypatch):
     assert expanded == []
     space, ctx, t = qt_context(4)
     assert trace_formula_check(ctx, t**5 + 2).ok
-    assert expanded == [4] * 4
+    assert expanded == []
 
 
 # -- structure constants and the validated basis algebra
