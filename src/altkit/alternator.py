@@ -105,7 +105,9 @@ def _signed_reindex(n, width, fix_last):
         images = perm.images + (n - 1,) if fix_last else perm.images
         idx = [images[i] * width + c for i in range(n) for c in range(width)]
         maps[perm.images] = (_getter(idx), sign)
-    slots = _getter([slice(i * width, (i + 1) * width) for i in range(m)])
+    # a slot of width 1 is read as its one exponent, which orders alike
+    bounds = range(0, m * width, width)
+    slots = _getter([i if width == 1 else slice(i, i + width) for i in bounds])
     return slots, maps
 
 

@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from importlib import resources
 from random import Random
 
@@ -316,6 +316,16 @@ _CASES["basis"] = _basis_case
 _CASES["probe_diagonal"] = _probe_case
 
 
+# the anchor (1, t, ..., t^(n-1)) of one ring and arity, shared by every
+# run_suite call; an entry holds its alternator, wedges and dropped-slot
+# tensors, 6-16 kB at n = 5 after the suites that read it
+@lru_cache(maxsize=16)
+def _anchor(scalars, n):
+    space = TensorSpace(n, PolyRing(scalars, ("t",)))
+    t = space.ring.variable("t")
+    return AlternatorInstance(space, [t**i for i in range(n)])
+
+
 class _RowEnv:
     """Shared per-row state: one ambient ring, one anchor tuple."""
 
@@ -325,12 +335,10 @@ class _RowEnv:
         self.max_degree = max_degree
         self.max_terms = max_terms
 
-    @cached_property
+    @property
     def ctx(self):
-        """The anchor (1, t, ..., t^(n-1)), built on first read: only
-        traceexp, trace_formula and basis read it."""
-        t = self.space.ring.variable("t")
-        return AlternatorInstance(self.space, [t**i for i in range(self.space.n)])
+        """The shared anchor; only traceexp, trace_formula and basis read it."""
+        return _anchor(self.scalars, self.space.n)
 
 
 def _run_row(name, scalars, config, n):
@@ -780,11 +788,11 @@ def render_report(report):
     """The report as JSON text: 2-space indent, sorted keys, ASCII escapes.
 
     Byte for byte ``json.dumps(report, indent=2, sort_keys=True)`` plus a
-    newline, in one pass that appends to a single list.  A nested list of
-    ints, or a probe's checked exponent block, is one int block: the text
-    of each distinct row is built once and joined upward.  Every key is
-    a string: any other key raises TypeError.  A list or dict that holds
-    itself raises ValueError, as json.dumps does.
+    newline, in one pass that appends to a single list.  A probe's checked
+    exponent block has a three-level writer, which builds the text of each
+    distinct row once; every other value, plain lists too, is walked item
+    by item.  Every key is a string: any other key raises TypeError.  A
+    list or dict that holds itself raises ValueError, as json.dumps does.
     """
     out = []
     try:
@@ -818,64 +826,21 @@ def _is_circular(value):
     return False
 
 
-def _int_block_depth(value):
-    """Depth of a nonempty list whose every level holds only nonempty
-    lists and whose leaves are all ints at that one depth, else 0.
-
-    Every leaf is type-checked; a list inside itself is no block."""
-    level, depth, seen = value, 1, {id(value)}
-    while True:
-        # type() and not isinstance(): a bool is no int here
-        kinds = set(map(type, level))
-        if kinds == {int}:
-            return depth
-        if kinds != {list} or not all(level):
-            return 0
-        ids = set(map(id, level))
-        if not seen.isdisjoint(ids):
-            return 0  # a list inside itself, which _render reports
-        seen |= ids
-        if len(ids) < len(level):
-            # a list met twice is checked once, so no level outgrows the
-            # lists the value holds
-            level = list({id(x): x for x in level}.values())
-        level = list(itertools.chain.from_iterable(level))
-        depth += 1
-
-
-def _render_int_block(value, depth, indent, out):
-    # the text of each distinct row of ints is built once, then joined
-    # upward one level at a time.  Rows are keyed as tuples, which is
-    # sound only because every leaf is an exact int, as _int_block_depth
-    # or _parse_tuples checked: (True, 0) == (1, 0).  A checked block
-    # lists its distinct rows itself, and its rows are tuples already
-    pads = ["\n" + "  " * (indent + lv) for lv in range(depth + 1)]
-    checked = type(value) is _ExponentBlock
-    if checked:
-        distinct = value.columns
-    else:
-        rows = (value,)
-        for _ in range(depth - 1):
-            rows = itertools.chain.from_iterable(rows)
-        distinct = set(map(tuple, rows))
-    sep = "," + pads[depth]
-    head, tail = "[" + pads[depth], pads[depth - 1] + "]"
+def _render_int_block(block, indent, out):
+    # a checked block is groups of rows of exact ints (_parse_tuples), and
+    # lists its distinct rows itself; the text of each is built once, keyed
+    # by the row, which is sound only because every leaf is an exact int:
+    # (True, 0) == (1, 0)
+    pads = ["\n" + "  " * (indent + lv) for lv in range(4)]
+    sep = "," + pads[3]
+    head, tail = "[" + pads[3], pads[2] + "]"
     text = {
-        row: head + sep.join(map(int.__repr__, row)) + tail for row in distinct
+        row: head + sep.join(map(int.__repr__, row)) + tail for row in block.columns
     }.__getitem__
-
-    def joined(nodes, lv):
-        # the text of each node at level lv, whose elements are at lv + 1
-        sep = "," + pads[lv + 1]
-        head, tail = "[" + pads[lv + 1], pads[lv] + "]"
-        if lv == depth - 2:
-            return [
-                head + sep.join(map(text, node if checked else map(tuple, node))) + tail
-                for node in nodes
-            ]
-        return [head + sep.join(joined(node, lv + 1)) + tail for node in nodes]
-
-    out.append(text(tuple(value)) if depth == 1 else joined((value,), 0)[0])
+    sep = "," + pads[2]
+    head, tail = "[" + pads[2], pads[1] + "]"
+    groups = [head + sep.join(map(text, group)) + tail for group in block]
+    out.append("[" + pads[1] + ("," + pads[1]).join(groups) + pads[0] + "]")
 
 
 def _render(value, indent, out):
@@ -907,14 +872,8 @@ def _render(value, indent, out):
         if not value:
             out.append("[]")
             return
-        if kind is list:
-            depth = _int_block_depth(value)
-        elif kind is _ExponentBlock:
-            depth = 3  # groups of rows of ints, checked where it was built
-        else:
-            depth = 0
-        if depth:
-            _render_int_block(value, depth, indent, out)
+        if kind is _ExponentBlock:
+            _render_int_block(value, indent, out)
             return
         sep = "\n" + "  " * (indent + 1)
         out.append("[")

@@ -271,19 +271,12 @@ class NormMapPlus:
                 f"discriminant {inst.E.base.to_text(inst.d)} is a zerodivisor"
             )
         self.inst = inst
-        self._d_pows = [inst.E.base.one(), inst.d]
-
-    def _d_power(self, m):
-        pows = self._d_pows
-        while len(pows) <= m:
-            pows.append(self.inst.E.base.normalize(pows[-1] * self.inst.d))
-        return pows[m]
 
     def _divide(self, value, m):
         base = self.inst.E.base
         if m == 0:
             return base.normalize(value)
-        out = base.divide_exact(value, self._d_power(m))
+        out = base.divide_exact(value, base.normalize(self.inst.d ** m))
         if out is None:
             raise DivisionFails(
                 f"{base.to_text(value)} is not divisible by the {m}-th "

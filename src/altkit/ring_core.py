@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, sub
 
 from .errors import (
@@ -207,14 +207,11 @@ class CoeffRing:
 QQ = CoeffRing("Q")
 ZZ = CoeffRing("Z")
 
-_GF_CACHE = {}
-
-
+# one descriptor per modulus, so GF(p) is GF(p); an entry is one small
+# CoeffRing object, a few hundred bytes
+@lru_cache(maxsize=64)
 def GF(p):
-    ring = _GF_CACHE.get(p)
-    if ring is None:
-        ring = _GF_CACHE[p] = CoeffRing("Fp", p)
-    return ring
+    return CoeffRing("Fp", p)
 
 
 # ---------------------------------------------------------------------------

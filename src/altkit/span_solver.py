@@ -10,13 +10,14 @@ expansion for invariant tensors, and structure constants of the basis.
 Fractions are pairs (fully invariant numerator tensor, power of the
 alternator square): the localized fully-invariant ring.  An element of
 the localized partially-invariant ring is its coordinate vector of such
-fractions, and ``r_algebra`` multiplies those vectors.  Two fractions
-with one exponent are added and compared on their numerators'
-coefficients at sorted keys, since every numerator is symmetric.
-Otherwise equality is by cross-multiplication, which is only sound when
-the ambient tensor power is a domain; construction therefore requires a
-polynomial ambient over Q, Z or a prime field.  Multiplication divides out common
-alternator-square factors eagerly so exponents stay small.
+fractions, and ``r_algebra`` multiplies those vectors.  Every numerator
+is symmetric, so a fraction keeps its numerator's coefficients at sorted
+keys, and two fractions are added and compared there once the one at
+the lower exponent is padded by the square.  That compare is only sound
+when the ambient tensor power is a domain; construction therefore
+requires a polynomial ambient over Q, Z or a prime field.
+Multiplication divides out common alternator-square factors eagerly so
+exponents stay small.
 
 A coordinate entry is a numerator over the alternator alpha(x) itself.
 Both are alternating, so both are kept by their coefficients at sorted
@@ -53,7 +54,7 @@ from .errors import (
     UnsupportedAmbient,
     VerificationFailed,
 )
-from .ring_core import FiniteFreeAlgebra, dict_divide_exact, terms_add
+from .ring_core import FiniteFreeAlgebra, dict_divide_exact, terms_add, terms_neg
 from .tensor_algebra import (
     Tensor,
     coprojection,
@@ -91,29 +92,17 @@ def tensor_divide_exact(num, den):
     return Tensor(num.space, quot, _clean=True)
 
 
-def _asq_power(ctx, k):
-    # small cache of alternator-square powers on the context; it starts at
-    # the unit, so exponent 0 never builds the square
-    powers = getattr(ctx, "_asq_powers", None)
-    if powers is None:
-        powers = ctx._asq_powers = [unit_tensor(ctx.space)]
-    while len(powers) <= k:
-        powers.append(powers[-1] * ctx.alpha_sq)
-    return powers[k]
-
-
 class LocalizedElem:
     """A fully invariant numerator over alpha_sq(x)^exp.
 
     The numerator is symmetric under every slot permutation; the checking
     constructor raises NotInvariant otherwise, and ``_checked=True`` is for
     results that are fully invariant by construction.  So the numerator is
-    fixed by its coefficients at sorted keys, and a fraction holds it in
-    one form or both: as a full tensor, or by those coefficients.  A
-    coordinate entry that divides, and a sum of two fractions with one
-    exponent, start from the coefficients (``_from_orbits``) and expand
-    ``num`` the first time it is read.  Add and ``==`` at equal exponents
-    run on the coefficients; products and ``normalize`` use full tensors.
+    fixed by its coefficients at sorted keys, and those coefficients
+    (``_orbits``) are the value: add, ``==``, ``bool`` and negation read
+    them, after padding the operand at the lower exponent by the square.
+    ``num`` is the numerator as a full tensor, expanded the first time it
+    is read and kept; products and ``normalize`` use it.
     """
 
     __slots__ = ("ctx", "exp", "_num", "_orbits")
@@ -128,8 +117,8 @@ class LocalizedElem:
             raise NotInvariant("numerator is not fully invariant")
         self.ctx = ctx
         self._num = num
-        self._orbits = None
-        self.exp = exp if num else 0
+        self._orbits = symmetric_orbits(num)
+        self.exp = exp if self._orbits else 0
 
     @classmethod
     def _from_orbits(cls, ctx, orbits, exp=0):
@@ -146,11 +135,11 @@ class LocalizedElem:
             self._num = expand_symmetric(self.ctx.space, self._orbits)
         return self._num
 
-    def _sorted(self):
-        # the numerator's coefficients at sorted keys, kept once read
-        if self._orbits is None:
-            self._orbits = symmetric_orbits(self._num)
-        return self._orbits
+    def _padded(self, m):
+        # the numerator's orbits over the square's m-th power, m >= exp
+        if m == self.exp:
+            return self._orbits
+        return symmetric_orbits(self.num * self.ctx.alpha_sq ** (m - self.exp))
 
     @classmethod
     def from_scalar(cls, ctx, c):
@@ -172,23 +161,16 @@ class LocalizedElem:
                 return self
             other = LocalizedElem.from_scalar(self.ctx, other)
         self._compat(other)
-        if self.exp == other.exp:
-            norm = self.ctx.space.scalars.normalize
-            orbits = terms_add(self._sorted(), other._sorted(), norm)
-            return LocalizedElem._from_orbits(self.ctx, orbits, self.exp)
         m = max(self.exp, other.exp)
-        a = self.num * _asq_power(self.ctx, m - self.exp) if m > self.exp else self.num
-        b = (
-            other.num * _asq_power(self.ctx, m - other.exp)
-            if m > other.exp
-            else other.num
-        )
-        return LocalizedElem(self.ctx, a + b, m, _checked=True)
+        norm = self.ctx.space.scalars.normalize
+        orbits = terms_add(self._padded(m), other._padded(m), norm)
+        return LocalizedElem._from_orbits(self.ctx, orbits, m)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LocalizedElem(self.ctx, -self.num, self.exp, _checked=True)
+        orbits = terms_neg(self._orbits, self.ctx.space.scalars.normalize)
+        return LocalizedElem._from_orbits(self.ctx, orbits, self.exp)
 
     def __sub__(self, other):
         return self + (-other)
@@ -232,14 +214,11 @@ class LocalizedElem:
         if not isinstance(other, LocalizedElem):
             return NotImplemented
         self._compat(other)
-        if self.exp == other.exp:
-            return self._sorted() == other._sorted()
-        a = self.num * _asq_power(self.ctx, other.exp) if other.exp else self.num
-        b = other.num * _asq_power(self.ctx, self.exp) if self.exp else other.num
-        return a == b
+        m = max(self.exp, other.exp)
+        return self._padded(m) == other._padded(m)
 
     def __bool__(self):
-        return bool(self._orbits if self._num is None else self._num)
+        return bool(self._orbits)
 
     def to_text(self):
         if self.exp == 0:

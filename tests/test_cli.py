@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altkit import cli, gen_etale, norm_universal, span_solver
-from altkit.alternator import IDENTITY_NAMES, Witness
+from altkit.alternator import IDENTITY_NAMES, AlternatorInstance, Witness
 from altkit.cli import (
     SUITE_NAMES,
     build_instance,
@@ -147,6 +147,24 @@ def test_report_bytes_deterministic():
     cfg = make_suite_config(cases=4, seed=123)
     first = render_report(run_suite(cfg))
     second = render_report(run_suite(cfg))
+    assert first == second
+
+
+def test_anchor_is_built_once_per_ring_and_arity(monkeypatch):
+    # run_suite calls at one (ring, n) share one anchor, and their
+    # reports stay byte-identical
+    built = []
+
+    def counted(space, xs):
+        built.append(space.n)
+        return AlternatorInstance(space, xs)
+
+    monkeypatch.setattr(cli, "AlternatorInstance", counted)
+    cli._anchor.cache_clear()
+    cfg = make_suite_config(n="4", cases=3, seed=5, identities="trace_formula,basis")
+    first = render_report(run_suite(cfg))
+    second = render_report(run_suite(cfg))
+    assert built == [4]
     assert first == second
 
 

@@ -130,6 +130,13 @@ _json_values = st.recursive(
 @example([[[1, 0], [1.0, 0]], [[1, 0], [1, 0]]])
 @example([[[0, 1]] * 5] * 300)
 @example({"a": [[[1, -2], [3, 10**30]], [[0, 0], [5, 6]]], "é\x01": {}})
+# uniform int lists, a bool among ints, and empty or mixed levels
+@example([1, 2])
+@example([[[1, 2]], [[3, 4]]])
+@example([1, True])
+@example([[1], []])
+@example([[1], 2])
+@example([[1], [[2]]])
 def test_render_matches_json_dumps(value):
     assert render_report(value) == oracle_render(value)
 
@@ -148,16 +155,6 @@ def test_render_matches_json_dumps_on_every_report_kind():
     ]
     for report in reports:
         assert render_report(report) == oracle_render(report)
-
-
-def test_int_blocks_are_found_by_type_not_value():
-    assert cli._int_block_depth([1, 2]) == 1
-    assert cli._int_block_depth([[[1, 2]], [[3, 4]]]) == 3
-    # a bool is no int, an empty or mixed level is no block
-    assert cli._int_block_depth([1, True]) == 0
-    assert cli._int_block_depth([[1], []]) == 0
-    assert cli._int_block_depth([[1], 2]) == 0
-    assert cli._int_block_depth([[1], [[2]]]) == 0
 
 
 @settings(max_examples=100, deadline=None)

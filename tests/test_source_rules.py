@@ -256,4 +256,6 @@ def test_caches_are_bounded_or_keyed_by_shape():
         "_product_orbits",
         "_scatter",
         "_head_keys",
+        "GF",
+        "_anchor",
     }

@@ -179,6 +179,8 @@ def test_algebra_ambient_is_rejected():
     with pytest.raises(UnsupportedAmbient):
         LocalizedElem.from_scalar(ctx, 1)
     with pytest.raises(UnsupportedAmbient):
+        LocalizedElem.zero(ctx)
+    with pytest.raises(UnsupportedAmbient):
         coordinates(ctx, alg.one())
 
 
@@ -468,9 +470,9 @@ def fraction_pairs(draw):
 @settings(max_examples=200, deadline=None)
 @given(fraction_pairs())
 def test_orbit_sums_and_compares_match_full_tensors(case):
-    # add and == at equal exponents run on sorted-key coefficients; they
-    # must agree with the full-tensor route, and unequal exponents still
-    # take it, over Q, Z and GF(5)
+    # add and == run on sorted-key coefficients, the operand at the lower
+    # exponent padded by the square; they must agree with the full-tensor
+    # route over Q, Z and GF(5)
     kind, a, b = case
     event(kind)
     event("equal exponents" if a.exp == b.exp else "unequal exponents")
