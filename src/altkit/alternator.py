@@ -23,10 +23,11 @@ factor's labels are inserted into ascending label tuples, so the pure
 tensor of the tuple is never formed.  The determinant of a matrix of
 polarized power sums (``det_power_sums``) keeps its minors the same way,
 by their coefficients at sorted keys, and multiplies a power sum into a
-minor on those keys alone; so does exact division of one alternating
-tensor by another (``divide_orbits``): the quotient is symmetric, is
-found one orbit at a time, and is kept by its orbits until read
-(``expand_symmetric``).
+minor on those keys alone; so do products of symmetric tensors
+(``multiply_symmetric``) and exact division of one alternating tensor
+by another, or of one symmetric tensor by another (``divide_orbits``,
+``divide_symmetric``): the quotient is symmetric, is found one orbit at
+a time, and is kept by its orbits until read (``expand_symmetric``).
 
 Identity checks return a :class:`Witness` carrying both sides, never a
 bare bool, so failing cases can be reported verbatim.
@@ -34,11 +35,12 @@ bare bool, so failing cases can be reported verbatim.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from operator import add, eq, itemgetter, le, sub
+from operator import add, eq, itemgetter, le, lt
 
 from .errors import (
     ArityMismatch,
@@ -46,7 +48,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedAmbient,
 )
-from .ring_core import MultiPoly, quotient_factor
+from .ring_core import MultiPoly, divide_terms
 from .tensor_algebra import (
     Permutation,
     Tensor,
@@ -68,6 +70,8 @@ __all__ = [
     "expand_symmetric",
     "symmetric_orbits",
     "divide_orbits",
+    "divide_symmetric",
+    "multiply_symmetric",
     "det_power_sums",
     "AlternatorInstance",
     "IdentityData",
@@ -207,6 +211,45 @@ def _signed_sum(t, fix_last):
     return expand_orbits(t.space, signed_orbits(t, fix_last), fix_last)
 
 
+@lru_cache(maxsize=None)
+def _reverse(n, width):
+    """The getter that reverses a key's slots.
+
+    It turns a sorted key into its arrangement with the slots descending,
+    and back.  Under degree-lex order on keys with their total degree in
+    front, the leading key of a symmetric or alternating tensor is that
+    arrangement of one of its sorted keys, and the leading key of a
+    product is the sum of the leading keys.
+    """
+    return _signed_reindex(n, width, False)[1][tuple(range(n - 1, -1, -1))][0]
+
+
+def _descending(desc, orbits):
+    # orbit coefficients at their descending keys, degree in front
+    return [((sum(k), *desc(k)), c) for k, c in orbits.items()]
+
+
+def _arranged(lam, d, n, width):
+    """(slots, kappa, sign) for each distinct arrangement mu of lam, with
+    kappa the slots of mu + d sorted descending, its degree in front, and
+    sign that of the sort; None when lam has a negative entry or its
+    slots do not weakly descend, so that it is no orbit key."""
+    slots_of, maps = _signed_reindex(n, width, False)
+    lam, d = lam[1:], d[1:]
+    blocks = slots_of(lam)
+    if min(lam) < 0 or any(map(lt, blocks, blocks[1:])):
+        return None
+    out = []
+    for get in _arrangements(_pattern(blocks), width):
+        key = tuple(map(add, get(lam), d))
+        slots = slots_of(key)
+        order = sorted(range(n), key=slots.__getitem__, reverse=True)
+        reindex, sign = maps[tuple(order)]
+        kappa = reindex(key)
+        out.append((slots, (sum(kappa), *kappa), sign))
+    return out
+
+
 # m_lam * A(d) for one quotient orbit lam and one divisor orbit d, as
 # (kappa, sign) pairs: one pair per distinct arrangement mu of lam whose
 # mu + d has distinct slots, kappa its slots sorted descending.  Keys
@@ -214,28 +257,57 @@ def _signed_sum(t, fix_last):
 # pairs of (n * width + 1)-tuples, about 25 kB at n = 5 and width 1.
 @lru_cache(maxsize=1024)
 def _product_orbits(lam, d, n, width):
-    """The (kappa, sign) pairs of m_lam * A(d), or None when lam has a
-    negative entry or its slots do not weakly descend."""
-    if min(lam) < 0:
+    """The (kappa, sign) pairs of m_lam * A(d), or None when lam is no
+    orbit key."""
+    sums = _arranged(lam, d, n, width)
+    if sums is None:
         return None
-    slots_of, maps = _signed_reindex(n, width, False)
-    lam, d = lam[1:], d[1:]
-    blocks = slots_of(lam)
-    if any(blocks[i] < blocks[i + 1] for i in range(n - 1)):
+    return tuple((k, sign) for slots, k, sign in sums if len(set(slots)) == n)
+
+
+# m_lam * m_mu for two symmetric orbits, as (kappa, w) pairs, kappa
+# sorted descending with its degree in front.  An entry holds at most
+# n! = 120 pairs of (n * width + 1)-tuples, about 25 kB at n = 5 and
+# width 1; the entries met average 0.8 kB.  r_algebra on the anchor
+# (1, t^2 + t, t^4 + t) fills 27,251 entries, 21 MB, and a table of
+# 16384 or fewer thrashes on it.
+@lru_cache(maxsize=32768)
+def _symmetric_pairs(lam, mu, n, width):
+    """The (kappa, w) pairs of m_lam * m_mu, or None when lam is no
+    orbit key.
+
+    m_lam * m_mu is the sum of x^(alpha + beta) over the arrangements
+    alpha of lam and beta of mu, and summing over beta symmetrizes the
+    sum at beta = mu.  So w is the number of alpha with alpha + mu an
+    arrangement of kappa, times |Stab kappa| / |Stab mu|.  The
+    stabilizer of a key has n! over its number of distinct arrangements
+    elements, so the ratio is read from ``_arrangements``.
+    """
+    sums = _arranged(lam, mu, n, width)
+    if sums is None:
         return None
-    order = range(n)
-    out = []
-    for get in _arrangements(_pattern(blocks), width):
-        key = tuple(map(add, get(lam), d))
-        slots = slots_of(key)
-        if len(set(slots)) < n:
-            continue
-        reindex, sign = maps[
-            tuple(sorted(order, key=slots.__getitem__, reverse=True))
-        ]
-        kappa = reindex(key)
-        out.append(((sum(kappa), *kappa), sign))
-    return tuple(out)
+    slots_of = _signed_reindex(n, width, False)[0]
+    arranged = len(_arrangements(_pattern(slots_of(mu[1:])), width))
+    return tuple(
+        (k, c * arranged // len(_arrangements(_pattern(slots_of(k[1:])), width)))
+        for k, c in Counter(k for _, k, _ in sums).items()
+    )
+
+
+def _divide(space, num, den, table):
+    # num / den on orbits, by the product rule of one bounded table
+    if not (num and den):
+        return {} if den else None
+    n, width = space.n, space.width
+    desc = _reverse(n, width)
+    quot = divide_terms(
+        {(sum(k), *desc(k)): c for k, c in num.items()},
+        _descending(desc, den),
+        space.scalars,
+        lambda lam, d: table(lam, d, n, width),
+    )
+    # desc reverses the slots, so it sorts each lam ascending
+    return None if quot is None else {desc(lam[1:]): c for lam, c in quot.items()}
 
 
 def divide_orbits(space, num, den):
@@ -246,18 +318,15 @@ def divide_orbits(space, num, den):
     of two alternating tensors is symmetric, so it is a sum of monomial
     symmetric tensors m_lam, one per orbit; a quotient of alternants is
     the bialternant quotient (Macdonald, Symmetric Functions and Hall
-    Polynomials, 2nd ed., ch. I.3).  Division runs on orbits alone:
+    Polynomials, 2nd ed., ch. I.3).  Division runs on orbits alone, in
+    the one loop of ``ring_core.divide_terms``:
 
     - Keys are rearranged with their slots in descending order, and carry
       their total degree in front, so the degree-lex leading key of a
-      tensor is the largest of them.  The leading key of a product is the
-      sum of the leading keys, and the leading key of a symmetric tensor
-      is descending; so the largest remainder key minus den's leading key
-      is the next lam, or the division fails when it has a negative entry
-      or its slots are not weakly descending.
-    - Its coefficient follows ``ring_core.dict_divide_exact``: the
-      leading coefficient's inverse over GF(p), Q and for +-1, and a
-      ``divmod`` with no remainder over Z.
+      tensor is the largest of them (``_descending``).  The leading key of
+      a symmetric tensor is descending; so the largest remainder key minus
+      den's leading key is the next lam, or the division fails when it has
+      a negative entry or its slots are not weakly descending.
     - m_lam * A(d) = sum of A(mu + d) over the distinct arrangements mu
       of lam, over Z, where A(k) is the alternant of key k: zero when k
       has two equal slots, and sign(s) * A(sort k) otherwise.  So each
@@ -265,71 +334,44 @@ def divide_orbits(space, num, den):
       characteristic, 2 included: an alternating tensor is fixed by its
       coefficients at sorted keys with distinct slots.  The sum for one
       (lam, d) comes from a bounded table (``_product_orbits``), since
-      the same shapes recur across entries, anchors and cases.  Every
-      pair is subtracted, the one at the leading remainder key too, which
-      the step's quotient coefficient cancels exactly.
+      the same shapes recur across entries, anchors and cases.
 
     Returns the quotient by its coefficients at sorted keys, which
     ``expand_symmetric`` turns into a tensor; in a domain it is unique,
     so that tensor equals ``dict_divide_exact`` on the expanded tensors.
     """
-    if not den:
-        return None
-    if not num:
-        return {}
+    return _divide(space, num, den, _product_orbits)
+
+
+def divide_symmetric(space, num, den):
+    """num / den for two symmetric tensors, or None; exact only.
+
+    Both are given by their coefficients at sorted keys
+    (``symmetric_orbits``), over a polynomial ambient whose tensor power
+    is a domain.  The loop is ``divide_orbits``' with the product rule of
+    monomial symmetric tensors, m_lam * m_mu from a bounded table
+    (``_symmetric_pairs``), whose weights are integers, so it stays exact
+    in every characteristic.
+    """
+    return _divide(space, num, den, _symmetric_pairs)
+
+
+def multiply_symmetric(space, a, b):
+    """The product of two symmetric tensors, by their coefficients at
+    sorted keys: m_lam * m_mu expands in the m_kappa with integer
+    coefficients (Macdonald, ch. I.2), read from ``_symmetric_pairs``."""
     n, width = space.n, space.width
-    # one reindexing for both sides: a common sign cancels in every quotient
-    desc = _signed_reindex(n, width, False)[1][tuple(reversed(range(n)))][0]
-    rem = {(sum(k), *desc(k)): c for k, c in num.items()}
-    dterms = [((sum(k), *desc(k)), c) for k, c in den.items()]
-    lead, lc = max(dterms)
-    ring = space.scalars
-    inv = quotient_factor(lc, ring)
-    norm = ring.normalize
-    get = rem.get
-    quot = {}
-    while rem:
-        r = max(rem)
-        lam = tuple(map(sub, r, lead))
-        c = rem[r]
-        if inv is None:
-            qc, m = divmod(c, lc)
-            if m:
-                return None
-        else:
-            qc = norm(c * inv)
-        for d, cd in dterms:
-            pairs = _product_orbits(lam, d, n, width)
-            if pairs is None:
-                return None
-            m = qc * cd
-            for kappa, sign in pairs:
-                s = norm(get(kappa, 0) - m if sign > 0 else get(kappa, 0) + m)
-                if s:
-                    rem[kappa] = s
-                else:
-                    del rem[kappa]
-        quot[lam] = qc
-    # desc reverses the slots, so it sorts each lam ascending
-    return {desc(lam[1:]): c for lam, c in quot.items()}
-
-
-# p_label * m_rho as (kappa, w) pairs, one per distinct slot block v of
-# rho: a sorted key meets the same label in many minors, rows and cases.
-# An entry holds at most n = 5 pairs of n-block keys, under 2 kB.
-@lru_cache(maxsize=4096)
-def _scatter(rho, label, n):
-    out = []
-    for i in range(n):
-        v = rho[i]
-        # the last index of each block, and v + label sorts in after it
-        if i + 1 < n and rho[i + 1] == v:
-            continue
-        u = tuple(map(add, v, label))
-        hi = bisect_right(rho, u, i + 1)
-        w = hi - bisect_left(rho, u, i + 1) + 1
-        out.append((rho[:i] + rho[i + 1 : hi] + (u,) + rho[hi:], w))
-    return tuple(out)
+    desc = _reverse(n, width)
+    right = _descending(desc, b)
+    acc = {}
+    for lam, ca in _descending(desc, a):
+        for mu, cb in right:
+            m = ca * cb
+            for kappa, w in _symmetric_pairs(lam, mu, n, width):
+                s = acc.get(kappa)
+                acc[kappa] = w * m if s is None else s + w * m
+    norm = space.scalars.normalize
+    return {desc(k[1:]): c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
 
 
 def det_power_sums(space, zs):
@@ -340,56 +382,47 @@ def det_power_sums(space, zs):
     the label in one slot and the unit label in every other.  The subset
     expansion of ``ring_core.det_generic``, over a polynomial ambient.
     Every minor is fully invariant, so it is kept by its coefficients at
-    sorted keys rho alone (tuples of n slot blocks in ascending order),
-    the coefficients of the monomial symmetric tensors m_rho, and a zero
-    minor is dropped.  An entry times a minor
-    never expands the minor: p_label * m_rho is the sum over the distinct
-    slot blocks v of rho of w * m_kappa, with kappa = sort(rho with one v
-    replaced by v + label) and w the number of slot blocks of kappa equal
-    to v + label (Macdonald, Symmetric Functions and Hall Polynomials,
-    ch. I), read from a bounded table (``_scatter``).  The unit label
-    gives w summing to n at kappa = rho: the factor n of p_0 = n, which
-    vanishes over GF(p) when p divides n.  So
-    the result is exact in every characteristic, with no division.  The
-    determinant is expanded once into a full tensor (``expand_symmetric``).
+    sorted keys rho alone, the coefficients of the monomial symmetric
+    tensors m_rho, and a zero minor is dropped.  p_label is m of
+    (label, 0, ..., 0), and p_0 = n * m_0, whose factor n vanishes over
+    GF(p) when p divides n; so an entry times a minor never expands the
+    minor, but adds the (kappa, w) pairs of m_(label, 0, ..., 0) * m_rho
+    (``_symmetric_pairs``).  The result is exact in every characteristic,
+    with no division.  The determinant is expanded once into a full
+    tensor (``expand_symmetric``).
     """
     size = len(zs)
     if size == 0 or any(len(row) != size for row in zs):
         raise ValueError("square nonempty matrix required")
     if not space.is_poly:
         raise UnsupportedAmbient("power-sum determinant needs a polynomial ambient")
-    n = space.n
+    n, width = space.n, space.width
     norm = space.scalars.normalize
-    unit = (0,) * space.width
-    # each entry as its unit-label coefficient times n, and its other terms
-    rows = []
-    for row in zs:
-        entries = []
-        for z in row:
-            terms = space.decompose(z)
-            const = norm(sum(n * a for lbl, a in terms if lbl == unit))
-            entries.append((const, [(lbl, a) for lbl, a in terms if lbl != unit]))
-        rows.append(entries)
-    cur = {0: {(unit,) * n: space.scalars.one()}}
+    rest = (0,) * (width * (n - 1))
+
+    def entry(z):
+        # P(z) by its orbits (label, 0, ..., 0), keyed as the minors
+        pairs = space.decompose(z)
+        terms = [((sum(k), *k, *rest), a if any(k) else n * a) for k, a in pairs]
+        return [(k, c) for k, c in ((k, norm(c)) for k, c in terms) if c]
+
+    rows = [[entry(z) for z in row] for row in zs]
+    cur = {0: {(0,) * (n * width + 1): space.scalars.one()}}
     for r, row in enumerate(rows):
         nxt = {}
         for mask, minor in cur.items():
-            for j, (const, terms) in enumerate(row):
+            for j, terms in enumerate(row):
                 bit = 1 << j
-                if mask & bit or not (const or terms):
+                if mask & bit or not terms:
                     continue
                 acc = nxt.setdefault(mask | bit, {})
                 negate = (r + (mask & (bit - 1)).bit_count()) % 2
                 for rho, c in minor.items():
                     if negate:
                         c = -c
-                    if const:
-                        s = acc.get(rho)
-                        m = const * c
-                        acc[rho] = m if s is None else s + m
-                    for label, a in terms:
+                    for lam, a in terms:
                         ac = a * c
-                        for kappa, w in _scatter(rho, label, n):
+                        for kappa, w in _symmetric_pairs(lam, rho, n, width):
                             m = w * ac
                             s = acc.get(kappa)
                             acc[kappa] = m if s is None else s + m
@@ -398,7 +431,8 @@ def det_power_sums(space, zs):
             minor = {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
             if minor:
                 cur[mask] = minor
-    return expand_symmetric(space, flat_orbits(cur.get((1 << size) - 1, {})))
+    desc, det = _reverse(n, width), cur.get((1 << size) - 1, {})
+    return expand_symmetric(space, {desc(k[1:]): c for k, c in det.items()})
 
 
 def alpha_map(t):
@@ -519,6 +553,12 @@ class AlternatorInstance:
         """The alternator square, built on first read: most checks
         divide by alpha(x) itself and never need it."""
         return self.alpha_x * self.alpha_x
+
+    @cached_property
+    def alpha_sq_orbits(self):
+        """The square by its coefficients at sorted keys, built on first
+        read: fractions are padded and normalized by it."""
+        return symmetric_orbits(self.alpha_sq)
 
     def _check_slot(self, i):
         if not 1 <= i <= self.space.n:
@@ -747,15 +787,15 @@ def random_tensor(rng, space, max_terms, max_degree):
     return Tensor(space, terms)
 
 
-def random_invariant(rng, space, max_degree, orbits=2, full=True):
-    """Random invariant tensor as a sum of signed-free orbit sums.
+def random_invariant(rng, space, max_degree, full=True):
+    """Random invariant tensor as a sum of one or two signed-free orbit sums.
 
     ``full`` symmetrizes over all slots; otherwise over the first n-1
     slots only, which is every tensor when n = 2.
     """
     _, maps = _signed_reindex(space.n, space.width, not full)
     acc = {}
-    for _ in range(rng.randint(1, orbits)):
+    for _ in range(rng.randint(1, 2)):
         key = tuple(
             v
             for _ in range(space.n)

@@ -452,7 +452,9 @@ def _known_keys(obj, keys, path):
 def _load_json(text, where):
     try:
         return json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an over-long int literal
+    # JSONDecodeError, an over-long int literal, or nesting past the
+    # decoder's recursion limit
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"{where}: invalid JSON: {e}") from None
 
 

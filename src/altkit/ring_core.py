@@ -19,7 +19,8 @@ functions on dicts from key tuples to nonzero coefficients, for add,
 negate, scale, multiply, power, evaluation and exact division.  Its one
 rule is that keys multiply by adding.  Keys are tuples everywhere;
 exact division puts each key's total degree in front, so that tuple
-order is degree-lex order, and runs one loop for every ring.
+order is degree-lex order, and runs one loop for every ring and, with
+the caller's product rule, for every key form (``divide_terms``).
 
 On top of the scalars sit dense matrix helpers and :class:`FiniteFreeAlgebra`,
 a commutative algebra of finite rank given by structure constants that are
@@ -225,7 +226,7 @@ def GF(p):
 # through ``norm`` before its zero test.  Exact division keeps tuple keys,
 # with the total degree put in front for the length of the call, so that
 # plain ``max`` is the degree-lex leading key; it runs one loop for every
-# ring.
+# ring, and the orbit divisions of ``alternator`` run it too.
 
 
 def _deglex(key):
@@ -350,22 +351,25 @@ def quotient_factor(lc, ring):
     return None
 
 
-def dict_divide_exact(num, den, ring):
-    """Exact division of sparse term dicts under degree-lex order.
+def divide_terms(rem, den, ring, pairs):
+    """The exact-division loop on degree-prefixed keys, or None.
 
-    Both dicts map equal-length exponent tuples to coefficients in the
-    CoeffRing ``ring``.  Returns the quotient dict, its keys in descending
-    degree-lex order, or None when the division leaves a remainder or a
-    coefficient quotient does not exist.
+    Keys carry their total degree in front, so plain ``max`` is the
+    degree-lex leading key.  ``rem`` maps the dividend's keys to nonzero
+    coefficients of the CoeffRing ``ring`` and is used up; ``den`` lists
+    the divisor's (key, coefficient) pairs.  The product rule
+    ``pairs(q, d)`` gives the (key, weight) terms of quotient key q times
+    divisor key d, the leading key q + d with weight 1 among them, or None
+    when q is no quotient key.  Each step divides the leading remainder
+    coefficient by the divisor's, and subtracts every product term, the
+    leading one too, which the step cancels exactly.  A weight can vanish
+    modulo p, so a sum can reach zero at a key the remainder never held.
+    Returns the quotient, its keys in descending degree-lex order, and
+    None for a zero divisor.
     """
     if not den:
         return None
-    if not num:
-        return {}
-    rem = {(sum(k), *k): c for k, c in num.items()}
-    rest = {(sum(k), *k): c for k, c in den.items()}
-    lead = max(rest)
-    lc = rest.pop(lead)
+    lead, lc = max(den)
     inv = quotient_factor(lc, ring)
     norm = ring.normalize
     get = rem.get
@@ -373,26 +377,49 @@ def dict_divide_exact(num, den, ring):
     while rem:
         r = max(rem)
         q = tuple(map(sub, r, lead))
-        if min(q) < 0:
-            return None
-        c = rem.pop(r)
+        c = rem[r]
         if inv is None:
             qc, m = divmod(c, lc)
             if m:
                 return None
         else:
             qc = norm(c * inv)
-        quot[q[1:]] = qc
-        # qc and dc are nonzero and the ring has no zero divisors, so a
-        # sum that reaches zero had a term at k to cancel
-        for d, dc in rest.items():
-            k = tuple(map(add, q, d))
-            s = norm(get(k, 0) - qc * dc)
-            if s:
-                rem[k] = s
-            else:
-                del rem[k]
+        for d, dc in den:
+            terms = pairs(q, d)
+            if terms is None:
+                return None
+            m = qc * dc
+            for k, w in terms:
+                s = norm(get(k, 0) - w * m)
+                if s:
+                    rem[k] = s
+                else:
+                    rem.pop(k, None)
+        quot[q] = qc
     return quot
+
+
+def _monomial_pairs(q, d):
+    # keys multiply by adding, and q divides when no entry is negative
+    return None if min(q) < 0 else ((tuple(map(add, q, d)), 1),)
+
+
+def dict_divide_exact(num, den, ring):
+    """Exact division of sparse term dicts under degree-lex order.
+
+    Both dicts map equal-length exponent tuples to coefficients in the
+    CoeffRing ``ring``.  Returns the quotient dict, its keys in descending
+    degree-lex order, or None when the division leaves a remainder or a
+    coefficient quotient does not exist.  The loop is ``divide_terms``
+    with the monomial product rule.
+    """
+    quot = divide_terms(
+        {(sum(k), *k): c for k, c in num.items()},
+        [((sum(k), *k), c) for k, c in den.items()],
+        ring,
+        _monomial_pairs,
+    )
+    return None if quot is None else {q[1:]: c for q, c in quot.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +821,11 @@ def parse_expression(text, parent):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _ExprParser(tokens, parent).parse()
+    try:
+        return _ExprParser(tokens, parent).parse()
+    except RecursionError:
+        # the parser recurses once per parenthesis or leading sign
+        raise ParseError("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------

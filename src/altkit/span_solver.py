@@ -16,7 +16,8 @@ keys, and two fractions are added and compared there once the one at
 the lower exponent is padded by the square.  That compare is only sound
 when the ambient tensor power is a domain; construction therefore
 requires a polynomial ambient over Q, Z or a prime field.
-Multiplication divides out common alternator-square factors eagerly so
+Multiplication runs on those coefficients too, and divides out common
+alternator-square factors eagerly, by exact division on orbits, so
 exponents stay small.
 
 A coordinate entry is a numerator over the alternator alpha(x) itself.
@@ -41,9 +42,11 @@ from operator import add
 
 from .alternator import (
     divide_orbits,
+    divide_symmetric,
     expand_orbits,
     expand_symmetric,
     flat_orbits,
+    multiply_symmetric,
     signed_orbits,
     symmetric_orbits,
     wedge_orbits,
@@ -83,7 +86,11 @@ def _require_poly_domain(space):
 
 
 def tensor_divide_exact(num, den):
-    """num / den in the ambient tensor power, or None; exact only."""
+    """num / den in the ambient tensor power, or None; exact only.
+
+    Fractions divide on orbits (``divide_symmetric``); this division of
+    full tensors is the one they must agree with.
+    """
     _require_poly_domain(num.space)
     num._compat(den)
     quot = dict_divide_exact(num.terms, den.terms, num.space.scalars)
@@ -101,8 +108,11 @@ class LocalizedElem:
     fixed by its coefficients at sorted keys, and those coefficients
     (``_orbits``) are the value: add, ``==``, ``bool`` and negation read
     them, after padding the operand at the lower exponent by the square.
-    ``num`` is the numerator as a full tensor, expanded the first time it
-    is read and kept; products and ``normalize`` use it.
+    Products, the scalar action and ``normalize`` run on them too
+    (``multiply_symmetric``, ``divide_symmetric``), and the square is
+    taken by its own orbits (``alpha_sq_orbits``).  ``num`` is the
+    numerator as a full tensor, expanded the first time it is read and
+    kept; only rendering and the norm read it.
     """
 
     __slots__ = ("ctx", "exp", "_num", "_orbits")
@@ -137,9 +147,10 @@ class LocalizedElem:
 
     def _padded(self, m):
         # the numerator's orbits over the square's m-th power, m >= exp
-        if m == self.exp:
-            return self._orbits
-        return symmetric_orbits(self.num * self.ctx.alpha_sq ** (m - self.exp))
+        orbits, ctx = self._orbits, self.ctx
+        for _ in range(m - self.exp):
+            orbits = multiply_symmetric(ctx.space, orbits, ctx.alpha_sq_orbits)
+        return orbits
 
     @classmethod
     def from_scalar(cls, ctx, c):
@@ -179,32 +190,27 @@ class LocalizedElem:
         return -self + other
 
     def __mul__(self, other):
+        space = self.ctx.space
         if not isinstance(other, LocalizedElem):
-            # scalar action
-            return LocalizedElem(
-                self.ctx, self.num.scale(other), self.exp, _checked=True
-            )
+            # scalar action, with Tensor.scale's coercion
+            scaled = Tensor(space, self._orbits, _clean=True).scale(other)
+            return LocalizedElem._from_orbits(self.ctx, scaled.terms, self.exp)
         self._compat(other)
-        out = LocalizedElem(
-            self.ctx, self.num * other.num, self.exp + other.exp, _checked=True
-        )
+        orbits = multiply_symmetric(space, self._orbits, other._orbits)
+        out = LocalizedElem._from_orbits(self.ctx, orbits, self.exp + other.exp)
         return out.normalize()
 
     __rmul__ = __mul__
 
     def normalize(self):
         """Strip alternator-square factors from the numerator, exactly."""
-        if not self.exp:
-            return self
-        num, exp = self.num, self.exp
-        while exp > 0:
-            quot = tensor_divide_exact(num, self.ctx.alpha_sq)
+        ctx, orbits, exp = self.ctx, self._orbits, self.exp
+        while exp:
+            quot = divide_symmetric(ctx.space, orbits, ctx.alpha_sq_orbits)
             if quot is None:
                 break
-            num, exp = quot, exp - 1
-        if exp == self.exp:
-            return self
-        return LocalizedElem(self.ctx, num, exp, _checked=True)
+            orbits, exp = quot, exp - 1
+        return self if exp == self.exp else LocalizedElem._from_orbits(ctx, orbits, exp)
 
     def __eq__(self, other):
         if isinstance(other, int):

@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import Phase, event, find, given, settings
+from hypothesis import Phase, assume, event, find, given, settings
 from hypothesis import strategies as st
 
 import altkit
@@ -28,13 +28,16 @@ from altkit.alternator import (
     check_identity,
     det_power_sums,
     divide_orbits,
+    divide_symmetric,
     expand_orbits,
     expand_symmetric,
     random_case,
     random_invariant,
     random_tensor,
     flat_orbits,
+    multiply_symmetric,
     signed_orbits,
+    symmetric_orbits,
     wedge_orbits,
 )
 from altkit.errors import (
@@ -54,6 +57,7 @@ from altkit.ring_core import (
     dict_divide_exact,
     quotient_factor,
 )
+from altkit.span_solver import tensor_divide_exact
 from altkit.tensor_algebra import (
     Permutation,
     Tensor,
@@ -772,3 +776,81 @@ def test_det_power_sums_gate_holds_under_optimize():
         "optimize 1 True",
         "raised UnsupportedAmbient",
     ]
+
+
+# -- products and division of symmetric tensors on orbits
+
+
+@st.composite
+def symmetric_pairs(draw):
+    """Two symmetric tensors by their coefficients at sorted keys, over
+    Q, Z, GF(2) or GF(5), n = 1..5 and widths 1 and 2: a sorted key is
+    n labels in ascending order, laid end to end."""
+    scalars = SIGNED_SUM_RINGS[draw(st.sampled_from(sorted(SIGNED_SUM_RINGS)))]
+    w = draw(st.integers(1, 2))
+    sp = TensorSpace(draw(st.integers(1, 5)), PolyRing(scalars, ("s", "t")[:w]))
+    label = st.tuples(*[st.integers(0, 2 if w == 1 else 1)] * w)
+    key = st.lists(label, min_size=sp.n, max_size=sp.n).map(
+        lambda labels: sum(sorted(labels), ())
+    )
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3)).map(scalars.from_int)
+    orbits = st.dictionaries(key, coeff, max_size=3).map(
+        lambda terms: {k: c for k, c in terms.items() if c}
+    )
+    return sp, draw(orbits), draw(orbits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_pairs())
+def test_orbit_product_matches_the_full_product(case):
+    # the product on orbits is symmetric_orbits of the product of the
+    # expanded tensors, key for key and type for type; a weight such as
+    # the 2 of m_(1,0)^2 = m_(2,0) + 2 m_(1,1) vanishes over GF(2)
+    sp, a, b = case
+    want = symmetric_orbits(expand_symmetric(sp, a) * expand_symmetric(sp, b))
+    event(f"n = {sp.n}, {'zero' if not want else 'nonzero'}")
+    assert exact_orbits(multiply_symmetric(sp, a, b)) == exact_orbits(want)
+    assert multiply_symmetric(sp, b, a) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_pairs(), st.sampled_from(("multiple", "bumped", "other")))
+def test_symmetric_division_matches_tensor_division(case, kind):
+    # tensor_divide_exact on the expanded tensors is the oracle: both
+    # divide with the same quotient, or both return None
+    sp, q, den = case
+    assume(den)
+    if kind == "other":
+        num = q
+    else:
+        num = multiply_symmetric(sp, q, den)
+        if kind == "bumped":
+            num[(1,) * (sp.n * sp.width)] = sp.scalars.one()
+    full = tensor_divide_exact(expand_symmetric(sp, num), expand_symmetric(sp, den))
+    got = divide_symmetric(sp, num, den)
+    event(f"{kind}: {'None' if full is None else 'divides'}")
+    if full is None:
+        assert got is None
+        assert kind != "multiple"
+    else:
+        assert got is not None
+        assert exact(expand_symmetric(sp, got)) == exact(full)
+
+
+def test_symmetric_division_outcomes():
+    sp = space(2)
+    # m_(1,0)^2 = m_(2,0) + 2 m_(1,1): the square divides back by m_(1,0)
+    m10 = {(0, 1): 1}
+    square = multiply_symmetric(sp, m10, m10)
+    assert square == {(0, 2): 1, (1, 1): 2}
+    assert divide_symmetric(sp, square, m10) == m10
+    # over GF(2) the 2 vanishes, so the step at (1, 1) sums to zero at a
+    # key the remainder never held
+    sp2 = space(2, PolyRing(GF(2), ("t",)))
+    assert multiply_symmetric(sp2, m10, m10) == {(0, 2): 1}
+    assert divide_symmetric(sp2, {(0, 2): 1}, m10) == m10
+    # a zero numerator divides, a zero divisor divides nothing, and a
+    # lead that is not weakly descending ends the division
+    assert divide_symmetric(sp, {}, m10) == {}
+    assert divide_symmetric(sp, m10, {}) is None
+    assert divide_symmetric(sp, {(1, 1): 1}, {(0, 2): 1}) is None

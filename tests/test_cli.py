@@ -4,7 +4,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from importlib import resources
 from random import Random
@@ -29,7 +32,7 @@ from altkit.cli import (
 from altkit.errors import ConfigInvalid, ParseError, SchemaError
 from altkit.gen_etale import NormMapPlus
 from altkit.norm_universal import NormMap
-from altkit.ring_core import GF, QQ, CoeffRing
+from altkit.ring_core import GF, QQ, CoeffRing, PolyRing, parse_expression
 from altkit.span_solver import LocalizedElem
 from altkit.tensor_algebra import Tensor
 
@@ -772,3 +775,65 @@ def test_identity_suites_reach_nonzero_sides_at_high_arity(name, n, ring):
             if nonzero == 3:
                 break
     assert nonzero == 3
+
+
+def _sqrt2_with_entry(text):
+    data = json.loads(open(fixture_path("sqrt2.json"), encoding="utf-8").read())
+    data["tuple_x"] = ["1", text]
+    return json.dumps(data)
+
+
+_DEEP_TERM = "(" * 1000 + "t" + ")" * 1000
+_DEEP_COEFF = "(" * 1000 + "1" + ")" * 1000
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        ("probe-diagonal", "[" * 10000, "altkit: ParseError: --points: invalid JSON: "),
+        ("instance", "[" * 10000, "altkit: ParseError: deep.json: invalid JSON: "),
+        (
+            "instance",
+            _sqrt2_with_entry(_DEEP_TERM),
+            "altkit: ParseError: $.tuple_x[1]: expression nested too deeply\n",
+        ),
+        (
+            "instance",
+            _sqrt2_with_entry("-" * 1000 + "t"),
+            "altkit: ParseError: $.tuple_x[1]: expression nested too deeply\n",
+        ),
+        (
+            "probe-diagonal",
+            json.dumps({"points": [[_DEEP_COEFF], ["2"]]}),
+            "altkit: ParseError: $.points[0][0]: expression nested too deeply\n",
+        ),
+    ],
+    ids=["json-points", "json-file", "parens", "signs", "point-string"],
+)
+def test_deep_input_is_a_parse_error(tmp_path, command, text, error):
+    # nesting past the recursion limit, in JSON or in an expression, ends
+    # in one ParseError line and exit 2 with and without python -O
+    if command == "instance":
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        args = ["instance", "--file", str(path)]
+    else:
+        args = ["probe-diagonal", "--points", text]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "altkit.cli", *args],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith(error) and done.stderr.count("\n") == 1
+
+
+def test_moderate_nesting_still_parses():
+    ring = PolyRing(QQ, ("t",))
+    t = ring.variable("t")
+    assert parse_expression("(" * 100 + "t" + ")" * 100, ring) == t
+    assert parse_expression("-" * 100 + "t", ring) == t

@@ -254,8 +254,27 @@ def test_caches_are_bounded_or_keyed_by_shape():
         "_adjacent_swaps",
         "all_signed_permutations",
         "_product_orbits",
-        "_scatter",
+        "_symmetric_pairs",
         "_head_keys",
         "GF",
         "_anchor",
     }
+
+
+def test_bounded_tables_are_listed_in_readme():
+    # every cache with a finite maxsize holds data-keyed entries, so
+    # README's table list names it as `module.name` (N entries) with its
+    # maxsize, as it names every MAX_* input bound
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    bounded = [
+        f"`{path.stem}.{node.name}` ({maxsize} entries)"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+        for is_cache, maxsize in map(_cache_bound, node.decorator_list)
+        if is_cache and maxsize is not None
+    ]
+    assert "`alternator._symmetric_pairs` (32768 entries)" in bounded
+    assert len(bounded) >= 5
+    missing = [b for b in bounded if b not in " ".join(readme.split())]
+    assert missing == []

@@ -845,3 +845,101 @@ def test_broken_fallback_reconstruction_raises_under_optimize():
         "raised VerificationFailed coordinate expansion failed to "
         "reconstruct the input",
     ]
+
+
+# -- products, scalar action, padding and normalize on orbits
+
+
+def full_normalize(a):
+    # LocalizedElem.normalize before orbit division: the full numerator
+    # divided by the full square while it divides
+    num, exp = a.num, a.exp
+    while exp:
+        quot = tensor_divide_exact(num, a.ctx.alpha_sq)
+        if quot is None:
+            break
+        num, exp = quot, exp - 1
+    return LocalizedElem(a.ctx, num, exp, _checked=True)
+
+
+def full_mul(a, b):
+    # LocalizedElem.__mul__ before orbit products: the full numerators
+    # multiplied, or the full numerator scaled
+    if not isinstance(b, LocalizedElem):
+        return LocalizedElem(a.ctx, a.num.scale(b), a.exp, _checked=True)
+    prod = LocalizedElem(a.ctx, a.num * b.num, a.exp + b.exp, _checked=True)
+    return full_normalize(prod)
+
+
+@st.composite
+def localized_cases(draw):
+    """Two fractions over one anchor at exponents 0..2, over Q, Z, GF(2)
+    or GF(5), n = 2 or 3.  Anchor entries have one or two terms, so most
+    anchors are not Vandermonde; a numerator is an invariant times 0 to 2
+    squares, so it divides by the square, or not, to any depth."""
+    scalars = draw(st.sampled_from([QQ, ZZ, GF(2), GF(5)]))
+    n = draw(st.integers(2, 3))
+    ring = PolyRing(scalars, ("t",))
+    space = TensorSpace(n, ring)
+    label = st.tuples(st.integers(0, 3 if n == 2 else 2))
+    coeff = st.sampled_from((-1, 1, 3)).map(scalars.from_int)
+    # distinct leading monomials, and a second term for some entries
+    leads = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    xs = [
+        MultiPoly(ring, {**draw(st.dictionaries(label, coeff, max_size=1)), k: c})
+        for k, c in zip(leads, draw(st.lists(coeff, min_size=n, max_size=n)))
+    ]
+    ctx = AlternatorInstance(space, xs)
+    assume(ctx.alpha_x_orbits)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def fraction():
+        num = _asq_times(ctx, random_invariant(rng, space, 1), draw(st.integers(0, 2)))
+        return LocalizedElem(ctx, num, draw(st.integers(0, 2)), _checked=True)
+
+    return ctx, fraction(), fraction(), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(localized_cases())
+def test_orbit_products_and_normalize_match_full_tensors(case):
+    # products, the scalar action, padding and normalize run on orbits;
+    # they must agree with the full-tensor route, type for type
+    ctx, a, b, c = case
+    for x, y in ((a, b), (b, a)):
+        got, want = x * y, full_mul(x, y)
+        event(f"product at exponent {want.exp}")
+        assert got.exp == want.exp
+        assert exact_terms(got.num) == exact_terms(want.num)
+    for x in (a, b):
+        norm, want = x.normalize(), full_normalize(x)
+        event(f"normalize {x.exp} -> {want.exp}")
+        assert norm.exp == want.exp
+        assert exact_terms(norm.num) == exact_terms(want.num)
+        scaled, want = x * c, full_mul(x, ctx.space.scalars.from_int(c))
+        assert scaled.exp == want.exp
+        assert exact_terms(scaled.num) == exact_terms(want.num)
+        for k in range(3):
+            padded = symmetric_orbits(_asq_times(ctx, x.num, k))
+            assert x._padded(x.exp + k) == padded
+
+
+@pytest.mark.parametrize("scalars", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
+@pytest.mark.parametrize("anchor", ["1, t^2+t", "t+1, t^2"])
+def test_r_algebra_matches_the_full_tensor_route(monkeypatch, scalars, anchor):
+    # r_algebra's structure constants and unit coordinates, with the
+    # validator's products on orbits, read as with the full-tensor route
+    ring = PolyRing(scalars, ("t",))
+    space = TensorSpace(2, ring)
+
+    def texts():
+        ctx = AlternatorInstance(space, [ring.parse(x) for x in anchor.split(", ")])
+        alg = r_algebra(ctx)
+        structure = [[[c.to_text() for c in e] for e in row] for row in alg.structure]
+        return structure, [c.to_text() for c in alg.unit]
+
+    got = texts()
+    monkeypatch.setattr(LocalizedElem, "__mul__", full_mul)
+    monkeypatch.setattr(LocalizedElem, "__rmul__", full_mul)
+    monkeypatch.setattr(LocalizedElem, "normalize", full_normalize)
+    assert got == texts()
