@@ -638,16 +638,6 @@ class IdentityData:
     slot: int = 0
 
 
-IDENTITY_NAMES = (
-    "ts_linearity",
-    "degree_relation",
-    "n11_linearity",
-    "symmetric_span",
-    "coefficient",
-    "r_span",
-)
-
-
 def _need(cond, what):
     if not cond:
         raise PreconditionViolated(what)
@@ -728,6 +718,8 @@ _CHECKS = {
     "coefficient": _check_coefficient,
     "r_span": _check_r_span,
 }
+# the identity suites, in report order
+IDENTITY_NAMES = tuple(_CHECKS)
 
 
 def check_identity(name, space, data):

@@ -327,18 +327,15 @@ def _anchor(scalars, n):
 
 
 class _RowEnv:
-    """Shared per-row state: one ambient ring, one anchor tuple."""
+    """Shared per-row state: the anchor tuple of the row's ring and arity,
+    and its tensor power, which every draw of the row lives in."""
 
     def __init__(self, scalars, n, max_degree, max_terms):
         self.scalars = scalars
-        self.space = TensorSpace(n, PolyRing(scalars, ("t",)))
+        self.ctx = _anchor(scalars, n)
+        self.space = self.ctx.space
         self.max_degree = max_degree
         self.max_terms = max_terms
-
-    @property
-    def ctx(self):
-        """The shared anchor; only traceexp, trace_formula and basis read it."""
-        return _anchor(self.scalars, self.space.n)
 
 
 def _run_row(name, scalars, config, n):
@@ -467,6 +464,21 @@ _BASE_KEYS = {
 }
 
 
+def _var_names(obj, path):
+    """The variable names at obj["vars"]: a nonempty list of distinct
+    identifiers."""
+    names = _field(obj, "vars", path, list)
+    _expect(bool(names), f"{path}.vars", "needs at least one variable")
+    for v in names:
+        _expect(
+            isinstance(v, str) and v.isidentifier(),
+            f"{path}.vars",
+            f"bad variable name {v!r}",
+        )
+    _expect(len(set(names)) == len(names), f"{path}.vars", "duplicate variable")
+    return names
+
+
 def _build_base(spec, path):
     _expect(isinstance(spec, dict), path, "expected an object")
     kind = _field(spec, "kind", path, str)
@@ -483,17 +495,7 @@ def _build_base(spec, path):
         except UnsupportedBase as e:
             raise SchemaError(f"{path}.p: {e}") from None
     if kind == "poly":
-        names = _field(spec, "vars", path, list)
-        _expect(bool(names), f"{path}.vars", "needs at least one variable")
-        for v in names:
-            _expect(
-                isinstance(v, str) and v.isidentifier(),
-                f"{path}.vars",
-                f"bad variable name {v!r}",
-            )
-        _expect(
-            len(set(names)) == len(names), f"{path}.vars", "duplicate variable"
-        )
+        names = _var_names(spec, path)
         scalars = _build_base(
             spec.get("scalars", {"kind": "Q"}), f"{path}.scalars"
         )
@@ -570,14 +572,7 @@ def build_instance(data):
 
     map_spec = _field(data, "map", "$", dict)
     _known_keys(map_spec, ("vars", "images"), "$.map")
-    map_vars = _field(map_spec, "vars", "$.map", list)
-    _expect(bool(map_vars), "$.map.vars", "needs at least one variable")
-    for v in map_vars:
-        _expect(
-            isinstance(v, str) and v.isidentifier(),
-            "$.map.vars",
-            f"bad variable name {v!r}",
-        )
+    map_vars = _var_names(map_spec, "$.map")
     images_spec = _field(map_spec, "images", "$.map", list)
     _expect(
         len(images_spec) == len(map_vars),
@@ -624,11 +619,7 @@ def build_instance(data):
 
 def run_instance(path, mode=None):
     """Load an instance file, verify it, report the mapped constants."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise ParseError(f"{path}: {e}") from None
+    text = _read_text(path)
     inst, meta = build_instance(_load_json(text, os.path.basename(path)))
     mode = mode or meta["mode"]
     base = inst.E.base
@@ -888,11 +879,24 @@ def _render(value, indent, out):
         out.append(json.dumps(value))
 
 
+def _read_text(path):
+    # an input file as UTF-8 text; a file that cannot be read, or is not
+    # UTF-8, is a ParseError
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
 def _emit(report, out):
     text = render_report(report)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigInvalid(f"--out {out}: {e}") from None
     else:
         sys.stdout.write(text)
     return 0 if report.get("failures_total", 0) == 0 else 1
@@ -971,16 +975,12 @@ def main(argv=None):
         else:
             payload = args.points
             if payload.startswith("@"):
-                try:
-                    with open(payload[1:], encoding="utf-8") as fh:
-                        payload = fh.read()
-                except OSError as e:
-                    raise ParseError(f"{payload[1:]}: {e}") from None
+                payload = _read_text(payload[1:])
             report = run_probe(payload)
+        return _emit(report, args.out)
     except AltkitError as e:
         print(f"altkit: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    return _emit(report, args.out)
 
 
 if __name__ == "__main__":

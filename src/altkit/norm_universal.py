@@ -39,6 +39,7 @@ from .ring_core import (
 from .span_solver import (
     LocalizedElem,
     coordinates,
+    structure_constants_R,
 )
 from .tensor_algebra import (
     TensorSpace,
@@ -146,7 +147,7 @@ def trace_formula_check(ctx, z):
     total = LocalizedElem.zero(ctx)
     for k in range(space.n):
         total = total + coordinates(ctx, z * ctx.x[k])[k]
-    expected = LocalizedElem(ctx, polarized_power_sum(space, z), 0, _checked=True)
+    expected = LocalizedElem(ctx, polarized_power_sum(space, z), 0)
     return Witness("trace_formula", total == expected, total, expected)
 
 
@@ -334,7 +335,8 @@ class NormMap(NormMapPlus):
 def pullback_constants(inst, nm):
     """The unit and every basis pair i <= j, mapped and computed directly.
 
-    Mapped coordinates are the anchor tuple's coordinate fractions pushed
+    Mapped coordinates are the anchor tuple's coordinate fractions, the
+    unit's and R's structure constants (``structure_constants_R``), pushed
     through the norm map nm; direct ones are image-basis coordinates
     computed in the algebra.  Returns the unit's (mapped, direct) pair and
     one (i, j, product, mapped, direct) row per pair, where product is
@@ -342,16 +344,18 @@ def pullback_constants(inst, nm):
     """
     ctx = inst.ctx
 
-    def mapped(z):
-        return [nm.localized_image(c) for c in coordinates(ctx, z)]
+    def mapped(coords):
+        return [nm.localized_image(c) for c in coords]
 
-    unit = (mapped(inst.space.ring.one()), inst.basis_coords(inst.E.one()))
+    one = coordinates(ctx, inst.space.ring.one())
+    unit = (mapped(one), inst.basis_coords(inst.E.one()))
+    constants = structure_constants_R(ctx)
     rows = []
     for i in range(inst.E.rank):
         for j in range(i, inst.E.rank):
             prod = ctx.x[i] * ctx.x[j]
             direct = inst.basis_coords(inst.fx[i] * inst.fx[j])
-            rows.append((i, j, prod, mapped(prod), direct))
+            rows.append((i, j, prod, mapped(constants[i][j]), direct))
     return unit, rows
 
 

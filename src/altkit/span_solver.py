@@ -7,15 +7,15 @@ carries the fraction arithmetic for that localization and the coordinate
 formulas: slot substitution for ring elements, signed drop-a-slot
 expansion for invariant tensors, and structure constants of the basis.
 
-Fractions are pairs (fully invariant numerator tensor, power of the
-alternator square): the localized fully-invariant ring.  An element of
-the localized partially-invariant ring is its coordinate vector of such
+Fractions are pairs (fully invariant numerator, power of the alternator
+square): the localized fully-invariant ring.  An element of the
+localized partially-invariant ring is its coordinate vector of such
 fractions, and ``r_algebra`` multiplies those vectors.  Every numerator
-is symmetric, so a fraction keeps its numerator's coefficients at sorted
-keys, and two fractions are added and compared there once the one at
-the lower exponent is padded by the square.  That compare is only sound
-when the ambient tensor power is a domain; construction therefore
-requires a polynomial ambient over Q, Z or a prime field.
+is symmetric, so a fraction keeps only its numerator's coefficients at
+sorted keys, and two fractions are added and compared there once the
+one at the lower exponent is padded by the square.  That compare is
+only sound when the ambient tensor power is a domain; construction
+therefore requires a polynomial ambient over Q, Z or a prime field.
 Multiplication runs on those coefficients too, and divides out common
 alternator-square factors eagerly, by exact division on orbits, so
 exponents stay small.
@@ -26,13 +26,13 @@ keys, one per orbit.  Numerator i of a ring element z is one wedge,
 (-1)^(n-i) W_i ^ z, with W_i the anchor's cached wedge of the x_j with
 j != i.  The entry is divided on orbits: the quotient is symmetric,
 found one orbit at a time (``divide_orbits``), and expanded into a
-tensor only when its numerator is read.  The defining expansion is re-checked through the
-quotients, on the orbits of the first n-1 slots: both sides are
-invariant there, so they agree when they agree at the keys whose first
-n-1 slots ascend.  An entry that alpha(x) does not divide is kept as
-numerator times alpha(x) over the square, and its expansion is
-re-checked on the expanded numerators; the square is only built when a
-fraction needs it.
+tensor only when its numerator is read.  The defining expansion is
+re-checked through the quotients, on the orbits of the first n-1 slots:
+both sides are invariant there, so they agree when they agree at the
+keys whose first n-1 slots ascend.  An entry that alpha(x) does not
+divide is kept as numerator times alpha(x) over the square, and its
+expansion is re-checked on the expanded numerators; the square is only
+built when a fraction needs it.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .alternator import (
 from .errors import (
     ContextMismatch,
     NotInvariant,
+    RingMismatch,
     UnsupportedAmbient,
     VerificationFailed,
 )
@@ -63,7 +64,6 @@ from .tensor_algebra import (
     coprojection,
     is_sym_n11,
     is_symmetric,
-    unit_tensor,
 )
 
 __all__ = [
@@ -102,31 +102,31 @@ def tensor_divide_exact(num, den):
 class LocalizedElem:
     """A fully invariant numerator over alpha_sq(x)^exp.
 
-    The numerator is symmetric under every slot permutation; the checking
-    constructor raises NotInvariant otherwise, and ``_checked=True`` is for
-    results that are fully invariant by construction.  So the numerator is
+    The numerator is symmetric under every slot permutation, so it is
     fixed by its coefficients at sorted keys, and those coefficients
-    (``_orbits``) are the value: add, ``==``, ``bool`` and negation read
-    them, after padding the operand at the lower exponent by the square.
-    Products, the scalar action and ``normalize`` run on them too
-    (``multiply_symmetric``, ``divide_symmetric``), and the square is
-    taken by its own orbits (``alpha_sq_orbits``).  ``num`` is the
-    numerator as a full tensor, expanded the first time it is read and
-    kept; only rendering and the norm read it.
+    (``_orbits``) are the one stored form: add, ``==``, ``bool`` and
+    negation read them, after padding the operand at the lower exponent by
+    the square.  Products, the scalar action and ``normalize`` run on them
+    too (``multiply_symmetric``, ``divide_symmetric``), and the square is
+    taken by its own orbits (``alpha_sq_orbits``).  The public constructor
+    takes a full tensor and raises NotInvariant unless it is symmetric;
+    ``_from_orbits`` is the trusted one, for orbits that are symmetric by
+    construction.  ``num`` expands the numerator into a full tensor on
+    each read; only rendering and the norm read it.  A scalar on either
+    side of ``+``, ``-`` and ``==`` stands for ``from_scalar`` of it.
     """
 
-    __slots__ = ("ctx", "exp", "_num", "_orbits")
+    __slots__ = ("ctx", "exp", "_orbits")
 
-    def __init__(self, ctx, num, exp, _checked=False):
+    def __init__(self, ctx, num, exp):
         _require_poly_domain(ctx.space)
         if num.space != ctx.space:
             raise ContextMismatch("numerator from a different tensor power")
         if exp < 0:
             raise UnsupportedAmbient("negative exponent")
-        if not _checked and not is_symmetric(num):
+        if not is_symmetric(num):
             raise NotInvariant("numerator is not fully invariant")
         self.ctx = ctx
-        self._num = num
         self._orbits = symmetric_orbits(num)
         self.exp = exp if self._orbits else 0
 
@@ -134,16 +134,14 @@ class LocalizedElem:
     def _from_orbits(cls, ctx, orbits, exp=0):
         # a symmetric numerator by its coefficients at sorted keys
         out = cls.__new__(cls)
-        out.ctx, out._num, out._orbits = ctx, None, orbits
+        out.ctx, out._orbits = ctx, orbits
         out.exp = exp if orbits else 0
         return out
 
     @property
     def num(self):
-        """The numerator as a full tensor, expanded on first read."""
-        if self._num is None:
-            self._num = expand_symmetric(self.ctx.space, self._orbits)
-        return self._num
+        """The numerator as a full tensor, expanded on each read."""
+        return expand_symmetric(self.ctx.space, self._orbits)
 
     def _padded(self, m):
         # the numerator's orbits over the square's m-th power, m >= exp
@@ -154,24 +152,29 @@ class LocalizedElem:
 
     @classmethod
     def from_scalar(cls, ctx, c):
-        return cls(ctx, unit_tensor(ctx.space).scale(c), 0, _checked=True)
+        """c times the unit, for any c the scalars' ``coerce`` accepts."""
+        space = ctx.space
+        _require_poly_domain(space)
+        c = space.scalars.coerce(c)
+        unit = (0,) * (space.n * space.width)  # the unit monomial in every slot
+        return cls._from_orbits(ctx, {unit: c} if c else {})
 
     @classmethod
     def zero(cls, ctx):
-        return cls(ctx, ctx.space.zero(), 0, _checked=True)
+        _require_poly_domain(ctx.space)
+        return cls._from_orbits(ctx, {})
 
-    def _compat(self, other):
+    def _coerce(self, other):
+        # other as a fraction over this anchor tuple: a fraction, or a
+        # scalar that stands for from_scalar of it
         if not isinstance(other, LocalizedElem):
-            raise ContextMismatch(f"expected a localized element, got {other!r}")
+            return LocalizedElem.from_scalar(self.ctx, other)
         if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatch("fractions over different anchor tuples")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return self
-            other = LocalizedElem.from_scalar(self.ctx, other)
-        self._compat(other)
+        other = self._coerce(other)
         m = max(self.exp, other.exp)
         norm = self.ctx.space.scalars.normalize
         orbits = terms_add(self._padded(m), other._padded(m), norm)
@@ -184,7 +187,7 @@ class LocalizedElem:
         return LocalizedElem._from_orbits(self.ctx, orbits, self.exp)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
         return -self + other
@@ -195,7 +198,7 @@ class LocalizedElem:
             # scalar action, with Tensor.scale's coercion
             scaled = Tensor(space, self._orbits, _clean=True).scale(other)
             return LocalizedElem._from_orbits(self.ctx, scaled.terms, self.exp)
-        self._compat(other)
+        other = self._coerce(other)
         orbits = multiply_symmetric(space, self._orbits, other._orbits)
         out = LocalizedElem._from_orbits(self.ctx, orbits, self.exp + other.exp)
         return out.normalize()
@@ -213,13 +216,10 @@ class LocalizedElem:
         return self if exp == self.exp else LocalizedElem._from_orbits(ctx, orbits, exp)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return not self
-            other = LocalizedElem.from_scalar(self.ctx, other)
-        if not isinstance(other, LocalizedElem):
-            return NotImplemented
-        self._compat(other)
+        try:
+            other = self._coerce(other)
+        except RingMismatch:
+            return False  # no value of the ring, so not this fraction
         m = max(self.exp, other.exp)
         return self._padded(m) == other._padded(m)
 
@@ -314,7 +314,7 @@ def _over_alpha(ctx, nums, heads, target, failure):
     if lhs != target() * ctx.alpha_x:
         raise VerificationFailed(failure)
     return tuple(
-        LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True)
+        LocalizedElem._from_orbits(ctx, symmetric_orbits(num * ctx.alpha_x), 1)
         if q is None
         else LocalizedElem._from_orbits(ctx, q)
         for num, q in zip(full, quots)

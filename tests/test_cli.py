@@ -832,6 +832,82 @@ def test_deep_input_is_a_parse_error(tmp_path, command, text, error):
         assert done.stderr.startswith(error) and done.stderr.count("\n") == 1
 
 
+def _bad_input_args(kind, tmp_path):
+    # the argv of one bad input, and the start of its one error line
+    sqrt2 = json.loads(open(fixture_path("sqrt2.json"), encoding="utf-8").read())
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "\xff"}')
+    missing = str(tmp_path / "missing" / "report.json")
+    if kind == "instance-bytes":
+        return ["instance", "--file", str(latin1)], f"ParseError: {latin1}: "
+    if kind == "probe-bytes":
+        args = ["probe-diagonal", "--points", f"@{latin1}"]
+        return args, f"ParseError: {latin1}: "
+    if kind == "map-vars":
+        sqrt2["map"]["vars"] = ["t", "t"]
+        sqrt2["map"]["images"] *= 2
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(sqrt2), encoding="utf-8")
+        error = "SchemaError: $.map.vars: duplicate variable\n"
+        return ["instance", "--file", str(path)], error
+    out = missing if kind.endswith("missing") else str(tmp_path)
+    args = {
+        "verify": ["verify", "--n", "2", "--cases", "1"],
+        "instance": ["instance", "--file", fixture_path("sqrt2.json")],
+        "probe": ["probe-diagonal", "--points", '{"points": [[1], [2]]}'],
+    }[kind.split("-")[0]]
+    return [*args, "--out", out], f"ConfigInvalid: --out {out}: "
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "instance-bytes",
+        "probe-bytes",
+        "map-vars",
+        "verify-out-missing",
+        "verify-out-dir",
+        "instance-out-missing",
+        "instance-out-dir",
+        "probe-out-missing",
+        "probe-out-dir",
+    ],
+)
+def test_bad_files_and_names_exit_2(tmp_path, kind):
+    # a file that is not UTF-8, an --out path that cannot be written and a
+    # repeated map variable each end in one altkit: line and exit 2, with
+    # and without python -O
+    args, error = _bad_input_args(kind, tmp_path)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "altkit.cli", *args],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith(f"altkit: {error}"), done.stderr
+        assert done.stderr.count("\n") == 1
+
+
+def test_row_draws_share_the_anchor_ring(monkeypatch):
+    # a row's draws live in its anchor's own ring, so each meets the
+    # anchor by identity rather than through PolyRing.__eq__
+    seen = []
+    real = cli.trace_formula_check
+
+    def recorded(ctx, z):
+        seen.append(z.parent is ctx.space.ring is ctx.x[0].parent)
+        return real(ctx, z)
+
+    monkeypatch.setattr(cli, "trace_formula_check", recorded)
+    cfg = make_suite_config(n="2,3", cases=3, identities="trace_formula")
+    assert run_suite(cfg)["failures_total"] == 0
+    assert seen == [True] * 6
+
+
 def test_moderate_nesting_still_parses():
     ring = PolyRing(QQ, ("t",))
     t = ring.variable("t")

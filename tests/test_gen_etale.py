@@ -355,7 +355,7 @@ def test_localized_image_matches_both_old_routes(name, data):
     num = entry.num
     for _ in range(k):
         num = num * ctx.alpha_sq
-    padded = LocalizedElem(ctx, num, entry.exp + k + over, _checked=True)
+    padded = LocalizedElem(ctx, num, entry.exp + k + over)
     image = _image_or_missing(NormMapPlus(inst).localized_image, padded)
     assert image == _image_or_missing(normalized_image, inst, padded)
     if inst.is_etale:

@@ -90,6 +90,13 @@ FP_INSTANCE_DIGESTS = {
     ),
 }
 
+# sqrt2.json on the anchor (t, t^2 + 1): alpha(x) divides no coordinate
+# entry, so every entry is kept over the square at exponent 1
+FALLBACK_DIGESTS = {
+    "etale": "11814086270e6f14109f52fb8a0c2f9aa386d797b1280e5e90502f124f66df2e",
+    "gen_etale": "75ab830a7397fd4beda5c7050b4091476ae0be3a35a04ec1931c3eb1c01a4f04",
+}
+
 
 # sha256 of render_report(run_probe(payload)) for the PROBE_PAYLOADS below
 PROBE_DIGESTS = {
@@ -233,6 +240,20 @@ def test_fp_instance_reports_match_recording(filename, mode, tmp_path):
     text = instance_text(filename, mode, str(path))
     assert f'"file": "{filename}"' in text
     assert sha256(text) == FP_INSTANCE_DIGESTS[filename, mode]
+
+
+@pytest.mark.parametrize("mode", sorted(FALLBACK_DIGESTS))
+def test_fallback_instance_reports_match_recording(mode, tmp_path):
+    fixture = resources.files("altkit").joinpath("fixtures", "sqrt2.json")
+    data = json.loads(fixture.read_text())
+    data["tuple_x"] = ["t", "t^2 + 1"]
+    path = tmp_path / "sqrt2_fallback.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    inst, _ = cli.build_instance(data)
+    entries = coordinates(inst.ctx, inst.ctx.x[1] * inst.ctx.x[1])
+    assert [e.exp for e in entries] == [1, 1]
+    text = instance_text("sqrt2_fallback.json", mode, str(path))
+    assert sha256(text) == FALLBACK_DIGESTS[mode]
 
 
 def test_passing_cases_carry_tensor_text():

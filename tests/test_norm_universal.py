@@ -283,7 +283,7 @@ def test_instance_takes_one_coordinate_determinant(monkeypatch):
 def test_norm_map_square_goes_to_discriminant():
     inst = sqrt2_instance()
     nm = NormMap(inst)
-    asq = LocalizedElem(inst.ctx, inst.ctx.alpha_sq, 0, _checked=True)
+    asq = LocalizedElem(inst.ctx, inst.ctx.alpha_sq, 0)
     assert nm.localized_image(asq) == 8
     one = LocalizedElem.from_scalar(inst.ctx, 1)
     assert nm.localized_image(one) == 1
@@ -306,7 +306,7 @@ def test_norm_map_pair_routes_agree():
     ys = (t, t * t)
     via_det = trace_pairing_det(inst, inst.ctx.x, ys)
     pair = inst.ctx.alpha_x * alpha(space, ys)
-    via_norm = nm.localized_image(LocalizedElem(inst.ctx, pair, 0, _checked=True))
+    via_norm = nm.localized_image(LocalizedElem(inst.ctx, pair, 0))
     assert via_det == via_norm == norm(inst, pair)
 
 
@@ -317,13 +317,13 @@ def test_norm_map_guards():
     other_ctx = AlternatorInstance(inst.space, [t, t * t])
     with pytest.raises(ContextMismatch):
         nm.localized_image(LocalizedElem.from_scalar(other_ctx, 1))
-    # a numerator that is not fully invariant has no norm, even in a
-    # fraction built without the checking constructor
+    # a numerator that is not fully invariant has no norm, and no
+    # fraction holds one
     lopsided = pure_tensor(inst.space, [t, inst.space.ring.one()])
     with pytest.raises(NotInvariant):
         norm(inst, lopsided)
     with pytest.raises(NotInvariant):
-        nm.localized_image(LocalizedElem(inst.ctx, lopsided, 0, _checked=True))
+        nm.localized_image(LocalizedElem(inst.ctx, lopsided, 0))
 
 
 def test_verify_pullback_sqrt2():

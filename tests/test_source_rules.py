@@ -278,3 +278,37 @@ def test_bounded_tables_are_listed_in_readme():
     assert len(bounded) >= 5
     missing = [b for b in bounded if b not in " ".join(readme.split())]
     assert missing == []
+
+
+def _open_calls(tree):
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "open"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "open"
+        )
+    ]
+
+
+def test_files_open_only_in_the_cli_reader_and_writer():
+    # cli._read_text turns a file that cannot be read or decoded into a
+    # ParseError, and cli._emit an --out that cannot be written into a
+    # ConfigInvalid; an open() anywhere else would end in a traceback
+    allowed, found = set(), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.update((path.name, c.lineno, c.col_offset) for c in _open_calls(tree))
+        if path.name == "cli.py":
+            allowed.update(
+                ("cli.py", c.lineno, c.col_offset)
+                for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name in ("_read_text", "_emit")
+                for c in _open_calls(node)
+            )
+    assert len(allowed) == 2
+    assert sorted(found - allowed) == []

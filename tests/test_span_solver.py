@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, given, settings
@@ -25,6 +26,7 @@ from altkit.errors import (
     ContextMismatch,
     NonCommutative,
     NotInvariant,
+    RingMismatch,
     UnsupportedAmbient,
     VerificationFailed,
 )
@@ -60,7 +62,7 @@ def qt_context(n):
 
 def test_zero_numerator_collapses_exponent():
     space, ctx, t = qt_context(2)
-    z = LocalizedElem(ctx, space.zero(), 3, _checked=True)
+    z = LocalizedElem(ctx, space.zero(), 3)
     assert z.exp == 0
     assert not z
     assert z == 0
@@ -95,7 +97,7 @@ def test_equality_by_cross_multiplication():
     space, ctx, t = qt_context(2)
     tt = pure_tensor(space, [t, t])
     plain = LocalizedElem(ctx, tt, 0)
-    padded = LocalizedElem(ctx, tt * ctx.alpha_sq, 1, _checked=True)
+    padded = LocalizedElem(ctx, tt * ctx.alpha_sq, 1)
     assert plain == padded
     assert padded.normalize().exp == 0
     assert padded.normalize().num == tt
@@ -106,7 +108,7 @@ def test_addition_promotes_to_common_exponent():
     space, ctx, t = qt_context(2)
     tt = pure_tensor(space, [t, t])
     a = LocalizedElem(ctx, tt, 0)
-    b = LocalizedElem(ctx, tt * ctx.alpha_sq, 1, _checked=True)
+    b = LocalizedElem(ctx, tt * ctx.alpha_sq, 1)
     s = a + b
     assert s.exp == 1
     assert s == LocalizedElem(ctx, tt + tt, 0)
@@ -119,9 +121,9 @@ def test_scalar_action_and_text():
     a = LocalizedElem.from_scalar(ctx, 3)
     assert (a * 2) == LocalizedElem.from_scalar(ctx, 6)
     assert (2 * a) == LocalizedElem.from_scalar(ctx, 6)
-    frac = LocalizedElem(ctx, ctx.alpha_sq * ctx.alpha_sq, 1, _checked=True)
+    frac = LocalizedElem(ctx, ctx.alpha_sq * ctx.alpha_sq, 1)
     assert "asq^" not in frac.normalize().to_text()
-    raw = LocalizedElem(ctx, pure_tensor(space, [t, t]), 1, _checked=True)
+    raw = LocalizedElem(ctx, pure_tensor(space, [t, t]), 1)
     assert raw.to_text().endswith("/ asq^1")
 
 
@@ -131,7 +133,7 @@ def test_plain_ints_are_scalar_fractions(k):
     # also when the fraction carries a square power
     space, ctx, t = qt_context(2)
     a = LocalizedElem.from_scalar(ctx, k)
-    padded = LocalizedElem(ctx, a.num * ctx.alpha_sq, 1, _checked=True)
+    padded = LocalizedElem(ctx, a.num * ctx.alpha_sq, 1)
     for frac in (a, padded):
         assert frac == k
         assert k == frac
@@ -286,7 +288,7 @@ def test_invariant_coordinates_reconstruction_random():
 def _route_through_square(ctx, num):
     # the former coordinate route, kept as the oracle: numerator times
     # alpha(x) over the alternator square, then normalized
-    return LocalizedElem(ctx, num * ctx.alpha_x, 1, _checked=True).normalize()
+    return LocalizedElem(ctx, num * ctx.alpha_x, 1).normalize()
 
 
 def _assert_matches_square_route(ctx, z, y):
@@ -362,8 +364,8 @@ def test_direct_division_matches_square_route_on_fixed_anchors(scalars):
     st.integers(0, 2**32),
 )
 def test_trusted_constructions_are_fully_invariant(scalars, n, polys, seed):
-    # every fraction built with _checked=True skips the invariance check;
-    # rebuilt through the checking constructor, none may raise NotInvariant
+    # every fraction built from orbits skips the invariance check; rebuilt
+    # through the checking constructor, none may raise NotInvariant
     ring = PolyRing(scalars, ("u", "v"))
     space = TensorSpace(n, ring)
     elems = [
@@ -415,7 +417,7 @@ def full_sum(a, b):
     # tensors, raised to the larger exponent and added
     ctx, m = a.ctx, max(a.exp, b.exp)
     num = _asq_times(ctx, a.num, m - a.exp) + _asq_times(ctx, b.num, m - b.exp)
-    return LocalizedElem(ctx, num, m, _checked=True)
+    return LocalizedElem(ctx, num, m)
 
 
 def full_equal(a, b):
@@ -450,7 +452,7 @@ def fraction_pairs(draw):
     def fraction(num, exp):
         if draw(st.booleans()):
             return LocalizedElem._from_orbits(ctx, symmetric_orbits(num), exp)
-        return LocalizedElem(ctx, num, exp, _checked=True)
+        return LocalizedElem(ctx, num, exp)
 
     num = random_invariant(rng, space, 1, full=True)
     exp = draw(st.integers(0, 1))
@@ -540,12 +542,12 @@ def test_orbit_recheck_matches_full_reconstruction(case):
     }
     event("zero" if not full else "nonzero")
     # so a y built from the quotients gives them back as its coordinates,
-    # each expanded only when read, and equal to the eager tensor
+    # each expanded when read, and equal to the eager tensor
     entries = coordinates_of_invariant(ctx, full)
     for entry, q in zip(entries, quots):
         assert entry.exp == 0 and entry._orbits == q
         eager = LocalizedElem(ctx, expand_symmetric(space, q), 0)
-        assert entry.num == eager.num and entry.num is entry.num
+        assert entry.num == eager.num
         assert entry == eager
 
 
@@ -692,8 +694,8 @@ def test_structure_constants_golden_n2():
     assert c[0][0] == (one, zero)
     assert c[0][1] == (zero, one)
     assert c[0][1] == c[1][0]
-    tt = LocalizedElem(ctx, -pure_tensor(space, [t, t]), 0, _checked=True)
-    ps = LocalizedElem(ctx, polarized_power_sum(space, t), 0, _checked=True)
+    tt = LocalizedElem(ctx, -pure_tensor(space, [t, t]), 0)
+    ps = LocalizedElem(ctx, polarized_power_sum(space, t), 0)
     assert c[1][1] == (tt, ps)
 
 
@@ -721,7 +723,7 @@ def test_r_algebra_trace_is_power_sum():
     space, ctx, t = qt_context(2)
     alg = r_algebra(ctx)
     tr = alg.trace(alg.basis_elem(1))
-    expected = LocalizedElem(ctx, polarized_power_sum(space, t), 0, _checked=True)
+    expected = LocalizedElem(ctx, polarized_power_sum(space, t), 0)
     assert tr == expected
 
 
@@ -859,15 +861,15 @@ def full_normalize(a):
         if quot is None:
             break
         num, exp = quot, exp - 1
-    return LocalizedElem(a.ctx, num, exp, _checked=True)
+    return LocalizedElem(a.ctx, num, exp)
 
 
 def full_mul(a, b):
     # LocalizedElem.__mul__ before orbit products: the full numerators
     # multiplied, or the full numerator scaled
     if not isinstance(b, LocalizedElem):
-        return LocalizedElem(a.ctx, a.num.scale(b), a.exp, _checked=True)
-    prod = LocalizedElem(a.ctx, a.num * b.num, a.exp + b.exp, _checked=True)
+        return LocalizedElem(a.ctx, a.num.scale(b), a.exp)
+    prod = LocalizedElem(a.ctx, a.num * b.num, a.exp + b.exp)
     return full_normalize(prod)
 
 
@@ -895,7 +897,7 @@ def localized_cases(draw):
 
     def fraction():
         num = _asq_times(ctx, random_invariant(rng, space, 1), draw(st.integers(0, 2)))
-        return LocalizedElem(ctx, num, draw(st.integers(0, 2)), _checked=True)
+        return LocalizedElem(ctx, num, draw(st.integers(0, 2)))
 
     return ctx, fraction(), fraction(), draw(st.integers(-3, 3))
 
@@ -922,6 +924,72 @@ def test_orbit_products_and_normalize_match_full_tensors(case):
         for k in range(3):
             padded = symmetric_orbits(_asq_times(ctx, x.num, k))
             assert x._padded(x.exp + k) == padded
+
+
+def parent_from_scalar(ctx, c):
+    # from_scalar before one coercion: the unit tensor scaled by c, with
+    # Tensor.scale's coercion, through the checking constructor
+    return LocalizedElem(ctx, unit_tensor(ctx.space).scale(c), 0)
+
+
+_SCALARS = st.one_of(
+    st.integers(-7, 7),
+    st.builds(Fraction, st.integers(-7, 7), st.integers(1, 4)),
+    st.sampled_from([0.5, True, "1", None, Fraction(1, 2)]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(localized_cases(), _SCALARS)
+def test_scalar_operands_match_from_scalar(case, c):
+    # a scalar on either side of +, - and == stands for from_scalar of
+    # it, for every c the ring's coerce accepts; == with any other value
+    # answers False, and + and - raise RingMismatch
+    ctx, a, _, _ = case
+    try:
+        want = parent_from_scalar(ctx, c)
+    except RingMismatch:
+        event("refused")
+        assert not a == c and not c == a
+        assert a != c and c != a
+        for op in (operator.add, operator.sub):
+            with pytest.raises(RingMismatch):
+                op(a, c)
+            with pytest.raises(RingMismatch):
+                op(c, a)
+        return
+    event(f"{type(c).__name__} over {ctx.space.scalars!r}")
+    got = LocalizedElem.from_scalar(ctx, c)
+    assert (got._orbits, got.exp) == (want._orbits, want.exp)
+    assert got == c and c == got
+    assert got + c == LocalizedElem.from_scalar(ctx, 2 * c)
+    for x, y in ((a + c, a + want), (c + a, a + want), (a - c, a - want), (c - a, want - a)):
+        assert (x._orbits, x.exp) == (y._orbits, y.exp)
+    assert (a == c) is (a == want) is (c == a)
+    assert (a != c) is (a != want)
+
+
+_CONSTRUCTOR_SCRIPT = _OPTIMIZE_PRELUDE + """
+from fractions import Fraction
+from altkit.errors import NotInvariant
+from altkit.span_solver import LocalizedElem
+space = TensorSpace(2, ring)
+ctx = AlternatorInstance(space, [ring.one(), t])
+try:
+    LocalizedElem(ctx, pure_tensor(space, [t, ring.one()]), 0)
+except NotInvariant as e:
+    print("raised", type(e).__name__, e)
+half = LocalizedElem.from_scalar(ctx, Fraction(1, 2))
+print("half", half == Fraction(1, 2), half + Fraction(1, 2) == 1)
+"""
+
+
+def test_constructor_checks_invariance_under_optimize():
+    assert _run_optimized(_CONSTRUCTOR_SCRIPT) == [
+        "optimize 1 True",
+        "raised NotInvariant numerator is not fully invariant",
+        "half True True",
+    ]
 
 
 @pytest.mark.parametrize("scalars", [QQ, GF(5), GF(2)], ids=["q", "fp5", "fp2"])
