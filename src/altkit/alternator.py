@@ -12,22 +12,27 @@ that rewrite products into slot-substituted alternators, and the
 coefficient-extraction rule.
 
 An alternating sum is fixed by one coefficient per orbit of keys, so the
-signed maps never loop over the group for each input term.  Each term
-adds its signed coefficient at the key with its alternated slots sorted;
-a term with two equal alternated slots cancels in every ring and is
-dropped.  Only each surviving sorted key is then expanded over the group,
-once, with no merging: the work is one sort per input term plus one write
-per output term.  The alternator of a tuple is its exterior product
-x_1 ^ ... ^ x_n, and it is built that way (``wedge_orbits``): each
-factor's labels are inserted into ascending label tuples, so the pure
-tensor of the tuple is never formed.  The determinant of a matrix of
-polarized power sums (``det_power_sums``) keeps its minors the same way,
-by their coefficients at sorted keys, and multiplies a power sum into a
-minor on those keys alone; so do products of symmetric tensors
+signed maps never loop over the group for each input term.  Each orbit
+has one key, its sorted key: the arrangement with the alternated slots
+in descending order, strictly for an alternating tensor and weakly for a
+symmetric one, and the orbit's coefficient is the tensor's own there.
+Each term adds its signed coefficient at its sorted key; a term with two
+equal alternated slots cancels in every ring and is dropped.  Only each
+surviving sorted key is then expanded over the group, once, with no
+merging: the work is one sort per input term plus one write per output
+term.  The alternator of a tuple is its exterior product
+x_1 ^ ... ^ x_n, and it is built that way (``wedge_orbits``), so the
+pure tensor of the tuple is never formed.  The determinant of a matrix
+of polarized power sums (``det_power_sums``) keeps its minors the same
+way, by their coefficients at sorted keys, and multiplies a power sum
+into a minor on those keys alone; so do products of symmetric tensors
 (``multiply_symmetric``) and exact division of one alternating tensor
 by another, or of one symmetric tensor by another (``divide_orbits``,
 ``divide_symmetric``): the quotient is symmetric, is found one orbit at
 a time, and is kept by its orbits until read (``expand_symmetric``).
+Plain tuple order on sorted keys is lex order, a monomial order, under
+which the leading key of a symmetric or alternating tensor is a sorted
+key; so the division and product tables read the keys as they are.
 
 Identity checks return a :class:`Witness` carrying both sides, never a
 bare bool, so failing cases can be reported verbatim.
@@ -40,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from operator import add, eq, itemgetter, le, lt
+from operator import add, eq, ge, itemgetter, lt
 
 from .errors import (
     ArityMismatch,
@@ -140,12 +145,12 @@ def signed_orbits(t, fix_last=False):
     """The signed sum of t by its coefficients at sorted keys.
 
     The sum is alternating, so it is fixed by one coefficient per orbit:
-    the one at the key whose alternated slots are in ascending order.  A
+    the one at the key whose alternated slots are in descending order.  A
     term whose slots sort by a permutation of sign e adds e * c there.  A
     term with two equal alternated slots meets its own transposition with
     the opposite sign, so it cancels in every ring, characteristic 2
     included, and is dropped.  Returns the nonzero normalized
-    coefficients, keyed by those ascending keys.
+    coefficients, keyed by those descending keys.
     """
     space = t.space
     slots_of, maps = _signed_reindex(space.n, space.width, fix_last)
@@ -155,7 +160,7 @@ def signed_orbits(t, fix_last=False):
         slots = slots_of(key)
         if len(set(slots)) < len(slots):
             continue
-        get, sign = maps[tuple(sorted(order, key=slots.__getitem__))]
+        get, sign = maps[tuple(sorted(order, key=slots.__getitem__, reverse=True))]
         k = get(key)
         s = orbits.get(k)
         if sign < 0:
@@ -197,12 +202,12 @@ def expand_symmetric(space, orbits):
 
 def symmetric_orbits(t):
     """The coefficients of a symmetric tensor at its sorted keys, the keys
-    whose slots ascend: the inverse of ``expand_symmetric``."""
+    whose slots weakly descend: the inverse of ``expand_symmetric``."""
     slots_of, _ = _signed_reindex(t.space.n, t.space.width, False)
     out = {}
     for k, c in t.terms.items():
         slots = slots_of(k)
-        if all(map(le, slots, slots[1:])):
+        if all(map(ge, slots, slots[1:])):
             out[k] = c
     return out
 
@@ -211,31 +216,12 @@ def _signed_sum(t, fix_last):
     return expand_orbits(t.space, signed_orbits(t, fix_last), fix_last)
 
 
-@lru_cache(maxsize=None)
-def _reverse(n, width):
-    """The getter that reverses a key's slots.
-
-    It turns a sorted key into its arrangement with the slots descending,
-    and back.  Under degree-lex order on keys with their total degree in
-    front, the leading key of a symmetric or alternating tensor is that
-    arrangement of one of its sorted keys, and the leading key of a
-    product is the sum of the leading keys.
-    """
-    return _signed_reindex(n, width, False)[1][tuple(range(n - 1, -1, -1))][0]
-
-
-def _descending(desc, orbits):
-    # orbit coefficients at their descending keys, degree in front
-    return [((sum(k), *desc(k)), c) for k, c in orbits.items()]
-
-
 def _arranged(lam, d, n, width):
     """(slots, kappa, sign) for each distinct arrangement mu of lam, with
-    kappa the slots of mu + d sorted descending, its degree in front, and
-    sign that of the sort; None when lam has a negative entry or its
-    slots do not weakly descend, so that it is no orbit key."""
+    kappa the slots of mu + d sorted descending and sign that of the
+    sort; None when lam has a negative entry or its slots do not weakly
+    descend, so that it is no orbit key."""
     slots_of, maps = _signed_reindex(n, width, False)
-    lam, d = lam[1:], d[1:]
     blocks = slots_of(lam)
     if min(lam) < 0 or any(map(lt, blocks, blocks[1:])):
         return None
@@ -245,16 +231,15 @@ def _arranged(lam, d, n, width):
         slots = slots_of(key)
         order = sorted(range(n), key=slots.__getitem__, reverse=True)
         reindex, sign = maps[tuple(order)]
-        kappa = reindex(key)
-        out.append((slots, (sum(kappa), *kappa), sign))
+        out.append((slots, reindex(key), sign))
     return out
 
 
 # m_lam * A(d) for one quotient orbit lam and one divisor orbit d, as
 # (kappa, sign) pairs: one pair per distinct arrangement mu of lam whose
-# mu + d has distinct slots, kappa its slots sorted descending.  Keys
-# carry their total degree in front.  An entry holds at most n! = 120
-# pairs of (n * width + 1)-tuples, about 25 kB at n = 5 and width 1.
+# mu + d has distinct slots, kappa its slots sorted descending.  An
+# entry holds at most n! = 120 pairs of (n * width)-tuples, about 18 kB
+# at n = 5 and width 1.
 @lru_cache(maxsize=1024)
 def _product_orbits(lam, d, n, width):
     """The (kappa, sign) pairs of m_lam * A(d), or None when lam is no
@@ -266,11 +251,10 @@ def _product_orbits(lam, d, n, width):
 
 
 # m_lam * m_mu for two symmetric orbits, as (kappa, w) pairs, kappa
-# sorted descending with its degree in front.  An entry holds at most
-# n! = 120 pairs of (n * width + 1)-tuples, about 25 kB at n = 5 and
-# width 1; the entries met average 0.8 kB.  r_algebra on the anchor
-# (1, t^2 + t, t^4 + t) fills 27,251 entries, 21 MB, and a table of
-# 16384 or fewer thrashes on it.
+# sorted descending.  An entry holds at most n! = 120 pairs of
+# (n * width)-tuples, about 18 kB at n = 5 and width 1; the entries met
+# average 0.7 kB.  r_algebra on the anchor (1, t^2 + t, t^4 + t) fills
+# 27,251 entries, 20 MB, and a table of 16384 or fewer thrashes on it.
 @lru_cache(maxsize=32768)
 def _symmetric_pairs(lam, mu, n, width):
     """The (kappa, w) pairs of m_lam * m_mu, or None when lam is no
@@ -287,27 +271,19 @@ def _symmetric_pairs(lam, mu, n, width):
     if sums is None:
         return None
     slots_of = _signed_reindex(n, width, False)[0]
-    arranged = len(_arrangements(_pattern(slots_of(mu[1:])), width))
+    arranged = len(_arrangements(_pattern(slots_of(mu)), width))
     return tuple(
-        (k, c * arranged // len(_arrangements(_pattern(slots_of(k[1:])), width)))
+        (k, c * arranged // len(_arrangements(_pattern(slots_of(k)), width)))
         for k, c in Counter(k for _, k, _ in sums).items()
     )
 
 
 def _divide(space, num, den, table):
     # num / den on orbits, by the product rule of one bounded table
-    if not (num and den):
-        return {} if den else None
     n, width = space.n, space.width
-    desc = _reverse(n, width)
-    quot = divide_terms(
-        {(sum(k), *desc(k)): c for k, c in num.items()},
-        _descending(desc, den),
-        space.scalars,
-        lambda lam, d: table(lam, d, n, width),
+    return divide_terms(
+        dict(num), den.items(), space.scalars, lambda lam, d: table(lam, d, n, width)
     )
-    # desc reverses the slots, so it sorts each lam ascending
-    return None if quot is None else {desc(lam[1:]): c for lam, c in quot.items()}
 
 
 def divide_orbits(space, num, den):
@@ -321,12 +297,13 @@ def divide_orbits(space, num, den):
     Polynomials, 2nd ed., ch. I.3).  Division runs on orbits alone, in
     the one loop of ``ring_core.divide_terms``:
 
-    - Keys are rearranged with their slots in descending order, and carry
-      their total degree in front, so the degree-lex leading key of a
-      tensor is the largest of them (``_descending``).  The leading key of
-      a symmetric tensor is descending; so the largest remainder key minus
-      den's leading key is the next lam, or the division fails when it has
-      a negative entry or its slots are not weakly descending.
+    - Under plain tuple order, which is lex order, the leading key of a
+      symmetric or alternating tensor is its largest sorted key, and the
+      leading key of a product is the sum of the leading keys.  So the
+      largest remainder key minus den's leading key is the next lam, or
+      the division fails when it has a negative entry or its slots are
+      not weakly descending.  In a domain the quotient is unique, so the
+      order fixes only the path of a division that fails.
     - m_lam * A(d) = sum of A(mu + d) over the distinct arrangements mu
       of lam, over Z, where A(k) is the alternant of key k: zero when k
       has two equal slots, and sign(s) * A(sort k) otherwise.  So each
@@ -336,9 +313,9 @@ def divide_orbits(space, num, den):
       (lam, d) comes from a bounded table (``_product_orbits``), since
       the same shapes recur across entries, anchors and cases.
 
-    Returns the quotient by its coefficients at sorted keys, which
-    ``expand_symmetric`` turns into a tensor; in a domain it is unique,
-    so that tensor equals ``dict_divide_exact`` on the expanded tensors.
+    Returns the quotient by its coefficients at sorted keys, in
+    descending key order, which ``expand_symmetric`` turns into a tensor;
+    it equals ``dict_divide_exact`` on the expanded tensors.
     """
     return _divide(space, num, den, _product_orbits)
 
@@ -361,17 +338,15 @@ def multiply_symmetric(space, a, b):
     sorted keys: m_lam * m_mu expands in the m_kappa with integer
     coefficients (Macdonald, ch. I.2), read from ``_symmetric_pairs``."""
     n, width = space.n, space.width
-    desc = _reverse(n, width)
-    right = _descending(desc, b)
     acc = {}
-    for lam, ca in _descending(desc, a):
-        for mu, cb in right:
+    for lam, ca in a.items():
+        for mu, cb in b.items():
             m = ca * cb
             for kappa, w in _symmetric_pairs(lam, mu, n, width):
                 s = acc.get(kappa)
                 acc[kappa] = w * m if s is None else s + w * m
     norm = space.scalars.normalize
-    return {desc(k[1:]): c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
+    return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
 
 
 def det_power_sums(space, zs):
@@ -403,11 +378,11 @@ def det_power_sums(space, zs):
     def entry(z):
         # P(z) by its orbits (label, 0, ..., 0), keyed as the minors
         pairs = space.decompose(z)
-        terms = [((sum(k), *k, *rest), a if any(k) else n * a) for k, a in pairs]
+        terms = [(k + rest, a if any(k) else n * a) for k, a in pairs]
         return [(k, c) for k, c in ((k, norm(c)) for k, c in terms) if c]
 
     rows = [[entry(z) for z in row] for row in zs]
-    cur = {0: {(0,) * (n * width + 1): space.scalars.one()}}
+    cur = {0: {(0,) * (n * width): space.scalars.one()}}
     for r, row in enumerate(rows):
         nxt = {}
         for mask, minor in cur.items():
@@ -431,8 +406,7 @@ def det_power_sums(space, zs):
             minor = {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
             if minor:
                 cur[mask] = minor
-    desc, det = _reverse(n, width), cur.get((1 << size) - 1, {})
-    return expand_symmetric(space, {desc(k[1:]): c for k, c in det.items()})
+    return expand_symmetric(space, cur.get((1 << size) - 1, {}))
 
 
 def alpha_map(t):
@@ -449,12 +423,15 @@ def wedge_orbits(space, wedge, terms):
     """The wedge of an m-fold wedge with one more ring element.
 
     An m-fold wedge is alternating, so it is kept by its coefficients at
-    ascending tuples of m slot labels.  Each term (label, a) of the
-    element (``TensorSpace.decompose``) is inserted into each tuple: at
-    position p it passes the m - p labels after it, so it carries the
-    sign (-1)^(m - p); a label the tuple already holds drops the term,
-    since it cancels in every ring.  Returns the (m+1)-fold wedge in the
-    same form, without zeros.
+    its sorted keys, the arrangements of m distinct slot labels in
+    descending order.  Each is stored under its labels listed ascending,
+    where ``bisect`` finds a new label's place, and ``flat_orbits`` turns
+    them back.  Each term (label, a) of the element
+    (``TensorSpace.decompose``) is inserted into each tuple: at ascending
+    position p it passes the p smaller labels on its way from the end of
+    the descending arrangement, so it carries the sign (-1)^p; a label
+    the tuple already holds drops the term, since it cancels in every
+    ring.  Returns the (m+1)-fold wedge in the same form, without zeros.
     """
     acc = {}
     for key, c in wedge.items():
@@ -464,7 +441,7 @@ def wedge_orbits(space, wedge, terms):
             if p < m and key[p] == label:
                 continue
             k = key[:p] + (label,) + key[p:]
-            v = c * a if (m - p) % 2 == 0 else -(c * a)
+            v = c * a if p % 2 == 0 else -(c * a)
             s = acc.get(k)
             acc[k] = v if s is None else s + v
     norm = space.scalars.normalize
@@ -472,9 +449,9 @@ def wedge_orbits(space, wedge, terms):
 
 
 def flat_orbits(wedge):
-    """Orbit coefficients keyed by tuples of n slot labels, rekeyed by the
-    flat keys that ``signed_orbits`` and ``divide_orbits`` use."""
-    return {sum(k, ()): c for k, c in wedge.items()}
+    """An n-fold wedge by its coefficients at sorted keys: each ascending
+    tuple of n slot labels, reversed and laid end to end."""
+    return {sum(k[::-1], ()): c for k, c in wedge.items()}
 
 
 def alpha_orbits(space, xs):

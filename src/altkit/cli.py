@@ -902,8 +902,17 @@ def _emit(report, out):
     return 0 if report.get("failures_total", 0) == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigInvalid, so they
+    end in one ``altkit:`` line like every other bad input; its
+    subcommands are built from the same class."""
+
+    def error(self, message):
+        raise ConfigInvalid(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="altkit",
         description="Exact verification of alternator identities and norm maps.",
     )
@@ -951,8 +960,8 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             config = make_suite_config(
                 ring=args.ring,

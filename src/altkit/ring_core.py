@@ -17,10 +17,11 @@ its ``normalize`` brings a sum or product back to the canonical value
 Polynomials and tensors share one sparse term kernel: module-level
 functions on dicts from key tuples to nonzero coefficients, for add,
 negate, scale, multiply, power, evaluation and exact division.  Its one
-rule is that keys multiply by adding.  Keys are tuples everywhere;
-exact division puts each key's total degree in front, so that tuple
-order is degree-lex order, and runs one loop for every ring and, with
-the caller's product rule, for every key form (``divide_terms``).
+rule is that keys multiply by adding.  Keys are tuples everywhere, and
+exact division runs one loop for every ring and, with the caller's
+product rule, for every key form (``divide_terms``), led by plain tuple
+order.  Only polynomial division puts each key's total degree in front,
+so that tuple order is degree-lex order there.
 
 On top of the scalars sit dense matrix helpers and :class:`FiniteFreeAlgebra`,
 a commutative algebra of finite rank given by structure constants that are
@@ -224,9 +225,10 @@ def GF(p):
 # Every coefficient is a plain number, and over GF(p) a sum, difference
 # or product of two of them is not yet reduced, so each result goes
 # through ``norm`` before its zero test.  Exact division keeps tuple keys,
-# with the total degree put in front for the length of the call, so that
-# plain ``max`` is the degree-lex leading key; it runs one loop for every
-# ring, and the orbit divisions of ``alternator`` run it too.
+# and plain ``max`` picks the leading key; polynomial division puts the
+# total degree in front for the length of the call, so that it is the
+# degree-lex leading key.  It runs one loop for every ring, and the orbit
+# divisions of ``alternator`` run it too, on their keys as they are.
 
 
 def _deglex(key):
@@ -352,20 +354,23 @@ def quotient_factor(lc, ring):
 
 
 def divide_terms(rem, den, ring, pairs):
-    """The exact-division loop on degree-prefixed keys, or None.
+    """The exact-division loop on tuple keys, or None.
 
-    Keys carry their total degree in front, so plain ``max`` is the
-    degree-lex leading key.  ``rem`` maps the dividend's keys to nonzero
-    coefficients of the CoeffRing ``ring`` and is used up; ``den`` lists
-    the divisor's (key, coefficient) pairs.  The product rule
+    Plain ``max`` picks the leading key, so the caller's keys must make
+    tuple order a monomial order: the polynomial division puts the total
+    degree in front (degree-lex), and orbit division keys each orbit by
+    its slots in descending order (lex, ``alternator.divide_orbits``).
+    ``rem`` maps the dividend's keys to nonzero coefficients of the
+    CoeffRing ``ring`` and is used up; ``den`` holds the divisor's
+    (key, coefficient) pairs, a list or a dict's items.  The product rule
     ``pairs(q, d)`` gives the (key, weight) terms of quotient key q times
     divisor key d, the leading key q + d with weight 1 among them, or None
     when q is no quotient key.  Each step divides the leading remainder
     coefficient by the divisor's, and subtracts every product term, the
     leading one too, which the step cancels exactly.  A weight can vanish
     modulo p, so a sum can reach zero at a key the remainder never held.
-    Returns the quotient, its keys in descending degree-lex order, and
-    None for a zero divisor.
+    Returns the quotient, its keys in descending tuple order, and None
+    for a zero divisor.
     """
     if not den:
         return None

@@ -29,7 +29,7 @@ found one orbit at a time (``divide_orbits``), and expanded into a
 tensor only when its numerator is read.  The defining expansion is
 re-checked through the quotients, on the orbits of the first n-1 slots:
 both sides are invariant there, so they agree when they agree at the
-keys whose first n-1 slots ascend.  An entry that alpha(x) does not
+keys whose first n-1 slots descend.  An entry that alpha(x) does not
 divide is kept as numerator times alpha(x) over the square, and its
 expansion is re-checked on the expanded numerators; the square is only
 built when a fraction needs it.
@@ -235,16 +235,16 @@ class LocalizedElem:
         return f"LocalizedElem({self.to_text()!r})"
 
 
-def _heads_ascend(space, key):
-    # the first n-1 slots of a flat key are weakly ascending
+def _heads_descend(space, key):
+    # the first n-1 slots of a flat key are weakly descending
     w = space.width
     return all(
-        key[j * w : (j + 1) * w] <= key[(j + 1) * w : (j + 2) * w]
+        key[j * w : (j + 1) * w] >= key[(j + 1) * w : (j + 2) * w]
         for j in range(space.n - 2)
     )
 
 
-# the keys of m_lam * phi_n(label) whose first n-1 slots ascend, one per
+# the keys of m_lam * phi_n(label) whose first n-1 slots descend, one per
 # distinct slot block v of lam: v goes last and takes the label.  An
 # entry holds at most n = 5 keys of n * width ints, under 1 kB.
 @lru_cache(maxsize=4096)
@@ -259,10 +259,10 @@ def _head_keys(lam, label, n, width):
 
 
 def _expansion_heads(ctx, quots):
-    """sum q_i * phi_n(x_i) at the keys whose first n-1 slots ascend.
+    """sum q_i * phi_n(x_i) at the keys whose first n-1 slots descend.
 
     Each q_i is symmetric, by its coefficients at sorted keys lam.  The
-    arrangements of lam with the first n-1 slots ascending are fixed by
+    arrangements of lam with the first n-1 slots descending are fixed by
     the slot block v that goes last, one per distinct block, and each
     term (label, a) of x_i moves that key to v + label in the last slot
     (``_head_keys``).
@@ -294,7 +294,7 @@ def _over_alpha(ctx, nums, heads, target, failure):
     first n-1 slots (a last-slot co-projection, or a y that passed
     ``is_sym_n11``), and so is every q_i * phi_n(x_i), since q_i is
     symmetric; so the quotients are checked against ``heads``, the
-    target's terms at the keys whose first n-1 slots ascend, one per
+    target's terms at the keys whose first n-1 slots descend, one per
     orbit of those slots, and never expanded.  ``target()`` builds the
     full target, which only the expanded check reads.  Each entry is the
     quotient at exponent 0 when one exists, and nums_i * alpha(x) over
@@ -329,7 +329,7 @@ def coordinates(ctx, z):
     with the anchor's cached (n-1)-fold wedge W_i.  The defining
     expansion is re-checked exactly before returning.  The co-projection
     phi_n(z) has the unit label in its first n-1 slots, so its keys there
-    ascend and its heads are z's terms behind that unit prefix; the full
+    descend and its heads are z's terms behind that unit prefix; the full
     co-projection is built only when some entry does not divide.
     """
     _require_poly_domain(ctx.space)
@@ -366,7 +366,7 @@ def coordinates_of_invariant(ctx, y):
         if (n - i) % 2:
             num = {k: norm(-c) for k, c in num.items()}
         nums.append(num)
-    heads = {k: c for k, c in y.terms.items() if _heads_ascend(space, k)}
+    heads = {k: c for k, c in y.terms.items() if _heads_descend(space, k)}
     return _over_alpha(
         ctx, nums, heads, lambda: y, "invariant expansion failed to reconstruct"
     )

@@ -892,6 +892,43 @@ def test_bad_files_and_names_exit_2(tmp_path, kind):
         assert done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--cases", "abc"],
+        ["instance"],
+        ["bogus"],
+        [],
+        ["verify", "--nope"],
+        ["instance", "--file", "x", "--mode", "bad"],
+    ],
+    ids=["bad-int", "no-file", "bad-command", "no-command", "bad-flag", "bad-mode"],
+)
+def test_usage_errors_are_one_line(args):
+    # argparse would print its usage and an "altkit ...: error:" line; a
+    # usage error ends like any bad input instead, in one ConfigInvalid
+    # line and exit 2, with and without python -O
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for flags in ([], ["-O"]):
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "altkit.cli", *args],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (2, ""), done.stderr
+        assert done.stderr.startswith("altkit: ConfigInvalid: "), done.stderr
+        assert done.stderr.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: altkit ")
+
+
 def test_row_draws_share_the_anchor_ring(monkeypatch):
     # a row's draws live in its anchor's own ring, so each meets the
     # anchor by identity rather than through PolyRing.__eq__

@@ -3,9 +3,10 @@
 The determinism tests compare two runs of one tree, and a passing
 ``verify`` report holds no tensor text.  These digests were recorded once
 and compare every witness text of the identity, ``traceexp`` and
-``trace_formula`` suites, and the full rendered ``instance``, probe and
-default ``verify`` reports, against that recording.  A change that alters
-any of them is a change in behaviour.
+``trace_formula`` suites, the structure constants of ``r_algebra``, and
+the full rendered ``instance``, probe and default ``verify`` reports,
+against that recording.  A change that alters any of them is a change in
+behaviour.
 """
 
 import hashlib
@@ -24,9 +25,11 @@ from altkit.cli import (
     run_probe,
     run_suite,
 )
-from altkit.alternator import random_element, random_invariant
+from altkit.alternator import AlternatorInstance, random_element, random_invariant
 from altkit.errors import AltkitError
-from altkit.span_solver import coordinates, coordinates_of_invariant
+from altkit.ring_core import GF, QQ, PolyRing
+from altkit.span_solver import coordinates, coordinates_of_invariant, r_algebra
+from altkit.tensor_algebra import TensorSpace
 
 SUITES = cli.IDENTITY_NAMES + ("traceexp", "trace_formula")
 
@@ -49,6 +52,38 @@ CASE_DIGESTS_N5 = {
 COORDINATE_DIGESTS = {
     "q": "ee6ea93ab36709c5020a2508055fd3909fc6d21dfcf6eb658a9d47c149e8a53c",
     "fp:5": "09742c516b0f40e0b9dda46d18380506e3b39fbe6ccf4358474b7e32a9d1f9d9",
+}
+
+# sha256 of one line "<i> <j> <k> <text>" per structure constant and one
+# "unit <k> <text>" per unit coordinate of r_algebra: fraction products
+# normalised by exact division on orbits.  "vandermonde" runs the anchors
+# (1, t, ..., t^(n-1)) at n = 2..5; "spread" is (1, t^2 + t, t^4 + t) at
+# n = 3, whose quotients reach high degree; "fallback" is (t, t^2 + 1) at
+# n = 2, where alpha(x) divides no entry
+def vandermonde(t, n):
+    return [t**k for k in range(n)]
+
+
+R_ALGEBRA_ANCHORS = {
+    ("vandermonde", "q"): (QQ, (2, 3, 4, 5), vandermonde),
+    ("vandermonde", "fp:5"): (GF(5), (2, 3, 4, 5), vandermonde),
+    ("spread", "q"): (QQ, (3,), lambda t, n: [t**0, t**2 + t, t**4 + t]),
+    ("fallback", "q"): (QQ, (2,), lambda t, n: [t, t**2 + t**0]),
+}
+
+R_ALGEBRA_DIGESTS = {
+    ("vandermonde", "q"): (
+        "544a04b2355ae4c14039646adca1651173b17bdbbcee6f2423a650716c5fe6c4"
+    ),
+    ("vandermonde", "fp:5"): (
+        "3c82c5494780a3f7565ebd464edd22f84b8b1e7945a764fd32e4dad71990d80c"
+    ),
+    ("spread", "q"): (
+        "ed91f3af409a07907ff41aaad72fe23f8e200532c51b1dfa5d846373e9bd3ff5"
+    ),
+    ("fallback", "q"): (
+        "c0c5df9fca607a76913fcc6d5fb161c366c1fdafcf9cdd7df3897aefcb23df4d"
+    ),
 }
 
 # sha256 of render_report(run_instance(fixture, mode))
@@ -173,6 +208,19 @@ def coordinate_texts(ring, ns="2,3,4,5"):
     return "".join(lines)
 
 
+def r_algebra_text(scalars, ns, anchor):
+    ring = PolyRing(scalars, ("t",))
+    t = ring.variable("t")
+    lines = []
+    for n in ns:
+        alg = r_algebra(AlternatorInstance(TensorSpace(n, ring), anchor(t, n)))
+        for i, row in enumerate(alg.structure):
+            for j, vec in enumerate(row):
+                lines += [f"{i} {j} {k} {c.to_text()}\n" for k, c in enumerate(vec)]
+        lines += [f"unit {k} {c.to_text()}\n" for k, c in enumerate(alg.unit)]
+    return "".join(lines)
+
+
 def instance_text(filename, mode, path=None):
     if path is None:
         path = str(resources.files("altkit").joinpath("fixtures", filename))
@@ -207,6 +255,21 @@ def test_coordinate_digests_pin_quotients():
     text = coordinate_texts("fp:5", "3")
     assert text.count("\n") == 3
     assert " @0" in text and "[" in text
+
+
+@pytest.mark.parametrize("anchor", sorted(R_ALGEBRA_DIGESTS))
+def test_r_algebra_constants_match_recording(anchor):
+    text = r_algebra_text(*R_ALGEBRA_ANCHORS[anchor])
+    assert sha256(text) == R_ALGEBRA_DIGESTS[anchor]
+
+
+def test_r_algebra_digests_reach_both_entry_forms():
+    # the Vandermonde entries are exact quotients at exponent 0; on the
+    # fallback anchor every entry stays over the square at exponent 1
+    text = r_algebra_text(*R_ALGEBRA_ANCHORS["vandermonde", "q"])
+    assert "asq" not in text and "[" in text
+    text = r_algebra_text(*R_ALGEBRA_ANCHORS["fallback", "q"])
+    assert text.count("\n") == 10 and text.count(") / asq^1\n") == 10
 
 
 @pytest.mark.parametrize("filename, mode", sorted(INSTANCE_DIGESTS))

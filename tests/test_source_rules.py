@@ -6,6 +6,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 import altkit
 import altkit.cli
 
@@ -312,3 +314,36 @@ def test_files_open_only_in_the_cli_reader_and_writer():
             )
     assert len(allowed) == 2
     assert sorted(found - allowed) == []
+
+
+def test_argument_parsers_come_from_the_cli_parser_class():
+    # argparse prints its usage and exits on a bad argument; cli._Parser
+    # raises ConfigInvalid instead, and add_subparsers builds each
+    # subcommand from the parser's own class.  So every mention of
+    # ArgumentParser in the sources is the base of that one class, and no
+    # parser_class is passed, as a new parser could otherwise bring the
+    # usage dump back
+    bases, found = {}, set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases.update(
+                    ((path.name, b.lineno, b.col_offset), node.name) for b in node.bases
+                )
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "ArgumentParser"
+                or isinstance(node, ast.Name)
+                and node.id == "ArgumentParser"
+                or isinstance(node, ast.alias)
+                and node.name == "ArgumentParser"
+                or isinstance(node, ast.keyword)
+                and node.arg == "parser_class"
+            ):
+                found.add((path.name, node.lineno, node.col_offset))
+    assert sorted((k[0], bases[k]) for k in found if k in bases) == [
+        ("cli.py", "_Parser")
+    ]
+    assert sorted(k for k in found if k not in bases) == []
+    with pytest.raises(altkit.cli.ConfigInvalid, match="^bad$"):
+        altkit.cli._Parser().error("bad")

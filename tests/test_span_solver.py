@@ -17,9 +17,16 @@ from altkit.alternator import (
     AlternatorInstance,
     alpha,
     alpha_map,
+    alpha_orbits,
+    divide_orbits,
+    divide_symmetric,
     expand_symmetric,
+    flat_orbits,
+    multiply_symmetric,
     random_invariant,
+    signed_orbits,
     symmetric_orbits,
+    wedge_orbits,
 )
 from altkit.cli import make_suite_config, run_suite
 from altkit.errors import (
@@ -42,6 +49,7 @@ from altkit.span_solver import (
     tensor_divide_exact,
 )
 from altkit.tensor_algebra import (
+    Tensor,
     TensorSpace,
     coprojection,
     polarized_power_sum,
@@ -515,7 +523,7 @@ def recheck_cases(draw):
     assume(ctx.alpha_x_orbits)
     small = st.tuples(st.integers(0, 1), st.integers(0, 1))
     slots = st.lists(small, min_size=n, max_size=n)
-    key = slots.map(lambda ls: sum(sorted(ls), ()))
+    key = slots.map(lambda ls: sum(sorted(ls, reverse=True), ()))
     orbits = st.dictionaries(key, coeff, max_size=2)
     return ctx, [draw(orbits) for _ in range(n)]
 
@@ -532,13 +540,13 @@ def full_expansion(ctx, quots):
 @given(recheck_cases())
 def test_orbit_recheck_matches_full_reconstruction(case):
     # the orbit check reads the full reconstruction at the keys whose
-    # first n-1 slots ascend, and those keys fix it
+    # first n-1 slots descend, and those keys fix it
     ctx, quots = case
     space = ctx.space
     full = full_expansion(ctx, quots)
     heads = span_solver._expansion_heads(ctx, quots)
     assert heads == {
-        k: c for k, c in full.terms.items() if span_solver._heads_ascend(space, k)
+        k: c for k, c in full.terms.items() if span_solver._heads_descend(space, k)
     }
     event("zero" if not full else "nonzero")
     # so a y built from the quotients gives them back as its coordinates,
@@ -596,7 +604,7 @@ _Z_TERMS = st.dictionaries(
 @given(recheck_cases(), _Z_TERMS)
 def test_coordinate_heads_are_the_coprojection_heads(case, terms):
     # coordinates() hands the check z's terms behind the unit prefix; they
-    # are the co-projection's terms whose first n-1 slots ascend, and the
+    # are the co-projection's terms whose first n-1 slots descend, and the
     # full co-projection is built only on the fallback route
     ctx, _ = case
     space = ctx.space
@@ -617,7 +625,7 @@ def test_coordinate_heads_are_the_coprojection_heads(case, terms):
     full = coprojection(space, space.n, z)
     assert target() == full
     assert heads == {
-        k: c for k, c in full.terms.items() if span_solver._heads_ascend(space, k)
+        k: c for k, c in full.terms.items() if span_solver._heads_descend(space, k)
     }
 
 
@@ -633,7 +641,7 @@ def test_orbit_recheck_catches_any_corrupted_coefficient(case, data):
     known = sorted(quots[i])
     label = st.tuples(st.integers(0, 2), st.integers(0, 2))
     slots = st.lists(label, min_size=n, max_size=n)
-    keys = slots.map(lambda ls: sum(sorted(ls), ()))
+    keys = slots.map(lambda ls: sum(sorted(ls, reverse=True), ()))
     if known and data.draw(st.booleans()):
         keys = st.sampled_from(known)
     key = data.draw(keys)
@@ -1011,3 +1019,84 @@ def test_r_algebra_matches_the_full_tensor_route(monkeypatch, scalars, anchor):
     monkeypatch.setattr(LocalizedElem, "__rmul__", full_mul)
     monkeypatch.setattr(LocalizedElem, "normalize", full_normalize)
     assert got == texts()
+
+
+# -- one key form: every orbit dict keys its orbit by the sorted key
+
+
+def _keys_descend(space, orbits, strict, count=None):
+    # the first `count` slots of every key, all n by default, descend
+    # strictly or weakly
+    w, count = space.width, space.n if count is None else count
+    cmp = operator.gt if strict else operator.ge
+    for key in orbits:
+        blocks = [key[j : j + w] for j in range(0, count * w, w)]
+        if not all(map(cmp, blocks, blocks[1:])):
+            return False
+    return True
+
+
+@st.composite
+def key_form_cases(draw):
+    """An anchor of distinct monomials, one perhaps with a second term,
+    with alpha(x) != 0 over Q, Z, GF(2) or GF(5), n = 1..5 and widths 1
+    and 2; a ring element z, a tensor t and two fully invariant tensors."""
+    scalars = draw(st.sampled_from([QQ, ZZ, GF(2), GF(5)]))
+    w = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 5))
+    ring = PolyRing(scalars, ("s", "t")[:w])
+    space = TensorSpace(n, ring)
+    label = st.tuples(*[st.integers(0, 4 if w == 1 else 2)] * w)
+    coeff = st.sampled_from((-1, 1, 3)).map(scalars.from_int)
+    labels = draw(st.lists(label, min_size=n, max_size=n, unique=True))
+    xs = [MultiPoly(ring, {k: draw(coeff)}) for k in labels]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        xs[i] = xs[i] + MultiPoly(ring, {draw(label): draw(coeff)})
+    ctx = AlternatorInstance(space, xs)
+    assume(ctx.alpha_x_orbits)
+    z = MultiPoly(ring, draw(st.dictionaries(label, coeff, min_size=1, max_size=2)))
+    key = st.tuples(*[st.integers(0, 2)] * (n * w))
+    t = Tensor(space, draw(st.dictionaries(key, coeff, max_size=4)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    invs = [random_invariant(rng, space, 2) for _ in range(2)]
+    return ctx, z, t, invs, [draw(st.integers(0, 1)) for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_form_cases())
+def test_orbit_dicts_keep_one_key_form(case):
+    # every orbit dict keys an orbit by its slots in descending order,
+    # strictly for alternating tensors, and a quotient lists its keys in
+    # descending tuple order
+    ctx, z, t, invs, exps = case
+    space, xs = ctx.space, ctx.x
+    event(f"n = {space.n}, width {space.width}")
+    assert _keys_descend(space, signed_orbits(t), True)
+    assert _keys_descend(space, signed_orbits(t, True), True, space.n - 1)
+    assert _keys_descend(space, alpha_orbits(space, xs), True)
+    nums = [
+        flat_orbits(wedge_orbits(space, w, space.decompose(z)))
+        for w in ctx.cofactor_wedges
+    ]
+    # the coordinate numerators of z, and a multiple of alpha(x)
+    nums.append(signed_orbits(invs[0] * pure_tensor(space, xs)))
+    quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
+    assert quots[-1] is not None
+    event("every entry divides" if None not in quots else "some entry fails")
+    for num, q in zip(nums, quots):
+        assert _keys_descend(space, num, True)
+        if q is not None:
+            assert _keys_descend(space, q, False)
+            assert list(q) == sorted(q, reverse=True)
+    asq = ctx.alpha_sq_orbits
+    a, b = (symmetric_orbits(inv) for inv in invs)
+    product = multiply_symmetric(space, a, asq)
+    quot = divide_symmetric(space, product, asq)
+    assert quot == a and list(quot) == sorted(quot, reverse=True)
+    for orbits in (asq, a, b, product, multiply_symmetric(space, a, b)):
+        assert _keys_descend(space, orbits, False)
+    x, y = (LocalizedElem(ctx, inv, e) for inv, e in zip(invs, exps))
+    square = LocalizedElem(ctx, ctx.alpha_sq, 0)
+    for v in (x, y, x + y, x * y, x * square, (x + y).normalize()):
+        assert _keys_descend(space, v._orbits, False)
