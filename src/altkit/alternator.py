@@ -77,6 +77,7 @@ __all__ = [
     "divide_orbits",
     "divide_symmetric",
     "multiply_symmetric",
+    "multiply_alternating",
     "det_power_sums",
     "AlternatorInstance",
     "IdentityData",
@@ -278,6 +279,37 @@ def _symmetric_pairs(lam, mu, n, width):
     )
 
 
+# A(lam) * A(mu) for two alternating orbits, as (kappa, w) pairs, kappa
+# sorted descending.  An entry holds at most n! = 120 pairs of
+# (n * width)-tuples, about 18 kB at n = 5 and width 1, and 0.8 kB at
+# n = 3.  An instance of rank 3 with anchor entries of degree 10 fills
+# about 26,500 entries, 21 MB, and a table of 4096 thrashes on it.
+@lru_cache(maxsize=32768)
+def _alternant_pairs(lam, mu, n, width):
+    """The (kappa, w) pairs of A(lam) * A(mu), for keys whose slots
+    strictly descend.
+
+    x^(s lam) * A(mu) is sign(s) times s applied to x^lam * A(mu), so
+    A(lam) * A(mu) symmetrizes x^lam * A(mu), the sum of sign(t) *
+    x^(lam + t mu) over the permutations t.  Symmetrizing x^k gives
+    |Stab k| * m_(sort k), and |Stab k| is n! over the number of
+    distinct arrangements of k (``_arrangements``), so every weight is
+    an integer.
+    """
+    slots_of, maps = _signed_reindex(n, width, False)
+    signs = Counter()
+    for get, sign in maps.values():
+        key = tuple(map(add, lam, get(mu)))
+        slots = slots_of(key)
+        order = sorted(range(n), key=slots.__getitem__, reverse=True)
+        signs[maps[tuple(order)][0](key)] += sign
+    return tuple(
+        (k, c * len(maps) // len(_arrangements(_pattern(slots_of(k)), width)))
+        for k, c in signs.items()
+        if c
+    )
+
+
 def _divide(space, num, den, table):
     # num / den on orbits, by the product rule of one bounded table
     n, width = space.n, space.width
@@ -333,20 +365,32 @@ def divide_symmetric(space, num, den):
     return _divide(space, num, den, _symmetric_pairs)
 
 
-def multiply_symmetric(space, a, b):
-    """The product of two symmetric tensors, by their coefficients at
-    sorted keys: m_lam * m_mu expands in the m_kappa with integer
-    coefficients (Macdonald, ch. I.2), read from ``_symmetric_pairs``."""
+def _multiply(space, a, b, table):
+    # a * b on orbits, by the product rule of one bounded table
     n, width = space.n, space.width
     acc = {}
     for lam, ca in a.items():
         for mu, cb in b.items():
             m = ca * cb
-            for kappa, w in _symmetric_pairs(lam, mu, n, width):
+            for kappa, w in table(lam, mu, n, width):
                 s = acc.get(kappa)
                 acc[kappa] = w * m if s is None else s + w * m
     norm = space.scalars.normalize
     return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
+
+
+def multiply_symmetric(space, a, b):
+    """The product of two symmetric tensors, by their coefficients at
+    sorted keys: m_lam * m_mu expands in the m_kappa with integer
+    coefficients (Macdonald, ch. I.2), read from ``_symmetric_pairs``."""
+    return _multiply(space, a, b, _symmetric_pairs)
+
+
+def multiply_alternating(space, a, b):
+    """The product of two alternating tensors, by their coefficients at
+    sorted keys: a symmetric tensor, by its coefficients at sorted keys,
+    read from ``_alternant_pairs``."""
+    return _multiply(space, a, b, _alternant_pairs)
 
 
 def det_power_sums(space, zs):

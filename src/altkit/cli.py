@@ -94,9 +94,13 @@ MAX_CASES = 1000
 # source variable v, and a fraction's numerator over the alternator
 # square at most 3*D_v, for D_v the anchor's largest degree in v.  With
 # M = prod_v (3*D_v + 1) such a numerator has at most C(M + n - 1, n)
-# orbits of keys, and its norm takes at most n! determinants per orbit.
-# The bound is the value of the rank-5 anchor (1, t, ..., t^4); the
-# dearest accepted instances measured are in README's input bounds
+# orbits of keys.  The norm expands them row by row with shared
+# prefixes, at most C(n, i) column sets times the distinct sub-multisets
+# of i labels at row i, and an entry that alpha(x) does not divide
+# takes one product of alternating orbits per pair of its orbits and
+# alpha(x)'s.  The bound is the value of the rank-5 anchor
+# (1, t, ..., t^4); the dearest accepted instances measured are in
+# README's input bounds
 MAX_ANCHOR_ORBITS = 6188
 
 # every suite the verify command knows; the first six take random data,

@@ -4,9 +4,13 @@ A finite free algebra pairs its elements through traces of multiplication
 operators; the determinant of that pairing on a basis is the discriminant.
 When the algebra E is presented as the image of a polynomial tuple, a
 fully invariant tensor over the source ring has a norm in the base (Roby
-1963, Ferrand 1998), one determinant per term.  The norm is
-multiplicative and sends an alternator pair to its trace-pairing
-determinant, so the alternator square goes to the discriminant d.
+1963, Ferrand 1998).  It is taken on the tensor's orbits: the norm of
+one orbit is a coefficient of a mixed discriminant of multiplication
+matrices (Bapat 1989), expanded row by row with shared prefixes.  The
+norm is multiplicative and sends an alternator pair to its
+trace-pairing determinant, so the alternator square goes to the
+discriminant d.  The image-basis coordinates the pushed fractions are
+compared with come from one elimination for all of them.
 
 One norm map pushes fractions down for every generically etale instance,
 whose d is a nonzerodivisor: num/alpha_sq^e goes to N(num) divided
@@ -16,7 +20,13 @@ map restricted to a unit d, where every such division succeeds.
 
 from __future__ import annotations
 
-from .alternator import AlternatorInstance, Witness, alpha, det_power_sums
+from .alternator import (
+    AlternatorInstance,
+    Witness,
+    alpha,
+    det_power_sums,
+    symmetric_orbits,
+)
 from .errors import (
     ArityMismatch,
     ContextMismatch,
@@ -34,7 +44,7 @@ from .ring_core import (
     PolyRing,
     _scalar_embedding,
     det_generic,
-    solve,
+    echelon,
 )
 from .span_solver import (
     LocalizedElem,
@@ -52,6 +62,7 @@ __all__ = [
     "discriminant",
     "trace_pairing_det",
     "norm",
+    "norm_orbits",
     "trace_formula_check",
     "traceexp_check",
     "PullbackInstance",
@@ -101,16 +112,77 @@ def norm(inst, q):
     in E (Roby, "Lois polynomes et lois formelles en theorie des modules",
     1963; Ferrand, "Un foncteur norme", 1998).  On a power a x ... x a it
     is the determinant of f(a); over a split E = B^n it is q evaluated at
-    the n points of f.
+    the n points of f.  It is taken on q's orbits (``norm_orbits``).
     """
+    if q.space != inst.space:
+        raise ContextMismatch("tensor from a different tensor power")
     if not is_symmetric(q):
         raise NotInvariant("the norm needs a fully invariant tensor")
-    base, space = inst.E.base, inst.space
+    return norm_orbits(inst, symmetric_orbits(q))
+
+
+def norm_orbits(inst, orbits):
+    """The norm of a symmetric tensor given by its coefficients at sorted
+    keys, sum_lam c_lam N(m_lam).
+
+    N(m_lam) is the sum of det R_k over the distinct arrangements k of
+    lam, a coefficient of the mixed discriminant det(sum_a tau_a M_a) of
+    the multiplication matrices (Bapat, Linear Algebra Appl. 1989).  It is
+    expanded row by row, as ``det_generic`` does: the partial sum over
+    rows 0..i-1 is keyed by the columns used and the sub-multiset of
+    labels placed, so arrangements that share a prefix, within one lam
+    or across the lam of q, share its minors.  There is no division, so
+    the norm is exact over every base.
+    """
+    base, n, w = inst.E.base, inst.space.n, inst.space.width
+    normalize = base.normalize
+    # the ways to grow each placed sub-multiset mu (labels descending) by
+    # one label towards some lam: grows[mu] = [(label, mu + label)],
+    # found one size down at a time from the lam themselves
+    lams = {key: tuple(zip(*[iter(key)] * w)) for key in orbits}
+    grows, level = {}, set(lams.values())
+    while level:
+        below = set()
+        for mu in level:
+            for i, label in enumerate(mu):
+                if i and mu[i - 1] == label:
+                    continue  # one edge per distinct label
+                less = mu[:i] + mu[i + 1 :]
+                grows.setdefault(less, []).append((label, mu))
+                below.add(less)
+        level = below
+    # each label's multiplication matrix, row by row as (column bit, entry)
+    rows = {
+        label: [
+            [(1 << j, a) for j, a in enumerate(row) if a]
+            for row in inst.mult_matrix(label)
+        ]
+        for label in {label for edges in grows.values() for label, _ in edges}
+    }
+    cur = {
+        (bit, mu): a for label, mu in grows.get((), ()) for bit, a in rows[label][0]
+    }
+    for r in range(1, n):
+        nxt = {}
+        for (mask, mu), minor in cur.items():
+            for label, grown in grows.get(mu, ()):
+                for bit, a in rows[label][r]:
+                    if mask & bit:
+                        continue
+                    term = a * minor
+                    if (r + (mask & (bit - 1)).bit_count()) % 2:
+                        term = -term
+                    key = (mask | bit, grown)
+                    acc = nxt.get(key)
+                    nxt[key] = term if acc is None else acc + term
+        cur = {k: v for k, v in ((k, normalize(v)) for k, v in nxt.items()) if v}
+    full = (1 << n) - 1
     total = base.zero()
-    for key, c in q.terms.items():
-        rows = [inst.mult_matrix(lab)[i] for i, lab in enumerate(space.key_slots(key))]
-        total = total + inst.emb(c) * det_generic(rows)
-    return base.normalize(total)
+    for key, c in orbits.items():
+        value = cur.get((full, lams[key]))
+        if value is not None:
+            total = total + inst.emb(c) * value
+    return normalize(total)
 
 
 def discriminant(alg, basis):
@@ -237,11 +309,30 @@ class PullbackInstance:
 
     def basis_coords(self, e):
         """Coordinates of an algebra element in the image basis."""
-        change = [[b.coords[r] for b in self.fx] for r in range(self.E.rank)]
-        sol = solve(change, e.coords, self.E.base)
-        if sol is None:
-            raise NotABasis("image basis failed to solve; should be impossible")
-        return tuple(sol)
+        return self.basis_coords_of([e])[0]
+
+    def basis_coords_of(self, elems):
+        """Image-basis coordinates of several algebra elements, by one
+        fraction-free elimination of [change | every element]: the
+        pivots must be the r columns of the change matrix, and each
+        coordinate is its reduced entry divided exactly by the final
+        leading minor."""
+        base, r = self.E.base, self.E.rank
+        d, rows = echelon(
+            [
+                [b.coords[i] for b in self.fx] + [e.coords[i] for e in elems]
+                for i in range(r)
+            ],
+            base,
+        )
+        if [p for p, _ in rows] == list(range(r)):
+            coords = [
+                [base.divide_exact(row[r + k], d) for _, row in rows]
+                for k in range(len(elems))
+            ]
+            if all(v is not None for col in coords for v in col):
+                return [tuple(map(base.normalize, col)) for col in coords]
+        raise NotABasis("image basis failed to solve; should be impossible")
 
     def __repr__(self):
         return f"PullbackInstance(rank={self.E.rank}, d={self.E.base.to_text(self.d)})"
@@ -317,7 +408,7 @@ class NormMapPlus:
         """
         if le.ctx is not self.inst.ctx and le.ctx != self.inst.ctx:
             raise ContextMismatch("fraction over a different anchor tuple")
-        return self._divide(norm(self.inst, le.num), le.exp)
+        return self._divide(norm_orbits(self.inst, le._orbits), le.exp)
 
 
 class NormMap(NormMapPlus):
@@ -348,14 +439,17 @@ def pullback_constants(inst, nm):
         return [nm.localized_image(c) for c in coords]
 
     one = coordinates(ctx, inst.space.ring.one())
-    unit = (mapped(one), inst.basis_coords(inst.E.one()))
     constants = structure_constants_R(ctx)
-    rows = []
-    for i in range(inst.E.rank):
-        for j in range(i, inst.E.rank):
-            prod = ctx.x[i] * ctx.x[j]
-            direct = inst.basis_coords(inst.fx[i] * inst.fx[j])
-            rows.append((i, j, prod, mapped(constants[i][j]), direct))
+    pairs = [(i, j) for i in range(inst.E.rank) for j in range(i, inst.E.rank)]
+    fx = inst.fx
+    unit_direct, *direct = inst.basis_coords_of(
+        [inst.E.one()] + [fx[i] * fx[j] for i, j in pairs]
+    )
+    unit = (mapped(one), unit_direct)
+    rows = [
+        (i, j, ctx.x[i] * ctx.x[j], mapped(constants[i][j]), coords)
+        for (i, j), coords in zip(pairs, direct)
+    ]
     return unit, rows
 
 

@@ -199,8 +199,9 @@ class CoeffRing:
         return a * pow(b, -1, self.p) % self.p
 
     def parse(self, text):
-        poly = parse_expression(text, PolyRing(self, ()))
-        return poly.constant()
+        if isinstance(text, str) and text.isdecimal():
+            return self.from_int(_int_literal(text))
+        return parse_expression(text, PolyRing(self, ())).constant()
 
     def to_text(self, v):
         return str(v)
@@ -666,6 +667,13 @@ MAX_POWER_TERMS = 1000
 MAX_POWER_COEFF_BITS = 10_000
 
 
+def _int_literal(digits):
+    try:
+        return int(digits)
+    except ValueError as e:  # past the int-conversion limit, or "²"
+        raise ParseError(f"number literal too long: {e}") from None
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -677,10 +685,7 @@ def _tokenize(text):
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
-            try:
-                tokens.append(("num", int(text[i:j])))
-            except ValueError as e:  # literal past the int-conversion limit
-                raise ParseError(f"number literal too long: {e}") from None
+            tokens.append(("num", _int_literal(text[i:j])))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i
@@ -823,6 +828,9 @@ def parse_expression(text, parent):
     """Parse a polynomial expression into an element of the PolyRing parent."""
     if not isinstance(text, str):
         raise ParseError(f"expected string expression, got {type(text).__name__}")
+    if text.isdecimal():
+        # a plain literal, such as a structure table's "0" or "2"
+        return parent.from_int(_int_literal(text))
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
@@ -1235,8 +1243,10 @@ class AlgebraMap:
 
     Determined by one target element per source variable; evaluation sends
     each monomial to the product of the images, which is multiplicative by
-    construction.  A short fixed spot-check at build time guards against a
-    target whose own arithmetic is inconsistent.
+    construction.  The image of each monomial is built once per map and
+    kept by exponent tuple, and a term adds its embedded coefficient times
+    those coordinates.  A short fixed spot-check at build time guards
+    against a target whose own arithmetic is inconsistent.
     """
 
     def __init__(self, source, target, images):
@@ -1251,6 +1261,7 @@ class AlgebraMap:
         if len(self.images) != len(source.vars):
             raise VariableMismatch("one image per source variable required")
         self._embed = _scalar_embedding(source.coeff, target.base)
+        self._monomials = {}  # exponent tuple -> its image's coordinates
         if self(self.source.one()) != target.one():
             raise RingMismatch("map does not send 1 to 1")
         if source.vars:
@@ -1261,12 +1272,19 @@ class AlgebraMap:
     def __call__(self, poly):
         if poly.parent != self.source:
             raise VariableMismatch("polynomial from a different source ring")
-        return evaluate_terms(
-            poly.terms,
-            self.images,
-            self.target.zero(),
-            lambda c: self.target.one() * self._embed(c),
-        )
+        target, monomials = self.target, self._monomials
+        acc = [target.base.zero()] * target.rank
+        for k, c in poly.terms.items():
+            mono = monomials.get(k)
+            if mono is None:
+                powers = [x**e for x, e in zip(self.images, k) if e]
+                mono = powers.pop() if powers else target.one()
+                for x in powers:
+                    mono = mono * x
+                mono = monomials[k] = mono.coords
+            c = self._embed(c)
+            acc = [a + c * v if v else a for a, v in zip(acc, mono)]
+        return AlgebraElem(target, map(target.base.normalize, acc))
 
 
 def _scalar_embedding(coeff, base):

@@ -30,9 +30,10 @@ tensor only when its numerator is read.  The defining expansion is
 re-checked through the quotients, on the orbits of the first n-1 slots:
 both sides are invariant there, so they agree when they agree at the
 keys whose first n-1 slots descend.  An entry that alpha(x) does not
-divide is kept as numerator times alpha(x) over the square, and its
-expansion is re-checked on the expanded numerators; the square is only
-built when a fraction needs it.
+divide is kept as numerator times alpha(x) over the square, a product
+of two alternating tensors taken on orbits, and its expansion is
+re-checked on the numerators' orbits at the keys whose first n-1 slots
+strictly descend; the square is only built when a fraction needs it.
 """
 
 from __future__ import annotations
@@ -43,9 +44,9 @@ from operator import add
 from .alternator import (
     divide_orbits,
     divide_symmetric,
-    expand_orbits,
     expand_symmetric,
     flat_orbits,
+    multiply_alternating,
     multiply_symmetric,
     signed_orbits,
     symmetric_orbits,
@@ -61,7 +62,6 @@ from .errors import (
 from .ring_core import FiniteFreeAlgebra, dict_divide_exact, terms_add, terms_neg
 from .tensor_algebra import (
     Tensor,
-    coprojection,
     is_sym_n11,
     is_symmetric,
 )
@@ -112,7 +112,7 @@ class LocalizedElem:
     takes a full tensor and raises NotInvariant unless it is symmetric;
     ``_from_orbits`` is the trusted one, for orbits that are symmetric by
     construction.  ``num`` expands the numerator into a full tensor on
-    each read; only rendering and the norm read it.  A scalar on either
+    each read; only rendering reads it.  A scalar on either
     side of ``+``, ``-`` and ``==`` stands for ``from_scalar`` of it.
     """
 
@@ -258,30 +258,39 @@ def _head_keys(lam, label, n, width):
     return tuple(out)
 
 
-def _expansion_heads(ctx, quots):
+def _expansion_heads(space, quots, x_terms, signed=False):
     """sum q_i * phi_n(x_i) at the keys whose first n-1 slots descend.
 
     Each q_i is symmetric, by its coefficients at sorted keys lam.  The
     arrangements of lam with the first n-1 slots descending are fixed by
     the slot block v that goes last, one per distinct block, and each
     term (label, a) of x_i moves that key to v + label in the last slot
-    (``_head_keys``).
+    (``_head_keys``).  With ``signed`` each q_i is alternating instead,
+    by its sorted keys, whose slots strictly descend: the sum alternates
+    in the first n-1 slots, so it is fixed at the keys where they
+    strictly descend, and block p of n going last passes n-1-p blocks,
+    so it carries the sign (-1)^(n-1-p).
     """
-    space = ctx.space
     n, w = space.n, space.width
     acc = {}
-    for q, terms in zip(quots, ctx.x_terms):
+    for q, terms in zip(quots, x_terms):
         for lam, c in q.items():
             for label, a in terms:
                 m = c * a
-                for k in _head_keys(lam, label, n, w):
+                keys = _head_keys(lam, label, n, w)
+                if signed:
+                    for k in keys[n - 2 :: -2]:  # the p with n-1-p odd
+                        s = acc.get(k)
+                        acc[k] = -m if s is None else s - m
+                    keys = keys[n - 1 :: -2]
+                for k in keys:
                     s = acc.get(k)
                     acc[k] = m if s is None else s + m
     norm = space.scalars.normalize
     return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
 
 
-def _over_alpha(ctx, nums, heads, target, failure):
+def _over_alpha(ctx, nums, heads, target_alpha, failure):
     """Coordinate entries nums_i / alpha(x), after a reconstruction check.
 
     Every numerator is alternating and given by its coefficients at
@@ -289,35 +298,36 @@ def _over_alpha(ctx, nums, heads, target, failure):
     coefficients (``divide_orbits``).  When every entry divides, the
     check is sum q_i * phi_n(x_i) == target on the quotients q_i: the
     ambient is a domain and alpha(x) is nonzero, so that is the same as
-    sum nums_i * phi_n(x_i) == target * alpha(x), which is checked on
-    the expanded numerators otherwise.  The target is invariant in the
-    first n-1 slots (a last-slot co-projection, or a y that passed
-    ``is_sym_n11``), and so is every q_i * phi_n(x_i), since q_i is
-    symmetric; so the quotients are checked against ``heads``, the
-    target's terms at the keys whose first n-1 slots descend, one per
-    orbit of those slots, and never expanded.  ``target()`` builds the
-    full target, which only the expanded check reads.  Each entry is the
-    quotient at exponent 0 when one exists, and nums_i * alpha(x) over
-    the square otherwise: the square divides nums_i * alpha(x) exactly
-    when alpha(x) divides nums_i, so both forms are already normalized.
+    sum nums_i * phi_n(x_i) == target * alpha(x), which is checked
+    otherwise.  The target is invariant in the first n-1 slots (a
+    last-slot co-projection, or a y that passed ``is_sym_n11``), and so
+    is every q_i * phi_n(x_i), since q_i is symmetric; so the quotients
+    are checked against ``heads``, the target's terms at the keys whose
+    first n-1 slots descend, one per orbit of those slots, and never
+    expanded.  Both sides of the other check alternate in the first n-1
+    slots, so it compares them where those slots strictly descend: the
+    numerators' side from their orbits, and target * alpha(x) from
+    ``target_alpha()``.  Each entry is the quotient at exponent 0 when
+    one exists, and nums_i * alpha(x) over the square otherwise, a
+    product of alternating tensors on orbits (``multiply_alternating``):
+    the square divides nums_i * alpha(x) exactly when alpha(x) divides
+    nums_i, so both forms are already normalized.
     """
     space = ctx.space
     quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
     if all(q is not None for q in quots):
-        if _expansion_heads(ctx, quots) != heads:
+        if _expansion_heads(space, quots, ctx.x_terms) != heads:
             raise VerificationFailed(failure)
         return tuple(LocalizedElem._from_orbits(ctx, q) for q in quots)
-    full = [expand_orbits(space, num) for num in nums]
-    lhs = space.zero()
-    for num, phi in zip(full, ctx.phi_n_x):
-        lhs = lhs + num * phi
-    if lhs != target() * ctx.alpha_x:
+    if _expansion_heads(space, nums, ctx.x_terms, signed=True) != target_alpha():
         raise VerificationFailed(failure)
     return tuple(
-        LocalizedElem._from_orbits(ctx, symmetric_orbits(num * ctx.alpha_x), 1)
+        LocalizedElem._from_orbits(
+            ctx, multiply_alternating(space, num, ctx.alpha_x_orbits), 1
+        )
         if q is None
         else LocalizedElem._from_orbits(ctx, q)
-        for num, q in zip(full, quots)
+        for num, q in zip(nums, quots)
     )
 
 
@@ -329,8 +339,9 @@ def coordinates(ctx, z):
     with the anchor's cached (n-1)-fold wedge W_i.  The defining
     expansion is re-checked exactly before returning.  The co-projection
     phi_n(z) has the unit label in its first n-1 slots, so its keys there
-    descend and its heads are z's terms behind that unit prefix; the full
-    co-projection is built only when some entry does not divide.
+    descend and its heads are z's terms behind that unit prefix; the
+    fallback check reads phi_n(z) * alpha(x) from alpha(x)'s orbits, so
+    the co-projection is never built.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space
@@ -342,7 +353,7 @@ def coordinates(ctx, z):
         ctx,
         nums,
         {unit + label: c for label, c in terms},
-        lambda: coprojection(space, space.n, z),
+        lambda: _expansion_heads(space, [ctx.alpha_x_orbits], [terms], signed=True),
         "coordinate expansion failed to reconstruct the input",
     )
 
@@ -368,7 +379,17 @@ def coordinates_of_invariant(ctx, y):
         nums.append(num)
     heads = {k: c for k, c in y.terms.items() if _heads_descend(space, k)}
     return _over_alpha(
-        ctx, nums, heads, lambda: y, "invariant expansion failed to reconstruct"
+        ctx,
+        nums,
+        heads,
+        # y * alpha(x) alternates in the first n-1 slots, so it has no
+        # term where two of them are equal
+        lambda: {
+            k: c
+            for k, c in (y * ctx.alpha_x).terms.items()
+            if _heads_descend(space, k)
+        },
+        "invariant expansion failed to reconstruct",
     )
 
 

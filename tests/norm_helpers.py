@@ -73,7 +73,9 @@ def monogenic_source(E):
         source = PolyRing(base.coeff, base.vars + ("t",))
         images = [E.element([base.variable(v) * c for c in E.unit]) for v in base.vars]
     else:
-        source = PolyRing(base, ("t",))
+        # an algebra base takes the source scalars through its unit
+        scalars = base.base if isinstance(base, FiniteFreeAlgebra) else base
+        source = PolyRing(scalars, ("t",))
         images = []
     images.append(E.basis_elem(1))
     return source, AlgebraMap(source, E, images)

@@ -415,6 +415,62 @@ def test_corrupted_norm_fails_the_pullback_witness(flags):
     ]
 
 
+_CORRUPTED_ORBIT_NORM_SCRIPT = """
+import sys
+from altkit import norm_universal
+from altkit.gen_etale import NormMapPlus, check_pullback_plus
+from altkit.norm_universal import NormMap, PullbackInstance, check_pullback
+from altkit.ring_core import QQ, AlgebraMap, FiniteFreeAlgebra, PolyRing
+
+stripped = True
+try:
+    assert False
+except AssertionError:
+    stripped = False
+print("optimize", sys.flags.optimize, stripped)
+# the orbit norm, off by one on every numerator
+real = norm_universal.norm_orbits
+norm_universal.norm_orbits = lambda inst, orbits: inst.E.base.normalize(
+    real(inst, orbits) + 1
+)
+alg = FiniteFreeAlgebra(QQ, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
+source = PolyRing(QQ, ("t",))
+t = source.variable("t")
+f = AlgebraMap(source, alg, [alg.basis_elem(1)])
+for check, norm_map in ((check_pullback, NormMap), (check_pullback_plus, NormMapPlus)):
+    inst = PullbackInstance(f, [source.one(), t])
+    witnesses, _ = check(inst, norm_map(inst))
+    print(" ".join(w.name for w in witnesses if not w.ok))
+    print(" ".join(w.name for w in witnesses if w.name.startswith("pair_route") and w.ok))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_corrupted_orbit_norm_fails_the_pullback_witnesses(flags):
+    # every coordinate fraction reaches the norm through norm_orbits, so
+    # an orbit norm that is off fails every pullback witness under both
+    # maps, with or without -O, and the pair route, which never reads
+    # the norm, stays ok
+    src = os.path.dirname(os.path.dirname(altkit.__file__))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _CORRUPTED_ORBIT_NORM_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    optimized = 1 if flags else 0
+    assert done.stdout.splitlines() == [
+        f"optimize {optimized} {bool(flags)}",
+        "pullback[unit] pullback[1,1] pullback[1,2] pullback[2,2]",
+        "",
+        "pullback_plus[unit] pullback_plus[1,1] pullback_plus[1,2] "
+        "pullback_plus[2,2]",
+        "pair_route[1,1] pair_route[1,2] pair_route[2,2]",
+    ]
+
+
 # -- repeated-point probe
 
 

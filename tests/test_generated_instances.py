@@ -11,17 +11,27 @@ Q[s] and GF(5)[s] check the discriminant against the repeated-point
 probe.
 """
 
+import json
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altkit.alternator import alpha, expand_symmetric
-from altkit.errors import NotABasis, NotGenericallyEtale
-from altkit.gen_etale import NormMapPlus, check_pullback_plus, diagonal_support_probe
+from altkit.alternator import alpha, expand_symmetric, multiply_symmetric
+from altkit.cli import build_instance
+from altkit.errors import ContextMismatch, NotABasis, NotGenericallyEtale
+from altkit.gen_etale import (
+    BPlus,
+    NormMapPlus,
+    check_pullback_plus,
+    diagonal_support_probe,
+)
 from altkit.norm_universal import (
     PullbackInstance,
     discriminant,
     norm,
+    norm_orbits,
     trace_pairing_det,
 )
 from altkit.ring_core import (
@@ -31,7 +41,9 @@ from altkit.ring_core import (
     FiniteFreeAlgebra,
     PolyRing,
     det_generic,
+    solve,
 )
+from altkit.tensor_algebra import TensorSpace, unit_tensor
 from norm_helpers import monogenic, monogenic_source, power_anchor
 
 
@@ -146,6 +158,47 @@ def test_discriminant_matches_gram_route(name, data):
             discriminant(E, [basis[0] * s] + basis[1:])
 
 
+# -- image-basis coordinates by one elimination, against per-element solve
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_batched_basis_coords_match_per_element_solve(name, data):
+    base = BASES[name]
+    E = _draw_algebra(data, base)
+    source, f = monogenic_source(E)
+    inst = PullbackInstance(f, _draw_anchor(data, source, E.rank))
+    count = data.draw(st.integers(0, 4), label="elements")
+    elems = [
+        E.element([_draw_scalar(data, base) for _ in range(E.rank)])
+        for _ in range(count)
+    ]
+    change = [[b.coords[i] for b in inst.fx] for i in range(E.rank)]
+    want = [tuple(solve(change, e.coords, base)) for e in elems]
+    assert inst.basis_coords_of(elems) == want
+    assert [inst.basis_coords(e) for e in elems] == want
+
+
+def test_batched_basis_coords_refuse_a_non_basis():
+    # u^2 = s over Q[s]: (1, s*u) spans only part of E, and (1, 1) is
+    # singular, so its pivots are not the change matrix's columns
+    E = monogenic(QS, [QS.variable("s"), QS.zero()])
+    source, f = monogenic_source(E)
+    inst = PullbackInstance(f, power_anchor(source, 2))
+    one, u = E.basis_elem(0), E.basis_elem(1)
+    inst.fx = (one, u * QS.variable("s"))
+    assert inst.basis_coords_of([one, inst.fx[1]]) == [
+        (QS.one(), QS.zero()),
+        (QS.zero(), QS.one()),
+    ]
+    with pytest.raises(NotABasis, match="failed to solve"):
+        inst.basis_coords_of([one, u])
+    inst.fx = (one, one)
+    with pytest.raises(NotABasis, match="failed to solve"):
+        inst.basis_coords_of([one])
+
+
 # -- the norm's own laws, at ranks 2-5
 #
 # N(q) = sum_k c_k det R_k, row i of R_k from the multiplication matrix
@@ -211,6 +264,98 @@ def test_norm_is_multiplicative(name, data):
     inst = _law_instance(data, LAW_BASES[name])
     q, q2 = (_draw_invariant(data, inst.space, 2) for _ in range(2))
     assert norm(inst, q * q2) == inst.E.base.normalize(norm(inst, q) * norm(inst, q2))
+
+
+# -- the norm on orbits against the per-key norm it replaced
+
+
+def per_key_norm(inst, q):
+    # the replaced route: one det_generic per full key of q
+    base, space = inst.E.base, inst.space
+    total = base.zero()
+    for key, c in q.terms.items():
+        rows = [inst.mult_matrix(lab)[i] for i, lab in enumerate(space.key_slots(key))]
+        total = total + inst.emb(c) * det_generic(rows)
+    return base.normalize(total)
+
+
+def _split_q3():
+    idem = [tuple(int(k == i) for k in range(3)) for i in range(3)]
+    structure = tuple(
+        tuple(idem[i] if i == j else (0, 0, 0) for j in range(3)) for i in range(3)
+    )
+    return FiniteFreeAlgebra(QQ, 3, structure, (1, 1, 1))
+
+
+_Q3 = _split_q3()
+# Q^3 modulo what (1, 1, 0) kills: Q^2, whose zero divisors stay
+BPLUS_BASE = BPlus(_Q3, _Q3.element((1, 1, 0))).desc
+ORBIT_NORM_BASES = dict(LAW_BASES, **{"B+": BPLUS_BASE})
+
+
+def _draw_base_element(data, base):
+    if isinstance(base, FiniteFreeAlgebra):
+        return base.element(
+            [data.draw(st.integers(-3, 3), label="coordinate") for _ in range(base.rank)]
+        )
+    return _draw_scalar(data, base)
+
+
+def _draw_orbits(data, space, r, top):
+    # up to top orbit sums of drawn sorted keys: numerators that share
+    # prefixes and ones that do not
+    orbits = {}
+    for _ in range(data.draw(st.integers(1, top), label="orbits")):
+        labels = sorted(
+            (_draw_label(data, space.ring, r) for _ in range(space.n)), reverse=True
+        )
+        key = tuple(v for label in labels for v in label)
+        orbits[key] = _draw_scalar(data, space.scalars, nonzero=True)
+    return orbits
+
+
+@pytest.mark.parametrize("name", sorted(ORBIT_NORM_BASES))
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_orbit_norm_matches_the_per_key_norm(name, data):
+    base = ORBIT_NORM_BASES[name]
+    r = data.draw(st.integers(2, 5), label="rank")
+    E = monogenic(base, [_draw_base_element(data, base) for _ in range(r)])
+    source, f = monogenic_source(E)
+    inst = PullbackInstance(f, power_anchor(source, r))
+    orbits = _draw_orbits(data, inst.space, r, 4)
+    q = expand_symmetric(inst.space, orbits)
+    assert norm_orbits(inst, orbits) == norm(inst, q) == per_key_norm(inst, q)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_orbit_norm_is_multiplicative(name, data):
+    # N(q * q') = N(q) * N(q') with the product taken on orbits too, at
+    # ranks 2-4
+    inst = _law_instance(data, BASES[name], 4)
+    space = inst.space
+    q, q2 = (_draw_orbits(data, space, 2, 3) for _ in range(2))
+    got = norm_orbits(inst, multiply_symmetric(space, q, q2))
+    assert got == inst.E.base.normalize(norm_orbits(inst, q) * norm_orbits(inst, q2))
+
+
+# tensor powers other than sqrt2.json's, n = 2 over Q[t]
+OTHER_SPACES = {
+    "arity 3 over Q[t]": TensorSpace(3, PolyRing(QQ, ("t",))),
+    "arity 2 over Q[t, u]": TensorSpace(2, PolyRing(QQ, ("t", "u"))),
+    "arity 2 over GF(5)[t]": TensorSpace(2, PolyRing(GF(5), ("t",))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OTHER_SPACES))
+def test_norm_refuses_a_tensor_from_another_tensor_power(name):
+    data = json.loads(resources.files("altkit").joinpath("fixtures", "sqrt2.json").read_text())
+    inst, _ = build_instance(data)
+    assert norm(inst, unit_tensor(inst.space)) == 1
+    with pytest.raises(ContextMismatch, match="different tensor power"):
+        norm(inst, unit_tensor(OTHER_SPACES[name]))
 
 
 def _split_instance(base, points):

@@ -12,6 +12,7 @@ behaviour.
 import hashlib
 import json
 from importlib import resources
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -130,6 +131,17 @@ FP_INSTANCE_DIGESTS = {
 FALLBACK_DIGESTS = {
     "etale": "11814086270e6f14109f52fb8a0c2f9aa386d797b1280e5e90502f124f66df2e",
     "gen_etale": "75ab830a7397fd4beda5c7050b4091476ae0be3a35a04ec1931c3eb1c01a4f04",
+}
+
+
+# tests/data/cbrt2_fallback.json: Q[u]/(u^3 - 2), t -> u, on the anchor
+# (1, t^2 + t, t^4 + t), where alpha(x) divides only some entries, so the
+# entries it does not divide are kept over the square; recorded before
+# that fallback ran on orbits
+CBRT2_FALLBACK = Path(__file__).parent / "data" / "cbrt2_fallback.json"
+CBRT2_FALLBACK_DIGESTS = {
+    "etale": "510aff9e82a052de86daef389971d4e02c220e521d2c4329044420fefcf29c95",
+    "gen_etale": "1d6bb45e37896a89b14844ae75dd796599e2824eb57f07ff909fd3ce0f2db578",
 }
 
 
@@ -324,3 +336,18 @@ def test_passing_cases_carry_tensor_text():
     text = case_texts("q")
     assert text.count("\n") == len(SUITES) * 3 * 3
     assert "[" in text and " True " in text and " False " not in text
+
+
+@pytest.mark.parametrize("mode", sorted(CBRT2_FALLBACK_DIGESTS))
+def test_cbrt2_fallback_report_matches_recording(mode):
+    inst, _ = cli.build_instance(json.loads(CBRT2_FALLBACK.read_text()))
+    ctx = inst.ctx
+    exps = [
+        e.exp for i in range(3) for j in range(i, 3)
+        for e in coordinates(ctx, ctx.x[i] * ctx.x[j])
+    ]
+    # the digest pins the fallback only if both entry forms occur
+    assert exps.count(1) == 9 and exps.count(0) == 9
+    report = run_instance(str(CBRT2_FALLBACK), mode)
+    assert report["failures_total"] == 0
+    assert sha256(render_report(report)) == CBRT2_FALLBACK_DIGESTS[mode]

@@ -30,12 +30,14 @@ from altkit.ring_core import (
     PolyRing,
     det_generic,
     echelon,
+    evaluate_terms,
     nullspace,
     parse_expression,
     solve,
 )
-from altkit.ring_core import _is_prime
+from altkit.ring_core import _ExprParser, _is_prime, _tokenize
 from altkit.tensor_algebra import TensorSpace, unit_tensor
+from norm_helpers import monogenic
 
 
 def sqrt2_algebra():
@@ -812,3 +814,110 @@ def test_associativity_check_matches_every_triple(structure):
         with pytest.raises(NonAssociative) as err:
             FiniteFreeAlgebra(QQ, r, structure, unit)
         assert str(err.value) == want
+
+
+# -- the map by its monomial table, against the lift it replaced
+
+
+def old_map(f, poly):
+    # AlgebraMap.__call__ before the monomial table: every coefficient
+    # lifted as one * embed(c), every power formed again per term
+    E = f.target
+    return evaluate_terms(poly.terms, f.images, E.zero(), lambda c: E.one() * f._embed(c))
+
+
+_MAP_TARGETS = {
+    "Q": lambda: monogenic(QQ, [QQ.from_int(2), QQ.from_int(-1), QQ.zero()]),
+    "GF(5)": lambda: monogenic(GF(5), [3, 0, 1]),
+    "Q[s]": lambda: t2_minus_s_algebra(),
+    "B+": lambda: monogenic(_BPLUS, [_BPLUS.element((2, -1)), _BPLUS.zero()]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_TARGETS))
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_monomial_table_map_matches_the_old_lift(name, data):
+    E = _MAP_TARGETS[name]()
+    base = E.base
+    if isinstance(base, PolyRing):
+        source = PolyRing(base.coeff, ("s", "t", "v"))
+        images = [E.element([base.variable("s") * c for c in E.unit])]
+    else:
+        scalars = base.base if isinstance(base, FiniteFreeAlgebra) else base
+        source = PolyRing(scalars, ("t", "v"))
+        images = []
+    coordinate = st.integers(-3, 3)
+    if isinstance(base, PolyRing):
+        coordinate = coordinate.map(base.from_int)
+    elif isinstance(base, FiniteFreeAlgebra):
+        coordinate = st.tuples(coordinate, coordinate).map(base.element)
+    else:
+        coordinate = coordinate.map(base.from_int)
+    images += [
+        E.element([data.draw(coordinate) for _ in range(E.rank)]) for _ in range(2)
+    ]
+    try:
+        f = AlgebraMap(source, E, images)
+    except RingMismatch:
+        return  # a drawn image the spot-check refuses is no map
+    exps = st.tuples(*[st.integers(0, 4)] * len(source.vars))
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3, Fraction(1, 2)))
+    if source.coeff.kind == "Fp":
+        coeff = st.integers(1, 4)
+    p, q = (
+        MultiPoly(source, data.draw(st.dictionaries(exps, coeff, max_size=5)))
+        for _ in range(2)
+    )
+    # twice: the second call reads the monomials the first one kept
+    assert f(p * q) == f(p) * f(q) == f(p * q)
+    assert f(p - q) == f(p) - f(q)
+    if name != "B+":
+        # the old lift multiplied E's one by an element of E's base, which
+        # an algebra base refuses as an element of another algebra
+        for poly in (p, q, p * q):
+            want = old_map(f, poly)
+            assert f(poly) == want and f(poly).coords == want.coords
+
+
+# -- plain decimal literals skip the tokenizer
+
+
+def tokenizer_route(text, parent):
+    # parse_expression before the literal path
+    return _ExprParser(_tokenize(text), parent).parse()
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except ParseError as e:
+        return ParseError, str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="0123456789٣１²", min_size=1, max_size=6))
+def test_literal_path_matches_the_tokenizer_route(text):
+    # Arabic-Indic and fullwidth digits are decimal and read as ints; a
+    # superscript two is a digit but not decimal, so it still reaches the
+    # tokenizer and fails there as before
+    event("decimal" if text.isdecimal() else "to the tokenizer")
+    for scalars in (QQ, GF(5)):
+        ring = PolyRing(scalars, ("t",))
+        want = _outcome(tokenizer_route, text, ring)
+        assert _outcome(parse_expression, text, ring) == want
+        constant = want if isinstance(want, tuple) else want.constant()
+        assert _outcome(scalars.parse, text) == constant
+    assert _outcome(QQ.parse, "٣") == 3 and _outcome(QQ.parse, "１") == 1
+    assert _outcome(QQ.parse, "²")[0] is ParseError
+
+
+def test_a_long_literal_raises_the_tokenizer_text():
+    # 5000 digits pass the int-conversion limit on both routes alike
+    text = "1" * 5000
+    ring = PolyRing(QQ, ("t",))
+    kind, message = _outcome(tokenizer_route, text, ring)
+    assert kind is ParseError and message.startswith("number literal too long")
+    assert _outcome(parse_expression, text, ring) == (kind, message)
+    assert _outcome(QQ.parse, text) == (kind, message)
+    assert _outcome(GF(5).parse, text) == (kind, message)

@@ -20,6 +20,7 @@ from altkit.alternator import (
     alpha_orbits,
     divide_orbits,
     divide_symmetric,
+    expand_orbits,
     expand_symmetric,
     flat_orbits,
     multiply_symmetric,
@@ -528,6 +529,12 @@ def recheck_cases(draw):
     return ctx, [draw(orbits) for _ in range(n)]
 
 
+def strict_heads(space, key):
+    # the first n-1 slots of a flat key strictly descend
+    slots = [key[j : j + space.width] for j in range(0, space.n * space.width, space.width)]
+    return all(a > b for a, b in zip(slots[: space.n - 2], slots[1 : space.n - 1]))
+
+
 def full_expansion(ctx, quots):
     # sum q_i * phi_n(x_i) on full tensors
     lhs = ctx.space.zero()
@@ -544,7 +551,7 @@ def test_orbit_recheck_matches_full_reconstruction(case):
     ctx, quots = case
     space = ctx.space
     full = full_expansion(ctx, quots)
-    heads = span_solver._expansion_heads(ctx, quots)
+    heads = span_solver._expansion_heads(space, quots, ctx.x_terms)
     assert heads == {
         k: c for k, c in full.terms.items() if span_solver._heads_descend(space, k)
     }
@@ -585,7 +592,7 @@ def oracle_expansion_heads(ctx, quots):
 @given(recheck_cases())
 def test_expansion_heads_match_the_replaced_loop(case):
     ctx, quots = case
-    got = span_solver._expansion_heads(ctx, quots)
+    got = span_solver._expansion_heads(ctx.space, quots, ctx.x_terms)
     want = oracle_expansion_heads(ctx, quots)
     event("zero" if not want else "nonzero")
     assert {k: (type(c), c) for k, c in got.items()} == {
@@ -604,8 +611,9 @@ _Z_TERMS = st.dictionaries(
 @given(recheck_cases(), _Z_TERMS)
 def test_coordinate_heads_are_the_coprojection_heads(case, terms):
     # coordinates() hands the check z's terms behind the unit prefix; they
-    # are the co-projection's terms whose first n-1 slots descend, and the
-    # full co-projection is built only on the fallback route
+    # are the co-projection's terms whose first n-1 slots descend.  The
+    # fallback check reads the co-projection times alpha(x) where those
+    # slots strictly descend, built on orbits with no full co-projection
     ctx, _ = case
     space = ctx.space
     z = MultiPoly(space.ring, {k: space.scalars.from_int(c) for k, c in terms.items()})
@@ -623,7 +631,11 @@ def test_coordinate_heads_are_the_coprojection_heads(case, terms):
         span_solver._over_alpha = real
     [(heads, target)] = seen
     full = coprojection(space, space.n, z)
-    assert target() == full
+    assert target() == {
+        k: c
+        for k, c in (full * ctx.alpha_x).terms.items()
+        if strict_heads(space, k)
+    }
     assert heads == {
         k: c for k, c in full.terms.items() if span_solver._heads_descend(space, k)
     }
@@ -802,7 +814,7 @@ print("row", report["failures_total"], report["suites"][0]["failures"][0]["lhs"]
 """
 
 # alpha(x) = t^2 (x) t - t (x) t^2 does not divide the entries of
-# t^3 + 2, so the check runs on the expanded numerators
+# t^3 + 2, so the check runs on the numerators' orbits
 _BROKEN_FALLBACK_SCRIPT = _OPTIMIZE_PRELUDE + """
 ctx = AlternatorInstance(TensorSpace(2, ring), [t * t, t])
 z = t**3 + 2
@@ -1100,3 +1112,97 @@ def test_orbit_dicts_keep_one_key_form(case):
     square = LocalizedElem(ctx, ctx.alpha_sq, 0)
     for v in (x, y, x + y, x * y, x * square, (x + y).normalize()):
         assert _keys_descend(space, v._orbits, False)
+
+
+# -- the fallback on orbits, against the full-tensor fallback it replaced
+
+
+def full_fallback(ctx, nums, target):
+    # _over_alpha's fallback before orbits: the numerators expanded, the
+    # check on full tensors, and each num * alpha(x) multiplied out
+    space = ctx.space
+    full = [expand_orbits(space, num) for num in nums]
+    lhs = space.zero()
+    for num, phi in zip(full, ctx.phi_n_x):
+        lhs = lhs + num * phi
+    stored = [symmetric_orbits(num * ctx.alpha_x) for num in full]
+    return lhs == target * ctx.alpha_x, stored
+
+
+@st.composite
+def fallback_cases(draw):
+    """An anchor over Q[t] or GF(5)[t] whose entries reach past degree
+    n - 1, so that alpha(x) need not divide, and z or a y invariant in
+    the first n-1 slots."""
+    scalars = draw(st.sampled_from([QQ, GF(5)]))
+    n = draw(st.integers(2, 4))
+    ring = PolyRing(scalars, ("t",))
+    space = TensorSpace(n, ring)
+    coeff = st.sampled_from((-2, -1, 1, 2)).map(scalars.from_int)
+
+    def poly(top):
+        exps = st.tuples(st.integers(0, top))
+        return MultiPoly(ring, draw(st.dictionaries(exps, coeff, min_size=1, max_size=2)))
+
+    ctx = AlternatorInstance(space, [poly(n + 1) for _ in range(n)])
+    assume(ctx.alpha_x_orbits)
+    if draw(st.booleans(), label="invariant"):
+        y = random_invariant(random.Random(draw(st.integers(0, 2**32))), space, 2, full=False)
+        return ctx, None, y
+    return ctx, poly(3), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(fallback_cases(), st.data())
+def test_orbit_fallback_matches_the_full_tensor_one(case, data):
+    ctx, z, y = case
+    space, n = ctx.space, ctx.space.n
+    norm = space.scalars.normalize
+    if z is not None:
+        terms = space.decompose(z)
+        nums = [flat_orbits(wedge_orbits(space, w, terms)) for w in ctx.cofactor_wedges]
+        unit = (0,) * (n - 1)
+        heads = {unit + label: c for label, c in terms}
+        target = coprojection(space, n, z)
+
+        def target_alpha():
+            return span_solver._expansion_heads(
+                space, [ctx.alpha_x_orbits], [terms], signed=True
+            )
+    else:
+        nums = []
+        for i in range(1, n + 1):
+            num = signed_orbits(ctx.x_dropped(i) * y)
+            nums.append({k: norm(-c) for k, c in num.items()} if (n - i) % 2 else num)
+        heads = {k: c for k, c in y.terms.items() if span_solver._heads_descend(space, k)}
+        target = y
+
+        def target_alpha():
+            return {
+                k: c
+                for k, c in (y * ctx.alpha_x).terms.items()
+                if strict_heads(space, k)
+            }
+
+    if data.draw(st.booleans(), label="corrupt") and any(nums):
+        # one coefficient of one numerator moved by one
+        i = data.draw(st.sampled_from([i for i, num in enumerate(nums) if num]))
+        key = data.draw(st.sampled_from(sorted(nums[i])))
+        nums[i] = {**nums[i], key: norm(nums[i][key] + 1)}
+        nums[i] = {k: c for k, c in nums[i].items() if c}
+    quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
+    assume(any(q is None for q in quots))
+    event("z" if z is not None else "y")
+    ok, stored = full_fallback(ctx, nums, target)
+    event("reconstructs" if ok else "fails")
+    try:
+        entries = span_solver._over_alpha(ctx, nums, heads, target_alpha, "failed")
+    except VerificationFailed:
+        assert not ok
+        return
+    assert ok
+    for entry, q, s in zip(entries, quots, stored):
+        if q is None:
+            assert entry.exp == 1 and entry._orbits == s
+        else:
+            assert entry.exp == 0 and entry._orbits == q
