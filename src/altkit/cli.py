@@ -15,14 +15,12 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from random import Random
 
 from . import __version__
 from .alternator import (
     IDENTITY_NAMES,
-    AlternatorInstance,
     Witness,
     check_identity,
     random_case,
@@ -48,6 +46,8 @@ from .gen_etale import (
 from .norm_universal import (
     NormMap,
     PullbackInstance,
+    _anchor,
+    anchor_side,
     check_pullback,
     trace_formula_check,
     traceexp_check,
@@ -64,7 +64,7 @@ from .ring_core import (
     PolyRing,
 )
 from .span_solver import coordinates, coordinates_of_invariant
-from .tensor_algebra import MAX_ARITY, TensorSpace
+from .tensor_algebra import MAX_ARITY
 
 __all__ = [
     "SUITE_NAMES",
@@ -320,23 +320,15 @@ _CASES["basis"] = _basis_case
 _CASES["probe_diagonal"] = _probe_case
 
 
-# the anchor (1, t, ..., t^(n-1)) of one ring and arity, shared by every
-# run_suite call; an entry holds its alternator, wedges and dropped-slot
-# tensors, 6-16 kB at n = 5 after the suites that read it
-@lru_cache(maxsize=16)
-def _anchor(scalars, n):
-    space = TensorSpace(n, PolyRing(scalars, ("t",)))
-    t = space.ring.variable("t")
-    return AlternatorInstance(space, [t**i for i in range(n)])
-
-
 class _RowEnv:
-    """Shared per-row state: the anchor tuple of the row's ring and arity,
-    and its tensor power, which every draw of the row lives in."""
+    """Shared per-row state: the anchor tuple (1, t, ..., t^(n-1)) of the
+    row's ring and arity, from the instances' anchor table, and its tensor
+    power, which every draw of the row lives in."""
 
     def __init__(self, scalars, n, max_degree, max_terms):
         self.scalars = scalars
-        self.ctx = _anchor(scalars, n)
+        powers = tuple((((i,), scalars.one()),) for i in range(n))
+        self.ctx = _anchor(scalars, ("t",), powers).ctx
         self.space = self.ctx.space
         self.max_degree = max_degree
         self.max_terms = max_terms
@@ -600,7 +592,6 @@ def build_instance(data):
         E.element(_parse_vector(base, vec, rank, f"$.map.images[{i}]"))
         for i, vec in enumerate(images_spec)
     )
-    f = AlgebraMap(source, E, images)
 
     tuple_x = _field(data, "tuple_x", "$", list)
     _expect(len(tuple_x) == rank, "$.tuple_x", f"expected {rank} entries")
@@ -618,7 +609,10 @@ def build_instance(data):
         f"entry degrees allow {orbits} numerator orbits, above "
         f"MAX_ANCHOR_ORBITS = {MAX_ANCHOR_ORBITS}",
     )
-    return PullbackInstance(f, xs), {"mode": mode, "name": name}
+    # a map from the anchor table's ring meets the anchor by identity
+    ctx = anchor_side(source, xs).ctx
+    f = AlgebraMap(ctx.space.ring, E, images)
+    return PullbackInstance(f, ctx.x), {"mode": mode, "name": name}
 
 
 def run_instance(path, mode=None):

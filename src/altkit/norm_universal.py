@@ -16,9 +16,15 @@ One norm map pushes fractions down for every generically etale instance,
 whose d is a nonzerodivisor: num/alpha_sq^e goes to N(num) divided
 exactly by d^e, and a missing quotient raises.  The etale map is the same
 map restricted to a unit d, where every such division succeeds.
+
+The anchor's side (its context, the unit's coordinates, R's structure
+constants and the norm's prefix structures) depends on no algebra, so
+bounded tables share it across the instances over one anchor.
 """
 
 from __future__ import annotations
+
+from functools import cached_property, lru_cache
 
 from .alternator import (
     AlternatorInstance,
@@ -41,6 +47,7 @@ from .ring_core import (
     AlgebraElem,
     CoeffRing,
     FiniteFreeAlgebra,
+    MultiPoly,
     PolyRing,
     _scalar_embedding,
     det_generic,
@@ -66,6 +73,8 @@ __all__ = [
     "trace_formula_check",
     "traceexp_check",
     "PullbackInstance",
+    "AnchorSide",
+    "anchor_side",
     "is_nonzerodivisor",
     "NormMapPlus",
     "NormMap",
@@ -121,6 +130,28 @@ def norm(inst, q):
     return norm_orbits(inst, symmetric_orbits(q))
 
 
+# the norm's prefix structure for one numerator's orbit keys: each key's
+# labels, grows[mu] = [(label, mu + label)] for every placed sub-multiset
+# mu (labels descending), and the labels met; an anchor meets at most 80
+# numerators, a rank-3 one with degree-10 entries 17, of up to 2.1 MB each
+@lru_cache(maxsize=64)
+def _norm_prefixes(keys, width):
+    lams = {key: tuple(zip(*[iter(key)] * width)) for key in keys}
+    grows, level = {}, set(lams.values())
+    while level:
+        below = set()
+        for mu in level:
+            for i, label in enumerate(mu):
+                if i and mu[i - 1] == label:
+                    continue  # one edge per distinct label
+                less = mu[:i] + mu[i + 1 :]
+                grows.setdefault(less, []).append((label, mu))
+                below.add(less)
+        level = below
+    labels = {label for edges in grows.values() for label, _ in edges}
+    return lams, grows, labels
+
+
 def norm_orbits(inst, orbits):
     """The norm of a symmetric tensor given by its coefficients at sorted
     keys, sum_lam c_lam N(m_lam).
@@ -134,30 +165,16 @@ def norm_orbits(inst, orbits):
     or across the lam of q, share its minors.  There is no division, so
     the norm is exact over every base.
     """
-    base, n, w = inst.E.base, inst.space.n, inst.space.width
+    base, n = inst.E.base, inst.space.n
     normalize = base.normalize
-    # the ways to grow each placed sub-multiset mu (labels descending) by
-    # one label towards some lam: grows[mu] = [(label, mu + label)],
-    # found one size down at a time from the lam themselves
-    lams = {key: tuple(zip(*[iter(key)] * w)) for key in orbits}
-    grows, level = {}, set(lams.values())
-    while level:
-        below = set()
-        for mu in level:
-            for i, label in enumerate(mu):
-                if i and mu[i - 1] == label:
-                    continue  # one edge per distinct label
-                less = mu[:i] + mu[i + 1 :]
-                grows.setdefault(less, []).append((label, mu))
-                below.add(less)
-        level = below
+    lams, grows, labels = _norm_prefixes(tuple(orbits), inst.space.width)
     # each label's multiplication matrix, row by row as (column bit, entry)
     rows = {
         label: [
             [(1 << j, a) for j, a in enumerate(row) if a]
             for row in inst.mult_matrix(label)
         ]
-        for label in {label for edges in grows.values() for label, _ in edges}
+        for label in labels
     }
     cur = {
         (bit, mu): a for label, mu in grows.get((), ()) for bit, a in rows[label][0]
@@ -245,6 +262,42 @@ def traceexp_check(ctx, ys):
     return Witness("traceexp", lhs == rhs, lhs, rhs)
 
 
+class AnchorSide:
+    """An anchor's context ``ctx`` and, from first read, ``constants``:
+    the unit's coordinates and R's structure constants, kept only once
+    their reconstruction checks pass (a read that raises stores nothing)."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    @cached_property
+    def constants(self):
+        ctx = self.ctx
+        return coordinates(ctx, ctx.space.ring.one()), structure_constants_R(ctx)
+
+
+# one AnchorSide per (scalars, variable names, each entry's sorted terms),
+# the suite anchors (1, t, ..., t^(n-1)) too; a call that raised is not
+# stored.  With its constants read, an entry holds 32 kB for (1, ..., t^4)
+# and 9.3 MB for a rank-3 anchor with three entries of degree 10
+@lru_cache(maxsize=16)
+def _anchor(scalars, names, entries):
+    ring = PolyRing(scalars, names)
+    xs = [MultiPoly(ring, dict(terms), _clean=True) for terms in entries]
+    ctx = AlternatorInstance(TensorSpace(len(xs), ring), xs)
+    if not ctx.alpha_x_orbits:  # its coordinates would all read 0
+        raise NotABasis("alpha(x) = 0: the anchor entries are linearly dependent")
+    return AnchorSide(ctx)
+
+
+def anchor_side(ring, xs):
+    """The shared ``AnchorSide`` of xs in the polynomial ring ``ring``;
+    its context lives in the table's own copy of the ring."""
+    return _anchor(
+        ring.coeff, ring.vars, tuple(tuple(sorted(x.terms.items())) for x in xs)
+    )
+
+
 class PullbackInstance:
     """A finite free algebra presented as the image of a polynomial tuple.
 
@@ -252,7 +305,8 @@ class PullbackInstance:
     image basis with its coordinate determinant (``det_x``), and the
     discriminant of that basis.  The image tuple must genuinely be a
     basis; how invertible the discriminant is decides which norm map
-    applies.
+    applies.  ``anchor`` (``anchor_side``) is shared by every instance
+    over the same anchor; only E's side is computed per instance.
     """
 
     def __init__(self, f, xs):
@@ -262,8 +316,10 @@ class PullbackInstance:
             raise ArityMismatch(
                 f"{len(xs)} anchor entries for rank {self.E.rank}"
             )
-        self.space = TensorSpace(self.E.rank, f.source)
-        self.ctx = AlternatorInstance(self.space, xs)
+        space = TensorSpace(self.E.rank, f.source)
+        self.anchor = anchor_side(f.source, [space.as_element(x) for x in xs])
+        self.ctx = self.anchor.ctx
+        self.space = self.ctx.space
         # source scalars into the base, for the coefficients of a tensor
         self.emb = _scalar_embedding(self.space.scalars, self.E.base)
         # f(v) by polynomial; kept here, since equal polynomials map
@@ -438,8 +494,7 @@ def pullback_constants(inst, nm):
     def mapped(coords):
         return [nm.localized_image(c) for c in coords]
 
-    one = coordinates(ctx, inst.space.ring.one())
-    constants = structure_constants_R(ctx)
+    one, constants = inst.anchor.constants
     pairs = [(i, j) for i in range(inst.E.rank) for j in range(i, inst.E.rank)]
     fx = inst.fx
     unit_direct, *direct = inst.basis_coords_of(

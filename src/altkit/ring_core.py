@@ -407,7 +407,7 @@ def divide_terms(rem, den, ring, pairs):
 
 def _monomial_pairs(q, d):
     # keys multiply by adding, and q divides when no entry is negative
-    return None if min(q) < 0 else ((tuple(map(add, q, d)), 1),)
+    return None if min(q, default=0) < 0 else ((tuple(map(add, q, d)), 1),)
 
 
 def dict_divide_exact(num, den, ring):

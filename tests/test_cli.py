@@ -155,14 +155,16 @@ def test_report_bytes_deterministic():
 
 def test_anchor_is_built_once_per_ring_and_arity(monkeypatch):
     # run_suite calls at one (ring, n) share one anchor, and their
-    # reports stay byte-identical
+    # reports stay byte-identical; the anchor table that builds it is
+    # the instances' table, cli._anchor
     built = []
 
     def counted(space, xs):
         built.append(space.n)
         return AlternatorInstance(space, xs)
 
-    monkeypatch.setattr(cli, "AlternatorInstance", counted)
+    assert cli._anchor is norm_universal._anchor
+    monkeypatch.setattr(norm_universal, "AlternatorInstance", counted)
     cli._anchor.cache_clear()
     cfg = make_suite_config(n="4", cases=3, seed=5, identities="trace_formula,basis")
     first = render_report(run_suite(cfg))
@@ -231,11 +233,28 @@ def test_t2_minus_s_instance_report():
     assert len(report["witnesses"]) == 7
 
 
+def _second_algebra(tmp_path, fixture):
+    # the fixture over the same anchor with another constant in u^2:
+    # u^2 = 3 for u^2 = 2, and u^2 = s + 1 for u^2 = s
+    data = json.loads(open(fixture_path(fixture), encoding="utf-8").read())
+    data["algebra"]["structure"][1][1][0] += "+1"
+    path = tmp_path / fixture
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "fixture, built", [("sqrt2.json", "NormMap"), ("t2_minus_s.json", "NormMapPlus")]
 )
-def test_instance_computes_each_constant_once(monkeypatch, fixture, built):
-    # rank 2: the unit plus three pairs i <= j, one coordinate call each
+def test_instance_computes_each_constant_once(monkeypatch, tmp_path, fixture, built):
+    # rank 2: the unit plus three pairs i <= j, one coordinate call each,
+    # on the first instance over the anchor; a second algebra over the
+    # same anchor reads them from the anchor table and makes none, and
+    # its report is the one it gets on a cleared table
+    second = _second_algebra(tmp_path, fixture)
+    cli._anchor.cache_clear()
+    cold = run_instance(second)
+    assert cold["failures_total"] == 0
     original = span_solver.coordinates
     calls = []
 
@@ -257,10 +276,15 @@ def test_instance_computes_each_constant_once(monkeypatch, fixture, built):
             init(self, inst)
 
         monkeypatch.setattr(cls, "__init__", counted_init)
+    cli._anchor.cache_clear()
     report = run_instance(fixture_path(fixture))
     assert report["failures_total"] == 0
     assert len(calls) == 4
     assert maps == [built]
+    calls.clear()
+    assert run_instance(second) == cold
+    assert calls == []
+    assert maps == [built, built]
 
 
 @pytest.mark.parametrize(
@@ -272,6 +296,8 @@ def test_instance_meets_parents_by_identity(monkeypatch, fixture, mode):
     # parent meet on `is` alone; comparing two (ring, vars) pairs per
     # operation once took 198-1067 scalar-ring comparisons per run.
     # The count repeats exactly, so this pins a count, not a timing.
+    # The second call finds its anchor in the table, and the map starts
+    # from the table's ring, so it meets the anchor on `is` too.
     original = CoeffRing.__eq__
     calls = []
 
@@ -280,9 +306,12 @@ def test_instance_meets_parents_by_identity(monkeypatch, fixture, mode):
         return original(self, other)
 
     monkeypatch.setattr(CoeffRing, "__eq__", counted)
-    report = run_instance(fixture_path(fixture), mode)
-    assert report["failures_total"] == 0
-    assert len(calls) <= 8
+    cli._anchor.cache_clear()
+    for _ in range(2):
+        report = run_instance(fixture_path(fixture), mode)
+        assert report["failures_total"] == 0
+        assert len(calls) <= 8
+        calls.clear()
 
 
 def test_mode_flag_overrides_file():

@@ -471,6 +471,82 @@ def test_corrupted_orbit_norm_fails_the_pullback_witnesses(flags):
     ]
 
 
+_FAILING_ANCHOR_SCRIPT = """
+import sys
+from altkit import span_solver
+from altkit.errors import AltkitError
+from altkit.norm_universal import NormMap, PullbackInstance, _anchor, check_pullback
+from altkit.ring_core import QQ, AlgebraMap, FiniteFreeAlgebra, PolyRing
+
+stripped = True
+try:
+    assert False
+except AssertionError:
+    stripped = False
+print("optimize", sys.flags.optimize, stripped)
+alg = FiniteFreeAlgebra(QQ, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
+source = PolyRing(QQ, ("t",))
+t = source.variable("t")
+f = AlgebraMap(source, alg, [alg.basis_elem(1)])
+_anchor.cache_clear()
+
+
+def attempt(read):
+    try:
+        return read()
+    except AltkitError as e:
+        return f"{type(e).__name__}: {e}"
+
+
+# a repeated entry: alpha(x) = 0 raises on every call and stores nothing
+for _ in range(2):
+    print(attempt(lambda: PullbackInstance(f, [t, t])), _anchor.cache_info().currsize)
+# a reconstruction that fails: the anchor is stored, its constants never
+inst = PullbackInstance(f, [source.one(), t])
+real = span_solver.wedge_orbits
+span_solver.wedge_orbits = lambda space, w, terms: {
+    k: 2 * c for k, c in real(space, w, terms).items()
+}
+for _ in range(2):
+    print(attempt(lambda: inst.anchor.constants), "constants" in vars(inst.anchor))
+span_solver.wedge_orbits = real
+again = PullbackInstance(f, [source.one(), t])
+witnesses, _ = check_pullback(again, NormMap(again))
+print(again.anchor is inst.anchor, sum(not w.ok for w in witnesses))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_failing_anchor_raises_on_every_call(flags):
+    # the anchor table keeps no failure as a success: a dependent anchor
+    # raises each time and is not stored, and constants whose
+    # reconstruction check fails raise on every read and are not kept,
+    # with or without -O; once the check holds again they pass
+    src = os.path.dirname(os.path.dirname(altkit.__file__))
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _FAILING_ANCHOR_SCRIPT],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    optimized = 1 if flags else 0
+    dependent = "NotABasis: alpha(x) = 0: the anchor entries are linearly dependent 0"
+    broken = (
+        "VerificationFailed: coordinate expansion failed to reconstruct "
+        "the input False"
+    )
+    assert done.stdout.splitlines() == [
+        f"optimize {optimized} {bool(flags)}",
+        dependent,
+        dependent,
+        broken,
+        broken,
+        "True 0",
+    ]
+
+
 # -- repeated-point probe
 
 

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altkit import norm_universal
 from altkit.alternator import alpha, expand_symmetric, multiply_symmetric
 from altkit.cli import build_instance
-from altkit.errors import ContextMismatch, NotABasis, NotGenericallyEtale
+from altkit.errors import AltkitError, ContextMismatch, NotABasis, NotGenericallyEtale
 from altkit.gen_etale import (
     BPlus,
     NormMapPlus,
@@ -156,6 +157,83 @@ def test_discriminant_matches_gram_route(name, data):
         s = base.variable("s")
         with pytest.raises(NotABasis, match="is not a unit"):
             discriminant(E, [basis[0] * s] + basis[1:])
+
+
+# -- the shared anchor side, against a table cleared before each instance
+
+
+def _clear_anchor_tables():
+    norm_universal._anchor.cache_clear()
+    norm_universal._norm_prefixes.cache_clear()
+
+
+def _checked(inst):
+    # the witnesses and rows of one instance as text, or its refusal
+    base = inst.E.base
+    try:
+        witnesses, rows = check_pullback_plus(inst, NormMapPlus(inst))
+    except AltkitError as e:
+        return f"{type(e).__name__}: {e}"
+    return (
+        [(w.name, w.ok, w.lhs_text, w.rhs_text) for w in witnesses],
+        [
+            (i, j, p.to_text(), [base.to_text(v) for v in [*mapped, *direct]])
+            for i, j, p, mapped, direct in rows
+        ],
+    )
+
+
+def _constant_orbits(side):
+    unit, table = side.constants
+    fractions = [*unit, *(c for row in table for entry in row for c in entry)]
+    return [(c.exp, dict(c._orbits)) for c in fractions]
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_shared_anchor_side_matches_a_cleared_table(name, data):
+    # monogenic algebras of ranks 2-4 over one to three anchors, the
+    # powers of t or drawn ones, checked in a drawn interleaved order on
+    # the warm tables and again with both tables cleared before each
+    # instance: the reports agree, instances over one anchor share its
+    # side, and no instance changes a shared fraction.  A drawn rank-4
+    # anchor over Q[s] has s in its entries, and one check over it took
+    # about 22 s, so drawn anchors stop at rank 3 there
+    base = BASES[name]
+    source = monogenic_source(monogenic(base, [base.one(), base.zero()]))[0]
+    anchors = []
+    for _ in range(data.draw(st.integers(1, 3), label="anchors")):
+        r = data.draw(st.integers(2, 4), label="rank")
+        drawn = r < 4 or "s" not in source.vars
+        drawn = drawn and data.draw(st.booleans(), label="drawn anchor")
+        anchors.append(
+            _draw_anchor(data, source, r) if drawn else power_anchor(source, r)
+        )
+    order = data.draw(
+        st.lists(st.integers(0, len(anchors) - 1), min_size=2, max_size=4),
+        label="order",
+    )
+    instances = []
+    for k in order:
+        E = monogenic(base, [_draw_scalar(data, base) for _ in anchors[k]])
+        instances.append((k, monogenic_source(E)[1]))
+
+    _clear_anchor_tables()
+    warm, sides, first = [], {}, {}
+    for k, f in instances:
+        inst = PullbackInstance(f, anchors[k])
+        side = sides.setdefault(k, inst.anchor)
+        assert inst.anchor is side
+        if k not in first:
+            first[k] = _constant_orbits(side)
+        warm.append(_checked(inst))
+    cold = []
+    for k, f in instances:
+        _clear_anchor_tables()
+        cold.append(_checked(PullbackInstance(f, anchors[k])))
+    assert warm == cold
+    assert {k: _constant_orbits(side) for k, side in sides.items()} == first
 
 
 # -- image-basis coordinates by one elimination, against per-element solve

@@ -29,7 +29,9 @@ from altkit.ring_core import (
     FiniteFreeAlgebra,
     MultiPoly,
     PolyRing,
+    _monomial_pairs,
     dict_divide_exact,
+    divide_terms,
     power,
     terms_add,
     terms_mul,
@@ -431,6 +433,19 @@ def test_division_covers_each_outcome():
     assert check_division(ZZ, {(1,): 2}, {(0,): 4}) is None
     assert check_division(ZZ, {(1,): 8, (0,): 4}, {(0,): 4}) == {(1,): 2, (0,): 1}
     assert check_division(QQ, {(1,): 2}, {(0,): 4}) == {(1,): Fraction(1, 2)}
+
+
+def test_monomial_rule_is_total_on_the_empty_key():
+    # a ring with no variables has the one key (); the monomial rule once
+    # raised on it (min of an empty sequence) instead of dividing
+    assert divide_terms({(): 2}, [((), 1)], QQ, _monomial_pairs) == {(): 2}
+    assert divide_terms({(): 3}, [((), 2)], QQ, _monomial_pairs) == {
+        (): Fraction(3, 2)
+    }
+    assert divide_terms({(): 3}, [((), 2)], ZZ, _monomial_pairs) is None
+    assert divide_terms({(): 4}, [((), 2)], ZZ, _monomial_pairs) == {(): 2}
+    assert _monomial_pairs((), ()) == (((), 1),)
+    assert _monomial_pairs((0, -1), (1, 1)) is None
 
 
 @pytest.mark.parametrize("ring", sorted(KERNEL_RINGS))
