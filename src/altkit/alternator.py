@@ -25,11 +25,14 @@ x_1 ^ ... ^ x_n, and it is built that way (``wedge_orbits``), so the
 pure tensor of the tuple is never formed.  The determinant of a matrix
 of polarized power sums (``det_power_sums``) keeps its minors the same
 way, by their coefficients at sorted keys, and multiplies a power sum
-into a minor on those keys alone; so do products of symmetric tensors
-(``multiply_symmetric``) and exact division of one alternating tensor
-by another, or of one symmetric tensor by another (``divide_orbits``,
-``divide_symmetric``): the quotient is symmetric, is found one orbit at
-a time, and is kept by its orbits until read (``expand_symmetric``).
+into a minor on those keys alone; so do products of symmetric or of
+alternating tensors (``multiply_symmetric``, ``multiply_alternating``)
+and exact division of one alternating tensor by another, or of one
+symmetric tensor by another (``divide_orbits``, ``divide_symmetric``):
+the quotient is symmetric, is found one orbit at a time, and is kept by
+its orbits until read (``expand_symmetric``).  Each of them multiplies
+orbit sums, monomial or alternant, by one rule (``_orbit_pairs``), read
+through a bounded table per kind of product.
 Plain tuple order on sorted keys is lex order, a monomial order, under
 which the leading key of a symmetric or alternating tensor is a sorted
 key; so the division and product tables read the keys as they are.
@@ -41,7 +44,6 @@ bare bool, so failing cases can be reported verbatim.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -217,97 +219,77 @@ def _signed_sum(t, fix_last):
     return expand_orbits(t.space, signed_orbits(t, fix_last), fix_last)
 
 
-def _arranged(lam, d, n, width):
-    """(slots, kappa, sign) for each distinct arrangement mu of lam, with
-    kappa the slots of mu + d sorted descending and sign that of the
-    sort; None when lam has a negative entry or its slots do not weakly
-    descend, so that it is no orbit key."""
+def _orbit_pairs(lam, mu, n, width, lam_alt, mu_alt):
+    """The (kappa, w) pairs of G(lam) * G(mu), or None when lam is no
+    orbit key: a negative entry, or slots that do not weakly descend.
+
+    G(k) is the monomial symmetric sum m_k, or the alternant A(k) when
+    its factor alternates, and the product alternates when exactly one
+    factor does.  The product is invariant, or alternating, so the sum
+    over the arrangements beta of mu is |Stab kappa| / |Stab mu| times
+    its term at beta = mu: w is that ratio times the sum of chi over the
+    distinct arrangements alpha of lam with alpha + mu an arrangement of
+    kappa (Macdonald, ch. I.2-I.3).  chi is sign(alpha) when lam
+    alternates, times the sign of the sort of alpha + mu when the product
+    alternates, and then a key with two equal slots cancels and is
+    dropped.  A stabilizer has n! over its key's number of distinct
+    arrangements (``_arrangements``) elements, and every weight is an
+    integer, so the rule is exact in every characteristic.
+    """
     slots_of, maps = _signed_reindex(n, width, False)
     blocks = slots_of(lam)
     if min(lam) < 0 or any(map(lt, blocks, blocks[1:])):
         return None
-    out = []
-    for get in _arrangements(_pattern(blocks), width):
-        key = tuple(map(add, get(lam), d))
+    if lam_alt:
+        arranged = maps.values()
+    else:
+        arranged = [(get, 1) for get in _arrangements(_pattern(blocks), width)]
+    join = tuple if width == 1 else lambda slots: sum(slots, ())
+    sums = {}
+    for get, chi in arranged:
+        key = tuple(map(add, get(lam), mu))
         slots = slots_of(key)
-        order = sorted(range(n), key=slots.__getitem__, reverse=True)
-        reindex, sign = maps[tuple(order)]
-        out.append((slots, reindex(key), sign))
-    return out
-
-
-# m_lam * A(d) for one quotient orbit lam and one divisor orbit d, as
-# (kappa, sign) pairs: one pair per distinct arrangement mu of lam whose
-# mu + d has distinct slots, kappa its slots sorted descending.  An
-# entry holds at most n! = 120 pairs of (n * width)-tuples, about 18 kB
-# at n = 5 and width 1.
-@lru_cache(maxsize=1024)
-def _product_orbits(lam, d, n, width):
-    """The (kappa, sign) pairs of m_lam * A(d), or None when lam is no
-    orbit key."""
-    sums = _arranged(lam, d, n, width)
-    if sums is None:
-        return None
-    return tuple((k, sign) for slots, k, sign in sums if len(set(slots)) == n)
-
-
-# m_lam * m_mu for two symmetric orbits, as (kappa, w) pairs, kappa
-# sorted descending.  An entry holds at most n! = 120 pairs of
-# (n * width)-tuples, about 18 kB at n = 5 and width 1; the entries met
-# average 0.7 kB.  r_algebra on the anchor (1, t^2 + t, t^4 + t) fills
-# 27,251 entries, 20 MB, and a table of 16384 or fewer thrashes on it.
-@lru_cache(maxsize=32768)
-def _symmetric_pairs(lam, mu, n, width):
-    """The (kappa, w) pairs of m_lam * m_mu, or None when lam is no
-    orbit key.
-
-    m_lam * m_mu is the sum of x^(alpha + beta) over the arrangements
-    alpha of lam and beta of mu, and summing over beta symmetrizes the
-    sum at beta = mu.  So w is the number of alpha with alpha + mu an
-    arrangement of kappa, times |Stab kappa| / |Stab mu|.  The
-    stabilizer of a key has n! over its number of distinct arrangements
-    elements, so the ratio is read from ``_arrangements``.
-    """
-    sums = _arranged(lam, mu, n, width)
-    if sums is None:
-        return None
-    slots_of = _signed_reindex(n, width, False)[0]
-    arranged = len(_arrangements(_pattern(slots_of(mu)), width))
+        if lam_alt == mu_alt:
+            key = join(sorted(slots, reverse=True))
+        elif len(set(slots)) < n:
+            continue
+        else:
+            order = sorted(range(n), key=slots.__getitem__, reverse=True)
+            reindex, sign = maps[tuple(order)]
+            key, chi = reindex(key), chi * sign
+        sums[key] = sums.get(key, 0) + chi
+    ratio = len(_arrangements(_pattern(slots_of(mu)), width))
     return tuple(
-        (k, c * arranged // len(_arrangements(_pattern(slots_of(k)), width)))
-        for k, c in Counter(k for _, k, _ in sums).items()
-    )
-
-
-# A(lam) * A(mu) for two alternating orbits, as (kappa, w) pairs, kappa
-# sorted descending.  An entry holds at most n! = 120 pairs of
-# (n * width)-tuples, about 18 kB at n = 5 and width 1, and 0.8 kB at
-# n = 3.  An instance of rank 3 with anchor entries of degree 10 fills
-# about 26,500 entries, 21 MB, and a table of 4096 thrashes on it.
-@lru_cache(maxsize=32768)
-def _alternant_pairs(lam, mu, n, width):
-    """The (kappa, w) pairs of A(lam) * A(mu), for keys whose slots
-    strictly descend.
-
-    x^(s lam) * A(mu) is sign(s) times s applied to x^lam * A(mu), so
-    A(lam) * A(mu) symmetrizes x^lam * A(mu), the sum of sign(t) *
-    x^(lam + t mu) over the permutations t.  Symmetrizing x^k gives
-    |Stab k| * m_(sort k), and |Stab k| is n! over the number of
-    distinct arrangements of k (``_arrangements``), so every weight is
-    an integer.
-    """
-    slots_of, maps = _signed_reindex(n, width, False)
-    signs = Counter()
-    for get, sign in maps.values():
-        key = tuple(map(add, lam, get(mu)))
-        slots = slots_of(key)
-        order = sorted(range(n), key=slots.__getitem__, reverse=True)
-        signs[maps[tuple(order)][0](key)] += sign
-    return tuple(
-        (k, c * len(maps) // len(_arrangements(_pattern(slots_of(k)), width)))
-        for k, c in signs.items()
+        (k, c * ratio // len(_arrangements(_pattern(slots_of(k)), width)))
+        for k, c in sums.items()
         if c
     )
+
+
+# Three tables of that rule, kept apart so that the division shapes stay
+# when products thrash.  An entry holds at most n! = 120 pairs of
+# (n * width)-tuples, about 18 kB at n = 5 and width 1.  m_lam * A(d), for
+# divide_orbits: the shapes recur across entries, anchors and cases.
+@lru_cache(maxsize=1024)
+def _product_orbits(lam, d, n, width):
+    return _orbit_pairs(lam, d, n, width, False, True)
+
+
+# m_lam * m_mu; the entries met average 0.5 kB.  r_algebra on the anchor
+# (1, t^2 + t, t^4 + t) fills 27,251 entries, 15 MB, and a table of 16384
+# or fewer thrashes on it.
+@lru_cache(maxsize=32768)
+def _symmetric_pairs(lam, mu, n, width):
+    return _orbit_pairs(lam, mu, n, width, False, False)
+
+
+# A(lam) * A(mu), for the fallback entries and the square of alpha(x);
+# 0.8 kB an entry at n = 3.  An instance of rank 3 with anchor entries of
+# degree 10 fills about 26,500 entries, 21 MB, and a table of 4096
+# thrashes on it.
+@lru_cache(maxsize=32768)
+def _alternant_pairs(lam, mu, n, width):
+    return _orbit_pairs(lam, mu, n, width, True, True)
 
 
 def _divide(space, num, den, table):
@@ -571,15 +553,16 @@ class AlternatorInstance:
 
     @cached_property
     def alpha_sq(self):
-        """The alternator square, built on first read: most checks
-        divide by alpha(x) itself and never need it."""
+        """The alternator square as a full tensor, built on first read:
+        the free-case checks over an algebra ambient read it."""
         return self.alpha_x * self.alpha_x
 
     @cached_property
     def alpha_sq_orbits(self):
-        """The square by its coefficients at sorted keys, built on first
-        read: fractions are padded and normalized by it."""
-        return symmetric_orbits(self.alpha_sq)
+        """The square by its coefficients at sorted keys, taken on orbits
+        on first read: fractions are padded and normalized by it."""
+        orbits = self.alpha_x_orbits
+        return multiply_alternating(self.space, orbits, orbits)
 
     def _check_slot(self, i):
         if not 1 <= i <= self.space.n:

@@ -59,7 +59,13 @@ from .errors import (
     UnsupportedAmbient,
     VerificationFailed,
 )
-from .ring_core import FiniteFreeAlgebra, dict_divide_exact, terms_add, terms_neg
+from .ring_core import (
+    FiniteFreeAlgebra,
+    dict_divide_exact,
+    terms_add,
+    terms_neg,
+    terms_scale,
+)
 from .tensor_algebra import (
     Tensor,
     is_sym_n11,
@@ -195,9 +201,10 @@ class LocalizedElem:
     def __mul__(self, other):
         space = self.ctx.space
         if not isinstance(other, LocalizedElem):
-            # scalar action, with Tensor.scale's coercion
-            scaled = Tensor(space, self._orbits, _clean=True).scale(other)
-            return LocalizedElem._from_orbits(self.ctx, scaled.terms, self.exp)
+            # the scalar action
+            scalars = space.scalars
+            orbits = terms_scale(self._orbits, scalars.coerce(other), scalars.normalize)
+            return LocalizedElem._from_orbits(self.ctx, orbits, self.exp)
         other = self._coerce(other)
         orbits = multiply_symmetric(space, self._orbits, other._orbits)
         out = LocalizedElem._from_orbits(self.ctx, orbits, self.exp + other.exp)

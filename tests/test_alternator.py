@@ -5,8 +5,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import Phase, assume, event, find, given, settings
@@ -16,6 +17,7 @@ import altkit
 from altkit.alternator import (
     IDENTITY_NAMES,
     _arrangements,
+    _orbit_pairs,
     _pattern,
     _signed_reindex,
     AlternatorInstance,
@@ -35,6 +37,7 @@ from altkit.alternator import (
     random_invariant,
     random_tensor,
     flat_orbits,
+    multiply_alternating,
     multiply_symmetric,
     signed_orbits,
     symmetric_orbits,
@@ -854,3 +857,148 @@ def test_symmetric_division_outcomes():
     assert divide_symmetric(sp, {}, m10) == {}
     assert divide_symmetric(sp, m10, {}) is None
     assert divide_symmetric(sp, {(1, 1): 1}, {(2, 0): 1}) is None
+
+
+# -- one product rule for orbit sums, against the three miss paths it replaced
+
+
+def parent_arranged(lam, d, n, width):
+    # (slots, kappa, sign) for each distinct arrangement mu of lam, kappa
+    # the slots of mu + d sorted descending and sign that of the sort
+    slots_of, maps = _signed_reindex(n, width, False)
+    blocks = slots_of(lam)
+    if min(lam) < 0 or any(map(operator.lt, blocks, blocks[1:])):
+        return None
+    out = []
+    for get in _arrangements(_pattern(blocks), width):
+        key = tuple(map(operator.add, get(lam), d))
+        slots = slots_of(key)
+        order = sorted(range(n), key=slots.__getitem__, reverse=True)
+        reindex, sign = maps[tuple(order)]
+        out.append((slots, reindex(key), sign))
+    return out
+
+
+def parent_product_orbits(lam, d, n, width):
+    # m_lam * A(d): one (kappa, sign) pair per arrangement, unsummed
+    sums = parent_arranged(lam, d, n, width)
+    if sums is None:
+        return None
+    return tuple((k, sign) for slots, k, sign in sums if len(set(slots)) == n)
+
+
+def parent_symmetric_pairs(lam, mu, n, width):
+    # m_lam * m_mu: arrangements counted per kappa, times the stabilizer ratio
+    sums = parent_arranged(lam, mu, n, width)
+    if sums is None:
+        return None
+    slots_of = _signed_reindex(n, width, False)[0]
+    arranged = len(_arrangements(_pattern(slots_of(mu)), width))
+    return tuple(
+        (k, c * arranged // len(_arrangements(_pattern(slots_of(k)), width)))
+        for k, c in Counter(k for _, k, _ in sums).items()
+    )
+
+
+def parent_alternant_pairs(lam, mu, n, width):
+    # A(lam) * A(mu): x^lam * A(mu) symmetrized, over every permutation of mu
+    slots_of, maps = _signed_reindex(n, width, False)
+    signs = Counter()
+    for get, sign in maps.values():
+        key = tuple(map(operator.add, lam, get(mu)))
+        slots = slots_of(key)
+        order = sorted(range(n), key=slots.__getitem__, reverse=True)
+        signs[maps[tuple(order)][0](key)] += sign
+    return tuple(
+        (k, c * len(maps) // len(_arrangements(_pattern(slots_of(k)), width)))
+        for k, c in signs.items()
+        if c
+    )
+
+
+# kind -> (lam alternates, mu alternates, the parent's miss path)
+PRODUCT_KINDS = {
+    "m*A": (False, True, parent_product_orbits),
+    "m*m": (False, False, parent_symmetric_pairs),
+    "A*A": (True, True, parent_alternant_pairs),
+}
+
+
+@st.composite
+def orbit_keys(draw, n, w, strict):
+    """A sorted key of n labels of width w, strictly descending if strict."""
+    labels = list(product(range(7 if w == 1 else 3), repeat=w))
+    if strict:
+        chosen = draw(st.permutations(labels))[:n]
+    else:
+        chosen = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    return sum(sorted(chosen, reverse=True), ())
+
+
+def summed(pairs):
+    acc = Counter()
+    for k, w in pairs:
+        acc[k] += w
+    return {k: w for k, w in acc.items() if w}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(PRODUCT_KINDS)),
+    st.integers(2, 5),
+    st.integers(1, 2),
+    st.data(),
+)
+def test_orbit_pairs_match_the_replaced_miss_paths(kind, n, w, data):
+    # the rule's pairs, summed by kappa, are the parent's for every kind of
+    # product; the rule lists each kappa once, with a nonzero weight
+    lam_alt, mu_alt, parent = PRODUCT_KINDS[kind]
+    lam = data.draw(orbit_keys(n, w, lam_alt))
+    mu = data.draw(orbit_keys(n, w, mu_alt))
+    got = _orbit_pairs(lam, mu, n, w, lam_alt, mu_alt)
+    event(f"{kind}, n = {n}")
+    assert len({k for k, _ in got}) == len(got)
+    assert all(weight for _, weight in got)
+    assert dict(got) == summed(parent(lam, mu, n, w))
+
+
+@pytest.mark.parametrize("kind", sorted(PRODUCT_KINDS))
+@pytest.mark.parametrize("n, w", [(2, 1), (3, 1), (3, 2), (5, 1)])
+def test_orbit_pairs_refuse_keys_that_are_no_orbit(kind, n, w):
+    # a negative entry, or slots that ascend somewhere, is no orbit key:
+    # a division step that meets one has no quotient there
+    lam_alt, mu_alt, parent = PRODUCT_KINDS[kind]
+    mu = tuple(v for i in range(n, 0, -1) for v in (i,) * w)
+    negative = (-1,) + mu[1:]
+    ascending = mu[::-1]
+    for lam in (negative, ascending):
+        assert _orbit_pairs(lam, mu, n, w, lam_alt, mu_alt) is None
+        if kind != "A*A":
+            assert parent(lam, mu, n, w) is None
+
+
+@st.composite
+def alternating_pairs(draw):
+    """Two alternating tensors by their coefficients at sorted keys, over
+    Q, Z, GF(2) or GF(5), n = 2..5 and widths 1 and 2."""
+    scalars = SIGNED_SUM_RINGS[draw(st.sampled_from(sorted(SIGNED_SUM_RINGS)))]
+    w = draw(st.integers(1, 2))
+    sp = TensorSpace(draw(st.integers(2, 5)), PolyRing(scalars, ("s", "t")[:w]))
+    coeff = st.sampled_from((-3, -2, -1, 1, 2, 3)).map(scalars.from_int)
+    key = orbit_keys(sp.n, w, True)
+    orbits = st.dictionaries(key, coeff, min_size=1, max_size=3).map(
+        lambda terms: {k: c for k, c in terms.items() if c}
+    )
+    return sp, draw(orbits), draw(orbits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alternating_pairs())
+def test_alternating_product_matches_the_full_product(case):
+    # A * A on orbits is symmetric_orbits of the product of the expanded
+    # tensors, key for key and type for type
+    sp, a, b = case
+    want = symmetric_orbits(expand_orbits(sp, a) * expand_orbits(sp, b))
+    event(f"n = {sp.n}, width {sp.width}, {'zero' if not want else 'nonzero'}")
+    assert exact_orbits(multiply_alternating(sp, a, b)) == exact_orbits(want)
+    assert multiply_alternating(sp, b, a) == want

@@ -412,6 +412,71 @@ def test_vandermonde_checks_never_build_the_square():
         assert ctx.alpha_sq is ctx.__dict__["alpha_sq"]
 
 
+def test_fraction_arithmetic_never_builds_the_full_square():
+    # padding, products and normalize read the square's orbits, and those
+    # are taken on orbits too, on an anchor whose entries are no powers
+    ring = PolyRing(QQ, ("t",))
+    t = ring.variable("t")
+    space = TensorSpace(3, ring)
+    ctx = AlternatorInstance(space, [ring.one(), t**2 + t, t**4 + t])
+    rng = random.Random(0)
+    a = LocalizedElem(ctx, random_invariant(rng, space, 2), 0)
+    b = LocalizedElem(ctx, random_invariant(rng, space, 2), 1)
+    assert (a + b).exp == 1 and (a + b) - b == a
+    assert (a * b).exp == 1 and a * b * b == b * (a * b)
+    square = multiply_symmetric(space, a._orbits, ctx.alpha_sq_orbits)
+    padded = LocalizedElem._from_orbits(ctx, square, 1)
+    assert padded.normalize().exp == 0 and padded.normalize() == a
+    assert "alpha_sq" not in ctx.__dict__
+
+
+def _square_anchors():
+    for scalars in (QQ, GF(2), GF(5)):
+        ring = PolyRing(scalars, ("t",))
+        t = ring.variable("t")
+        yield TensorSpace(3, ring), [ring.one(), t**2 + t, t**4 + t]
+        yield TensorSpace(4, ring), [t**i for i in range(4)]
+    ring = PolyRing(QQ, ("s", "t"))
+    s, t = ring.variable("s"), ring.variable("t")
+    xs = [ring.one(), s * t**2 + 3 * s * t, s**2 * t, t**2, s**2 * t**2]
+    yield TensorSpace(5, ring), xs
+
+
+@pytest.mark.parametrize("space, xs", list(_square_anchors()))
+def test_square_orbits_equal_the_full_square(space, xs):
+    # alpha(x)^2 on orbits is symmetric_orbits of the full-tensor square,
+    # key for key and type for type
+    ctx = AlternatorInstance(space, xs)
+    want = symmetric_orbits(ctx.alpha_x * ctx.alpha_x)
+    exact = {k: (type(c), c) for k, c in want.items()}
+    assert {k: (type(c), c) for k, c in ctx.alpha_sq_orbits.items()} == exact
+    assert want
+
+
+@pytest.mark.parametrize("scalars", [QQ, ZZ, GF(5)])
+def test_scalar_action_takes_what_coerce_takes(scalars):
+    # a fraction times a scalar scales its numerator, for exactly the
+    # values the ring's coerce takes; 5 is zero in GF(5)
+    ring = PolyRing(scalars, ("t",))
+    t = ring.variable("t")
+    space = TensorSpace(2, ring)
+    ctx = AlternatorInstance(space, [ring.one(), t])
+    a = LocalizedElem(ctx, pure_tensor(space, [t, t]), 1)
+    assert (a * 2)._orbits == {(1, 1): 2} and (2 * a).exp == 1
+    if scalars is QQ:
+        half = a * Fraction(1, 2)
+        assert half._orbits == {(1, 1): Fraction(1, 2)} and half.exp == 1
+        assert half + half == a
+    else:
+        with pytest.raises(RingMismatch):
+            a * Fraction(1, 2)
+    if scalars is GF(5):
+        assert not a * 5 and (a * 5).exp == 0
+    for c in (0.5, True, "2"):
+        with pytest.raises(RingMismatch):
+            a * c
+
+
 # -- sums and compares on orbits
 
 
