@@ -51,7 +51,7 @@ from .ring_core import (
     PolyRing,
     _scalar_embedding,
     det_generic,
-    echelon,
+    solve,
 )
 from .span_solver import (
     LocalizedElem,
@@ -363,32 +363,14 @@ class PullbackInstance:
                 f"discriminant {self.E.base.to_text(self.d)} is not a unit"
             )
 
-    def basis_coords(self, e):
-        """Coordinates of an algebra element in the image basis."""
-        return self.basis_coords_of([e])[0]
-
     def basis_coords_of(self, elems):
         """Image-basis coordinates of several algebra elements, by one
-        fraction-free elimination of [change | every element]: the
-        pivots must be the r columns of the change matrix, and each
-        coordinate is its reduced entry divided exactly by the final
-        leading minor."""
-        base, r = self.E.base, self.E.rank
-        d, rows = echelon(
-            [
-                [b.coords[i] for b in self.fx] + [e.coords[i] for e in elems]
-                for i in range(r)
-            ],
-            base,
-        )
-        if [p for p, _ in rows] == list(range(r)):
-            coords = [
-                [base.divide_exact(row[r + k], d) for _, row in rows]
-                for k in range(len(elems))
-            ]
-            if all(v is not None for col in coords for v in col):
-                return [tuple(map(base.normalize, col)) for col in coords]
-        raise NotABasis("image basis failed to solve; should be impossible")
+        solve of the change matrix against every element."""
+        change = [[b.coords[i] for b in self.fx] for i in range(self.E.rank)]
+        sols = solve(change, [e.coords for e in elems], self.E.base)
+        if sols is None:
+            raise NotABasis("image basis failed to solve; should be impossible")
+        return [tuple(x) for x in sols]
 
     def __repr__(self):
         return f"PullbackInstance(rank={self.E.rank}, d={self.E.base.to_text(self.d)})"

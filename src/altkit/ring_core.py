@@ -16,8 +16,8 @@ its ``normalize`` brings a sum or product back to the canonical value
 
 Polynomials and tensors share one sparse term kernel: module-level
 functions on dicts from key tuples to nonzero coefficients, for add,
-negate, scale, multiply, power, evaluation and exact division.  Its one
-rule is that keys multiply by adding.  Keys are tuples everywhere, and
+negate, scale, multiply, power and exact division.  Its one rule is
+that keys multiply by adding.  Keys are tuples everywhere, and
 exact division runs one loop for every ring and, with the caller's
 product rule, for every key form (``divide_terms``), led by plain tuple
 order.  Only polynomial division puts each key's total degree in front,
@@ -327,17 +327,6 @@ def power(x, k, one):
     return result
 
 
-def evaluate_terms(terms, images, acc, lift):
-    """acc plus, per term, lift(c) times each image to its exponent."""
-    for k, c in terms.items():
-        v = lift(c)
-        for x, e in zip(images, k):
-            if e:
-                v = v * x**e
-        acc = acc + v
-    return acc
-
-
 def quotient_factor(lc, ring):
     """The factor that turns a coefficient into its quotient by the
     nonzero lc of the CoeffRing ``ring``, or None when the ring must
@@ -543,14 +532,6 @@ class MultiPoly:
 
     def total_degree(self):
         return max((sum(k) for k in self.terms), default=0)
-
-    def evaluate(self, point):
-        if len(point) != len(self.parent.vars):
-            raise VariableMismatch(
-                f"point of length {len(point)} for vars {self.parent.vars}"
-            )
-        acc = evaluate_terms(self.terms, point, self.parent.coeff.zero(), lambda c: c)
-        return self.parent.coeff.normalize(acc)
 
     def to_text(self):
         """Canonical text, degree-lex descending, e.g. ``2*s^2-s+1``."""
@@ -927,19 +908,24 @@ def echelon(vectors, ring, limit=None):
     return d, sorted(rows, key=lambda pr: pr[0])
 
 
-def solve(A, b, ring):
-    """The unique solution of the square system A x = b in the ring.
+def solve(A, bs, ring):
+    """The unique solution of the square system A x = b for each b in bs.
 
-    None when A is singular or the solution leaves the ring.
+    One elimination of [A | every b]: a column's reduced entries depend
+    only on that column and the pivot columns, so each side reads as if
+    solved alone.  None when A is singular or any entry of any solution
+    leaves the ring.
     """
     n = len(A)
-    d, rows = echelon([list(row) + [y] for row, y in zip(A, b)], ring)
+    vectors = [list(row) + [b[i] for b in bs] for i, row in enumerate(A)]
+    d, rows = echelon(vectors, ring)
     if [p for p, _ in rows] != list(range(n)):
         return None
-    x = [ring.divide_exact(row[n], d) for _, row in rows]
-    if any(v is None for v in x):
+    sides = range(n, n + len(bs))
+    xs = [[ring.divide_exact(row[k], d) for _, row in rows] for k in sides]
+    if any(v is None for x in xs for v in x):
         return None
-    return [ring.normalize(v) for v in x]
+    return [[ring.normalize(v) for v in x] for x in xs]
 
 
 def nullspace(A, ring):
@@ -1137,8 +1123,8 @@ class FiniteFreeAlgebra:
         """a / b when unique: None unless multiplication by b is injective
         and the quotient has coordinates in the base."""
         av = a.coords if isinstance(a, AlgebraElem) else tuple(a)
-        sol = solve(self.mult_matrix(b), av, self.base)
-        return None if sol is None else AlgebraElem(self, sol)
+        sol = solve(self.mult_matrix(b), [av], self.base)
+        return None if sol is None else AlgebraElem(self, sol[0])
 
     # -- algebra proper
 
@@ -1245,8 +1231,9 @@ class AlgebraMap:
     each monomial to the product of the images, which is multiplicative by
     construction.  The image of each monomial is built once per map and
     kept by exponent tuple, and a term adds its embedded coefficient times
-    those coordinates.  A short fixed spot-check at build time guards
-    against a target whose own arithmetic is inconsistent.
+    those coordinates.  The zero key goes to the target's one, and the
+    target's structure constants were validated when it was built, so the
+    map sends 1 to 1 and is multiplicative with no check of its own.
     """
 
     def __init__(self, source, target, images):
@@ -1262,12 +1249,6 @@ class AlgebraMap:
             raise VariableMismatch("one image per source variable required")
         self._embed = _scalar_embedding(source.coeff, target.base)
         self._monomials = {}  # exponent tuple -> its image's coordinates
-        if self(self.source.one()) != target.one():
-            raise RingMismatch("map does not send 1 to 1")
-        if source.vars:
-            v = source.variable(source.vars[0])
-            if self((v + 1) * v) != (self(v) + target.one()) * self(v):
-                raise RingMismatch("map fails multiplicativity spot-check")
 
     def __call__(self, poly):
         if poly.parent != self.source:

@@ -68,23 +68,10 @@ class Permutation:
             raise IndexOutOfRange(f"not a permutation of 0..{self.n - 1}: {images}")
 
     @classmethod
-    def identity(cls, n):
-        return cls(range(n))
-
-    @classmethod
     def transposition(cls, n, a, b):
         images = list(range(n))
         images[a], images[b] = images[b], images[a]
         return cls(images)
-
-    def __call__(self, i):
-        return self.images[i]
-
-    def compose(self, other):
-        """self after other: (self . other)(i) = self(other(i))."""
-        if self.n != other.n:
-            raise ArityMismatch(f"{self.n} vs {other.n}")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
 
     def inverse(self):
         inv = [0] * self.n
@@ -311,7 +298,7 @@ class Tensor:
         return power(self, k, unit_tensor(self.space))
 
     def permute(self, perm):
-        """Move the factor in slot i to slot perm(i)."""
+        """Move the factor in slot i to slot perm.images[i]."""
         n, w = self.space.n, self.space.width
         if perm.n != n:
             raise ArityMismatch(f"permutation of {perm.n} on arity {n}")

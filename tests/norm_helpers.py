@@ -1,4 +1,5 @@
-"""Monogenic instances, and the norm-map route that the norm replaced.
+"""Monogenic instances, polynomial values, and the norm-map route that
+the norm replaced.
 
 ``alternator_pair_presentation`` rewrote a fully invariant tensor times
 alpha(x) as a signed sum of plain alternators and re-checked the sum;
@@ -79,6 +80,17 @@ def monogenic_source(E):
         images = []
     images.append(E.basis_elem(1))
     return source, AlgebraMap(source, E, images)
+
+
+def value_at(poly, point):
+    """poly at a point of its coefficient ring, one value per variable."""
+    coeff = poly.parent.coeff
+    acc = coeff.zero()
+    for k, c in poly.terms.items():
+        for x, e in zip(point, k):
+            c = c * x**e
+        acc = acc + c
+    return coeff.normalize(acc)
 
 
 def power_anchor(source, r):

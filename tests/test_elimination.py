@@ -1,18 +1,19 @@
 """The fraction-free elimination against the routines it replaced.
 
 The adjugate solver, field Gaussian elimination, the probe's rank over a
-field and the saturation quotient's stabilised power loop are kept here
-as oracles, as they were written before one elimination took their
-place.
+field, the saturation quotient's stabilised power loop and the pullback
+instance's own image-basis solve are kept here as oracles, as they were
+written before one elimination took their place.
 """
 
 import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import altkit
@@ -112,6 +113,25 @@ def field_solve(A, b, ring):
     for r, c in enumerate(pivots):
         x[c] = aug[r][n]
     return [ring.normalize(v) for v in x]
+
+
+def basis_coords_loop(A, bs, ring):
+    # PullbackInstance.basis_coords_of before it called solve: [A | every
+    # b] eliminated, the pivots checked to be A's columns, and each entry
+    # divided exactly by the final leading minor; None for its NotABasis
+    r = len(A)
+    d, rows = echelon(
+        [list(A[i]) + [b[i] for b in bs] for i in range(r)],
+        ring,
+    )
+    if [p for p, _ in rows] == list(range(r)):
+        coords = [
+            [ring.divide_exact(row[r + k], d) for _, row in rows]
+            for k in range(len(bs))
+        ]
+        if all(v is not None for col in coords for v in col):
+            return [list(map(ring.normalize, col)) for col in coords]
+    return None
 
 
 def field_nullspace(A, ring):
@@ -240,7 +260,7 @@ def _matrices(draw, square):
 @given(_matrices(square=True))
 def test_solve_matches_adjugate_and_field_solve(case):
     ring, A, b = case
-    x = solve(A, b, ring)
+    (x,) = solve(A, [b], ring) or (None,)
     det = ring.normalize(det_generic(A))
     if ring.is_zero(det):
         assert x is None
@@ -255,6 +275,35 @@ def test_solve_matches_adjugate_and_field_solve(case):
         assert x == solve_adjugate(A, b, ring)
     if ring.is_field:
         assert x == field_solve(A, b, ring)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_matrices(square=True), st.data())
+def test_several_sides_solve_as_one_each(case, data):
+    ring, A, b = case
+    side = st.lists(_entries(ring), min_size=len(A), max_size=len(A))
+    bs = data.draw(st.lists(side, max_size=3), label="sides")
+    if data.draw(st.booleans(), label="with b"):
+        bs.append(b)
+    singular = ring.is_zero(ring.normalize(det_generic(A)))
+    each = [solve(A, [b], ring) for b in bs]
+    event("singular" if singular else "no sides" if not bs else "solved")
+    if None in each and not singular:
+        event("a side leaves the ring")
+    want = None if singular or None in each else [x for (x,) in each]
+    assert solve(A, bs, ring) == want
+    assert basis_coords_loop(A, bs, ring) == want
+
+
+def test_sides_edge_cases():
+    assert solve([[2, 1], [1, 1]], [], ZZ) == []
+    assert solve([[1, 1], [1, 1]], [], QQ) is None
+    assert solve([[1, 1], [1, 1]], [[1, 1], [0, 1]], QQ) is None
+    # x = (1/2, 1) leaves Z for the second side, so no side is returned
+    assert solve([[2, 0], [0, 1]], [[2, 1], [1, 1]], ZZ) is None
+    half = [[1, 1], [Fraction(1, 2), 1]]
+    assert solve([[2, 0], [0, 1]], [[2, 1], [1, 1]], QQ) == half
+    assert solve([], [[], []], QQ) == [[], []]
 
 
 @settings(max_examples=250, deadline=None)
@@ -384,9 +433,9 @@ def test_elimination_raises_off_a_domain():
     with pytest.raises(VerificationFailed, match="domain"):
         echelon([[e, one, zero], [zero, e, one]], dual)
     with pytest.raises(VerificationFailed):
-        solve([[2, 1], [1, 1]], [1, 1], _RefusingIntegers())
+        solve([[2, 1], [1, 1]], [[1, 1]], _RefusingIntegers())
     # over a domain the same shapes go through
-    assert solve([[2, 1], [1, 1]], [1, 1], ZZ) == [0, 1]
+    assert solve([[2, 1], [1, 1]], [[1, 1]], ZZ) == [[0, 1]]
 
 
 _OPTIMIZE_SCRIPT = """
@@ -413,7 +462,7 @@ dual = FiniteFreeAlgebra(QQ, 2, [[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1, 0))
 e, one, zero = dual.basis_elem(1), dual.one(), dual.zero()
 for run in (
     lambda: echelon([[e, one, zero], [zero, e, one]], dual),
-    lambda: solve([[2, 1], [1, 1]], [1, 1], Refusing()),
+    lambda: solve([[2, 1], [1, 1]], [[1, 1]], Refusing()),
 ):
     try:
         run()

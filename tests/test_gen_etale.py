@@ -362,7 +362,7 @@ def test_localized_image_matches_both_old_routes(name, data):
         assert image == unit_inverse_image(inst, padded)
     if not over:
         # both land on the coordinate computed in the algebra itself
-        assert image == inst.E.base.normalize(inst.basis_coords(inst.f(z))[i])
+        assert image == inst.E.base.normalize(inst.basis_coords_of([inst.f(z)])[0][i])
 
 
 _CORRUPTED_NORM_SCRIPT = """

@@ -232,7 +232,7 @@ def test_elimination_stores_reduced_values(case):
     for vec in nullspace(rows, F):
         assert_reduced(vec, p)
     if len(rows) == len(rows[0]):
-        x = solve(rows, [1] * len(rows), F)
+        (x,) = solve(rows, [[1] * len(rows)], F) or (None,)
         if x is not None:
             assert_reduced(x, p)
 

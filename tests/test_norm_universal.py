@@ -336,7 +336,7 @@ def test_verify_pullback_sqrt2():
 def test_verify_pullback_shifted_basis_coords():
     inst = sqrt2_instance(shift=1)
     fx2 = inst.fx[1]
-    assert inst.basis_coords(fx2 * fx2) == (1, 2)
+    assert inst.basis_coords_of([fx2 * fx2]) == [(1, 2)]
 
 
 def test_verify_pullback_split_gf5():

@@ -30,14 +30,13 @@ from altkit.ring_core import (
     PolyRing,
     det_generic,
     echelon,
-    evaluate_terms,
     nullspace,
     parse_expression,
     solve,
 )
 from altkit.ring_core import _ExprParser, _is_prime, _tokenize
 from altkit.tensor_algebra import TensorSpace, unit_tensor
-from norm_helpers import monogenic
+from norm_helpers import monogenic, value_at
 
 
 def sqrt2_algebra():
@@ -333,13 +332,6 @@ def test_foreign_polynomials_rejected_by_space_and_map():
             f(foreign)
 
 
-def test_poly_evaluate_and_substitute():
-    ring = PolyRing(QQ, ("t",))
-    p = ring.parse("t^2+1")
-    assert p.evaluate([3]) == 10
-    assert p.evaluate([Fraction(1, 2)]) == Fraction(5, 4)
-
-
 def test_poly_division_exact():
     ring = PolyRing(QQ, ("t",))
     num, den = ring.parse("t^2-1"), ring.parse("t-1")
@@ -416,8 +408,8 @@ def test_poly_ring_axioms(a, b, c):
 def test_poly_eval_is_homomorphism(a, b):
     p, q = poly_from(a), poly_from(b)
     at = Fraction(2, 3)
-    assert (p * q).evaluate([at]) == p.evaluate([at]) * q.evaluate([at])
-    assert (p + q).evaluate([at]) == p.evaluate([at]) + q.evaluate([at])
+    assert value_at(p * q, [at]) == value_at(p, [at]) * value_at(q, [at])
+    assert value_at(p + q, [at]) == value_at(p, [at]) + value_at(q, [at])
 
 
 # -- matrices
@@ -442,7 +434,7 @@ def test_adjugate_identity(rows):
     if d:
         assert lead in (d, -d)
     for j in range(3):
-        x = solve(rows, [int(i == j) for i in range(3)], QQ)
+        (x,) = solve(rows, [[int(i == j) for i in range(3)]], QQ) or (None,)
         if not d:
             assert x is None
             continue
@@ -553,11 +545,11 @@ def test_sparse_det_zero_matrices():
 
 def test_field_solve_and_nullspace():
     A = [[2, 1], [1, 3]]
-    x = solve(A, [5, 5], QQ)
-    assert x == [2, 1]
-    assert solve([[1, 1], [1, 1]], [0, 1], QQ) is None
+    x = solve(A, [[5, 5]], QQ)
+    assert x == [[2, 1]]
+    assert solve([[1, 1], [1, 1]], [[0, 1]], QQ) is None
     # consistent but singular: a solution exists, a unique one does not
-    assert solve([[1, 1], [1, 1]], [1, 1], QQ) is None
+    assert solve([[1, 1], [1, 1]], [[1, 1]], QQ) is None
     ker = nullspace([[1, 1]], GF(5))
     assert len(ker) == 1
     v = ker[0]
@@ -823,7 +815,14 @@ def old_map(f, poly):
     # AlgebraMap.__call__ before the monomial table: every coefficient
     # lifted as one * embed(c), every power formed again per term
     E = f.target
-    return evaluate_terms(poly.terms, f.images, E.zero(), lambda c: E.one() * f._embed(c))
+    acc = E.zero()
+    for k, c in poly.terms.items():
+        v = E.one() * f._embed(c)
+        for x, e in zip(f.images, k):
+            if e:
+                v = v * x**e
+        acc = acc + v
+    return acc
 
 
 _MAP_TARGETS = {
@@ -857,10 +856,7 @@ def test_monomial_table_map_matches_the_old_lift(name, data):
     images += [
         E.element([data.draw(coordinate) for _ in range(E.rank)]) for _ in range(2)
     ]
-    try:
-        f = AlgebraMap(source, E, images)
-    except RingMismatch:
-        return  # a drawn image the spot-check refuses is no map
+    f = AlgebraMap(source, E, images)
     exps = st.tuples(*[st.integers(0, 4)] * len(source.vars))
     coeff = st.sampled_from((-3, -2, -1, 1, 2, 3, Fraction(1, 2)))
     if source.coeff.kind == "Fp":
@@ -869,6 +865,8 @@ def test_monomial_table_map_matches_the_old_lift(name, data):
         MultiPoly(source, data.draw(st.dictionaries(exps, coeff, max_size=5)))
         for _ in range(2)
     )
+    # the zero key goes to E's one, so the map is unital by construction
+    assert f(source.one()) == E.one()
     # twice: the second call reads the monomials the first one kept
     assert f(p * q) == f(p) * f(q) == f(p * q)
     assert f(p - q) == f(p) - f(q)

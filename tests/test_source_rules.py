@@ -110,6 +110,51 @@ def test_every_export_is_documented_or_called():
     assert unused == []
 
 
+def _defined_functions(node, prefix=""):
+    # qualified names of every function and method under node
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _defined_functions(child, f"{prefix}{child.name}.")
+
+
+def test_every_function_is_named_in_the_sources_or_exported():
+    # a routine that only the tests call is a test helper shipped in the
+    # package; every function or method defined in the sources is named
+    # elsewhere in them, or exported through an __all__.  Dunder methods
+    # run through Python's own protocols, and _Parser.error overrides the
+    # hook argparse calls
+    named, defined = set(), []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+        defined += [(path.name, name) for name in _defined_functions(tree)]
+        module = "altkit" if path.stem == "__init__" else f"altkit.{path.stem}"
+        named.update(getattr(importlib.import_module(module), "__all__", ()))
+    unused = []
+    for file, name in defined:
+        short = name.rpartition(".")[2]
+        if short not in named and not (short.startswith("__") and short.endswith("__")):
+            unused.append(f"{file}:{name}")
+    assert unused == ["cli.py:_Parser.error"]
+
+
+def test_readme_python_blocks_run(capsys):
+    # every python example in README.md runs as written, so a retired
+    # name cannot linger in the docs
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
 def test_no_unused_imports():
     # no linter runs on the sources, so an import left behind when its
     # last caller is deleted would stay; each module-level import must be

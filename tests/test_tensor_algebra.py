@@ -33,23 +33,19 @@ def sqrt2_algebra():
 # -- permutations
 
 
+def compose(sigma, tau):
+    # sigma after tau: i goes to sigma(tau(i))
+    return Permutation(sigma.images[i] for i in tau.images)
+
+
 def test_permutation_basics():
     p = Permutation((1, 2, 0))  # 3-cycle
     assert p.sign() == 1
     assert p.inverse().images == (2, 0, 1)
     tau = Permutation.transposition(3, 0, 2)
     assert tau.sign() == -1
-    assert tau.compose(tau) == Permutation.identity(3)
-    assert Permutation.identity(4).sign() == 1
-
-
-def test_permutation_compose_order():
-    # (sigma . tau)(i) = sigma(tau(i))
-    sigma = Permutation((1, 0, 2))
-    tau = Permutation((0, 2, 1))
-    st_ = sigma.compose(tau)
-    for i in range(3):
-        assert st_(i) == sigma(tau(i))
+    assert compose(tau, tau) == Permutation(range(3))
+    assert Permutation(range(4)).sign() == 1
 
 
 def test_permutation_rejects_non_bijection():
@@ -61,7 +57,7 @@ def test_all_signed_permutations():
     signed = all_signed_permutations(3)
     assert len(signed) == 6
     assert sum(s for _, s in signed) == 0
-    assert signed[0][0] == Permutation.identity(3)
+    assert signed[0][0] == Permutation(range(3))
 
 
 # -- construction and arithmetic
@@ -172,7 +168,7 @@ def test_permute_is_group_action():
     for sigma, _ in all_signed_permutations(3):
         for rho, _ in all_signed_permutations(3):
             lhs = x.permute(sigma).permute(rho)
-            assert lhs == x.permute(rho.compose(sigma))
+            assert lhs == x.permute(compose(rho, sigma))
 
 
 def test_mul_commutes_and_associates():
@@ -342,7 +338,7 @@ def test_invariance_predicates_match_every_permutation(n, terms, symmetrize):
         raw = sym
     perms = [sigma for sigma, _ in all_signed_permutations(n)]
     assert is_symmetric(raw) == all(raw.permute(s) == raw for s in perms)
-    fixing_last = [s for s in perms if s(n - 1) == n - 1]
+    fixing_last = [s for s in perms if s.images[n - 1] == n - 1]
     assert is_sym_n11(raw) == all(raw.permute(s) == raw for s in fixing_last)
 
 
