@@ -203,6 +203,15 @@ def expand_symmetric(space, orbits):
     return Tensor(space, out, _clean=True)
 
 
+def orbit_sum_n11(space, key):
+    """The sum of the distinct arrangements of key's first n-1 slots, with
+    its last slot kept: coefficient 1 at each, so invariant in those
+    slots, and with key as its one head when those slots weakly descend."""
+    _, maps = _signed_reindex(space.n, space.width, True)
+    one = space.one_coeff()
+    return Tensor(space, {get(key): one for get, _ in maps.values()}, _clean=True)
+
+
 def symmetric_orbits(t):
     """The coefficients of a symmetric tensor at its sorted keys, the keys
     whose slots weakly descend: the inverse of ``expand_symmetric``."""
@@ -496,6 +505,14 @@ def alpha(space, xs):
     return expand_orbits(space, alpha_orbits(space, xs))
 
 
+def anchor_key(ring, xs):
+    """An anchor tuple in the polynomial ring ``ring`` by value: the
+    scalars, the variable names and each entry's sorted terms.  Its
+    length is the arity, and the scalars of one kind are one object, so
+    two keys meet on ``is`` wherever they share parts."""
+    return ring.coeff, ring.vars, tuple(tuple(sorted(x.terms.items())) for x in xs)
+
+
 class AlternatorInstance:
     """A fixed anchor tuple x with its alternator cached.
 
@@ -587,12 +604,25 @@ class AlternatorInstance:
         z = self.space.as_element(z)
         return self.x[: i - 1] + (z,) + self.x[i:]
 
+    @cached_property
+    def _key(self):
+        # the anchor by value, kept, since its entries never change
+        space = self.space
+        if space.is_poly:
+            return anchor_key(space.ring, self.x)
+        return space, self.x
+
+    @cached_property
+    def _hash(self):
+        return hash(self._key)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, AlternatorInstance)
-            and self.space == other.space
-            and all(a == b for a, b in zip(self.x, other.x))
+        return isinstance(other, AlternatorInstance) and (
+            self is other or self._key == other._key
         )
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         xs = ", ".join(

@@ -30,6 +30,7 @@ from .alternator import (
     AlternatorInstance,
     Witness,
     alpha,
+    anchor_key,
     det_power_sums,
     symmetric_orbits,
 )
@@ -42,6 +43,7 @@ from .errors import (
     NotGenericallyEtale,
     NotInvariant,
     UnsupportedBase,
+    VerificationFailed,
 )
 from .ring_core import (
     AlgebraElem,
@@ -293,9 +295,7 @@ def _anchor(scalars, names, entries):
 def anchor_side(ring, xs):
     """The shared ``AnchorSide`` of xs in the polynomial ring ``ring``;
     its context lives in the table's own copy of the ring."""
-    return _anchor(
-        ring.coeff, ring.vars, tuple(tuple(sorted(x.terms.items())) for x in xs)
-    )
+    return _anchor(*anchor_key(ring, xs))
 
 
 class PullbackInstance:
@@ -305,7 +305,9 @@ class PullbackInstance:
     image basis with its coordinate determinant (``det_x``), and the
     discriminant of that basis.  The image tuple must genuinely be a
     basis; how invertible the discriminant is decides which norm map
-    applies.  ``anchor`` (``anchor_side``) is shared by every instance
+    applies.  d is taken twice: from the trace pairing, and as the norm
+    of the alternator square on orbits, which no determinant enters; the
+    two must agree.  ``anchor`` (``anchor_side``) is shared by every instance
     over the same anchor; only E's side is computed per instance.
     """
 
@@ -329,6 +331,11 @@ class PullbackInstance:
         self._mult = {}
         self.fx = tuple(self.image(x) for x in self.ctx.x)
         self.d, self.det_x = _discriminant_and_det(self.E, self.fx)
+        if norm_orbits(self, self.ctx.alpha_sq_orbits) != self.d:
+            raise VerificationFailed(
+                f"discriminant {self.E.base.to_text(self.d)} is not the norm "
+                "of the alternator square"
+            )
 
     def image(self, v):
         """f(v) for a source polynomial, evaluated once per polynomial."""

@@ -359,8 +359,10 @@ def divide_terms(rem, den, ring, pairs):
     coefficient by the divisor's, and subtracts every product term, the
     leading one too, which the step cancels exactly.  A weight can vanish
     modulo p, so a sum can reach zero at a key the remainder never held.
-    Returns the quotient, its keys in descending tuple order, and None
-    for a zero divisor.
+    A leading key that outlives its step means the rule broke that
+    promise, and the loop would never end, so it raises
+    VerificationFailed.  Returns the quotient, its keys in descending
+    tuple order, and None for a zero divisor.
     """
     if not den:
         return None
@@ -390,6 +392,10 @@ def divide_terms(rem, den, ring, pairs):
                     rem[k] = s
                 else:
                     rem.pop(k, None)
+        if r in rem:
+            raise VerificationFailed(
+                f"division step left its leading key {r}: the product rule is broken"
+            )
         quot[q] = qc
     return quot
 

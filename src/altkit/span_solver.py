@@ -34,6 +34,15 @@ divide is kept as numerator times alpha(x) over the square, a product
 of two alternating tensors taken on orbits, and its expansion is
 re-checked on the numerators' orbits at the keys whose first n-1 slots
 strictly descend; the square is only built when a fraction needs it.
+
+For a fixed anchor the coordinates are linear over the scalars, and in
+a domain the quotient of a sum is the sum of the quotients.  So the
+quotients are divided once per anchor and monomial of z, or per
+anchor and (n-1)-orbit key of y, and kept as rows in a bounded table
+(``_coordinate_row``); a call sums c * row over its terms and runs the
+exact re-check on that sum every time.  A row is kept only once its
+own re-check passes, and a call that meets a monomial or orbit with no
+quotient divides its own numerators as above.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .alternator import (
     flat_orbits,
     multiply_alternating,
     multiply_symmetric,
+    orbit_sum_n11,
     signed_orbits,
     symmetric_orbits,
     wedge_orbits,
@@ -297,6 +307,12 @@ def _expansion_heads(space, quots, x_terms, signed=False):
     return {k: c for k, c in ((k, norm(c)) for k, c in acc.items()) if c}
 
 
+def _recheck(ctx, quots, heads, failure):
+    # sum q_i * phi_n(x_i) against the target's heads (see ``_over_alpha``)
+    if _expansion_heads(ctx.space, quots, ctx.x_terms) != heads:
+        raise VerificationFailed(failure)
+
+
 def _over_alpha(ctx, nums, heads, target_alpha, failure):
     """Coordinate entries nums_i / alpha(x), after a reconstruction check.
 
@@ -323,8 +339,7 @@ def _over_alpha(ctx, nums, heads, target_alpha, failure):
     space = ctx.space
     quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
     if all(q is not None for q in quots):
-        if _expansion_heads(space, quots, ctx.x_terms) != heads:
-            raise VerificationFailed(failure)
+        _recheck(ctx, quots, heads, failure)
         return tuple(LocalizedElem._from_orbits(ctx, q) for q in quots)
     if _expansion_heads(space, nums, ctx.x_terms, signed=True) != target_alpha():
         raise VerificationFailed(failure)
@@ -338,30 +353,122 @@ def _over_alpha(ctx, nums, heads, target_alpha, failure):
     )
 
 
+_COORDINATE_FAILURE = "coordinate expansion failed to reconstruct the input"
+_INVARIANT_FAILURE = "invariant expansion failed to reconstruct"
+
+
+def _coordinate_nums(ctx, terms):
+    # entry i's numerator for a ring element with these terms: one wedge
+    space = ctx.space
+    return [flat_orbits(wedge_orbits(space, w, terms)) for w in ctx.cofactor_wedges]
+
+
+def _invariant_nums(ctx, y):
+    # entry i's numerator for y: (-1)^(n-i) alpha(x_dropped(i) * y)
+    n, norm = ctx.space.n, ctx.space.scalars.normalize
+    nums = []
+    for i in range(1, n + 1):
+        num = signed_orbits(ctx.x_dropped(i) * y)
+        if (n - i) % 2:
+            num = {k: norm(-c) for k, c in num.items()}
+        nums.append(num)
+    return nums
+
+
+# One coordinate row per anchor and key: the entries' quotients by
+# alpha(x) of the monomial with a label (orbit False), or of the sum of
+# the arrangements of an (n-1)-orbit key's first n-1 slots (orbit True),
+# or None when some entry has none.  The anchor is keyed by value
+# (``AlternatorInstance.__hash__``), and a fill whose reconstruction
+# check raises stores nothing.  An entry holds n orbit dicts, 1.0 kB on
+# average and 2.4 kB at most over (1, t, ..., t^(n-1)) at n <= 5, and a
+# reference to its context.
+@lru_cache(maxsize=4096)
+def _coordinate_row(ctx, key, orbit):
+    space = ctx.space
+    one = space.one_coeff()
+    if orbit:
+        y = orbit_sum_n11(space, key)
+        nums, heads, failure = _invariant_nums(ctx, y), {key: one}, _INVARIANT_FAILURE
+    else:
+        nums = _coordinate_nums(ctx, ((key, one),))
+        unit = (0,) * (space.width * (space.n - 1))
+        heads, failure = {unit + key: one}, _COORDINATE_FAILURE
+    quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
+    if any(q is None for q in quots):
+        return None
+    _recheck(ctx, quots, heads, failure)
+    return tuple(quots)
+
+
+def _linear(ctx, terms, orbit, heads, fallback, failure):
+    """The coordinates of sum c * (the monomial or orbit sum at key) over
+    the (key, c) ``terms``: sum c * row, re-checked against ``heads``.
+
+    Coordinates are linear over the scalars, and in a domain the quotient
+    of a sum by alpha(x) is the sum of the quotients, so a call reads one
+    stored row per key (``_coordinate_row``) and divides nothing.  The
+    sums keep their keys in descending order, as division leaves them.
+    When some row has no quotient, the sum may still have one, so the
+    call takes ``fallback()``, the route that divides the sum itself.
+    """
+    rows = [(_coordinate_row(ctx, key, orbit), c) for key, c in terms]
+    if any(row is None for row, _ in rows):
+        return fallback()
+    quots = _row_sums(ctx.space, rows)
+    _recheck(ctx, quots, heads, failure)
+    return tuple(LocalizedElem._from_orbits(ctx, q) for q in quots)
+
+
+def _row_sums(space, rows):
+    # entry by entry, sum c * row over the (row, c) pairs, keys descending
+    norm = space.scalars.normalize
+    quots = []
+    for i in range(space.n):
+        acc = {}
+        for row, c in rows:
+            for k, v in row[i].items():
+                s = acc.get(k)
+                acc[k] = c * v if s is None else s + c * v
+        ordered = ((k, norm(acc[k])) for k in sorted(acc, reverse=True))
+        quots.append({k: c for k, c in ordered if c})
+    return quots
+
+
 def coordinates(ctx, z):
     """Coordinates of the last-slot co-projection of a ring element.
 
     Entry i is the alternator of x with slot i replaced by z, over the
     alternator of x.  That alternator is (-1)^(n-i) W_i ^ z, one wedge
-    with the anchor's cached (n-1)-fold wedge W_i.  The defining
-    expansion is re-checked exactly before returning.  The co-projection
-    phi_n(z) has the unit label in its first n-1 slots, so its keys there
-    descend and its heads are z's terms behind that unit prefix; the
-    fallback check reads phi_n(z) * alpha(x) from alpha(x)'s orbits, so
-    the co-projection is never built.
+    with the anchor's cached (n-1)-fold wedge W_i.  It is linear in z, so
+    the entries are summed from one stored row per monomial of z
+    (``_linear``); when a monomial's entry does not divide, z's own
+    wedges are divided (``_over_alpha``).  The defining expansion is
+    re-checked exactly before returning, on every call.  The
+    co-projection phi_n(z) has the unit label in its first n-1 slots, so
+    its keys there descend and its heads are z's terms behind that unit
+    prefix; the fallback check reads phi_n(z) * alpha(x) from alpha(x)'s
+    orbits, so the co-projection is never built.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space
     z = space.as_element(z)
     terms = space.decompose(z)
-    nums = [flat_orbits(wedge_orbits(space, w, terms)) for w in ctx.cofactor_wedges]
     unit = (0,) * (space.width * (space.n - 1))
-    return _over_alpha(
+    heads = {unit + label: c for label, c in terms}
+    return _linear(
         ctx,
-        nums,
-        {unit + label: c for label, c in terms},
-        lambda: _expansion_heads(space, [ctx.alpha_x_orbits], [terms], signed=True),
-        "coordinate expansion failed to reconstruct the input",
+        terms,
+        False,
+        heads,
+        lambda: _over_alpha(
+            ctx,
+            _coordinate_nums(ctx, terms),
+            heads,
+            lambda: _expansion_heads(space, [ctx.alpha_x_orbits], [terms], signed=True),
+            _COORDINATE_FAILURE,
+        ),
+        _COORDINATE_FAILURE,
     )
 
 
@@ -370,33 +477,37 @@ def coordinates_of_invariant(ctx, y):
 
     Entry i carries sign (-1)^(n-i) on the alternator of x with slot i
     dropped, multiplied by y, under the full alternating sum, over the
-    alternator of x.
+    alternator of x.  y is the sum of c times the orbit sum of its first
+    n-1 slots over its heads (key, c), so the entries are summed from one
+    stored row per head (``_linear``), and only a row's fill forms the
+    products x_dropped(i) * y; when a row has no quotient, y's own
+    products are divided (``_over_alpha``).  The expansion is re-checked
+    exactly on every call.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space
     if not is_sym_n11(y):
         raise NotInvariant("input must be invariant in the first n-1 slots")
-    n = space.n
-    norm = space.scalars.normalize
-    nums = []
-    for i in range(1, n + 1):
-        num = signed_orbits(ctx.x_dropped(i) * y)
-        if (n - i) % 2:
-            num = {k: norm(-c) for k, c in num.items()}
-        nums.append(num)
     heads = {k: c for k, c in y.terms.items() if _heads_descend(space, k)}
-    return _over_alpha(
+    return _linear(
         ctx,
-        nums,
+        heads.items(),
+        True,
         heads,
-        # y * alpha(x) alternates in the first n-1 slots, so it has no
-        # term where two of them are equal
-        lambda: {
-            k: c
-            for k, c in (y * ctx.alpha_x).terms.items()
-            if _heads_descend(space, k)
-        },
-        "invariant expansion failed to reconstruct",
+        lambda: _over_alpha(
+            ctx,
+            _invariant_nums(ctx, y),
+            heads,
+            # y * alpha(x) alternates in the first n-1 slots, so it has
+            # no term where two of them are equal
+            lambda: {
+                k: c
+                for k, c in (y * ctx.alpha_x).terms.items()
+                if _heads_descend(space, k)
+            },
+            _INVARIANT_FAILURE,
+        ),
+        _INVARIANT_FAILURE,
     )
 
 

@@ -367,6 +367,7 @@ def test_localized_image_matches_both_old_routes(name, data):
 
 _CORRUPTED_NORM_SCRIPT = """
 import sys
+from altkit.errors import VerificationFailed
 from altkit.gen_etale import NormMapPlus, check_pullback_plus
 from altkit.norm_universal import NormMap, PullbackInstance, check_pullback
 from altkit.ring_core import QQ, AlgebraMap, FiniteFreeAlgebra, PolyRing
@@ -418,6 +419,7 @@ def test_corrupted_norm_fails_the_pullback_witness(flags):
 _CORRUPTED_ORBIT_NORM_SCRIPT = """
 import sys
 from altkit import norm_universal
+from altkit.errors import VerificationFailed
 from altkit.gen_etale import NormMapPlus, check_pullback_plus
 from altkit.norm_universal import NormMap, PullbackInstance, check_pullback
 from altkit.ring_core import QQ, AlgebraMap, FiniteFreeAlgebra, PolyRing
@@ -428,20 +430,27 @@ try:
 except AssertionError:
     stripped = False
 print("optimize", sys.flags.optimize, stripped)
+alg = FiniteFreeAlgebra(QQ, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
+source = PolyRing(QQ, ("t",))
+t = source.variable("t")
+f = AlgebraMap(source, alg, [alg.basis_elem(1)])
+# built before the fault: the instance checks d against the orbit norm
+instances = [PullbackInstance(f, [source.one(), t]) for _ in range(2)]
 # the orbit norm, off by one on every numerator
 real = norm_universal.norm_orbits
 norm_universal.norm_orbits = lambda inst, orbits: inst.E.base.normalize(
     real(inst, orbits) + 1
 )
-alg = FiniteFreeAlgebra(QQ, 2, (((1, 0), (0, 1)), ((0, 1), (2, 0))), (1, 0))
-source = PolyRing(QQ, ("t",))
-t = source.variable("t")
-f = AlgebraMap(source, alg, [alg.basis_elem(1)])
-for check, norm_map in ((check_pullback, NormMap), (check_pullback_plus, NormMapPlus)):
-    inst = PullbackInstance(f, [source.one(), t])
+for inst, (check, norm_map) in zip(
+    instances, ((check_pullback, NormMap), (check_pullback_plus, NormMapPlus))
+):
     witnesses, _ = check(inst, norm_map(inst))
     print(" ".join(w.name for w in witnesses if not w.ok))
     print(" ".join(w.name for w in witnesses if w.name.startswith("pair_route") and w.ok))
+try:
+    PullbackInstance(f, [source.one(), t])
+except VerificationFailed as e:
+    print(type(e).__name__, e)
 """
 
 
@@ -450,7 +459,8 @@ def test_corrupted_orbit_norm_fails_the_pullback_witnesses(flags):
     # every coordinate fraction reaches the norm through norm_orbits, so
     # an orbit norm that is off fails every pullback witness under both
     # maps, with or without -O, and the pair route, which never reads
-    # the norm, stays ok
+    # the norm, stays ok; an instance built under it fails at once, as
+    # its d is no longer the norm of the alternator square
     src = os.path.dirname(os.path.dirname(altkit.__file__))
     done = subprocess.run(
         [sys.executable, *flags, "-c", _CORRUPTED_ORBIT_NORM_SCRIPT],
@@ -468,6 +478,7 @@ def test_corrupted_orbit_norm_fails_the_pullback_witnesses(flags):
         "pullback_plus[unit] pullback_plus[1,1] pullback_plus[1,2] "
         "pullback_plus[2,2]",
         "pair_route[1,1] pair_route[1,2] pair_route[2,2]",
+        "VerificationFailed discriminant 8 is not the norm of the alternator square",
     ]
 
 
@@ -503,12 +514,17 @@ for _ in range(2):
     print(attempt(lambda: PullbackInstance(f, [t, t])), _anchor.cache_info().currsize)
 # a reconstruction that fails: the anchor is stored, its constants never
 inst = PullbackInstance(f, [source.one(), t])
+span_solver._coordinate_row.cache_clear()
 real = span_solver.wedge_orbits
 span_solver.wedge_orbits = lambda space, w, terms: {
     k: 2 * c for k, c in real(space, w, terms).items()
 }
 for _ in range(2):
-    print(attempt(lambda: inst.anchor.constants), "constants" in vars(inst.anchor))
+    print(
+        attempt(lambda: inst.anchor.constants),
+        "constants" in vars(inst.anchor),
+        span_solver._coordinate_row.cache_info().currsize,
+    )
 span_solver.wedge_orbits = real
 again = PullbackInstance(f, [source.one(), t])
 witnesses, _ = check_pullback(again, NormMap(again))
@@ -521,7 +537,8 @@ def test_failing_anchor_raises_on_every_call(flags):
     # the anchor table keeps no failure as a success: a dependent anchor
     # raises each time and is not stored, and constants whose
     # reconstruction check fails raise on every read and are not kept,
-    # with or without -O; once the check holds again they pass
+    # nor is any coordinate row, with or without -O; once the check
+    # holds again they pass
     src = os.path.dirname(os.path.dirname(altkit.__file__))
     done = subprocess.run(
         [sys.executable, *flags, "-c", _FAILING_ANCHOR_SCRIPT],
@@ -535,7 +552,7 @@ def test_failing_anchor_raises_on_every_call(flags):
     dependent = "NotABasis: alpha(x) = 0: the anchor entries are linearly dependent 0"
     broken = (
         "VerificationFailed: coordinate expansion failed to reconstruct "
-        "the input False"
+        "the input False 0"
     )
     assert done.stdout.splitlines() == [
         f"optimize {optimized} {bool(flags)}",

@@ -305,6 +305,7 @@ def test_caches_are_bounded_or_keyed_by_shape():
         "_head_keys",
         "GF",
         "_anchor",
+        "_coordinate_row",
     }
 
 

@@ -53,6 +53,7 @@ from altkit.tensor_algebra import (
     Tensor,
     TensorSpace,
     coprojection,
+    is_sym_n11,
     polarized_power_sum,
     pure_tensor,
     unit_tensor,
@@ -682,28 +683,39 @@ def test_coordinate_heads_are_the_coprojection_heads(case, terms):
     ctx, _ = case
     space = ctx.space
     z = MultiPoly(space.ring, {k: space.scalars.from_int(c) for k, c in terms.items()})
-    seen = []
-    real = span_solver._over_alpha
+    span_solver._coordinate_row.cache_clear()
+    seen, fallbacks = [], []
+    real_linear, real_over = span_solver._linear, span_solver._over_alpha
 
-    def spy(ctx, nums, heads, target, failure):
-        seen.append((heads, target))
-        return real(ctx, nums, heads, target, failure)
+    def spy_linear(ctx, terms, orbit, heads, fallback, failure):
+        seen.append((heads, fallback))
+        return real_linear(ctx, terms, orbit, heads, fallback, failure)
 
-    span_solver._over_alpha = spy
+    def spy_over(ctx, nums, heads, target, failure):
+        fallbacks.append((heads, target))
+        return real_over(ctx, nums, heads, target, failure)
+
+    span_solver._linear = spy_linear
+    span_solver._over_alpha = spy_over
     try:
         coordinates(ctx, z)
+        [(heads, fallback)] = seen
+        # the fallback route, taken or not, hands its check the same heads
+        fallbacks.clear()
+        fallback()
     finally:
-        span_solver._over_alpha = real
-    [(heads, target)] = seen
+        span_solver._linear = real_linear
+        span_solver._over_alpha = real_over
+    [(fallback_heads, target)] = fallbacks
     full = coprojection(space, space.n, z)
     assert target() == {
         k: c
         for k, c in (full * ctx.alpha_x).terms.items()
         if strict_heads(space, k)
     }
-    assert heads == {
-        k: c for k, c in full.terms.items() if span_solver._heads_descend(space, k)
-    }
+    want = {k: c for k, c in full.terms.items() if span_solver._heads_descend(space, k)}
+    assert heads == want
+    assert fallback_heads == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -732,20 +744,35 @@ def test_orbit_recheck_catches_any_corrupted_coefficient(case, data):
     corrupted = quots[:i] + [bad] + quots[i + 1 :]
     # the full reconstruction sees the corruption, and so must the check
     assert full_expansion(ctx, corrupted) != y
-    real = span_solver.divide_orbits
+    # fill y's rows with no fault, so that the quotients the check reads
+    # come from one place: the rows' sum, or the division of y's own
+    # numerators when a row has none
+    span_solver._coordinate_row.cache_clear()
+    coordinates_of_invariant(ctx, y)
+    heads = {k: c for k, c in y.terms.items() if span_solver._heads_descend(space, k)}
+    summed = all(span_solver._coordinate_row(ctx, k, True) for k in heads)
+    event("rows summed" if summed else "y divided")
+    real_sums, real_divide = span_solver._row_sums, span_solver.divide_orbits
     calls = []
+
+    def sums(space, rows):
+        return real_sums(space, rows)[:i] + [bad] + real_sums(space, rows)[i + 1 :]
 
     def divide(space, num, den):
         calls.append(num)
-        q = real(space, num, den)
+        q = real_divide(space, num, den)
         return bad if len(calls) == i + 1 else q
 
+    span_solver._row_sums = sums
     span_solver.divide_orbits = divide
     try:
         with pytest.raises(VerificationFailed):
             coordinates_of_invariant(ctx, y)
     finally:
-        span_solver.divide_orbits = real
+        span_solver._row_sums = real_sums
+        span_solver.divide_orbits = real_divide
+    # the rows read warm, so only the fallback divides
+    assert len(calls) == (0 if summed else n)
 
 
 def test_passing_basis_cases_expand_no_quotient(monkeypatch):
@@ -1271,3 +1298,165 @@ def test_orbit_fallback_matches_the_full_tensor_one(case, data):
             assert entry.exp == 1 and entry._orbits == s
         else:
             assert entry.exp == 0 and entry._orbits == q
+
+
+# -- coordinate rows against the routes they replaced
+
+
+def parent_coordinates(ctx, z):
+    # coordinates before the row table: z's own wedges, divided on
+    # every call
+    span_solver._require_poly_domain(ctx.space)
+    space = ctx.space
+    z = space.as_element(z)
+    terms = space.decompose(z)
+    nums = [flat_orbits(wedge_orbits(space, w, terms)) for w in ctx.cofactor_wedges]
+    unit = (0,) * (space.width * (space.n - 1))
+    return span_solver._over_alpha(
+        ctx,
+        nums,
+        {unit + label: c for label, c in terms},
+        lambda: span_solver._expansion_heads(space, [ctx.alpha_x_orbits], [terms], signed=True),
+        "coordinate expansion failed to reconstruct the input",
+    )
+
+
+def parent_coordinates_of_invariant(ctx, y):
+    # coordinates_of_invariant before the row table: each x_dropped(i) * y
+    # formed in full and divided on every call
+    span_solver._require_poly_domain(ctx.space)
+    space = ctx.space
+    if not is_sym_n11(y):
+        raise NotInvariant("input must be invariant in the first n-1 slots")
+    n = space.n
+    norm = space.scalars.normalize
+    nums = []
+    for i in range(1, n + 1):
+        num = signed_orbits(ctx.x_dropped(i) * y)
+        if (n - i) % 2:
+            num = {k: norm(-c) for k, c in num.items()}
+        nums.append(num)
+    heads = {k: c for k, c in y.terms.items() if span_solver._heads_descend(space, k)}
+    return span_solver._over_alpha(
+        ctx,
+        nums,
+        heads,
+        lambda: {
+            k: c
+            for k, c in (y * ctx.alpha_x).terms.items()
+            if span_solver._heads_descend(space, k)
+        },
+        "invariant expansion failed to reconstruct",
+    )
+
+
+def _entry_forms(entries):
+    # exponent, then each orbit with its coefficient's type, in stored order
+    return [(e.exp, [(k, type(c), c) for k, c in e._orbits.items()]) for e in entries]
+
+
+@st.composite
+def row_cases(draw):
+    """An anchor over Q, Z, GF(2) or GF(5) in one or two variables, n =
+    2..5: a Vandermonde one (1, t, ..., t^(n-1)), the non-dividing
+    (1, t^2 + t, t^4 + t, ...) of tests/data/cbrt2_fallback.json, or a
+    drawn one; and a ring element z and a y invariant in the first n-1
+    slots."""
+    scalars = draw(st.sampled_from([QQ, ZZ, GF(2), GF(5)]))
+    width = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 5))
+    ring = PolyRing(scalars, ("t", "u")[:width])
+    space = TensorSpace(n, ring)
+    t = ring.variable("t")
+    coeff = st.sampled_from((-2, -1, 1, 2, 3)).map(scalars.from_int)
+    label = st.tuples(*[st.integers(0, 3)] * width)
+
+    def poly(low, high):
+        return MultiPoly(ring, draw(st.dictionaries(label, coeff, min_size=low, max_size=high)))
+
+    kind = draw(st.sampled_from(["vandermonde", "fallback", "drawn"]))
+    if kind == "vandermonde":
+        xs = [t**i for i in range(n)]
+    elif kind == "fallback":
+        xs = [ring.one()] + [t ** (2 * i) + t for i in range(1, n)]
+    else:
+        xs = [poly(1, 2) for _ in range(n)]
+    ctx = AlternatorInstance(space, xs)
+    y = random_invariant(random.Random(draw(st.integers(0, 2**32))), space, 2, full=False)
+    event(f"{kind} anchor, n = {n}")
+    return ctx, poly(0, 3), y
+
+
+@settings(max_examples=80, deadline=None)
+@given(row_cases())
+def test_row_table_matches_the_parent_routes(case):
+    # with a cold table and a warm one, the summed rows give what the
+    # parent routes give: the same exponents and the same orbit dicts,
+    # coefficient types and descending key order included
+    ctx, z, y = case
+    want_z = _entry_forms(parent_coordinates(ctx, z))
+    want_y = _entry_forms(parent_coordinates_of_invariant(ctx, y))
+    event("z at exponent 1" if any(e for e, _ in want_z) else "z at exponent 0")
+    event("y at exponent 1" if any(e for e, _ in want_y) else "y at exponent 0")
+    for warmth in ("cold", "warm"):
+        if warmth == "cold":
+            span_solver._coordinate_row.cache_clear()
+        assert _entry_forms(coordinates(ctx, z)) == want_z
+        assert _entry_forms(coordinates_of_invariant(ctx, y)) == want_y
+    # a quotient keeps its keys descending, as division leaves them
+    for exp, orbits in want_z + want_y:
+        keys = [k for k, _, _ in orbits]
+        assert exp or keys == sorted(keys, reverse=True)
+
+
+def test_rows_are_shared_by_equal_anchors():
+    # the table keys an anchor by value: a second context on equal
+    # entries, built in another copy of the ring, reads the first one's rows
+    span_solver._coordinate_row.cache_clear()
+    space, ctx, t = qt_context(4)
+    coordinates(ctx, t**5 + 3 * t)
+    filled = span_solver._coordinate_row.cache_info()
+    ring = PolyRing(QQ, ("t",))
+    t2 = ring.variable("t")
+    other = AlternatorInstance(TensorSpace(4, ring), [t2**i for i in range(4)])
+    assert other == ctx and hash(other) == hash(ctx) and other is not ctx
+    assert _entry_forms(coordinates(other, t2**5 + 3 * t2)) == _entry_forms(
+        coordinates(ctx, t**5 + 3 * t)
+    )
+    after = span_solver._coordinate_row.cache_info()
+    assert after.currsize == filled.currsize
+    assert after.misses == filled.misses
+
+
+@pytest.mark.parametrize("invariant", [False, True], ids=["z", "y"])
+def test_row_fill_fault_raises_on_every_call_and_keeps_no_row(invariant):
+    # a division that returns a wrong quotient at row fill fails the
+    # row's own check: every call raises, no row is stored, and once the
+    # division is sound again the call passes and its rows are kept
+    space, ctx, t = qt_context(3)
+    if invariant:
+        arg = pure_tensor(space, [t, t, t * t]) + pure_tensor(space, [t, t, t])
+        route = coordinates_of_invariant
+    else:
+        arg = t**4 + 2 * t
+        route = coordinates
+    span_solver._coordinate_row.cache_clear()
+    real = span_solver.divide_orbits
+
+    def doubled(space, num, den):
+        q = real(space, num, den)
+        return None if q is None else {k: 2 * c for k, c in q.items()}
+
+    span_solver.divide_orbits = doubled
+    try:
+        for _ in range(2):
+            with pytest.raises(VerificationFailed):
+                route(ctx, arg)
+            assert span_solver._coordinate_row.cache_info().currsize == 0
+    finally:
+        span_solver.divide_orbits = real
+    entries = route(ctx, arg)
+    assert span_solver._coordinate_row.cache_info().currsize == 2
+    assert _entry_forms(entries) == _entry_forms(
+        (parent_coordinates_of_invariant if invariant else parent_coordinates)(ctx, arg)
+    )
