@@ -505,14 +505,6 @@ def alpha(space, xs):
     return expand_orbits(space, alpha_orbits(space, xs))
 
 
-def anchor_key(ring, xs):
-    """An anchor tuple in the polynomial ring ``ring`` by value: the
-    scalars, the variable names and each entry's sorted terms.  Its
-    length is the arity, and the scalars of one kind are one object, so
-    two keys meet on ``is`` wherever they share parts."""
-    return ring.coeff, ring.vars, tuple(tuple(sorted(x.terms.items())) for x in xs)
-
-
 class AlternatorInstance:
     """A fixed anchor tuple x with its alternator cached.
 
@@ -532,6 +524,9 @@ class AlternatorInstance:
         # alpha(x) by its coefficients at sorted keys: every coordinate
         # divides by it in that form (see ``divide_orbits``)
         self.alpha_x_orbits = alpha_orbits(space, self.x)
+        # span_solver's coordinate rows for this anchor, made there on
+        # first use and freed with this context
+        self.coordinate_rows = None
 
     @cached_property
     def x_terms(self):
@@ -604,25 +599,12 @@ class AlternatorInstance:
         z = self.space.as_element(z)
         return self.x[: i - 1] + (z,) + self.x[i:]
 
-    @cached_property
-    def _key(self):
-        # the anchor by value, kept, since its entries never change
-        space = self.space
-        if space.is_poly:
-            return anchor_key(space.ring, self.x)
-        return space, self.x
-
-    @cached_property
-    def _hash(self):
-        return hash(self._key)
-
     def __eq__(self, other):
-        return isinstance(other, AlternatorInstance) and (
-            self is other or self._key == other._key
+        return (
+            isinstance(other, AlternatorInstance)
+            and self.space == other.space
+            and all(a == b for a, b in zip(self.x, other.x))
         )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         xs = ", ".join(

@@ -30,7 +30,6 @@ from .alternator import (
     AlternatorInstance,
     Witness,
     alpha,
-    anchor_key,
     det_power_sums,
     symmetric_orbits,
 )
@@ -171,13 +170,7 @@ def norm_orbits(inst, orbits):
     normalize = base.normalize
     lams, grows, labels = _norm_prefixes(tuple(orbits), inst.space.width)
     # each label's multiplication matrix, row by row as (column bit, entry)
-    rows = {
-        label: [
-            [(1 << j, a) for j, a in enumerate(row) if a]
-            for row in inst.mult_matrix(label)
-        ]
-        for label in labels
-    }
+    rows = {label: inst.norm_rows(label) for label in labels}
     cur = {
         (bit, mu): a for label, mu in grows.get((), ()) for bit, a in rows[label][0]
     }
@@ -295,7 +288,9 @@ def _anchor(scalars, names, entries):
 def anchor_side(ring, xs):
     """The shared ``AnchorSide`` of xs in the polynomial ring ``ring``;
     its context lives in the table's own copy of the ring."""
-    return _anchor(*anchor_key(ring, xs))
+    return _anchor(
+        ring.coeff, ring.vars, tuple(tuple(sorted(x.terms.items())) for x in xs)
+    )
 
 
 class PullbackInstance:
@@ -327,7 +322,8 @@ class PullbackInstance:
         # f(v) by polynomial; kept here, since equal polynomials map
         # differently under another instance's map
         self._images = {}
-        # the multiplication matrix of f(label), by slot label
+        # the multiplication matrix of f(label) as the norm reads it, by
+        # slot label
         self._mult = {}
         self.fx = tuple(self.image(x) for x in self.ctx.x)
         self.d, self.det_x = _discriminant_and_det(self.E, self.fx)
@@ -345,12 +341,17 @@ class PullbackInstance:
             out = self._images[v] = self.f(v)
         return out
 
-    def mult_matrix(self, label):
-        """Multiplication matrix of f(label) in E, built once per slot label."""
+    def norm_rows(self, label):
+        """The multiplication matrix of f(label) in E as the norm reads it:
+        each row's nonzero entries as (column bit, entry) pairs, built once
+        per slot label."""
         out = self._mult.get(label)
         if out is None:
             elem = self.image(self.space.label_elem(label))
-            out = self._mult[label] = self.E.mult_matrix(elem)
+            out = self._mult[label] = [
+                [(1 << j, a) for j, a in enumerate(row) if a]
+                for row in self.E.mult_matrix(elem)
+            ]
         return out
 
     def tuple_det(self, vs):

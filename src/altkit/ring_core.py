@@ -1178,8 +1178,16 @@ class FiniteFreeAlgebra:
     def mult_matrix(self, e):
         """Matrix of multiplication by e; column k is e * e_k."""
         coords = e.coords if isinstance(e, AlgebraElem) else tuple(e)
-        cols = [self.mul_vec(coords, self.basis_elem(k).coords) for k in range(self.rank)]
-        return [[cols[k][i] for k in range(self.rank)] for i in range(self.rank)]
+        n, zero, norm = self.rank, self.base.zero(), self.base.normalize
+        rows = [[zero] * n for _ in range(n)]
+        # entry (m, k) is sum_i e_i * c, over the terms (m, c) of e_i * e_k
+        for i, a in enumerate(coords):
+            if not a:
+                continue
+            for k, terms in enumerate(self._pairs[i]):
+                for m, c in terms:
+                    rows[m][k] = rows[m][k] + a * c
+        return [[norm(x) for x in row] for row in rows]
 
     def trace(self, e):
         """Trace of multiplication by e, as the linear form sum e_k Tr(e_k)."""

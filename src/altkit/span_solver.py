@@ -39,10 +39,11 @@ For a fixed anchor the coordinates are linear over the scalars, and in
 a domain the quotient of a sum is the sum of the quotients.  So the
 quotients are divided once per anchor and monomial of z, or per
 anchor and (n-1)-orbit key of y, and kept as rows in a bounded table
-(``_coordinate_row``); a call sums c * row over its terms and runs the
-exact re-check on that sum every time.  A row is kept only once its
-own re-check passes, and a call that meets a monomial or orbit with no
-quotient divides its own numerators as above.
+on the anchor's context (``_row_table``); a call sums c * row over its
+terms and runs the exact re-check on that sum every time.  A row is
+kept only once its own re-check passes, and a call that meets a
+monomial or orbit with no quotient divides its own numerators as
+above, on every call.
 """
 
 from __future__ import annotations
@@ -375,30 +376,42 @@ def _invariant_nums(ctx, y):
     return nums
 
 
-# One coordinate row per anchor and key: the entries' quotients by
-# alpha(x) of the monomial with a label (orbit False), or of the sum of
-# the arrangements of an (n-1)-orbit key's first n-1 slots (orbit True),
-# or None when some entry has none.  The anchor is keyed by value
-# (``AlternatorInstance.__hash__``), and a fill whose reconstruction
-# check raises stores nothing.  An entry holds n orbit dicts, 1.0 kB on
-# average and 2.4 kB at most over (1, t, ..., t^(n-1)) at n <= 5, and a
-# reference to its context.
-@lru_cache(maxsize=4096)
-def _coordinate_row(ctx, key, orbit):
+def _row_table(ctx):
+    """The anchor's coordinate rows, made on first use and kept on the
+    context (``AlternatorInstance.coordinate_rows``), so the rows are
+    freed with the anchor they were divided for."""
+    table = ctx.coordinate_rows
+    if table is not None:
+        return table
     space = ctx.space
     one = space.one_coeff()
-    if orbit:
-        y = orbit_sum_n11(space, key)
-        nums, heads, failure = _invariant_nums(ctx, y), {key: one}, _INVARIANT_FAILURE
-    else:
-        nums = _coordinate_nums(ctx, ((key, one),))
-        unit = (0,) * (space.width * (space.n - 1))
-        heads, failure = {unit + key: one}, _COORDINATE_FAILURE
-    quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
-    if any(q is None for q in quots):
-        return None
-    _recheck(ctx, quots, heads, failure)
-    return tuple(quots)
+    unit = (0,) * (space.width * (space.n - 1))
+
+    # One row per monomial label of z (orbit False) or (n-1)-orbit key of
+    # y (orbit True): the entries' quotients by alpha(x) of that monomial
+    # or of the sum of the arrangements of the key's first n-1 slots, or
+    # None when some entry has none.  A fill whose reconstruction check
+    # raises stores nothing.  An entry holds n orbit dicts: 1.0 kB on
+    # average and 2.4 kB at most over (1, t, ..., t^(n-1)) at n <= 5,
+    # 0.5-0.7 kB on the fixtures and the rank-4 anchor of README's Input
+    # bounds; on its dearest rank-3 anchor an instance stores one None.
+    @lru_cache(maxsize=4096)
+    def _coordinate_row(key, orbit):
+        if orbit:
+            y = orbit_sum_n11(space, key)
+            nums, heads = _invariant_nums(ctx, y), {key: one}
+            failure = _INVARIANT_FAILURE
+        else:
+            nums = _coordinate_nums(ctx, ((key, one),))
+            heads, failure = {unit + key: one}, _COORDINATE_FAILURE
+        quots = [divide_orbits(space, num, ctx.alpha_x_orbits) for num in nums]
+        if any(q is None for q in quots):
+            return None
+        _recheck(ctx, quots, heads, failure)
+        return tuple(quots)
+
+    ctx.coordinate_rows = _coordinate_row
+    return _coordinate_row
 
 
 def _linear(ctx, terms, orbit, heads, fallback, failure):
@@ -407,14 +420,18 @@ def _linear(ctx, terms, orbit, heads, fallback, failure):
 
     Coordinates are linear over the scalars, and in a domain the quotient
     of a sum by alpha(x) is the sum of the quotients, so a call reads one
-    stored row per key (``_coordinate_row``) and divides nothing.  The
-    sums keep their keys in descending order, as division leaves them.
-    When some row has no quotient, the sum may still have one, so the
-    call takes ``fallback()``, the route that divides the sum itself.
+    stored row per key (``_row_table``) and divides nothing.  The sums
+    keep their keys in descending order, as division leaves them.  At
+    the first row with no quotient the call takes ``fallback()``, the
+    route that divides the sum itself, since the sum may still have one.
     """
-    rows = [(_coordinate_row(ctx, key, orbit), c) for key, c in terms]
-    if any(row is None for row, _ in rows):
-        return fallback()
+    table = _row_table(ctx)
+    rows = []
+    for key, c in terms:
+        row = table(key, orbit)
+        if row is None:
+            return fallback()
+        rows.append((row, c))
     quots = _row_sums(ctx.space, rows)
     _recheck(ctx, quots, heads, failure)
     return tuple(LocalizedElem._from_orbits(ctx, q) for q in quots)
@@ -479,10 +496,11 @@ def coordinates_of_invariant(ctx, y):
     dropped, multiplied by y, under the full alternating sum, over the
     alternator of x.  y is the sum of c times the orbit sum of its first
     n-1 slots over its heads (key, c), so the entries are summed from one
-    stored row per head (``_linear``), and only a row's fill forms the
-    products x_dropped(i) * y; when a row has no quotient, y's own
-    products are divided (``_over_alpha``).  The expansion is re-checked
-    exactly on every call.
+    stored row per head (``_linear``), and on an anchor whose rows all
+    divide only a row's fill forms the products x_dropped(i) * y.  When
+    some row has no quotient, y's own full products are formed and
+    divided (``_over_alpha``), on every call.  The expansion is
+    re-checked exactly on every call.
     """
     _require_poly_domain(ctx.space)
     space = ctx.space

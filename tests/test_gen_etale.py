@@ -385,7 +385,7 @@ f = AlgebraMap(source, alg, [alg.basis_elem(1)])
 for check, norm_map in ((check_pullback, NormMap), (check_pullback_plus, NormMapPlus)):
     inst = PullbackInstance(f, [source.one(), t])
     # the memoised matrix of f(t), doubled: only the norm reads it
-    inst._mult[(1,)] = [[2 * a for a in row] for row in alg.mult_matrix(inst.fx[1])]
+    inst._mult[(1,)] = [[(b, 2 * a) for b, a in row] for row in inst.norm_rows((1,))]
     witnesses, _ = check(inst, norm_map(inst))
     print(" ".join(w.name for w in witnesses if not w.ok))
     print(" ".join(w.name for w in witnesses if w.name.startswith("pair_route") and w.ok))
@@ -514,7 +514,7 @@ for _ in range(2):
     print(attempt(lambda: PullbackInstance(f, [t, t])), _anchor.cache_info().currsize)
 # a reconstruction that fails: the anchor is stored, its constants never
 inst = PullbackInstance(f, [source.one(), t])
-span_solver._coordinate_row.cache_clear()
+span_solver._row_table(inst.ctx).cache_clear()
 real = span_solver.wedge_orbits
 span_solver.wedge_orbits = lambda space, w, terms: {
     k: 2 * c for k, c in real(space, w, terms).items()
@@ -523,7 +523,7 @@ for _ in range(2):
     print(
         attempt(lambda: inst.anchor.constants),
         "constants" in vars(inst.anchor),
-        span_solver._coordinate_row.cache_info().currsize,
+        span_solver._row_table(inst.ctx).cache_info().currsize,
     )
 span_solver.wedge_orbits = real
 again = PullbackInstance(f, [source.one(), t])

@@ -351,7 +351,10 @@ def per_key_norm(inst, q):
     base, space = inst.E.base, inst.space
     total = base.zero()
     for key, c in q.terms.items():
-        rows = [inst.mult_matrix(lab)[i] for i, lab in enumerate(space.key_slots(key))]
+        rows = [
+            inst.E.mult_matrix(inst.image(space.label_elem(lab)))[i]
+            for i, lab in enumerate(space.key_slots(key))
+        ]
         total = total + inst.emb(c) * det_generic(rows)
     return base.normalize(total)
 

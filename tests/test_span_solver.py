@@ -1,10 +1,12 @@
 """Localized fractions, coordinates and the basis validator."""
 
+import gc
 import operator
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -683,7 +685,7 @@ def test_coordinate_heads_are_the_coprojection_heads(case, terms):
     ctx, _ = case
     space = ctx.space
     z = MultiPoly(space.ring, {k: space.scalars.from_int(c) for k, c in terms.items()})
-    span_solver._coordinate_row.cache_clear()
+    span_solver._row_table(ctx).cache_clear()
     seen, fallbacks = [], []
     real_linear, real_over = span_solver._linear, span_solver._over_alpha
 
@@ -747,10 +749,10 @@ def test_orbit_recheck_catches_any_corrupted_coefficient(case, data):
     # fill y's rows with no fault, so that the quotients the check reads
     # come from one place: the rows' sum, or the division of y's own
     # numerators when a row has none
-    span_solver._coordinate_row.cache_clear()
+    span_solver._row_table(ctx).cache_clear()
     coordinates_of_invariant(ctx, y)
     heads = {k: c for k, c in y.terms.items() if span_solver._heads_descend(space, k)}
-    summed = all(span_solver._coordinate_row(ctx, k, True) for k in heads)
+    summed = all(span_solver._row_table(ctx)(k, True) for k in heads)
     event("rows summed" if summed else "y divided")
     real_sums, real_divide = span_solver._row_sums, span_solver.divide_orbits
     calls = []
@@ -1400,7 +1402,7 @@ def test_row_table_matches_the_parent_routes(case):
     event("y at exponent 1" if any(e for e, _ in want_y) else "y at exponent 0")
     for warmth in ("cold", "warm"):
         if warmth == "cold":
-            span_solver._coordinate_row.cache_clear()
+            span_solver._row_table(ctx).cache_clear()
         assert _entry_forms(coordinates(ctx, z)) == want_z
         assert _entry_forms(coordinates_of_invariant(ctx, y)) == want_y
     # a quotient keeps its keys descending, as division leaves them
@@ -1409,23 +1411,23 @@ def test_row_table_matches_the_parent_routes(case):
         assert exp or keys == sorted(keys, reverse=True)
 
 
-def test_rows_are_shared_by_equal_anchors():
-    # the table keys an anchor by value: a second context on equal
-    # entries, built in another copy of the ring, reads the first one's rows
-    span_solver._coordinate_row.cache_clear()
+def test_rows_are_kept_on_their_context():
+    # each context keeps its own rows, so an equal anchor in another
+    # context fills its own, and a context that is dropped takes its
+    # rows with it: the table keeps no context alive
     space, ctx, t = qt_context(4)
-    coordinates(ctx, t**5 + 3 * t)
-    filled = span_solver._coordinate_row.cache_info()
-    ring = PolyRing(QQ, ("t",))
-    t2 = ring.variable("t")
-    other = AlternatorInstance(TensorSpace(4, ring), [t2**i for i in range(4)])
-    assert other == ctx and hash(other) == hash(ctx) and other is not ctx
-    assert _entry_forms(coordinates(other, t2**5 + 3 * t2)) == _entry_forms(
-        coordinates(ctx, t**5 + 3 * t)
-    )
-    after = span_solver._coordinate_row.cache_info()
-    assert after.currsize == filled.currsize
-    assert after.misses == filled.misses
+    want = _entry_forms(coordinates(ctx, t**5 + 3 * t))
+    table = span_solver._row_table(ctx)
+    assert table is ctx.coordinate_rows and table.cache_info().currsize == 2
+    other = AlternatorInstance(space, ctx.x)
+    assert other == ctx and other.coordinate_rows is None
+    assert _entry_forms(coordinates(other, t**5 + 3 * t)) == want
+    assert span_solver._row_table(other) is not table
+    assert span_solver._row_table(other).cache_info().currsize == 2
+    gone = weakref.ref(ctx)
+    del ctx, table
+    gc.collect()
+    assert gone() is None
 
 
 @pytest.mark.parametrize("invariant", [False, True], ids=["z", "y"])
@@ -1440,7 +1442,7 @@ def test_row_fill_fault_raises_on_every_call_and_keeps_no_row(invariant):
     else:
         arg = t**4 + 2 * t
         route = coordinates
-    span_solver._coordinate_row.cache_clear()
+    span_solver._row_table(ctx).cache_clear()
     real = span_solver.divide_orbits
 
     def doubled(space, num, den):
@@ -1452,11 +1454,11 @@ def test_row_fill_fault_raises_on_every_call_and_keeps_no_row(invariant):
         for _ in range(2):
             with pytest.raises(VerificationFailed):
                 route(ctx, arg)
-            assert span_solver._coordinate_row.cache_info().currsize == 0
+            assert span_solver._row_table(ctx).cache_info().currsize == 0
     finally:
         span_solver.divide_orbits = real
     entries = route(ctx, arg)
-    assert span_solver._coordinate_row.cache_info().currsize == 2
+    assert span_solver._row_table(ctx).cache_info().currsize == 2
     assert _entry_forms(entries) == _entry_forms(
         (parent_coordinates_of_invariant if invariant else parent_coordinates)(ctx, arg)
     )
